@@ -4,9 +4,10 @@ Reads one job from flags plus an input JSON document (file or stdin), or a
 batch given as a JSON array of job objects.  All values are exact: text
 output prints rationals, never decimals.
 
-Exit codes: 0 success/verified, 1 verification or lifting failure,
-2 complex scalars required in rational mode, 64 parse failure,
-65 singular input matrix.
+Exit codes: 0 success/verified, 1 verification or lifting failure (also
+any unexpected error inside one job), 2 complex scalars required in
+rational mode, 64 parse failure, 65 singular input matrix.  Each job of a
+batch gets its own code; one failing job never stops the others.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .algebra import AlgebraError
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
@@ -50,10 +52,6 @@ class JobError(Exception):
         super().__init__(message)
         self.code = code
         self.detail = detail or {}
-
-
-def _matrix_text(matrix: Matrix) -> str:
-    return str(matrix)
 
 
 def _transform_from_payload(payload: dict, kind: str | None, action: str | None) -> ProjTransform4:
@@ -167,7 +165,7 @@ def _format_text(report: dict, indent: str = "") -> str:
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{indent}{key}:")
             try:
-                lines.append(_matrix_text(Matrix.from_json(value)))
+                lines.append(str(Matrix.from_json(value)))
             except Exception:
                 lines.append(f"{indent}  {value}")
         else:
@@ -176,7 +174,8 @@ def _format_text(report: dict, indent: str = "") -> str:
 
 
 def run_job(command: str, payload, opts: dict) -> tuple[int, dict]:
-    handler = _HANDLERS.get(command)
+    """Run one job; every outcome, even an unexpected exception, is an exit code."""
+    handler = _HANDLERS.get(command) if isinstance(command, str) else None
     if handler is None:
         return EXIT_PARSE, {"error": f"unknown command {command!r}"}
     try:
@@ -184,6 +183,9 @@ def run_job(command: str, payload, opts: dict) -> tuple[int, dict]:
         return EXIT_OK, report
     except JobError as exc:
         return exc.code, {"error": str(exc), **({"detail": exc.detail} if exc.detail else {})}
+    except Exception as exc:  # a bug must not take the rest of a batch down
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_FAILED, {"error": f"unexpected {type(exc).__name__}: {exc}"}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,11 +24,14 @@ from .klein import (
     NullPolarity,
     ProjTransform4,
     bilinear,
+    klein_algebra,
+    klein_form_value,
+    null_polarity_to_vector,
     proj_to_versor,
     vector_to_null_polarity,
 )
 from .linalg import Matrix, mat_mul, normalize_vector
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, as_scalar, format_scalar
 
 
 class NoNonNullVectorError(AlgebraError):
@@ -122,21 +125,12 @@ class FactorizationResult:
 
     @classmethod
     def from_json(cls, data: dict, transform: ProjTransform4) -> "FactorizationResult":
-        from .algebra import Multivector as MV
-        from .klein import klein_algebra
-
-        factors = tuple(MV.from_json(klein_algebra(), f) for f in data["factors"])
+        factors = tuple(Multivector.from_json(klein_algebra(), f) for f in data["factors"])
         polarities = tuple(NullPolarity.from_json(p) for p in data["polarities"])
-        scale = _parse_scale(data["scale"])
+        scale = as_scalar(data["scale"])
         product = _polarity_product(polarities)
         residual = product - transform.matrix.scale(scale)
         return cls(factors, polarities, scale, residual)
-
-
-def _parse_scale(text: str) -> Scalar:
-    from .scalars import parse_scalar
-
-    return parse_scalar(text)
 
 
 def _polarity_product(polarities) -> Matrix:
@@ -190,6 +184,11 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
         return False
     if not all(p.matrix.is_skew() for p in result.polarities):
         return False
+    for f, p in zip(result.factors, result.polarities):
+        # each factor is the non-null vector its polarity was built from
+        if (p.matrix.is_zero() or f != null_polarity_to_vector(p)
+                or not klein_form_value(f.coordinates())):
+            return False
     actions = [p.action for p in result.polarities]
     if actions != _alternating_actions(len(actions), t.action):
         return False

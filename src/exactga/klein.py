@@ -29,8 +29,8 @@ from .algebra import (
     bilinear,
     sandwich,
 )
-from .blades import Blade, opns
-from .linalg import Matrix, mat_mul, nullspace, proportionality
+from .blades import Blade, ipns, opns
+from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionality, rank
 from .scalars import (
     ComplexRational,
     Scalar,
@@ -515,91 +515,76 @@ def _normalization_scale(lam: Fraction, scalar_mode: str) -> Scalar:
     return ComplexRational(0, root)
 
 
-def _line_kernel(rows: list[list], ncols: int):
-    """Kernel of a system expected to have a one-dimensional solution space.
+def _blade_images(vectors: Sequence[Multivector]) -> dict[int, Multivector]:
+    """Outermorphism images f(e_A) of all basis blades, given f(e_1..e_6).
 
-    Incremental elimination stops as soon as the rank reaches ncols - 1; the
-    remaining rows are then verified against the candidate kernel vector,
-    which is exact and much cheaper than reducing them all.
+    Masks come grade-major, so f(e_A) = f(e_i) ^ f(e_{A without i}) for the
+    lowest index i of A is one wedge onto a blade already built.
     """
-    basis: dict[int, list] = {}  # pivot column -> reduced row
-    idx = 0
-    candidate = None
-    for idx, row in enumerate(rows):
-        r = list(row)
-        for col, brow in basis.items():
-            if r[col]:
-                f = r[col]
-                r = [a - f * b for a, b in zip(r, brow)]
-        pivot = next((c for c, v in enumerate(r) if v), None)
-        if pivot is None:
-            continue
-        inv = 1 / r[pivot]
-        r = [v * inv for v in r]
-        for col, brow in basis.items():
-            if brow[pivot]:
-                f = brow[pivot]
-                basis[col] = [a - f * b for a, b in zip(brow, r)]
-        basis[pivot] = r
-        if len(basis) == ncols:
-            return None
-        if len(basis) == ncols - 1:
-            free = next(c for c in range(ncols) if c not in basis)
-            candidate = [Fraction(0)] * ncols
-            candidate[free] = Fraction(1)
-            for col, brow in basis.items():
-                candidate[col] = -brow[free]
-            break
-    if candidate is None:
-        return None
-    for row in rows[idx + 1:]:
-        if sum((a * b for a, b in zip(row, candidate)), start=Fraction(0)):
-            return None
-    from .linalg import normalize_vector
-
-    return normalize_vector(candidate)
-
-
-def _solve_twisted_adjoint(T: Matrix, parity: str) -> Multivector:
-    """Solve alpha(g) e_j = (T e_j) g for g of the given parity."""
     alg = klein_algebra()
-    t_cols = [alg.vector([T[i, j] for i in range(6)]) for j in range(6)]
-    unknown_masks = alg.basis_masks(parity=parity)
-    out_masks = alg.basis_masks(parity="odd" if parity == "even" else "even")
-    out_index = {m: r for r, m in enumerate(out_masks)}
+    images = {0: alg.scalar(1)}
+    for mask in alg.basis_masks()[1:]:
+        low = mask & -mask
+        images[mask] = vectors[low.bit_length() - 1].wedge(images[mask ^ low])
+    return images
+
+
+@lru_cache(maxsize=1)
+def _reciprocal_blades() -> tuple:
+    """Pairs (A, e^A) over all basis blades, with <e_A e^B>_0 = delta_AB.
+
+    Each e^A is the reversed wedge of the reciprocal frame vectors
+    e^i = sum_j (Q^-1)_ji e_j, i.e. the grade-wise Gram inverse applied to
+    the wedge basis.
+    """
+    alg = klein_algebra()
+    q = alg.form
+    inverse = q.adjugate().scale(1 / q.det())
+    frame = [alg.vector(inverse.col(i)) for i in range(alg.dim)]
+    return tuple((m, b.reverse()) for m, b in _blade_images(frame).items())
+
+
+def _versor_from_isometry(T: Matrix, parity: str) -> Multivector:
+    """The g of the given parity with alpha(g) x = T(x) g, in closed form.
+
+    Conjugation by g acts on blades as the outermorphism f of T (of -T for
+    odd g, where alpha(g) = -g), and sum_A f(e_A) M e^A = 2^6 <g^-1 M>_0 g.
+    The first basis blade e_B of g's parity with a nonzero sum gives g up to
+    scale.  The result is scaled to 1 at its last nonzero coefficient, then
+    to integer content 1, and checked exactly against all six relations.
+    """
+    alg = klein_algebra()
     sign = 1 if parity == "even" else -1
-    ncols = len(unknown_masks)
-    nrows = 6 * len(out_masks)
-    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for c, mask in enumerate(unknown_masks):
-        basis_el = alg.mv({mask: Fraction(1)})
-        for j in range(6):
-            ej = alg.mv({1 << j: Fraction(1)})
-            diff = basis_el.gp(ej) * sign - t_cols[j].gp(basis_el)
-            for m, coeff in diff.terms.items():
-                rows[j * len(out_masks) + out_index[m]][c] = coeff
-    rows = [r for r in rows if any(r)]
-    solution = _line_kernel(rows, ncols)
-    if solution is not None:
-        return alg.mv({m: v for m, v in zip(unknown_masks, solution)})
-    # rank below expectation or inconsistent: fall back to the full kernel
-    kernel = nullspace(Matrix.from_rows(rows))
-    if not kernel:
-        raise NotLiftableError("no versor of the requested parity induces this map",
-                               {"reason": "empty-kernel"})
-    if len(kernel) > 1:
-        raise AlgebraError("twisted adjoint solution is not unique; input is degenerate")
-    return alg.mv({m: v for m, v in zip(unknown_masks, kernel[0])})
+    t_cols = [alg.vector([T[i, j] for i in range(6)]) for j in range(6)]
+    images = _blade_images([v * sign for v in t_cols])
+    masks = alg.basis_masks(parity=parity)
+    for b in masks:
+        e_b = alg.mv({b: Fraction(1)})
+        total = sum((images[a].gp(e_b.gp(recip)) for a, recip in _reciprocal_blades()),
+                    alg.zero())
+        coeffs = [total.coeff(m) for m in masks]
+        if any(coeffs):
+            last = next(c for c in reversed(coeffs) if c)
+            g = alg.mv(dict(zip(masks, normalize_vector([c / last for c in coeffs]))))
+            if all(g.gp(alg.mv({1 << j: Fraction(sign)})) == t_cols[j].gp(g)
+                   for j in range(6)):
+                return g
+            break
+    raise NotLiftableError("no versor of the requested parity induces this map",
+                           {"reason": "empty-kernel"})
 
 
 def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     """Lift a regular projective transformation to a versor with witness.
 
-    The induced line map G is normalized by the exact square root of its
-    similitude ratio, then the linear relation alpha(g) x = (G/s)(x) g is
-    solved for g.  The grade-descent factorization supplies the witness.
-    An exact lift exists precisely when |ratio| is a rational square; a
-    negative ratio forces the complex scalar mode.
+    The induced line map G is normalized by the exact square root s of its
+    similitude ratio, so T = G/s is an isometry.  The versor g with
+    alpha(g) x = T(x) g is then read off in closed form, without a linear
+    solve: with f the outermorphism of T (of -T for odd g) and e^A the
+    reciprocal basis blades, sum_A f(e_A) e_B e^A = 2^6 <g^-1 e_B>_0 g for
+    every basis blade e_B.  The grade-descent factorization supplies the
+    witness.  An exact lift exists precisely when |ratio| is a rational
+    square; a negative ratio forces the complex scalar mode.
     """
     if scalar_mode not in ("rational", "complex"):
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
@@ -608,7 +593,7 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     s = _normalization_scale(real_part(lam), scalar_mode)
     T = g6.matrix.scale(1 / s)
     parity = "even" if t.kind == "collineation" else "odd"
-    value = _solve_twisted_adjoint(T, parity)
+    value = _versor_from_isometry(T, parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain
     alternate = value.gp(klein_algebra().pseudoscalar())
@@ -660,8 +645,6 @@ def _span_radical(span: list[Multivector]) -> list[Multivector]:
 
 def _null_lines_in_plane(u: Multivector, v: Multivector):
     """Null elements of span{u, v}: exact roots of the restricted quadric."""
-    from .linalg import normalize_vector
-
     qu, qv, buv = bilinear(u, u), bilinear(v, v), bilinear(u, v)
     lines = []
     # v itself (the root at infinity of the parameterization u + t v)
@@ -694,7 +677,7 @@ def classify_blade(b: Blade | Multivector) -> ManifoldClass:
     if not 2 <= b.grade <= 5:
         raise AlgebraError("classification covers blades of grade 2 to 5")
     span = opns(b)
-    gram_rank = _rank(_gram(span))
+    gram_rank = rank(_gram(span))
 
     if b.grade == 2:
         u, v = span
@@ -737,22 +720,13 @@ def classify_blade(b: Blade | Multivector) -> ManifoldClass:
             "common_line": tuple(radical[0].coordinates())})
 
     if b.grade == 4:
-        from .blades import ipns
-
         axes = ipns(b)
         return ManifoldClass(ManifoldKind.LINEAR_CONGRUENCE, {
             "gram_rank": gram_rank,
             "axes": [tuple(a.coordinates()) for a in axes]})
-
-    from .blades import ipns
 
     axis = ipns(b)[0]
     return ManifoldClass(ManifoldKind.LINEAR_COMPLEX, {
         "axis": tuple(axis.coordinates()),
         "special": bilinear(axis, axis) == 0})
 
-
-def _rank(m: Matrix) -> int:
-    from .linalg import rank
-
-    return rank(m)

@@ -88,6 +88,8 @@ LieElement = Union[LiePoint, LieInfinity, LieSphere, LiePlane]
 
 
 def lie_element_from_json(data: dict) -> LieElement:
+    if not isinstance(data, dict):
+        raise AlgebraError("a Lie element is a JSON object with a 'variant' key")
     variant = data.get("variant")
     if variant == "point":
         return LiePoint(tuple(as_scalar(c) for c in data["position"]))

@@ -161,26 +161,40 @@ def is_real(x: Scalar) -> bool:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-# one or two signed rational atoms, the last one tagged with i
+# an optional real atom, then a signed imaginary atom; the real atom must be
+# followed by the sign, so '12i' cannot split into 1 + 2i
 _COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)?(?P<im>[+-]?\d+(?:/\d+)?)i$"
+    r"^(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?\d+(?:/\d+)?)i$"
 )
 
 
+def _parse_rational(text: str, whole: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarError(f"zero denominator in scalar {whole!r}") from None
+    except ValueError as exc:  # e.g. more digits than int() accepts
+        raise ScalarError(f"cannot parse scalar {whole!r}: {exc}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse 'p', 'p/q', 'p/q+r/si' or 'p/q-r/si' (whitespace ignored)."""
+    """Parse 'p', 'p/q', 'r/si', 'p/q+r/si' or 'p/q-r/si' (whitespace ignored).
+
+    Every atom needs its digits ('1i', not 'i'), and a real part is joined
+    to the imaginary one by an explicit sign, as format_scalar writes it.
+    """
+    if not isinstance(text, str):
+        raise ScalarError(f"scalar text must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ScalarError("empty scalar string")
     if _RATIONAL_RE.match(s):
-        return Fraction(s)
+        return _parse_rational(s, text)
     m = _COMPLEX_RE.match(s)
     if m:
         re_txt = m.group("re")
-        im_txt = m.group("im")
-        if im_txt in (None, "", "+", "-"):
-            im_txt = (im_txt or "") + "1"
-        return _make(Fraction(re_txt) if re_txt else Fraction(0), Fraction(im_txt))
+        re_part = _parse_rational(re_txt, text) if re_txt else Fraction(0)
+        return _make(re_part, _parse_rational(m.group("im"), text))
     raise ScalarError(f"cannot parse scalar {text!r}")
 
 

@@ -1,6 +1,10 @@
+import copy
 import json
 
-from exactga.cli import main
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from exactga.cli import main, run_job
 from exactga.factorize import factorize_matrix
 from exactga.klein import ProjTransform4
 from exactga.linalg import Matrix
@@ -253,3 +257,135 @@ def test_flags_supply_kind_and_action(capsys):
         payload)
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+def test_verify_rejects_tampered_factors(capsys):
+    from exactga.klein import klein_algebra
+
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    result = factorize_matrix(t).to_json()
+    result["factors"] = [klein_algebra().e(1).to_json() for _ in result["factors"]]
+    code, out = run_cli(capsys, ["--command", "verify"], {"transform": REFERENCE_JOB,
+                                                          "result": result})
+    assert code == 1
+    assert json.loads(out)["detail"]["verified"] is False
+
+
+def test_zero_denominators_are_parse_failures(capsys):
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    result = factorize_matrix(t).to_json()
+    bad_scale = {"command": "verify",
+                 "payload": {"transform": REFERENCE_JOB, "result": dict(result, scale="1/0")}}
+    bad_entry = {"command": "factorize",
+                 "payload": dict(REFERENCE_JOB, matrix=[["1/0", "0", "0", "0"]]
+                                 + REFERENCE_JOB["matrix"][1:])}
+    good = {"command": "verify", "payload": {"transform": REFERENCE_JOB, "result": result}}
+    code, out = run_cli(capsys, ["--command", "factorize"], [bad_scale, good, bad_entry])
+    reports = json.loads(out)
+    assert [r["exit_code"] for r in reports] == [64, 0, 64]
+    assert code == 64
+
+
+
+def test_unexpected_error_stays_in_its_job(capsys, monkeypatch):
+    import exactga.cli
+
+    def broken(payload, opts):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(exactga.cli._HANDLERS, "lift", broken)
+    sphere = {"variant": "sphere", "center": ["0", "0", "0"], "radius": "1"}
+    jobs = [{"command": "lift", "payload": REFERENCE_JOB},
+            {"command": "lie-contact", "payload": {"a": sphere, "b": sphere}}]
+    code, out = run_cli(capsys, ["--command", "lift"], jobs)
+    reports = json.loads(out)
+    assert [r["exit_code"] for r in reports] == [1, 0]
+    assert reports[0]["error"] == "unexpected RuntimeError: boom"
+    assert code == 1
+
+# -- fuzzing: every job of a batch ends in a documented exit code -----------------------
+
+DOCUMENTED_CODES = {0, 1, 2, 64, 65}
+
+JUNK = st.sampled_from(["1/0", "0/0", "12i", "1/2+3i", "i", "", "x", "1.5", "0", "-1",
+                        "1e3", "+", "1//2", "9" * 30])
+KEYS = st.sampled_from(["matrix", "kind", "action", "transform", "result", "factors",
+                        "polarities", "scale", "mask", "coeff", "a", "b", "vector",
+                        "center", "radius", "command", "payload"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=False) | JUNK
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(KEYS | st.text(max_size=3), children, max_size=5),
+    max_leaves=16)
+
+
+def _valid_payloads():
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    result = factorize_matrix(t).to_json()
+    singular = dict(REFERENCE_JOB, matrix=[REFERENCE_JOB["matrix"][0]] * 4)
+    return [
+        ("factorize", REFERENCE_JOB),
+        ("factorize", dict(REFERENCE_JOB, matrix=as_str_matrix(COMPLEX_VARIANT))),
+        ("lift", REFERENCE_JOB),
+        ("lift", singular),
+        ("verify", {"transform": REFERENCE_JOB, "result": result}),
+        ("lie-contact", {"a": {"variant": "sphere", "center": ["0", "0", "0"], "radius": "1"},
+                         "b": {"variant": "plane", "normal": ["0", "0", "1"], "offset": "2"}}),
+        ("lie-contact", {"vector": ["1", "-1", "0", "0", "2", "0"]}),
+    ]
+
+
+VALID_PAYLOADS = _valid_payloads()
+
+
+def _leaf_paths(value, path=()):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaf_paths(v, path + (i,))
+    yield path
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {k: _replace(v, rest, new) if k == head else v for k, v in value.items()}
+    return [_replace(v, rest, new) if i == head else v for i, v in enumerate(value)]
+
+
+@st.composite
+def mutated_payloads(draw):
+    command, payload = copy.deepcopy(draw(st.sampled_from(VALID_PAYLOADS)))
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_leaf_paths(payload))
+        payload = _replace(payload, draw(st.sampled_from(paths)), draw(JSON_VALUES))
+    return command, payload
+
+
+JOBS = st.one_of(
+    mutated_payloads(),
+    st.tuples(st.sampled_from(["factorize", "lift", "verify", "lie-contact", "nope"])
+              | JSON_VALUES, JSON_VALUES),
+)
+OPTS = st.just({"scalar_mode": "rational", "action": None, "kind": None}) | \
+    st.fixed_dictionaries({
+        "scalar_mode": st.sampled_from(["rational", "complex"]) | JSON_VALUES,
+        "action": st.sampled_from([None, "points", "planes"]) | JSON_VALUES,
+        "kind": st.sampled_from([None, "collineation", "correlation"]) | JSON_VALUES,
+    })
+
+
+@seed(20261017)
+@settings(max_examples=150, deadline=None, database=None)
+@given(JOBS, OPTS)
+def test_fuzzed_jobs_end_in_documented_codes(job, opts):
+    command, payload = job
+    code, report = run_job(command, payload, opts)
+    assert code in DOCUMENTED_CODES
+    assert isinstance(report, dict)
+    json.dumps(report, default=str)

@@ -260,3 +260,27 @@ def test_result_json_round_trip(reference_matrix):
     assert rebuilt.residual.is_zero()
     assert verify_factorization(rebuilt, t)
     assert rebuilt.scale == result.scale
+
+
+def test_verify_rejects_tampered_factors(reference_matrix):
+    t = ProjTransform4(reference_matrix, "collineation", "points")
+    result = factorize_matrix(t)
+    assert verify_factorization(result, t)
+    # the polarities and the scale still certify the map; only the factors lie
+    all_e1 = FactorizationResult((E(1),) * len(result.factors), result.polarities,
+                                 result.scale, result.residual)
+    assert not verify_factorization(all_e1, t)
+    one_off = list(result.factors)
+    one_off[2] = one_off[2] * 2
+    tampered = FactorizationResult(tuple(one_off), result.polarities, result.scale,
+                                   result.residual)
+    assert not verify_factorization(tampered, t)
+
+
+def test_verify_rejects_tampered_factor_json(reference_matrix):
+    t = ProjTransform4(reference_matrix, "collineation", "points")
+    data = factorize_matrix(t).to_json()
+    data["factors"] = [E(1).to_json() for _ in data["factors"]]
+    rebuilt = FactorizationResult.from_json(data, t)
+    assert rebuilt.residual.is_zero()  # the polarity product alone still matches
+    assert not verify_factorization(rebuilt, t)

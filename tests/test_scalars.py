@@ -93,3 +93,35 @@ def test_rational_sqrt():
 @given(fractions)
 def test_format_is_exact(x):
     assert parse_scalar(format_scalar(x)) == x
+
+
+def test_parse_imaginary_digits_stay_together():
+    # the real part needs a sign after it, so the digits of 'bi' never split
+    assert parse_scalar("12i") == ComplexRational(0, 12)
+    assert parse_scalar("1/23i") == ComplexRational(0, Fraction(1, 23))
+    assert parse_scalar("-12i") == ComplexRational(0, -12)
+    assert parse_scalar("12+3i") == ComplexRational(12, 3)
+
+
+def test_parse_zero_denominator_is_a_scalar_error():
+    for bad in ("1/0", "0/0", "-3/0", "1/0+1i", "1+2/0i", "5/0i"):
+        with pytest.raises(ScalarError):
+            parse_scalar(bad)
+
+
+def test_parse_needs_imaginary_digits():
+    for bad in ("i", "-i", "1+i", "1-i", "1/2+i"):
+        with pytest.raises(ScalarError):
+            parse_scalar(bad)
+
+
+def test_parse_rejects_non_strings():
+    for bad in (None, 3, ["1"]):
+        with pytest.raises(ScalarError):
+            parse_scalar(bad)
+
+
+@given(fractions, fractions)
+def test_complex_format_is_exact(a, b):
+    z = ComplexRational(a, b)
+    assert parse_scalar(format_scalar(z)) == z
