@@ -8,20 +8,19 @@ grade carve out the classical linear line manifolds.
 
 from exactga import (
     Blade,
+    PluckerLine,
     classify_blade,
     ipns,
     is_null_blade,
     klein_algebra,
     opns,
-    plucker_from_planes,
-    plucker_from_points,
 )
 
 alg = klein_algebra()
 e = alg.e
 
 # Two points span a line; its coordinates land exactly on the quadric.
-line = plucker_from_points([1, 0, 0, 1], [0, 2, 1, 0])
+line = PluckerLine.from_points([1, 0, 0, 1], [0, 2, 1, 0])
 print("line through (1,0,0,1) and (0,2,1,0):", line.coords)
 v = line.to_multivector()
 print("its vector squares to:", v.gp(v))
@@ -29,13 +28,13 @@ print("its vector squares to:", v.gp(v))
 # The same line via two planes that contain it.
 u1 = line.plane_matrix().apply([1, 0, 0, 0])
 u2 = line.plane_matrix().apply([0, 1, 0, 0])
-again = plucker_from_planes(u1, u2)
+again = PluckerLine.from_planes(u1, u2)
 print("rebuilt from two of its planes:", again.coords)
 
 # Wedging two lines gives a 2-blade; null means the whole span lies on the
 # quadric, i.e. a pencil of lines through a common point in a common plane.
-l1 = plucker_from_points([1, 0, 0, 0], [0, 1, 0, 0]).to_multivector()
-l2 = plucker_from_points([1, 0, 0, 0], [0, 0, 1, 0]).to_multivector()
+l1 = PluckerLine.from_points([1, 0, 0, 0], [0, 1, 0, 0]).to_multivector()
+l2 = PluckerLine.from_points([1, 0, 0, 0], [0, 0, 1, 0]).to_multivector()
 pencil = l1.wedge(l2)
 print("\ntwo concurrent lines wedge to:", pencil)
 print("null 2-blade?", is_null_blade(pencil))
@@ -48,7 +47,7 @@ result = classify_blade(pair)
 print("\n(e1+e4)^(e1-e4):", result.tag.value, result.witness["lines"])
 
 # Three concurrent lines span a bundle; three coplanar ones a field.
-bundle = l1.wedge(l2).wedge(plucker_from_points([1, 0, 0, 0], [0, 0, 0, 1]).to_multivector())
+bundle = l1.wedge(l2).wedge(PluckerLine.from_points([1, 0, 0, 0], [0, 0, 0, 1]).to_multivector())
 print("\nthree lines through one point:", classify_blade(bundle).tag.value)
 
 # A generic 3-blade cuts a regulus (one family of rulings of a quadric).

@@ -13,7 +13,7 @@ from exactga import (
     LiePlane,
     LiePoint,
     LieSphere,
-    factorize_lie_versor,
+    factorize_versor,
     is_laguerre,
     lie_algebra,
     lie_decode,
@@ -72,7 +72,7 @@ g = alg.scalar(1)
 for coords in ([1, -1, 2, 0, 0, 3], [0, 1, 1, 0, 2, 0], [1, 0, 0, 1, 0, 1],
                [2, 1, 0, 0, 1, 0]):
     g = g.gp(alg.vector(coords))
-factors = factorize_lie_versor(g)
+factors = factorize_versor(g)
 print(f"\na four-vector versor refactors into {len(factors)} inversions:")
 for f in factors:
     print("  ", f)

@@ -38,8 +38,6 @@ from .klein import (
     induced_line_map,
     klein_algebra,
     null_polarity_to_vector,
-    plucker_from_planes,
-    plucker_from_points,
     proj_to_versor,
     vector_sandwich_matrix,
     vector_to_null_polarity,
@@ -51,7 +49,6 @@ from .lie import (
     LiePlane,
     LiePoint,
     LieSphere,
-    factorize_lie_versor,
     is_laguerre,
     lie_algebra,
     lie_decode,
@@ -73,13 +70,11 @@ __all__ = [
     "NotLiftableError", "NullPolarity", "NullVersorError", "PluckerLine",
     "ProjTransform4", "Sandwich6", "ScalarError", "SingularTransformError",
     "Versor", "as_scalar", "bilinear", "choose_nonnull_vector", "classify_blade",
-    "determinant", "factorize_lie_versor", "factorize_matrix",
-    "factorize_versor", "format_scalar", "induced_line_map", "ipns",
-    "is_laguerre", "is_null_blade", "klein_algebra", "lie_algebra",
-    "lie_decode", "lie_encode", "lie_inversion_sandwich", "mat_mul",
-    "max_grade_part", "null_polarity_to_vector", "nullspace", "opns",
-    "oriented_contact", "parse_scalar", "plucker_from_planes",
-    "plucker_from_points", "proj_to_versor", "proportional", "sandwich",
-    "vector_sandwich_matrix", "vector_to_null_polarity", "verify_factorization",
-    "versor_to_proj",
+    "determinant", "factorize_matrix", "factorize_versor", "format_scalar",
+    "induced_line_map", "ipns", "is_laguerre", "is_null_blade", "klein_algebra",
+    "lie_algebra", "lie_decode", "lie_encode", "lie_inversion_sandwich",
+    "mat_mul", "max_grade_part", "null_polarity_to_vector", "nullspace", "opns",
+    "oriented_contact", "parse_scalar", "proj_to_versor", "proportional",
+    "sandwich", "vector_sandwich_matrix", "vector_to_null_polarity",
+    "verify_factorization", "versor_to_proj",
 ]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, ratio
 from .scalars import ComplexRational, Scalar, as_scalar, format_scalar
 
 
@@ -115,10 +115,8 @@ class Algebra:
                         s[k], s[i] = s[i], s[k]
                         for row in s:
                             row[k], row[i] = row[i], row[k]
+            # each branch above leaves a nonzero pivot (the pair sum gives 2 s[i][j])
             piv = s[k][k]
-            if not piv:
-                r += 1
-                continue
             for i in range(k + 1, n):
                 if s[i][k]:
                     f = s[i][k] / piv
@@ -484,7 +482,7 @@ class Multivector:
         terms = {}
         for item in data:
             mask = item["mask"]
-            if not isinstance(mask, int):
+            if not isinstance(mask, int) or isinstance(mask, bool):
                 raise AlgebraError("blade mask must be an integer")
             terms[mask] = terms.get(mask, Fraction(0)) + as_scalar(item["coeff"])
         return cls(algebra, terms)
@@ -519,19 +517,10 @@ def proportional(a: Multivector, b: Multivector) -> Scalar | None:
     """Exact nonzero c with a == c * b, or None. Both zero gives 1."""
     if not a.algebra.same_as(b.algebra):
         return None
-    ta, tb = a.terms, b.terms
-    if not tb:
-        return Fraction(1) if not ta else None
-    if set(ta) != set(tb):
-        return None
-    c = None
-    for m, y in tb.items():
-        ratio = ta[m] / y
-        if c is None:
-            c = ratio
-        elif c != ratio:
-            return None
-    return c
+    ta, tb = a._terms, b._terms
+    masks = ta.keys() | tb.keys()
+    zero = Fraction(0)
+    return ratio([ta.get(m, zero) for m in masks], [tb.get(m, zero) for m in masks])
 
 
 @dataclass(frozen=True)

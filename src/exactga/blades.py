@@ -1,8 +1,16 @@
-"""Blades and their outer / inner product null spaces.
+"""Blades, their outer / inner product null spaces, and the grade descent.
 
 OPNS and IPNS are computed by assembling the linear map ``v -> v ^ b``
 (respectively ``v -> v . b``) on grade-1 coordinates as an exact matrix and
 taking its nullspace, so one elimination code path serves both.
+
+The grade descent factorizes a versor into vectors: it repeatedly multiplies
+by a non-null vector from the outer null space of the maximal-grade blade,
+which lowers that grade by exactly one.  A versor of maximal grade k
+therefore splits into at most k vectors, and in the rank-6 models at most
+six.  It lives here, below both models, because it needs only blades and the
+algebra; ``klein`` calls it to attach the lift's witness and ``factorize``
+re-exports it.
 """
 
 from __future__ import annotations
@@ -10,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, AlgebraError, Multivector, Versor
-from .linalg import Matrix, nullspace
+from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
+from .linalg import Matrix, normalize_vector, nullspace, solve_linear
 
 
 class BladeError(AlgebraError):
@@ -119,6 +127,70 @@ def vector_in_span(v: Multivector, basis: list[Multivector]) -> bool:
     alg = v.algebra
     cols = [b.coordinates() for b in basis]
     rows = [[cols[j][i] for j in range(len(basis))] for i in range(alg.dim)]
-    from .linalg import solve_linear
-
     return solve_linear(Matrix.from_rows(rows), list(v.coordinates())) is not None
+
+
+# -- grade descent ----------------------------------------------------------------
+
+
+class NoNonNullVectorError(AlgebraError):
+    pass
+
+
+def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
+    """Deterministic non-null pick from the span of the given grade-1 basis.
+
+    Probes basis vectors in order, then pairwise sums, then triple sums with
+    coefficients from {1, -1, 2}.  A fully null probe ladder certifies that
+    the span is totally isotropic.
+    """
+    if not space:
+        raise NoNonNullVectorError("empty span")
+    for v in space:
+        if bilinear(v, v):
+            return v
+    n = len(space)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = space[i] + space[j]
+            if bilinear(v, v):
+                return v
+    coeffs = (1, -1, 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for ci in coeffs:
+                    for cj in coeffs:
+                        for ck in coeffs:
+                            v = space[i] * ci + space[j] * cj + space[k] * ck
+                            if bilinear(v, v):
+                                return v
+    raise NoNonNullVectorError("span is totally isotropic")
+
+
+def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
+    """Split a non-null versor into vectors whose product is proportional to it.
+
+    Returns the factors in product order (leftmost first); the rightmost
+    factor is the first one extracted by the descent.
+    """
+    if isinstance(g, Versor):
+        g = g.value
+    if g.is_zero():
+        raise NullVersorError("zero element cannot be factorized")
+    if not g.norm():
+        raise NullVersorError("null versors are outside the factorization domain")
+    extracted: list[Multivector] = []
+    current = g
+    while current.max_grade() >= 2:
+        blade = max_grade_part(current)
+        v = choose_nonnull_vector(opns(blade))
+        nxt = current.gp(v)
+        if nxt.is_zero() or nxt.max_grade() != current.max_grade() - 1:
+            raise AlgebraError("grade descent failed to reduce the maximal grade")
+        extracted.append(v)
+        current = nxt
+    if current.max_grade() == 1:
+        extracted.append(current)
+    alg = g.algebra
+    return [alg.vector(normalize_vector(v.coordinates())) for v in reversed(extracted)]

@@ -1,100 +1,30 @@
-"""Grade-descent factorization of versors into vectors, and the end-to-end
-factorization of projective transformations into null polarities.
+"""End-to-end factorization of projective transformations into null
+polarities, and its exact certificate.
 
-The descent repeatedly multiplies by a non-null vector from the outer null
-space of the maximal-grade blade, which lowers that grade by exactly one.
-A versor of maximal grade k therefore splits into at most k vectors, and in
-the rank-6 models at most six.
+A transformation is lifted to a versor, whose grade-descent witness (see
+``blades.factorize_versor``) gives at most six vectors.  Each vector becomes
+a null polarity, and the product of the polarities is certified exactly
+proportional to the input.  The descent names are re-exported here, which is
+their public path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import (
-    AlgebraError,
-    Multivector,
-    NullVersorError,
-    Versor,
-    proportional,
-)
-from .blades import max_grade_part, opns
+from .algebra import AlgebraError, Multivector
+from .blades import NoNonNullVectorError, choose_nonnull_vector, factorize_versor
 from .klein import (
     NullPolarity,
     ProjTransform4,
-    bilinear,
     klein_algebra,
     klein_form_value,
     null_polarity_to_vector,
     proj_to_versor,
     vector_to_null_polarity,
 )
-from .linalg import Matrix, mat_mul, normalize_vector
+from .linalg import Matrix, mat_mul, proportionality
 from .scalars import Scalar, as_scalar, format_scalar
-
-
-class NoNonNullVectorError(AlgebraError):
-    pass
-
-
-def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
-    """Deterministic non-null pick from the span of the given grade-1 basis.
-
-    Probes basis vectors in order, then pairwise sums, then triple sums with
-    coefficients from {1, -1, 2}.  A fully null probe ladder certifies that
-    the span is totally isotropic.
-    """
-    if not space:
-        raise NoNonNullVectorError("empty span")
-    for v in space:
-        if bilinear(v, v):
-            return v
-    n = len(space)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = space[i] + space[j]
-            if bilinear(v, v):
-                return v
-    coeffs = (1, -1, 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for ci in coeffs:
-                    for cj in coeffs:
-                        for ck in coeffs:
-                            v = space[i] * ci + space[j] * cj + space[k] * ck
-                            if bilinear(v, v):
-                                return v
-    raise NoNonNullVectorError("span is totally isotropic")
-
-
-def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
-    """Split a non-null versor into vectors whose product is proportional to it.
-
-    Returns the factors in product order (leftmost first); the rightmost
-    factor is the first one extracted by the descent.
-    """
-    if isinstance(g, Versor):
-        g = g.value
-    if g.is_zero():
-        raise NullVersorError("zero element cannot be factorized")
-    if not g.norm():
-        raise NullVersorError("null versors are outside the factorization domain")
-    extracted: list[Multivector] = []
-    current = g
-    while current.max_grade() >= 2:
-        blade = max_grade_part(current)
-        v = choose_nonnull_vector(opns(blade))
-        nxt = current.gp(v)
-        if nxt.is_zero() or nxt.max_grade() != current.max_grade() - 1:
-            raise AlgebraError("grade descent failed to reduce the maximal grade")
-        extracted.append(v)
-        current = nxt
-    if current.max_grade() == 1:
-        extracted.append(current)
-    alg = g.algebra
-    return [alg.vector(normalize_vector(v.coordinates())) for v in reversed(extracted)]
 
 
 def _alternating_actions(count: int, innermost: str) -> list[str]:
@@ -153,7 +83,7 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     actions = _alternating_actions(len(vectors), t.action)
     polarities = tuple(vector_to_null_polarity(v, a) for v, a in zip(vectors, actions))
     product = _polarity_product(polarities)
-    scale = _first_ratio(product, t.matrix)
+    scale = proportionality(product, t.matrix)
     if scale is None:
         raise AlgebraError("polarity product is not proportional to the input")
     residual = product - t.matrix.scale(scale)
@@ -161,18 +91,6 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     if not result.residual.is_zero():
         raise AlgebraError("factorization certificate failed the exact check")
     return result
-
-
-def _first_ratio(product: Matrix, target: Matrix) -> Scalar | None:
-    """Ratio of the first nonzero product entry to the matching target entry."""
-    for a, b in zip(product.entries, target.entries):
-        if a:
-            if not b:
-                return None
-            return a / b
-        if b:
-            return None
-    return Fraction(1)
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:

@@ -23,13 +23,13 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     AlgebraError,
+    AlgebraMismatchError,
     Multivector,
     NotAVersorError,
     Versor,
     bilinear,
-    sandwich,
 )
-from .blades import Blade, ipns, opns
+from .blades import Blade, factorize_versor, ipns, opns
 from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionality, rank
 from .scalars import (
     ComplexRational,
@@ -183,14 +183,6 @@ class PluckerLine:
         raise AlgebraError("lines coincide; the common plane is not unique")
 
 
-def plucker_from_points(p: Sequence, q: Sequence) -> PluckerLine:
-    return PluckerLine.from_points(p, q)
-
-
-def plucker_from_planes(u: Sequence, v: Sequence) -> PluckerLine:
-    return PluckerLine.from_planes(u, v)
-
-
 # -- transforms and polarities ------------------------------------------------
 
 
@@ -274,18 +266,19 @@ class Sandwich6:
 def vector_sandwich_matrix(a: Multivector) -> Sandwich6:
     """6x6 matrix of the sandwich action of a grade-1 element on vectors.
 
-    Columns are the sandwich images of the basis vectors, so the matrix
-    equals 2*b(a,.)a - b(a,a)*Id exactly.
+    Column j is the image a e_j a = 2*b(a,e_j)a - b(a,a)*e_j, so the matrix
+    is 2*b(a,.)a - b(a,a)*Id, read off the coordinates with no product.
     """
-    alg = klein_algebra()
+    if not a.algebra.same_as(klein_algebra()):
+        raise AlgebraMismatchError("sandwich matrix needs a line-geometry element")
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("sandwich matrix needs a grade-1 element")
-    cols = []
-    for j in range(6):
-        img = sandwich(a, alg.mv({1 << j: Fraction(1)}))
-        cols.append([img.coeff(1 << i) for i in range(6)])
+    x = a.coordinates()
+    pairing = _swap_halves(x)  # b(a, e_j) under the form [[0,I],[I,0]]
+    square = bilinear(a, a)
     return Sandwich6(Matrix.from_rows(
-        [[cols[j][i] for j in range(6)] for i in range(6)]))
+        [[2 * x[i] * pairing[j] - (square if i == j else 0) for j in range(6)]
+         for i in range(6)]))
 
 
 def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
@@ -599,9 +592,6 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     alternate = value.gp(klein_algebra().pseudoscalar())
     if alternate.max_grade() < value.max_grade():
         value = alternate
-
-    from .factorize import factorize_versor
-
     witness = tuple(factorize_versor(value))
     return Versor(value, parity, witness)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .algebra import Algebra, AlgebraError, Multivector, Versor, sandwich
+from .algebra import Algebra, AlgebraError, Multivector, sandwich
 from .linalg import Matrix
 from .scalars import Scalar, as_scalar, format_scalar
 
@@ -222,13 +222,3 @@ def is_laguerre(a: Multivector) -> bool:
         raise AlgebraError("the test applies to grade-1 elements")
     coords = a.coordinates()
     return coords[0] + coords[1] == 0
-
-
-def factorize_lie_versor(g: Multivector | Versor) -> list[Multivector]:
-    """Grade descent in the sphere-geometry algebra; at most six factors."""
-    from .factorize import factorize_versor
-
-    value = g.value if isinstance(g, Versor) else g
-    if not value.algebra.same_as(lie_algebra()):
-        raise AlgebraError("element does not live in the sphere-geometry algebra")
-    return factorize_versor(value)

@@ -121,10 +121,10 @@ class Matrix:
         cof = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                minor = [[self[r, c] for c in range(n) if c != j]
-                         for r in range(n) if r != i]
+                minor = Matrix(n - 1, n - 1, tuple(self[r, c] for r in range(n) if r != i
+                                                   for c in range(n) if c != j))
                 sign = -1 if (i + j) % 2 else 1
-                cof[i][j] = sign * _det_rows(minor)
+                cof[i][j] = sign * determinant(minor)
         return Matrix.from_rows(cof).transpose()
 
     def to_json(self) -> list[list[str]]:
@@ -155,66 +155,51 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, tuple(flat))
 
 
-def _det_rows(rows: list[list]) -> Scalar:
-    """Determinant by exact elimination on a mutable copy."""
-    n = len(rows)
-    m = [list(r) for r in rows]
+def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar]:
+    """Exact Gauss-Jordan elimination: (reduced rows, pivot columns, determinant).
+
+    Pivot order is fixed: first nonzero column, smallest row index.  The
+    determinant is the signed product of the pivots; it is zero unless the
+    matrix is square with full rank.  Entries left of a pivot are zero in its
+    row, so each row update starts at the pivot column.
+    """
+    rows = m.row_lists()
+    pivots = []
     det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c]:
-                piv = r
-                break
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
             det = -det
-        det = det * m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] = m[r][k] - f * m[c][k]
-    return det
+        det = det * rows[r][c]
+        inv = 1 / rows[r][c]
+        tail = [v * inv for v in rows[r][c:]]
+        rows[r][c:] = tail
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    if m.rows != m.cols or r < m.rows:
+        det = Fraction(0)
+    return rows, pivots, det
 
 
 def determinant(m: Matrix) -> Scalar:
     if m.rows != m.cols:
         raise LinAlgError("determinant needs a square matrix")
-    return _det_rows(m.row_lists())
+    return _gauss_jordan(m)[2]
 
 
 def rref(m: Matrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and pivot columns.
-
-    Pivot order is fixed: first nonzero column, smallest row index.
-    """
-    rows = m.row_lists()
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    """Reduced row echelon form and pivot columns (see ``_gauss_jordan``)."""
+    rows, pivots, _ = _gauss_jordan(m)
     return rows, pivots
 
 
@@ -295,21 +280,26 @@ def solve_linear(m: Matrix, rhs: Sequence) -> tuple | None:
     return tuple(x)
 
 
-def proportionality(a: Matrix, b: Matrix) -> Scalar | None:
-    """Exact scalar c with a == c * b, or None. Zero against zero gives 1."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        return None
+def ratio(xs: Sequence, ys: Sequence) -> Scalar | None:
+    """Exact nonzero c with xs == c * ys entrywise, or None. Zero against zero gives 1."""
     c = None
-    for x, y in zip(a.entries, b.entries):
+    for x, y in zip(xs, ys):
         if not y:
             if x:
                 return None
             continue
-        ratio = x / y
+        q = x / y
         if c is None:
-            c = ratio
-        elif c != ratio:
+            c = q
+        elif c != q:
             return None
     if c is None:
         return Fraction(1)
     return c if c else None
+
+
+def proportionality(a: Matrix, b: Matrix) -> Scalar | None:
+    """Exact nonzero c with a == c * b, or None. Zero against zero gives 1."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        return None
+    return ratio(a.entries, b.entries)

@@ -135,6 +135,8 @@ def as_scalar(value) -> Scalar:
     """Coerce ints, strings, Fractions and ComplexRationals to an exact scalar."""
     if isinstance(value, (Fraction, ComplexRational)):
         return value
+    if isinstance(value, bool):
+        raise ScalarError(f"refusing boolean {value!r} as a scalar")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

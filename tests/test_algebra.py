@@ -315,6 +315,10 @@ def test_signature():
     assert KLEIN.signature() == (3, 3, 0)
     assert lie_algebra().signature() == (4, 2, 0)
     assert diag_algebra(1, 0, -1, 1).signature() == (2, 1, 1)
+    # a zero first pivot swapped with e3, then a hyperbolic pair: 2xy - z^2
+    form = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert Algebra(form).signature() == (1, 2, 0)
+    assert Algebra(form.scale(-1)).signature() == (2, 1, 0)
 
 
 # -- hypothesis property checks -----------------------------------------------------------------------

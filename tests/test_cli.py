@@ -286,6 +286,26 @@ def test_zero_denominators_are_parse_failures(capsys):
     assert code == 64
 
 
+def test_boolean_matrix_entry_is_a_parse_failure():
+    # JSON true must not be read as the integer 1 (the reference has 1 there)
+    job = dict(REFERENCE_JOB, matrix=[[True, "0", "3", "0"]] + REFERENCE_JOB["matrix"][1:])
+    code, report = run_job("factorize", job, {})
+    assert code == 64
+    assert "verified" not in report
+
+
+def test_boolean_factor_mask_is_a_parse_failure():
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    result = factorize_matrix(t).to_json()
+    terms = [term for f in result["factors"] for term in f if term["mask"] == 1]
+    assert terms
+    for term in terms:
+        term["mask"] = True
+    code, report = run_job("verify", {"transform": REFERENCE_JOB, "result": result}, {})
+    assert code == 64
+    assert "verified" not in report
+
+
 
 def test_unexpected_error_stays_in_its_job(capsys, monkeypatch):
     import exactga.cli

@@ -9,6 +9,7 @@ from exactga.klein import (
     ManifoldKind,
     NotLiftableError,
     NullPolarity,
+    PluckerLine,
     ProjTransform4,
     Sandwich6,
     SingularTransformError,
@@ -20,8 +21,6 @@ from exactga.klein import (
     klein_form_value,
     multivector_from_coefficients,
     null_polarity_to_vector,
-    plucker_from_planes,
-    plucker_from_points,
     proj_to_versor,
     vector_sandwich_matrix,
     vector_to_null_polarity,
@@ -37,8 +36,8 @@ E = KLEIN.e
 # -- Pluecker embedding ------------------------------------------------------------
 
 def test_plucker_axes():
-    assert plucker_from_points([1, 0, 0, 0], [0, 1, 0, 0]).coords == (1, 0, 0, 0, 0, 0)
-    assert plucker_from_points([1, 0, 0, 0], [0, 0, 1, 0]).coords == (0, 1, 0, 0, 0, 0)
+    assert PluckerLine.from_points([1, 0, 0, 0], [0, 1, 0, 0]).coords == (1, 0, 0, 0, 0, 0)
+    assert PluckerLine.from_points([1, 0, 0, 0], [0, 0, 1, 0]).coords == (0, 1, 0, 0, 0, 0)
 
 
 def test_plucker_relation_random():
@@ -46,7 +45,7 @@ def test_plucker_relation_random():
     for _ in range(50):
         p, q = rand_point(rng), rand_point(rng)
         try:
-            line = plucker_from_points(p, q)
+            line = PluckerLine.from_points(p, q)
         except AlgebraError:
             continue
         assert klein_form_value(line.coords) == 0
@@ -56,19 +55,19 @@ def test_plucker_relation_random():
 
 def test_plucker_rejects_dependent_points():
     with pytest.raises(AlgebraError):
-        plucker_from_points([1, 2, 3, 4], [2, 4, 6, 8])
+        PluckerLine.from_points([1, 2, 3, 4], [2, 4, 6, 8])
 
 
 def test_plucker_from_planes_matches_point_construction():
     # the x-axis as intersection of two coordinate planes
-    line = plucker_from_planes([0, 0, 1, 0], [0, 0, 0, 1])
+    line = PluckerLine.from_planes([0, 0, 1, 0], [0, 0, 0, 1])
     assert line.coords == (1, 0, 0, 0, 0, 0)
 
 
 def test_line_incidence_helpers():
-    l1 = plucker_from_points([1, 0, 0, 0], [0, 1, 0, 0])
-    l2 = plucker_from_points([1, 0, 0, 0], [0, 0, 1, 0])
-    skew = plucker_from_points([0, 0, 1, 0], [0, 1, 0, 1])
+    l1 = PluckerLine.from_points([1, 0, 0, 0], [0, 1, 0, 0])
+    l2 = PluckerLine.from_points([1, 0, 0, 0], [0, 0, 1, 0])
+    skew = PluckerLine.from_points([0, 0, 1, 0], [0, 1, 0, 1])
     assert l1.meets(l2)
     assert not l1.meets(skew)
     pt = l1.intersection_point(l2)
@@ -275,10 +274,10 @@ def test_induced_map_matches_point_mapping():
         for _ in range(5):
             p, q = rand_point(rng), rand_point(rng)
             try:
-                line = plucker_from_points(p, q)
+                line = PluckerLine.from_points(p, q)
             except AlgebraError:
                 continue
-            image = plucker_from_points(t.matrix.apply(p), t.matrix.apply(q))
+            image = PluckerLine.from_points(t.matrix.apply(p), t.matrix.apply(q))
             assert G.apply(line.coords) == image.coords
 
 
@@ -317,8 +316,8 @@ def test_induced_map_plane_collineation_geometric_oracle():
         for _ in range(4):
             u, v = rand_point(rng), rand_point(rng)
             try:
-                line = plucker_from_planes(u, v)
-                image = plucker_from_planes(m.apply(u), m.apply(v))
+                line = PluckerLine.from_planes(u, v)
+                image = PluckerLine.from_planes(m.apply(u), m.apply(v))
             except AlgebraError:
                 continue
             got = G.apply(line.coords)
@@ -337,8 +336,8 @@ def test_induced_map_correlation_geometric_oracle():
         for _ in range(4):
             p, q = rand_point(rng), rand_point(rng)
             try:
-                line = plucker_from_points(p, q)
-                image = plucker_from_planes(m.apply(p), m.apply(q))
+                line = PluckerLine.from_points(p, q)
+                image = PluckerLine.from_planes(m.apply(p), m.apply(q))
             except AlgebraError:
                 continue
             assert G.apply(line.coords) == image.coords
@@ -474,9 +473,9 @@ def test_classify_bundle():
 
 def test_classify_field():
     # lines joining pairs of the base points of a plane all lie in it
-    l1 = plucker_from_points([1, 0, 0, 0], [0, 1, 0, 0])
-    l2 = plucker_from_points([1, 0, 0, 0], [0, 0, 1, 0])
-    l3 = plucker_from_points([0, 1, 0, 0], [0, 0, 1, 0])
+    l1 = PluckerLine.from_points([1, 0, 0, 0], [0, 1, 0, 0])
+    l2 = PluckerLine.from_points([1, 0, 0, 0], [0, 0, 1, 0])
+    l3 = PluckerLine.from_points([0, 1, 0, 0], [0, 0, 1, 0])
     blade = (l1.to_multivector().wedge(l2.to_multivector())
              .wedge(l3.to_multivector()))
     result = classify_blade(Blade(blade, 3))

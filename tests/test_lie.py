@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from exactga.algebra import AlgebraError, proportional, sandwich
+from exactga.factorize import factorize_versor
 from exactga.lie import (
     LieCoordinate,
     LieInfinity,
     LiePlane,
     LiePoint,
     LieSphere,
-    factorize_lie_versor,
     is_laguerre,
     lie_algebra,
     lie_decode,
@@ -240,13 +240,13 @@ def test_sandwich_preserves_quadric():
 # -- factorization -------------------------------------------------------------------------
 
 def test_factorize_scalar():
-    assert factorize_lie_versor(ALG.scalar(2)) == []
+    assert factorize_versor(ALG.scalar(2)) == []
 
 
 def test_factorize_two_vectors():
     rng = random.Random(10)
     g, _ = rand_versor(rng, ALG, 2)
-    factors = factorize_lie_versor(g)
+    factors = factorize_versor(g)
     assert len(factors) == 2
     prod = ALG.scalar(1)
     for f in factors:
@@ -258,19 +258,12 @@ def test_factorize_six_vectors_bound():
     rng = random.Random(11)
     for _ in range(5):
         g, _ = rand_versor(rng, ALG, 6)
-        factors = factorize_lie_versor(g)
+        factors = factorize_versor(g)
         assert len(factors) <= 6
         prod = ALG.scalar(1)
         for f in factors:
             prod = prod.gp(f)
         assert proportional(prod, g) is not None
-
-
-def test_factorize_rejects_wrong_algebra():
-    from exactga.klein import klein_algebra
-
-    with pytest.raises(AlgebraError):
-        factorize_lie_versor(klein_algebra().scalar(1))
 
 
 # -- serialization ----------------------------------------------------------------------------
