@@ -4,11 +4,15 @@ OPNS and IPNS are computed by assembling the linear map ``v -> v ^ b``
 (respectively ``v -> v . b``) on grade-1 coordinates as an exact matrix and
 taking its nullspace, so one elimination code path serves both.
 
+One decomposability rule serves everywhere: a nonzero homogeneous k-vector
+is a blade exactly when its outer null space has dimension k.
+
 The grade descent factorizes a versor into vectors: it repeatedly multiplies
 by a non-null vector from the outer null space of the maximal-grade blade,
-which lowers that grade by exactly one.  A versor of maximal grade k
-therefore splits into at most k vectors, and in the rank-6 models at most
-six.  It lives here, below both models, because it needs only blades and the
+which lowers that grade by exactly one.  Each step checks the rule on the
+outer null space it needs anyway.  A versor of maximal grade k therefore
+splits into at most k vectors, and in the rank-6 models at most six.  It
+lives here, below both models, because it needs only blades and the
 algebra; ``klein`` calls it to attach the lift's witness and ``factorize``
 re-exports it.
 """
@@ -28,12 +32,10 @@ class BladeError(AlgebraError):
 
 @dataclass(frozen=True)
 class Blade:
-    """A homogeneous multivector asserted to be an outer product of vectors.
+    """A homogeneous multivector that is an outer product of vectors.
 
-    Decomposability is verified on construction for grades 2 (wedge square
-    vanishes) and 3 (outer null space has full dimension 3).  Higher grades
-    are accepted as-is: the factorization pipeline only builds blades as
-    maximal-grade parts of versors, which are decomposable by construction.
+    Decomposability is verified on construction at every grade: a nonzero
+    k-vector is a blade exactly when its outer null space has dimension k.
     """
 
     value: Multivector
@@ -46,10 +48,8 @@ class Blade:
             return
         if self.value.grades() != {self.grade}:
             raise BladeError(f"value is not homogeneous of grade {self.grade}")
-        if self.grade == 2 and not self.value.wedge(self.value).is_zero():
-            raise BladeError("grade-2 element is not decomposable")
-        if self.grade == 3 and len(opns_of_multivector(self.value)) != 3:
-            raise BladeError("grade-3 element is not decomposable")
+        if len(opns_of_multivector(self.value)) != self.grade:
+            raise BladeError(f"grade-{self.grade} element is not decomposable")
 
     @classmethod
     def from_multivector(cls, value: Multivector) -> "Blade":
@@ -140,9 +140,9 @@ class NoNonNullVectorError(AlgebraError):
 def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
     """Deterministic non-null pick from the span of the given grade-1 basis.
 
-    Probes basis vectors in order, then pairwise sums, then triple sums with
-    coefficients from {1, -1, 2}.  A fully null probe ladder certifies that
-    the span is totally isotropic.
+    Probes basis vectors in order, then pairwise sums.  If all of those are
+    null, then 2 b(v_i, v_j) = b(v_i + v_j, v_i + v_j) = 0 for every pair,
+    so the span is totally isotropic.
     """
     if not space:
         raise NoNonNullVectorError("empty span")
@@ -155,16 +155,6 @@ def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
             v = space[i] + space[j]
             if bilinear(v, v):
                 return v
-    coeffs = (1, -1, 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for ci in coeffs:
-                    for cj in coeffs:
-                        for ck in coeffs:
-                            v = space[i] * ci + space[j] * cj + space[k] * ck
-                            if bilinear(v, v):
-                                return v
     raise NoNonNullVectorError("span is totally isotropic")
 
 
@@ -172,7 +162,8 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     """Split a non-null versor into vectors whose product is proportional to it.
 
     Returns the factors in product order (leftmost first); the rightmost
-    factor is the first one extracted by the descent.
+    factor is the first one extracted by the descent.  Raises BladeError
+    when a maximal-grade part is not a blade.
     """
     if isinstance(g, Versor):
         g = g.value
@@ -182,11 +173,13 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
         raise NullVersorError("null versors are outside the factorization domain")
     extracted: list[Multivector] = []
     current = g
-    while current.max_grade() >= 2:
-        blade = max_grade_part(current)
-        v = choose_nonnull_vector(opns(blade))
+    while (k := current.max_grade()) >= 2:
+        space = opns_of_multivector(current.grade(k))
+        if len(space) != k:
+            raise BladeError(f"grade-{k} element is not decomposable")
+        v = choose_nonnull_vector(space)
         nxt = current.gp(v)
-        if nxt.is_zero() or nxt.max_grade() != current.max_grade() - 1:
+        if nxt.is_zero() or nxt.max_grade() != k - 1:
             raise AlgebraError("grade descent failed to reduce the maximal grade")
         extracted.append(v)
         current = nxt

@@ -32,12 +32,13 @@ from .algebra import (
 from .blades import Blade, factorize_versor, ipns, opns
 from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionality, rank
 from .scalars import (
-    ComplexRational,
     Scalar,
     as_scalar,
     format_scalar,
+    imag_part,
     rational_sqrt,
     real_part,
+    scalar_sqrt,
 )
 
 
@@ -227,10 +228,6 @@ class NullPolarity:
         if not self.matrix.is_skew():
             raise AlgebraError("polarity matrix must be skew-symmetric")
 
-    @property
-    def regular(self) -> bool:
-        return bool(self.matrix.det())
-
     def to_json(self) -> dict:
         return {"matrix": self.matrix.to_json(), "action": self.action, "skew": True}
 
@@ -244,20 +241,21 @@ class Sandwich6:
     """6x6 matrix acting on line coordinates; a similitude of the quadric form."""
 
     matrix: Matrix
+    _ratio: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.matrix.rows, self.matrix.cols) != (6, 6):
             raise AlgebraError("line map must be 6x6")
-        if self.similitude_ratio() is None:
-            raise AlgebraError("matrix does not preserve the quadric form")
-
-    def similitude_ratio(self) -> Scalar | None:
-        """The exact ratio in M^T Q M = ratio * Q; zero for degenerate maps."""
         q = klein_algebra().form
         pulled = mat_mul(mat_mul(self.matrix.transpose(), q), self.matrix)
-        if pulled.is_zero():
-            return Fraction(0)
-        return proportionality(pulled, q)
+        ratio = Fraction(0) if pulled.is_zero() else proportionality(pulled, q)
+        if ratio is None:
+            raise AlgebraError("matrix does not preserve the quadric form")
+        object.__setattr__(self, "_ratio", ratio)
+
+    def similitude_ratio(self) -> Scalar:
+        """The exact ratio in M^T Q M = ratio * Q; zero for degenerate maps."""
+        return self._ratio
 
 
 # -- the vector sandwich ------------------------------------------------------
@@ -466,46 +464,43 @@ _BASIS_POINT_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 def induced_line_map(t: ProjTransform4) -> Sandwich6:
     """The 6x6 line-coordinate map induced by a projective transformation.
 
-    Basis lines are pushed through the transform: a collineation maps the two
-    spanning points, a correlation maps them to planes and takes the
-    intersection line (the dual coordinate swap).
+    Column (i, j) holds the pair minors of columns i and j of the matrix A:
+    the second compound C2(A), which sends the line through basis points i
+    and j to the line through their images.  Since C2(A)^T Q C2(A) =
+    det(A) Q, the plane action (that of adj(A)^T = det(A) A^-T) is
+    det(A) J C2(A) J, where J = Q swaps the two coordinate halves.  A
+    correlation lands in the dual coordinates, one more swap of the row
+    halves.  The similitude ratio is det(A) for points, det(A)^3 for planes.
     """
-    if t.action == "points":
-        pts = t.matrix
-    else:
-        pts = t.matrix.adjugate().transpose()
-    cols = []
-    for (i, j) in _BASIS_POINT_PAIRS:
-        pi = [pts[r, i] for r in range(4)]
-        pj = [pts[r, j] for r in range(4)]
-        minors = _pair_minors(pi, pj)
-        if t.kind == "correlation":
-            minors = _swap_halves(minors)
-        cols.append(minors)
-    g = Matrix.from_rows([[cols[c][r] for c in range(6)] for r in range(6)])
-    s = Sandwich6(g)
-    if not s.similitude_ratio():
-        raise SingularTransformError("induced line map is degenerate")
-    return s
+    a = t.matrix
+    cols = [_pair_minors(a.col(i), a.col(j)) for i, j in _BASIS_POINT_PAIRS]
+    planes = t.action == "planes"
+    if planes:
+        det = a.det()
+        cols = [[det * x for x in c] for c in _swap_halves(cols)]
+    if planes != (t.kind == "correlation"):
+        cols = [_swap_halves(c) for c in cols]
+    return Sandwich6(Matrix.from_rows([[c[r] for c in cols] for r in range(6)]))
 
 
 # -- lifting matrices to versors ---------------------------------------------------
 
 
-def _normalization_scale(lam: Fraction, scalar_mode: str) -> Scalar:
-    root = rational_sqrt(lam if lam > 0 else -lam)
+def _normalization_scale(lam: Scalar, scalar_mode: str) -> Scalar:
     diagnosis = {"similitude_ratio": format_scalar(lam)}
+    if imag_part(lam):
+        raise NotLiftableError("no exact versor: the similitude ratio is not real",
+                               diagnosis | {"reason": "non-real-ratio"})
+    root = scalar_sqrt(real_part(lam))
     if root is None:
         raise NotLiftableError(
             "no exact versor: |similitude ratio| is not a rational square",
             diagnosis | {"reason": "irrational-scale"})
-    if lam > 0:
-        return root
-    if scalar_mode == "rational":
+    if imag_part(root) and scalar_mode == "rational":
         raise ComplexRequiredError(
             "negative similitude ratio needs the complex scalar mode",
             diagnosis | {"reason": "negative-ratio", "suggested_mode": "complex"})
-    return ComplexRational(0, root)
+    return root
 
 
 def _blade_images(vectors: Sequence[Multivector]) -> dict[int, Multivector]:
@@ -576,14 +571,14 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     solve: with f the outermorphism of T (of -T for odd g) and e^A the
     reciprocal basis blades, sum_A f(e_A) e_B e^A = 2^6 <g^-1 e_B>_0 g for
     every basis blade e_B.  The grade-descent factorization supplies the
-    witness.  An exact lift exists precisely when |ratio| is a rational
-    square; a negative ratio forces the complex scalar mode.
+    witness.  An exact lift exists precisely when the ratio is real and
+    |ratio| is a rational square; a negative ratio forces the complex scalar
+    mode.
     """
     if scalar_mode not in ("rational", "complex"):
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
     g6 = induced_line_map(t)
-    lam = g6.similitude_ratio()
-    s = _normalization_scale(real_part(lam), scalar_mode)
+    s = _normalization_scale(g6.similitude_ratio(), scalar_mode)
     T = g6.matrix.scale(1 / s)
     parity = "even" if t.kind == "collineation" else "odd"
     value = _versor_from_isometry(T, parity)

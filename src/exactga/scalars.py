@@ -118,9 +118,6 @@ class ComplexRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
@@ -152,14 +149,6 @@ def real_part(x: Scalar) -> Fraction:
 
 def imag_part(x: Scalar) -> Fraction:
     return x.im if isinstance(x, ComplexRational) else Fraction(0)
-
-
-def scalar_conjugate(x: Scalar) -> Scalar:
-    return x.conjugate() if isinstance(x, ComplexRational) else x
-
-
-def is_real(x: Scalar) -> bool:
-    return imag_part(x) == 0
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")

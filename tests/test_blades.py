@@ -173,6 +173,9 @@ def test_blade_construction_validates_low_grades():
     nondecomposable3 = E(1, 2, 3) + E(4, 5, 6)
     with pytest.raises(BladeError):
         Blade(nondecomposable3, 3)
+    # higher grades are checked too: this 4-vector's outer null space is span{e3, e4}
+    with pytest.raises(BladeError):
+        Blade(E(1, 2, 3, 4) + E(3, 4, 5, 6), 4)
 
 
 def test_opns_errors_on_zero():

@@ -69,6 +69,22 @@ def test_factorize_complex_exit_codes(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_non_real_ratio_is_refused_in_both_modes(capsys):
+    # diag(1i,1,1,1) has det 1i: lambda = det on points, det^3 = -1i on planes
+    cases = [("1i", "points", "0+1i"), ("1i", "planes", "0-1i"),
+             ("1+1i", "points", "1+1i")]
+    for entry, action, ratio in cases:
+        job = {"matrix": [[entry, "0", "0", "0"], ["0", "1", "0", "0"],
+                          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+               "kind": "collineation", "action": action}
+        for command in ("factorize", "lift"):
+            for mode in ("rational", "complex"):
+                code, out = run_cli(capsys, ["--command", command, "--scalar-mode", mode], job)
+                assert code == 1, (entry, action, command, mode)
+                assert json.loads(out)["detail"] == {
+                    "reason": "non-real-ratio", "similitude_ratio": ratio}
+
+
 def test_parse_failure_exit_code(capsys):
     code, _ = run_cli(capsys, ["--command", "factorize"], {"matrix": "nope"})
     assert code == 64

@@ -20,7 +20,8 @@ from exactga.klein import (
     klein_algebra,
     versor_to_proj,
 )
-from exactga.blades import vector_in_span
+from exactga.blades import Blade, BladeError, vector_in_span
+from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul
 from helpers import rand_versor
 
@@ -103,6 +104,18 @@ def test_reference_chain_passes_verification_predicate(reference_versor, referen
     # the published sextuple, leftmost factor first
     chain = product_of(list(reversed(reference_factors)))
     assert proportional(chain, reference_versor) is not None
+
+
+def test_factorize_refuses_non_blade_maximal_grade_parts():
+    lie = lie_algebra()
+    with pytest.raises(BladeError, match="grade-3"):
+        factorize_versor(lie.e(1, 5, 6) + 2 * lie.e(2, 3, 4))
+    # the grade-4 part is a blade, so the first step goes through; the
+    # element of maximal grade 3 it leaves is not one
+    g = 2 * E(3, 6) - E(1, 2, 4, 5)
+    assert Blade(g.grade(4), 4).grade == 4
+    with pytest.raises(BladeError, match="grade-3"):
+        factorize_versor(g)
 
 
 def test_factorize_rejects_null_versors():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from exactga.algebra import AlgebraError, NotAVersorError, Versor, proportional, sandwich
-from exactga.blades import Blade
+from exactga.blades import Blade, BladeError
 from exactga.klein import (
     ComplexRequiredError,
     ManifoldKind,
@@ -288,14 +288,55 @@ def test_induced_map_of_polarity_matches_sandwich(reference_polarities):
     assert proportionality(G, S) is not None
 
 
+KINDS_AND_ACTIONS = [(kind, action) for kind in ("collineation", "correlation")
+                     for action in ("points", "planes")]
+
+
 def test_induced_map_similitude_ratio_is_det():
+    # lambda = det(t) on points and det(t)^3 on planes, for both kinds
     rng = random.Random(12)
     for _ in range(10):
         m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
         if not m.det():
             continue
-        t = ProjTransform4(m, "collineation", "points")
-        assert induced_line_map(t).similitude_ratio() == m.det()
+        for kind, action in KINDS_AND_ACTIONS:
+            t = ProjTransform4(m, kind, action)
+            power = 1 if action == "points" else 3
+            assert induced_line_map(t).similitude_ratio() == m.det() ** power
+
+
+def _pair_minor(a, b, i, j):
+    return a[i] * b[j] - a[j] * b[i]
+
+
+def adjugate_line_map(t: ProjTransform4) -> Matrix:
+    """The line map pushed through spanning points: on planes, the points
+    are the columns of adj(t)^T; a correlation swaps the coordinate halves."""
+    pts = t.matrix if t.action == "points" else t.matrix.adjugate().transpose()
+    pairs = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+    cols = []
+    for i, j in pairs:
+        minors = [_pair_minor(pts.col(i), pts.col(j), p, q) for p, q in pairs]
+        cols.append(minors[3:] + minors[:3] if t.kind == "correlation" else minors)
+    return Matrix.from_rows([[cols[c][r] for c in range(6)] for r in range(6)])
+
+
+def test_induced_map_equals_adjugate_oracle_exactly():
+    rng = random.Random(13)
+    done = 0
+    while done < 12:
+        m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+        if not m.det():
+            continue
+        for kind, action in KINDS_AND_ACTIONS:
+            t = ProjTransform4(m, kind, action)
+            assert induced_line_map(t).matrix == adjugate_line_map(t)
+        done += 1
+    # complex entries take the same closed form
+    m = Matrix.from_rows([["1i", 0, 3, 0], [1, 1, 0, "2-1i"], [1, 2, 1, 0], [1, 1, 2, 1]])
+    for kind, action in KINDS_AND_ACTIONS:
+        t = ProjTransform4(m, kind, action)
+        assert induced_line_map(t).matrix == adjugate_line_map(t)
 
 
 def test_reference_matrix_determinant(reference_matrix):
@@ -512,6 +553,12 @@ def test_classify_congruence_and_complex():
     result = classify_blade(Blade(five, 5))
     assert result.tag is ManifoldKind.LINEAR_COMPLEX
     assert "axis" in result.witness
+
+
+def test_classify_rejects_non_blades():
+    # a 4-vector whose outer null space span{e3, e4} has dimension 2
+    with pytest.raises(BladeError):
+        classify_blade(E(1, 2, 3, 4) + E(3, 4, 5, 6))
 
 
 def test_classify_rejects_bad_grades():

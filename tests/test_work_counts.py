@@ -1,0 +1,54 @@
+"""Work-count guards: the lift and the descent do each piece of work once.
+
+Each test counts calls through a monkeypatched wrapper, so a regression
+that reintroduces a cofactor inverse, a repeated similitude product or a
+second outer null space per descent step fails here even when its output
+stays the same.
+"""
+
+import exactga.blades as blades
+import exactga.klein as klein
+from exactga.linalg import Matrix
+from conftest import REFERENCE_COLLINEATION
+
+
+def counting(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def plane_correlation() -> klein.ProjTransform4:
+    # the reference collineation followed by a polarity is a correlation
+    e = klein.klein_algebra().e
+    polarity = klein.vector_to_null_polarity(e(1) + e(4), "planes").matrix
+    m = Matrix.from_rows(REFERENCE_COLLINEATION)
+    return klein.ProjTransform4(klein.mat_mul(polarity, m), "correlation", "planes")
+
+
+def test_lift_uses_no_adjugate_and_one_similitude_product(monkeypatch):
+    t = plane_correlation()
+    klein._reciprocal_blades()  # the cached reciprocal frame inverts the form once
+    adjugates = counting(monkeypatch, Matrix, "adjugate")
+    sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
+    products = counting(monkeypatch, klein, "mat_mul")
+    versor = klein.proj_to_versor(t)
+    assert versor.parity == "odd"
+    assert adjugates == []
+    assert len(sandwiches) == 1
+    assert len(products) == 2  # one triple product M^T Q M
+
+
+def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
+    value = klein.proj_to_versor(plane_correlation()).value
+    kernels = counting(monkeypatch, blades, "_kernel_of_vector_map")
+    factors = blades.factorize_versor(value)
+    steps = value.max_grade() - 1
+    assert steps >= 2 and len(factors) == steps + 1
+    assert len(kernels) == steps
