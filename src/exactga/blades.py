@@ -19,7 +19,7 @@ re-exports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
@@ -36,10 +36,12 @@ class Blade:
 
     Decomposability is verified on construction at every grade: a nonzero
     k-vector is a blade exactly when its outer null space has dimension k.
+    That outer null space is kept, so ``opns`` of a blade costs nothing more.
     """
 
     value: Multivector
     grade: int
+    _opns: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.value.is_zero():
@@ -48,8 +50,10 @@ class Blade:
             return
         if self.value.grades() != {self.grade}:
             raise BladeError(f"value is not homogeneous of grade {self.grade}")
-        if len(opns_of_multivector(self.value)) != self.grade:
+        space = tuple(opns_of_multivector(self.value))
+        if len(space) != self.grade:
             raise BladeError(f"grade-{self.grade} element is not decomposable")
+        object.__setattr__(self, "_opns", space)
 
     @classmethod
     def from_multivector(cls, value: Multivector) -> "Blade":
@@ -94,6 +98,8 @@ def opns(b) -> list[Multivector]:
     mv = _as_multivector(b)
     if mv.is_zero():
         raise BladeError("outer null space of the zero blade is undefined")
+    if isinstance(b, Blade):
+        return list(b._opns)
     return opns_of_multivector(mv)
 
 

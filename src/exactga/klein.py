@@ -327,24 +327,18 @@ def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None
 M23_USE_DOUBLED_INNER = False
 
 
-@lru_cache(maxsize=1)
-def _even_masks() -> tuple:
-    return tuple(klein_algebra().basis_masks(parity="even"))
-
-
-@lru_cache(maxsize=1)
-def _odd_masks() -> tuple:
-    return tuple(klein_algebra().basis_masks(parity="odd"))
+@lru_cache(maxsize=2)
+def _masks(parity: str) -> tuple:
+    return tuple(klein_algebra().basis_masks(parity=parity))
 
 
 def coefficient_vector(mv: Multivector, parity: str) -> list:
     """Coefficients in the canonical listing order, 1-indexed (index 0 unused)."""
-    masks = _even_masks() if parity == "even" else _odd_masks()
-    return [None] + [mv.coeff(m) for m in masks]
+    return [None] + [mv.coeff(m) for m in _masks(parity)]
 
 
 def multivector_from_coefficients(values: Sequence, parity: str) -> Multivector:
-    masks = _even_masks() if parity == "even" else _odd_masks()
+    masks = _masks(parity)
     if len(values) != len(masks):
         raise AlgebraError(f"expected {len(masks)} coefficients")
     return klein_algebra().mv({m: v for m, v in zip(masks, values)})
@@ -428,6 +422,12 @@ def _correlation_matrix(h: list, action: str) -> Matrix:
     return Matrix.from_rows(m)
 
 
+def _coefficient_table(g: list, parity: str, action: str, m23_doubled: bool = False) -> Matrix:
+    if parity == "even":
+        return _collineation_matrix(g, action, m23_doubled)
+    return _correlation_matrix(g, action)
+
+
 def versor_to_proj(g: Multivector | Versor, action: str,
                    m23_doubled: bool | None = None) -> ProjTransform4:
     """Transfer a versor to its 4x4 projective representation.
@@ -444,12 +444,8 @@ def versor_to_proj(g: Multivector | Versor, action: str,
         raise NotAVersorError("mixed-parity element cannot be a versor")
     if m23_doubled is None:
         m23_doubled = M23_USE_DOUBLED_INNER
-    if parity == "even":
-        matrix = _collineation_matrix(coefficient_vector(g, "even"), action, m23_doubled)
-        kind = "collineation"
-    else:
-        matrix = _correlation_matrix(coefficient_vector(g, "odd"), action)
-        kind = "correlation"
+    matrix = _coefficient_table(coefficient_vector(g, parity), parity, action, m23_doubled)
+    kind = "collineation" if parity == "even" else "correlation"
     if matrix.is_zero():
         raise NotAVersorError("coefficient table yields the zero matrix")
     return ProjTransform4(matrix, kind, action)
@@ -503,85 +499,82 @@ def _normalization_scale(lam: Scalar, scalar_mode: str) -> Scalar:
     return root
 
 
-def _blade_images(vectors: Sequence[Multivector]) -> dict[int, Multivector]:
-    """Outermorphism images f(e_A) of all basis blades, given f(e_1..e_6).
+def _cofactor_matrix(a: Matrix) -> Matrix:
+    """adj(A)^T by Laplace expansion over the pair minors of A's columns.
 
-    Masks come grade-major, so f(e_A) = f(e_i) ^ f(e_{A without i}) for the
-    lowest index i of A is one wedge onto a blade already built.
+    Column j is the w with w . x = det[p q r x] for an even arrangement
+    (p, q, r, j) of the columns of A; det[p q r x] is the polarized quadric
+    form of the lines pq and rx, so each entry is a three-term sum.
     """
-    alg = klein_algebra()
-    images = {0: alg.scalar(1)}
-    for mask in alg.basis_masks()[1:]:
-        low = mask & -mask
-        images[mask] = vectors[low.bit_length() - 1].wedge(images[mask ^ low])
-    return images
+    c = [a.col(j) for j in range(4)]
+    cols = []
+    for p, q, k in ((3, 2, 1), (2, 3, 0), (1, 0, 3), (0, 1, 2)):
+        l0, l1, l2, l3, l4, l5 = _pair_minors(c[p], c[q])
+        r = c[k]
+        cols.append((-(l3 * r[1] + l4 * r[2] + l5 * r[3]),
+                     l3 * r[0] + l1 * r[3] - l2 * r[2],
+                     l4 * r[0] - l0 * r[3] + l2 * r[1],
+                     l5 * r[0] + l0 * r[2] - l1 * r[1]))
+    return Matrix.from_rows(list(zip(*cols)))
 
 
-@lru_cache(maxsize=1)
-def _reciprocal_blades() -> tuple:
-    """Pairs (A, e^A) over all basis blades, with <e_A e^B>_0 = delta_AB.
+@lru_cache(maxsize=2)
+def _table_transpose(parity: str) -> tuple:
+    """Sparse rows of M^T: row k lists the pairs (r, M[r, k]) with M[r, k] != 0.
 
-    Each e^A is the reversed wedge of the reciprocal frame vectors
-    e^i = sum_j (Q^-1)_ji e_j, i.e. the grade-wise Gram inverse applied to
-    the wedge basis.
+    Column k of M stacks the point and the plane table (row-major) of the
+    k-th unit coefficient vector of the parity.  M^T M = 8 Id (even) and
+    4 Id (odd): the tables are the isomorphism Cl+(3,3) = M4 + M4.
     """
+    n = len(_masks(parity))
+    rows = []
+    for k in range(1, n + 1):
+        unit = [None] + [Fraction(int(i == k)) for i in range(1, n + 1)]
+        column = (_coefficient_table(unit, parity, "points").entries
+                  + _coefficient_table(unit, parity, "planes").entries)
+        rows.append(tuple((r, c) for r, c in enumerate(column) if c))
+    return tuple(rows)
+
+
+def _checked_lift(g: Multivector, T: Matrix, parity: str) -> Multivector:
+    """g if alpha(g) e_j = T(e_j) g on all six basis vectors (alpha(g) = -g if odd)."""
     alg = klein_algebra()
-    q = alg.form
-    inverse = q.adjugate().scale(1 / q.det())
-    frame = [alg.vector(inverse.col(i)) for i in range(alg.dim)]
-    return tuple((m, b.reverse()) for m, b in _blade_images(frame).items())
-
-
-def _versor_from_isometry(T: Matrix, parity: str) -> Multivector:
-    """The g of the given parity with alpha(g) x = T(x) g, in closed form.
-
-    Conjugation by g acts on blades as the outermorphism f of T (of -T for
-    odd g, where alpha(g) = -g), and sum_A f(e_A) M e^A = 2^6 <g^-1 M>_0 g.
-    The first basis blade e_B of g's parity with a nonzero sum gives g up to
-    scale.  The result is scaled to 1 at its last nonzero coefficient, then
-    to integer content 1, and checked exactly against all six relations.
-    """
-    alg = klein_algebra()
-    sign = 1 if parity == "even" else -1
-    t_cols = [alg.vector([T[i, j] for i in range(6)]) for j in range(6)]
-    images = _blade_images([v * sign for v in t_cols])
-    masks = alg.basis_masks(parity=parity)
-    for b in masks:
-        e_b = alg.mv({b: Fraction(1)})
-        total = sum((images[a].gp(e_b.gp(recip)) for a, recip in _reciprocal_blades()),
-                    alg.zero())
-        coeffs = [total.coeff(m) for m in masks]
-        if any(coeffs):
-            last = next(c for c in reversed(coeffs) if c)
-            g = alg.mv(dict(zip(masks, normalize_vector([c / last for c in coeffs]))))
-            if all(g.gp(alg.mv({1 << j: Fraction(sign)})) == t_cols[j].gp(g)
-                   for j in range(6)):
-                return g
-            break
-    raise NotLiftableError("no versor of the requested parity induces this map",
-                           {"reason": "empty-kernel"})
+    sign = Fraction(1 if parity == "even" else -1)
+    if g.is_zero() or not all(g.gp(alg.mv({1 << j: sign})) == alg.vector(T.col(j)).gp(g)
+                              for j in range(6)):
+        raise NotLiftableError("no versor of the requested parity induces this map",
+                               {"reason": "empty-kernel"})
+    return g
 
 
 def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     """Lift a regular projective transformation to a versor with witness.
 
     The induced line map G is normalized by the exact square root s of its
-    similitude ratio, so T = G/s is an isometry.  The versor g with
-    alpha(g) x = T(x) g is then read off in closed form, without a linear
-    solve: with f the outermorphism of T (of -T for odd g) and e^A the
-    reciprocal basis blades, sum_A f(e_A) e_B e^A = 2^6 <g^-1 e_B>_0 g for
-    every basis blade e_B.  The grade-descent factorization supplies the
-    witness.  An exact lift exists precisely when the ratio is real and
-    |ratio| is a rational square; a negative ratio forces the complex scalar
-    mode.
+    similitude ratio, so T = G/s is an isometry.  A versor's point table P
+    and plane table Q satisfy Q = +-adj(P)^T / sqrt(det P), so g is read off
+    as M^T (P, Q), with no linear solve: (P, Q) = (s A, adj(A)^T) for the
+    points action, (adj(A)^T, (s / det A) A) for the planes action.  This
+    root s picks the branch with alpha(g) x = T(x) g, checked exactly.  The
+    grade descent supplies the witness.  An exact lift exists precisely when
+    the ratio is real and |ratio| is a rational square; a negative ratio
+    forces the complex scalar mode.
     """
     if scalar_mode not in ("rational", "complex"):
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
     g6 = induced_line_map(t)
     s = _normalization_scale(g6.similitude_ratio(), scalar_mode)
-    T = g6.matrix.scale(1 / s)
     parity = "even" if t.kind == "collineation" else "odd"
-    value = _versor_from_isometry(T, parity)
+    a, cofactors = t.matrix, _cofactor_matrix(t.matrix)
+    if t.action == "points":
+        stacked = a.scale(s).entries + cofactors.entries
+    else:
+        det = sum(x * y for x, y in zip(a.col(3), cofactors.col(3)))
+        stacked = cofactors.entries + a.scale(s / det).entries
+    coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
+    last = next(c for c in reversed(coeffs) if c)
+    g = multivector_from_coefficients(normalize_vector([c / last for c in coeffs]), parity)
+    value = _checked_lift(g, g6.matrix.scale(1 / s), parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain
     alternate = value.gp(klein_algebra().pseudoscalar())

@@ -13,6 +13,7 @@ from exactga.klein import (
     ProjTransform4,
     Sandwich6,
     SingularTransformError,
+    _cofactor_matrix,
     bilinear,
     classify_blade,
     coefficient_vector,
@@ -27,6 +28,7 @@ from exactga.klein import (
     versor_to_proj,
 )
 from exactga.linalg import Matrix, mat_mul, proportionality
+from exactga.scalars import scalar_sqrt
 from helpers import rand_invertible_vector, rand_null_line, rand_point, rand_versor
 
 KLEIN = klein_algebra()
@@ -225,16 +227,23 @@ def test_table_multiplicativity_random():
             assert proportionality(table.matrix, chain) is not None
 
 
-def test_even_versor_points_planes_adjugate_relation():
+def test_versor_points_planes_adjugate_relation():
+    # the identity the lift inverts: Q(g) = +-adj(P(g))^T / sqrt(det P(g)), exactly
     rng = random.Random(9)
-    for _ in range(10):
-        g, _ = rand_versor(rng, KLEIN, 2)
+    parities = set()
+    for _ in range(24):
+        g, _ = rand_versor(rng, KLEIN, rng.randint(1, 6))
         try:
             pts = versor_to_proj(g, "points").matrix
             pls = versor_to_proj(g, "planes").matrix
         except (NotAVersorError, SingularTransformError):
             continue
-        assert proportionality(pls, pts.adjugate().transpose()) is not None
+        root = scalar_sqrt(pts.det())
+        assert root is not None
+        cofactors = pts.adjugate().transpose().scale(1 / root)
+        assert pls in (cofactors, -cofactors)
+        parities.add(g.parity())
+    assert parities == {"even", "odd"}
 
 
 def test_pseudoscalar_absorption():
@@ -337,6 +346,15 @@ def test_induced_map_equals_adjugate_oracle_exactly():
     for kind, action in KINDS_AND_ACTIONS:
         t = ProjTransform4(m, kind, action)
         assert induced_line_map(t).matrix == adjugate_line_map(t)
+
+
+def test_cofactor_matrix_equals_adjugate_transpose():
+    rng = random.Random(14)
+    rows = [[["1i", 0, 3, 0], [1, 1, 0, "2-1i"], [1, 2, 1, 0], [1, 1, 2, 1]]]
+    rows += [[[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)] for _ in range(12)]
+    for r in rows:
+        m = Matrix.from_rows(r)
+        assert _cofactor_matrix(m) == m.adjugate().transpose()
 
 
 def test_reference_matrix_determinant(reference_matrix):

@@ -24,14 +24,14 @@ from exactga.klein import (
     NotLiftableError,
     ProjTransform4,
     SingularTransformError,
-    _reciprocal_blades,
-    _versor_from_isometry,
+    _checked_lift,
+    _table_transpose,
     induced_line_map,
     klein_algebra,
     proj_to_versor,
     versor_to_proj,
 )
-from exactga.linalg import Matrix
+from exactga.linalg import Matrix, mat_mul
 from exactga.scalars import ComplexRational, imag_part, rational_sqrt, real_part
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
 from helpers import orthogonal_oracle_gp, rand_versor
@@ -151,25 +151,47 @@ def test_lift_matches_oracle_on_random_lifts(kind, action):
     assert proj_to_versor(flipped, "complex").value == _oracle_lift(flipped, "complex")
 
 
+def _refused(g, T: Matrix, parity: str) -> bool:
+    try:
+        _checked_lift(g, T, parity)
+    except NotLiftableError as exc:
+        assert exc.diagnosis == {"reason": "empty-kernel"}
+        return True
+    return False
+
+
 def test_non_orthogonal_map_has_no_versor():
     stretched = Matrix.from_rows([[2 if i == j == 0 else int(i == j) for j in range(6)]
                                   for i in range(6)])
     for parity in ("even", "odd"):
-        with pytest.raises(NotLiftableError) as excinfo:
-            _versor_from_isometry(stretched, parity)
-        assert excinfo.value.diagnosis == {"reason": "empty-kernel"}
+        for mask in KLEIN.basis_masks(parity=parity):
+            assert _refused(KLEIN.mv({mask: Fraction(1)}), stretched, parity)
 
 
 def test_isometry_of_the_other_parity_has_no_versor():
-    with pytest.raises(NotLiftableError) as excinfo:
-        _versor_from_isometry(Matrix.identity(6), "odd")
-    assert excinfo.value.diagnosis == {"reason": "empty-kernel"}
+    identity = Matrix.identity(6)
+    assert not _refused(KLEIN.scalar(1), identity, "even")
+    for mask in KLEIN.basis_masks(parity="odd"):
+        assert _refused(KLEIN.mv({mask: Fraction(1)}), identity, "odd")
+    rng = random.Random("lift-oracle/odd-identity")
+    for k in (1, 3, 5):
+        assert _refused(rand_versor(rng, KLEIN, k)[0], identity, "odd")
 
 
-def test_reciprocal_blades_are_dual_to_the_basis():
-    recip = dict(_reciprocal_blades())
-    assert sorted(recip) == sorted(KLEIN.basis_masks())
-    for a in KLEIN.basis_masks():
-        e_a = KLEIN.mv({a: Fraction(1)})
-        for b, e_b in recip.items():
-            assert e_a.gp(e_b).scalar_part() == (1 if a == b else 0)
+def test_stacked_tables_are_inverted_by_their_transpose():
+    rng = random.Random("lift-oracle/tables")
+    for parity, scale, lengths in (("even", 8, (2, 4, 6)), ("odd", 4, (1, 3, 5))):
+        rows = _table_transpose(parity)
+        dense = [[Fraction(0)] * 32 for _ in rows]
+        for k, row in enumerate(rows):
+            for r, c in row:
+                dense[k][r] = c
+        transpose = Matrix.from_rows(dense)
+        assert mat_mul(transpose, transpose.transpose()) == Matrix.identity(32).scale(scale)
+        # M^T applied to the stacked tables of a versor gives back its coefficients
+        for k in lengths:
+            g = rand_versor(rng, KLEIN, k)[0]
+            stacked = (versor_to_proj(g, "points").matrix.entries
+                       + versor_to_proj(g, "planes").matrix.entries)
+            coeffs = [g.coeff(m) for m in KLEIN.basis_masks(parity=parity)]
+            assert list(transpose.apply(stacked)) == [scale * c for c in coeffs]

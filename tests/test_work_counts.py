@@ -1,13 +1,14 @@
 """Work-count guards: the lift and the descent do each piece of work once.
 
 Each test counts calls through a monkeypatched wrapper, so a regression
-that reintroduces a cofactor inverse, a repeated similitude product or a
-second outer null space per descent step fails here even when its output
-stays the same.
+that reintroduces a cofactor inverse, a repeated similitude product, a
+blade sum in the lift or a second outer null space per descent step or
+classification fails here even when its output stays the same.
 """
 
 import exactga.blades as blades
 import exactga.klein as klein
+from exactga.algebra import Multivector
 from exactga.linalg import Matrix
 from conftest import REFERENCE_COLLINEATION
 
@@ -34,7 +35,6 @@ def plane_correlation() -> klein.ProjTransform4:
 
 def test_lift_uses_no_adjugate_and_one_similitude_product(monkeypatch):
     t = plane_correlation()
-    klein._reciprocal_blades()  # the cached reciprocal frame inverts the form once
     adjugates = counting(monkeypatch, Matrix, "adjugate")
     sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
     products = counting(monkeypatch, klein, "mat_mul")
@@ -45,6 +45,25 @@ def test_lift_uses_no_adjugate_and_one_similitude_product(monkeypatch):
     assert len(products) == 2  # one triple product M^T Q M
 
 
+def test_lift_reads_the_versor_off_the_tables(monkeypatch):
+    t = plane_correlation()
+    products = counting(monkeypatch, Multivector, "gp")
+    wedges = counting(monkeypatch, Multivector, "wedge")
+    before_descent = []
+    descent = klein.factorize_versor
+
+    def snapshot(value):
+        before_descent.append((len(products), len(wedges)))
+        return descent(value)
+
+    monkeypatch.setattr(klein, "factorize_versor", snapshot)
+    klein.proj_to_versor(t)
+    assert len(before_descent) == 1
+    gp_calls, wedge_calls = before_descent[0]
+    assert wedge_calls == 0
+    assert gp_calls <= 13  # 12 for the six relations, 1 for the pseudoscalar branch
+
+
 def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
     value = klein.proj_to_versor(plane_correlation()).value
     kernels = counting(monkeypatch, blades, "_kernel_of_vector_map")
@@ -52,3 +71,11 @@ def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
     steps = value.max_grade() - 1
     assert steps >= 2 and len(factors) == steps + 1
     assert len(kernels) == steps
+
+
+def test_classification_computes_one_outer_null_space(monkeypatch):
+    e = klein.klein_algebra().e
+    kernels = counting(monkeypatch, blades, "_kernel_of_vector_map")
+    result = klein.classify_blade(e(1).wedge(e(4)).wedge(e(2) + e(5)))
+    assert result.tag is klein.ManifoldKind.REGULUS
+    assert len(kernels) == 1
