@@ -11,6 +11,13 @@ which peels one generator at a time and bottoms out in the vector-blade
 product.  Per-algebra blade products are cached, so multivector products are
 sparse dictionary merges.
 
+Coefficients and blade-table entries are stored in the internal form of
+``scalars.canonical``: plain ``int``s (Gaussian integers in complex mode)
+wherever the value is integral, which is every versor and table of the two
+rank-6 models, so products run on Python integers.  The accessors
+(``coeff``, ``terms``, ``coordinates``, ``scalar_part``, ``norm``) return the
+public ``Fraction`` / ``ComplexRational`` form.
+
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra product cache, is filled idempotently, so concurrent
 use needs no coordination.
@@ -24,7 +31,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .linalg import Matrix, ratio
-from .scalars import ComplexRational, Scalar, as_scalar, format_scalar
+from .scalars import ComplexRational, Scalar, as_scalar, canonical, div, format_scalar, public
 
 
 class AlgebraError(ValueError):
@@ -74,17 +81,17 @@ class Algebra:
             raise AlgebraError("form matrix must be symmetric")
         self.form = form
         self.dim = form.rows
-        self._metric = tuple(tuple(form[i, j] for j in range(self.dim))
+        self._metric = tuple(tuple(canonical(form[i, j]) for j in range(self.dim))
                              for i in range(self.dim))
-        self._gp_cache: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self._gp_cache: dict[tuple[int, int], dict[int, Scalar]] = {}
 
     # -- basic data ---------------------------------------------------------
 
     def same_as(self, other: "Algebra") -> bool:
         return self is other or self.form == other.form
 
-    def metric(self, i: int, j: int) -> Fraction:
-        return self._metric[i][j]
+    def metric(self, i: int, j: int) -> Scalar:
+        return self.form[i, j]
 
     def is_degenerate(self) -> bool:
         return not self.form.det()
@@ -92,7 +99,7 @@ class Algebra:
     def signature(self) -> tuple[int, int, int]:
         """Counts (p, q, r) of +1, -1, 0 squares in a diagonalizing basis."""
         n = self.dim
-        s = [list(row) for row in self._metric]
+        s = self.form.row_lists()
         p = q = r = 0
         for k in range(n):
             if not s[k][k]:
@@ -119,7 +126,7 @@ class Algebra:
             piv = s[k][k]
             for i in range(k + 1, n):
                 if s[i][k]:
-                    f = s[i][k] / piv
+                    f = div(s[i][k], piv)
                     s[i] = [a - f * b for a, b in zip(s[i], s[k])]
                     for row in s:
                         row[i] = row[i] - f * row[k]
@@ -135,7 +142,7 @@ class Algebra:
         return Multivector(self, terms)
 
     def scalar(self, value) -> "Multivector":
-        return Multivector(self, {0: as_scalar(value)})
+        return Multivector(self, {0: value})
 
     def zero(self) -> "Multivector":
         return Multivector(self, {})
@@ -149,12 +156,12 @@ class Algebra:
             if not 1 <= i <= self.dim:
                 raise AlgebraError(f"generator index {i} out of range")
             mask |= 1 << (i - 1)
-        return Multivector(self, {mask: Fraction(1)})
+        return Multivector(self, {mask: 1})
 
     def vector(self, coords: Sequence) -> "Multivector":
         if len(coords) != self.dim:
             raise AlgebraError("coordinate count must equal the generator count")
-        return Multivector(self, {1 << i: as_scalar(c) for i, c in enumerate(coords)})
+        return Multivector(self, {1 << i: c for i, c in enumerate(coords)})
 
     def basis_masks(self, grade: int | None = None, parity: str | None = None) -> list[int]:
         """Masks ordered grade-major, then lexicographic on index tuples."""
@@ -173,14 +180,14 @@ class Algebra:
     def pseudoscalar(self) -> "Multivector":
         if self.is_degenerate():
             raise DegenerateFormError("pseudoscalar duality needs a non-degenerate form")
-        return Multivector(self, {(1 << self.dim) - 1: Fraction(1)})
+        return Multivector(self, {(1 << self.dim) - 1: 1})
 
     def center_basis(self, even_only: bool = False) -> list["Multivector"]:
         """Basis of the center: {1} or {1, e_1..n}, keyed on dim parity.
 
         Non-degenerate forms assumed; degenerate algebras have larger centers.
         """
-        top = Multivector(self, {(1 << self.dim) - 1: Fraction(1)})
+        top = Multivector(self, {(1 << self.dim) - 1: 1})
         odd = self.dim % 2 == 1
         if even_only:
             return [self.scalar(1)] if odd else [self.scalar(1), top]
@@ -188,7 +195,7 @@ class Algebra:
 
     # -- cached blade products ----------------------------------------------
 
-    def _vec_contract(self, i: int, mask: int) -> list[tuple[int, Fraction]]:
+    def _vec_contract(self, i: int, mask: int) -> list[tuple[int, Scalar]]:
         """Left contraction e_i . E_mask as (mask, coefficient) terms."""
         out = []
         pos = 0
@@ -200,34 +207,34 @@ class Algebra:
             pos += 1
         return out
 
-    def _vec_gp(self, i: int, mask: int) -> list[tuple[int, Fraction]]:
+    def _vec_gp(self, i: int, mask: int) -> list[tuple[int, Scalar]]:
         """Geometric product e_i * E_mask = e_i . E + e_i ^ E."""
         out = self._vec_contract(i, mask)
         if not (mask >> i) & 1:
             sign = _merge_sign(1 << i, mask)
-            out.append((mask | (1 << i), Fraction(sign)))
+            out.append((mask | (1 << i), sign))
         return out
 
-    def blade_gp(self, a: int, b: int) -> dict[int, Fraction]:
-        """Geometric product of two wedge basis monomials, cached."""
+    def blade_gp(self, a: int, b: int) -> dict[int, Scalar]:
+        """Geometric product of two wedge basis monomials, cached (internal form)."""
         key = (a, b)
         cached = self._gp_cache.get(key)
         if cached is not None:
             return cached
         if a == 0:
-            result = {b: Fraction(1)}
+            result = {b: 1}
         else:
             low = a & -a
             i = low.bit_length() - 1
             rest = a ^ low
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for m, c in self.blade_gp(rest, b).items():
                 for m2, c2 in self._vec_gp(i, m):
-                    acc[m2] = acc.get(m2, Fraction(0)) + c * c2
+                    acc[m2] = acc.get(m2, 0) + c * c2
             for mc, cc in self._vec_contract(i, rest):
                 for m2, c2 in self.blade_gp(mc, b).items():
-                    acc[m2] = acc.get(m2, Fraction(0)) - cc * c2
-            result = {m: c for m, c in acc.items() if c}
+                    acc[m2] = acc.get(m2, 0) - cc * c2
+            result = {m: canonical(c) for m, c in acc.items() if c}
         self._gp_cache[key] = result
         return result
 
@@ -243,14 +250,17 @@ def _blade_name(mask: int) -> str:
 
 
 class Multivector:
-    """Sparse multivector: mapping from blade masks to exact coefficients."""
+    """Sparse multivector: mapping from blade masks to exact coefficients.
+
+    The coefficients are stored in the internal form of ``scalars.canonical``.
+    """
 
     __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: Algebra, terms: dict[int, object]):
         clean = {}
         for mask, coeff in terms.items():
-            c = as_scalar(coeff)
+            c = coeff if type(coeff) is int else canonical(coeff)
             if c:
                 if mask < 0 or mask >> algebra.dim:
                     raise AlgebraError(f"mask {mask} outside the algebra")
@@ -265,10 +275,10 @@ class Multivector:
 
     @property
     def terms(self) -> dict[int, Scalar]:
-        return dict(self._terms)
+        return {m: public(c) for m, c in self._terms.items()}
 
     def coeff(self, mask: int) -> Scalar:
-        return self._terms.get(mask, Fraction(0))
+        return public(self._terms.get(mask, 0))
 
     def grades(self) -> set[int]:
         return {bin(m).count("1") for m in self._terms}
@@ -280,7 +290,7 @@ class Multivector:
         return all(m == 0 for m in self._terms)
 
     def scalar_part(self) -> Scalar:
-        return self._terms.get(0, Fraction(0))
+        return public(self._terms.get(0, 0))
 
     def max_grade(self) -> int:
         if not self._terms:
@@ -297,9 +307,13 @@ class Multivector:
 
     def coordinates(self) -> tuple:
         """Grade-1 coordinates; valid only for pure vectors."""
+        return tuple(public(c) for c in self._coordinates())
+
+    def _coordinates(self) -> tuple:
+        """``coordinates`` in the internal form."""
         if self._terms and self.grades() != {1}:
             raise AlgebraError("not a pure vector")
-        return tuple(self._terms.get(1 << i, Fraction(0)) for i in range(self.algebra.dim))
+        return tuple(self._terms.get(1 << i, 0) for i in range(self.algebra.dim))
 
     # -- ring structure -------------------------------------------------------
 
@@ -313,7 +327,7 @@ class Multivector:
         self._check(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return Multivector(self.algebra, acc)
 
     __radd__ = __add__
@@ -332,14 +346,14 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return self.gp(other)
-        return Multivector(self.algebra,
-                           {m: c * as_scalar(other) for m, c in self._terms.items()})
+        k = canonical(other)
+        return Multivector(self.algebra, {m: c * k for m, c in self._terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        return self * (1 / as_scalar(other))
+        return self * div(1, canonical(other))
 
     def __xor__(self, other):
         return self.wedge(other)
@@ -365,12 +379,16 @@ class Multivector:
         """Geometric product."""
         self._check(other)
         acc: dict[int, Scalar] = {}
+        cache = self.algebra._gp_cache
         blade_gp = self.algebra.blade_gp
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
+                table = cache.get((a, b))
+                if table is None:
+                    table = blade_gp(a, b)
                 cab = ca * cb
-                for m, c in blade_gp(a, b).items():
-                    acc[m] = acc.get(m, Fraction(0)) + cab * c
+                for m, c in table.items():
+                    acc[m] = acc.get(m, 0) + cab * c
         return Multivector(self.algebra, acc)
 
     def wedge(self, other: "Multivector") -> "Multivector":
@@ -382,7 +400,7 @@ class Multivector:
                 if a & b:
                     continue
                 m = a | b
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb * _merge_sign(a, b)
+                acc[m] = acc.get(m, 0) + ca * cb * _merge_sign(a, b)
         return Multivector(self.algebra, acc)
 
     def inner(self, other: "Multivector") -> "Multivector":
@@ -397,7 +415,7 @@ class Multivector:
                 cab = ca * cb
                 for m, c in blade_gp(a, b).items():
                     if bin(m).count("1") == target:
-                        acc[m] = acc.get(m, Fraction(0)) + cab * c
+                        acc[m] = acc.get(m, 0) + cab * c
         return Multivector(self.algebra, acc)
 
     def grade(self, k: int) -> "Multivector":
@@ -484,7 +502,7 @@ class Multivector:
             mask = item["mask"]
             if not isinstance(mask, int) or isinstance(mask, bool):
                 raise AlgebraError("blade mask must be an integer")
-            terms[mask] = terms.get(mask, Fraction(0)) + as_scalar(item["coeff"])
+            terms[mask] = terms.get(mask, 0) + as_scalar(item["coeff"])
         return cls(algebra, terms)
 
     def __repr__(self):
@@ -500,17 +518,15 @@ def sandwich(g, x: Multivector) -> Multivector:
 
 def bilinear(v: Multivector, w: Multivector) -> Scalar:
     """The symmetric form b(v, w) of two grade-1 elements; b(v, v) = v*v."""
-    alg = v.algebra
-    a, b = v.coordinates(), w.coordinates()
-    total = Fraction(0)
-    for i in range(alg.dim):
-        if not a[i]:
-            continue
-        for j in range(alg.dim):
-            m = alg.metric(i, j)
-            if m:
-                total += a[i] * m * b[j]
-    return total
+    metric = v.algebra._metric
+    a, b = v._coordinates(), w._coordinates()
+    total = 0
+    for ai, row in zip(a, metric):
+        if ai:
+            for m, bj in zip(row, b):
+                if m:
+                    total += ai * m * bj
+    return public(total)
 
 
 def proportional(a: Multivector, b: Multivector) -> Scalar | None:
@@ -519,8 +535,7 @@ def proportional(a: Multivector, b: Multivector) -> Scalar | None:
         return None
     ta, tb = a._terms, b._terms
     masks = ta.keys() | tb.keys()
-    zero = Fraction(0)
-    return ratio([ta.get(m, zero) for m in masks], [tb.get(m, zero) for m in masks])
+    return ratio([ta.get(m, 0) for m in masks], [tb.get(m, 0) for m in masks])
 
 
 @dataclass(frozen=True)

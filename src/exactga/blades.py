@@ -20,7 +20,6 @@ re-exports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
 from .linalg import Matrix, normalize_vector, nullspace, solve_linear
@@ -79,12 +78,12 @@ def _kernel_of_vector_map(alg: Algebra, image_fn) -> list[Multivector]:
     n = alg.dim
     columns = []
     for i in range(n):
-        img = image_fn(alg.mv({1 << i: Fraction(1)}))
-        columns.append(img.terms)
+        img = image_fn(alg.mv({1 << i: 1}))
+        columns.append(img._terms)
     masks = sorted(set().union(*columns)) if any(columns) else []
     if not masks:
-        return [alg.mv({1 << i: Fraction(1)}) for i in range(n)]
-    rows = [[columns[j].get(m, Fraction(0)) for j in range(n)] for m in masks]
+        return [alg.mv({1 << i: 1}) for i in range(n)]
+    rows = [[columns[j].get(m, 0) for j in range(n)] for m in masks]
     basis = nullspace(Matrix.from_rows(rows))
     return [alg.vector(vec) for vec in basis]
 

@@ -34,6 +34,8 @@ from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionalit
 from .scalars import (
     Scalar,
     as_scalar,
+    canonical,
+    div,
     format_scalar,
     imag_part,
     rational_sqrt,
@@ -529,18 +531,22 @@ def _table_transpose(parity: str) -> tuple:
     n = len(_masks(parity))
     rows = []
     for k in range(1, n + 1):
-        unit = [None] + [Fraction(int(i == k)) for i in range(1, n + 1)]
+        unit = [None] + [int(i == k) for i in range(1, n + 1)]
         column = (_coefficient_table(unit, parity, "points").entries
                   + _coefficient_table(unit, parity, "planes").entries)
-        rows.append(tuple((r, c) for r, c in enumerate(column) if c))
+        rows.append(tuple((r, canonical(c)) for r, c in enumerate(column) if c))
     return tuple(rows)
 
 
-def _checked_lift(g: Multivector, T: Matrix, parity: str) -> Multivector:
-    """g if alpha(g) e_j = T(e_j) g on all six basis vectors (alpha(g) = -g if odd)."""
+def _checked_lift(g: Multivector, G: Matrix, s: Scalar, parity: str) -> Multivector:
+    """g if alpha(g) (s e_j) = G(e_j) g on all six basis vectors (alpha(g) = -g if odd).
+
+    Since s != 0 this is alpha(g) e_j = (G/s)(e_j) g; scaling by s instead of
+    dividing by it keeps the products integral when G and g are.
+    """
     alg = klein_algebra()
-    sign = Fraction(1 if parity == "even" else -1)
-    if g.is_zero() or not all(g.gp(alg.mv({1 << j: sign})) == alg.vector(T.col(j)).gp(g)
+    se = s if parity == "even" else -s
+    if g.is_zero() or not all(g.gp(alg.mv({1 << j: se})) == alg.vector(G.col(j)).gp(g)
                               for j in range(6)):
         raise NotLiftableError("no versor of the requested parity induces this map",
                                {"reason": "empty-kernel"})
@@ -555,10 +561,10 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     and plane table Q satisfy Q = +-adj(P)^T / sqrt(det P), so g is read off
     as M^T (P, Q), with no linear solve: (P, Q) = (s A, adj(A)^T) for the
     points action, (adj(A)^T, (s / det A) A) for the planes action.  This
-    root s picks the branch with alpha(g) x = T(x) g, checked exactly.  The
-    grade descent supplies the witness.  An exact lift exists precisely when
-    the ratio is real and |ratio| is a rational square; a negative ratio
-    forces the complex scalar mode.
+    root s picks the branch with alpha(g) x = T(x) g, checked exactly as
+    alpha(g) (s x) = G(x) g.  The grade descent supplies the witness.  An
+    exact lift exists precisely when the ratio is real and |ratio| is a
+    rational square; a negative ratio forces the complex scalar mode.
     """
     if scalar_mode not in ("rational", "complex"):
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
@@ -571,10 +577,11 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     else:
         det = sum(x * y for x, y in zip(a.col(3), cofactors.col(3)))
         stacked = cofactors.entries + a.scale(s / det).entries
+    stacked = [canonical(x) for x in stacked]
     coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
     last = next(c for c in reversed(coeffs) if c)
-    g = multivector_from_coefficients(normalize_vector([c / last for c in coeffs]), parity)
-    value = _checked_lift(g, g6.matrix.scale(1 / s), parity)
+    g = multivector_from_coefficients(normalize_vector([div(c, last) for c in coeffs]), parity)
+    value = _checked_lift(g, g6.matrix, s, parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain
     alternate = value.gp(klein_algebra().pseudoscalar())

@@ -11,6 +11,7 @@ from .scalars import (
     ComplexRational,
     Scalar,
     as_scalar,
+    div,
     format_scalar,
     imag_part,
     real_part,
@@ -175,7 +176,7 @@ def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar]:
             rows[r], rows[piv] = rows[piv], rows[r]
             det = -det
         det = det * rows[r][c]
-        inv = 1 / rows[r][c]
+        inv = div(1, rows[r][c])
         tail = [v * inv for v in rows[r][c:]]
         rows[r][c:] = tail
         for i in range(m.rows):
@@ -288,7 +289,7 @@ def ratio(xs: Sequence, ys: Sequence) -> Scalar | None:
             if x:
                 return None
             continue
-        q = x / y
+        q = div(x, y)
         if c is None:
             c = q
         elif c != q:

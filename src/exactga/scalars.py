@@ -3,9 +3,18 @@
 Rational values are plain :class:`fractions.Fraction`.  When a computation
 genuinely leaves the rationals (square roots of negative similitude ratios)
 we switch to :class:`ComplexRational`, an exact Gaussian-rational number.
-Arithmetic on ``ComplexRational`` demotes back to ``Fraction`` as soon as the
-imaginary part cancels, so purely real scalars always report a zero imaginary
-part simply by being ``Fraction`` instances.
+Arithmetic on ``ComplexRational`` demotes back to the real type as soon as
+the imaginary part cancels, so purely real scalars always report a zero
+imaginary part simply by not being ``ComplexRational`` instances.
+
+Two forms of the same values are in use.  The public form, returned by every
+accessor, is a ``Fraction`` or a ``ComplexRational`` with ``Fraction`` parts.
+The internal form that ``algebra`` stores (``canonical``) keeps an integral
+rational as a plain ``int`` and a Gaussian integer as a ``ComplexRational``
+with ``int`` parts, so products of the integral versors and blade tables of
+this library run on Python integers; ``public`` converts back.  Since
+``int / int`` is a ``float`` in Python, every quotient that can see two
+``int``s goes through ``div``, the one exact division rule.
 """
 
 from __future__ import annotations
@@ -26,10 +35,11 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
-def _make(re_part: Fraction, im_part: Fraction):
-    if im_part == 0:
-        return re_part
-    return ComplexRational(re_part, im_part)
+def div(a, b):
+    """The exact quotient a / b: two ints give a Fraction, never a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
 
 
 class ComplexRational:
@@ -45,60 +55,64 @@ class ComplexRational:
         raise AttributeError("ComplexRational is immutable")
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, ComplexRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(other, 0)
-        return None
+    # Results come from the unchecked constructor, so int parts stay ints;
+    # explicit type tests, not a coerced operand, keep the hot path short.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(self.re + o.re, self.im + o.im)
+        if isinstance(other, ComplexRational):
+            return _make(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _make(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(self.re - o.re, self.im - o.im)
+        if isinstance(other, ComplexRational):
+            return _make(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _make(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _make(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if isinstance(other, ComplexRational):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _make(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _make(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, ComplexRational):
+            c, d = other.re, other.im
+        elif isinstance(other, (int, Fraction)):
+            c, d = other, 0
+        else:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        n = c * c + d * d
+        if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return _make((self.re * o.re + self.im * o.im) / d,
-                     (self.im * o.re - self.re * o.im) / d)
+        a, b = self.re, self.im
+        return _make(div(a * c + b * d, n), div(b * c - a * d, n))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o.__truediv__(self)
+        a, b = self.re, self.im
+        n = a * a + b * b
+        if n == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        return _make(div(other * a, n), div(-other * b, n))
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _new(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -125,13 +139,60 @@ class ComplexRational:
         return format_scalar(self)
 
 
+_alloc = object.__new__
+_set_re = ComplexRational.re.__set__
+_set_im = ComplexRational.im.__set__
+
+
+def _new(re_part, im_part) -> "ComplexRational":
+    """Unchecked constructor: the parts are already exact ints or Fractions."""
+    z = _alloc(ComplexRational)
+    _set_re(z, re_part)
+    _set_im(z, im_part)
+    return z
+
+
+def _make(re_part, im_part):
+    return _new(re_part, im_part) if im_part else re_part
+
+
 Scalar = Union[Fraction, ComplexRational]
+
+
+def canonical(value):
+    """The internal form of an exact scalar (see the module docstring).
+
+    Strings are parsed, and floats and booleans refused, as by ``as_scalar``.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, (Fraction, ComplexRational)):
+        value = as_scalar(value)
+    if isinstance(value, ComplexRational):
+        re_part, im_part = value.re, value.im
+        if re_part.denominator == 1:
+            re_part = re_part.numerator
+        if im_part.denominator == 1:
+            im_part = im_part.numerator
+        return _make(re_part, im_part)
+    return value.numerator if value.denominator == 1 else value
+
+
+def public(value) -> Scalar:
+    """The public form of an internal scalar: a Fraction, or Fraction parts."""
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, ComplexRational) and (type(value.re) is int or type(value.im) is int):
+        return _new(Fraction(value.re), Fraction(value.im))
+    return value
 
 
 def as_scalar(value) -> Scalar:
     """Coerce ints, strings, Fractions and ComplexRationals to an exact scalar."""
-    if isinstance(value, (Fraction, ComplexRational)):
+    if isinstance(value, Fraction):
         return value
+    if isinstance(value, ComplexRational):
+        return public(value)
     if isinstance(value, bool):
         raise ScalarError(f"refusing boolean {value!r} as a scalar")
     if isinstance(value, int):

@@ -1,0 +1,213 @@
+"""Exact types across the integer core.
+
+Multivectors store integral coefficients as ``int`` (Gaussian integers as a
+``ComplexRational`` with ``int`` parts) and convert them at the accessors,
+and in Python ``int / int`` is a float.  The first test runs the whole
+pipeline with every public function and method of the package wrapped, and
+requires that no float is ever stored in a Multivector or Matrix or returned
+by a public call.  The others pin the public types of the accessors and
+parsers: ``Fraction``, or ``ComplexRational`` with ``Fraction`` parts.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import functools
+import inspect
+import random
+from fractions import Fraction
+
+from exactga import algebra, blades, cli, factorize, klein, lie, linalg, scalars
+from exactga.algebra import Algebra, Multivector, Versor, proportional
+from exactga.linalg import Matrix
+from exactga.scalars import ComplexRational, as_scalar, canonical, parse_scalar
+from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
+from helpers import rand_versor
+
+MODULES = (scalars, linalg, algebra, blades, klein, lie, factorize, cli)
+
+
+def floats_in(obj) -> bool:
+    if isinstance(obj, float):
+        return True
+    if isinstance(obj, ComplexRational):
+        return floats_in(obj.re) or floats_in(obj.im)
+    if isinstance(obj, Multivector):
+        return floats_in(obj._terms)
+    if isinstance(obj, Matrix):
+        return floats_in(obj.entries)
+    if isinstance(obj, dict):
+        return floats_in(tuple(obj.keys())) or floats_in(tuple(obj.values()))
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return any(floats_in(x) for x in obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return any(floats_in(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return False
+
+
+def is_public(x) -> bool:
+    if type(x) is ComplexRational:
+        return type(x.re) is Fraction and type(x.im) is Fraction
+    return type(x) is Fraction
+
+
+def guarded(fn, name, found):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if floats_in(out):
+            found.append(f"{name} returned {out!r}")
+        return out
+
+    return wrapper
+
+
+def guard_package(monkeypatch, found):
+    """Wrap every public function and method, and the two storage constructors."""
+    for module in MODULES:
+        for name, value in list(vars(module).items()):
+            if name.startswith("_") or getattr(value, "__module__", "").split(".")[0] != "exactga":
+                continue
+            if inspect.isfunction(value):
+                monkeypatch.setattr(module, name, guarded(value, name, found))
+            elif (inspect.isclass(value) and value.__module__ == module.__name__
+                  and not issubclass(value, (BaseException, enum.Enum))):
+                guard_class(monkeypatch, value, found)
+
+    for cls, hook in ((Multivector, "__init__"), (Matrix, "__post_init__")):
+        original = getattr(cls, hook)
+
+        def stored(self, *args, _original=original, **kwargs):
+            _original(self, *args, **kwargs)
+            if floats_in(self):
+                found.append(f"a float stored in {self!r}")
+
+        monkeypatch.setattr(cls, hook, stored)
+
+
+def guard_class(monkeypatch, cls, found):
+    arithmetic = {"__add__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                  "__rtruediv__", "__neg__", "__matmul__", "__xor__", "__or__"}
+    for name, attr in list(vars(cls).items()):
+        if name.startswith("_") and name not in arithmetic:
+            continue
+        label = f"{cls.__name__}.{name}"
+        if inspect.isfunction(attr):
+            monkeypatch.setattr(cls, name, guarded(attr, label, found))
+        elif isinstance(attr, classmethod):
+            monkeypatch.setattr(cls, name, classmethod(guarded(attr.__func__, label, found)))
+        elif isinstance(attr, property):
+            monkeypatch.setattr(cls, name, property(guarded(attr.fget, label, found)))
+
+
+def negate_row0(m: Matrix) -> Matrix:
+    rows = m.row_lists()
+    rows[0] = [-x for x in rows[0]]
+    return Matrix.from_rows(rows)
+
+
+def run_pipeline():
+    """Every stage in both modes, with integer inputs wherever a caller may pass them."""
+    kl, lie_alg = klein.klein_algebra(), lie.lie_algebra()
+    jobs = []
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        result = factorize.factorize_matrix(t, mode)
+        assert factorize.verify_factorization(
+            factorize.FactorizationResult.from_json(result.to_json(), t), t)
+        jobs.append((t, mode))
+
+    # seeded random lifts: both kinds and actions; row 0 negated needs complex mode
+    rng = random.Random("exact-types/lifts")
+    for k in range(1, 7):
+        g, _ = rand_versor(rng, kl, k)
+        for action in ("points", "planes"):
+            t = klein.versor_to_proj(g, action)
+            jobs.append((t, "rational"))
+            jobs.append((klein.ProjTransform4(negate_row0(t.matrix), t.kind, action), "complex"))
+    for t, mode in jobs:
+        opts = {"scalar_mode": mode}
+        code, report = cli.run_job("factorize", t.to_json(), opts)
+        assert code == 0, report
+        code, _ = cli.run_job("verify", {"transform": t.to_json(), "result": report}, opts)
+        assert code == 0
+        code, _ = cli.run_job("lift", t.to_json(), opts)
+        assert code == 0
+    assert cli.run_job("factorize", jobs[0][0].to_json(), {})[0] == 0
+    assert cli.run_job("factorize", jobs[1][0].to_json(), {})[0] == 2
+
+    # Lie contact, inversions and descents in Cl(4,2)
+    spheres = {"a": {"variant": "sphere", "center": ["0", "0", "0"], "radius": "1"},
+               "b": {"variant": "sphere", "center": ["3", "0", "0"], "radius": "-2"}}
+    code, report = cli.run_job("lie-contact", spheres, {})
+    assert code == 0 and report["contact"] is True
+    assert cli.run_job("lie-contact", {"vector": [1, -1, 0, 2, 0, 3]}, {})[0] == 0
+    a = lie_alg.vector([0, 1, 2, 0, 0, 1])
+    lie.lie_inversion_sandwich(a, lie_alg.vector([1, 1, 0, 0, 0, 0]))
+    for k in range(1, 7):
+        g, _ = rand_versor(rng, lie_alg, k)
+        factors = factorize.factorize_versor(g)
+        assert len(factors) <= k
+
+    # proportionality, inverses and division on integer-coefficient elements
+    e = kl.e
+    assert proportional(e(1, 4) * 6 + 4, e(1, 4) * 3 + 2) == 2
+    assert proportional(kl.mv({3: 2}), kl.mv({3: 4})) == Fraction(1, 2)
+    assert proportional(kl.mv({3: 2}), kl.mv({3: 3, 5: 1})) is None
+    v = Versor.from_vectors(kl, [kl.vector([1, 2, 0, 3, 0, 0]), kl.vector([0, 1, 1, 0, 2, 1])])
+    assert v.inverse().value.gp(v.value) == 1
+    assert kl.vector([2, 0, 0, 0, 0, 4]) / 4 == kl.vector([Fraction(1, 2), 0, 0, 0, 0, 1])
+    algebra.bilinear(kl.vector([1, 2, 3, 4, 5, 6]), kl.vector([1, 0, 0, 0, 0, 1]))
+
+    # Matrix and Algebra built straight from int entries, bypassing from_rows
+    m = Matrix(3, 3, (2, 1, 0, 1, 2, 1, 0, 1, 2))
+    assert linalg.determinant(m) == 4
+    singular = Matrix(3, 3, (2, 1, 3, 4, 2, 6, 1, 5, 2))
+    assert linalg.rank(singular) == 2
+    assert len(linalg.nullspace(singular)) == 1
+    assert linalg.solve_linear(m, [1, 1, 1]) is not None
+    assert m.adjugate() == m.adjugate()
+    assert Algebra(m).signature() == (3, 0, 0)
+    assert Algebra(Matrix(3, 3, (0, 1, 0, 1, 0, 0, 0, 0, -1))).signature() == (1, 2, 0)
+    assert Algebra(Matrix(2, 2, (2, 3, 3, 2))).signature() == (1, 1, 0)
+    assert not Algebra(m).pseudoscalar().is_zero()
+
+
+def test_no_float_is_stored_or_returned(monkeypatch):
+    found: list[str] = []
+    guard_package(monkeypatch, found)
+    run_pipeline()
+    assert found == []
+
+
+def test_accessors_return_public_types():
+    kl = klein.klein_algebra()
+    versors = []
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        versors.append(klein.proj_to_versor(t, mode))
+    assert any(isinstance(c, ComplexRational) for c in versors[1].value.terms.values())
+    for versor in versors:
+        g = versor.value
+        values = list(g.terms.values()) + [g.coeff(m) for m in kl.basis_masks()]
+        values += [g.scalar_part(), g.norm(), g.inverse().coeff(0)]
+        for factor in versor.witness:
+            values += list(factor.coordinates())
+            values.append(algebra.bilinear(factor, factor))
+        restored = Multivector.from_json(kl, g.to_json())
+        assert restored == g
+        values += list(restored.terms.values())
+        values.append(proportional(g * 3, g))
+        values.append(proportional(g, g * 2))
+        assert all(is_public(x) for x in values), [x for x in values if not is_public(x)]
+    assert is_public(kl.zero().scalar_part()) and is_public(kl.e(1).coeff(2))
+
+
+def test_parsers_and_coercion_return_public_types():
+    texts = ["3", "-7/2", "0", "12i", "1/2+3/4i", "2-0i", "4+2i"]
+    values = [parse_scalar(t) for t in texts]
+    values += [as_scalar(x) for x in (3, "5", Fraction(6, 3), ComplexRational(1, 2))]
+    # an internal Gaussian integer comes back with Fraction parts
+    values.append(as_scalar(canonical(ComplexRational(4, 2))))
+    assert all(is_public(x) for x in values), [x for x in values if not is_public(x)]

@@ -153,7 +153,7 @@ def test_lift_matches_oracle_on_random_lifts(kind, action):
 
 def _refused(g, T: Matrix, parity: str) -> bool:
     try:
-        _checked_lift(g, T, parity)
+        _checked_lift(g, T, 1, parity)
     except NotLiftableError as exc:
         assert exc.diagnosis == {"reason": "empty-kernel"}
         return True

@@ -3,14 +3,18 @@
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, a repeated similitude product, a
 blade sum in the lift or a second outer null space per descent step or
-classification fails here even when its output stays the same.
+classification fails here even when its output stays the same.  The
+storage guards require the integer core: int blade tables, and int or
+Gaussian-int coefficients in every multivector of a descent.
 """
 
 import exactga.blades as blades
 import exactga.klein as klein
 from exactga.algebra import Multivector
+from exactga.lie import lie_algebra
 from exactga.linalg import Matrix
-from conftest import REFERENCE_COLLINEATION
+from exactga.scalars import ComplexRational
+from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
 
 
 def counting(monkeypatch, owner, attr):
@@ -79,3 +83,31 @@ def test_classification_computes_one_outer_null_space(monkeypatch):
     result = klein.classify_blade(e(1).wedge(e(4)).wedge(e(2) + e(5)))
     assert result.tag is klein.ManifoldKind.REGULUS
     assert len(kernels) == 1
+
+
+def is_integral_storage(c) -> bool:
+    if type(c) is ComplexRational:
+        return type(c.re) is int and type(c.im) is int
+    return type(c) is int
+
+
+def test_blade_tables_store_ints():
+    for alg in (klein.klein_algebra(), lie_algebra()):
+        masks = alg.basis_masks()
+        values = [c for a in masks for b in masks for c in alg.blade_gp(a, b).values()]
+        assert len(values) >= len(masks) ** 2
+        assert all(type(c) is int for c in values)
+
+
+def test_descents_store_integral_coefficients(monkeypatch):
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        value = klein.proj_to_versor(t, mode).value
+        built = counting(monkeypatch, Multivector, "__init__")
+        blades.factorize_versor(value)
+        monkeypatch.undo()
+        stored = [c for args in built for c in args[0]._terms.values()]
+        assert len(built) > 20 and stored
+        assert all(is_integral_storage(c) for c in stored)
+        if mode == "complex":
+            assert any(type(c) is ComplexRational for c in stored)
