@@ -91,7 +91,7 @@ class Algebra:
         return self is other or self.form == other.form
 
     def metric(self, i: int, j: int) -> Scalar:
-        return self.form[i, j]
+        return public(self.form[i, j])
 
     def is_degenerate(self) -> bool:
         return not self.form.det()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
-from .linalg import Matrix, normalize_vector, nullspace, solve_linear
+from .linalg import Matrix, normalize_vector, nullspace
 
 
 class BladeError(AlgebraError):
@@ -125,16 +125,6 @@ def max_grade_part(g) -> Blade:
     return Blade(mv.grade(k), k)
 
 
-def vector_in_span(v: Multivector, basis: list[Multivector]) -> bool:
-    """Exact membership of a grade-1 element in the span of grade-1 elements."""
-    if v.is_zero():
-        return True
-    alg = v.algebra
-    cols = [b.coordinates() for b in basis]
-    rows = [[cols[j][i] for j in range(len(basis))] for i in range(alg.dim)]
-    return solve_linear(Matrix.from_rows(rows), list(v.coordinates())) is not None
-
-
 # -- grade descent ----------------------------------------------------------------
 
 
@@ -191,4 +181,4 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     if current.max_grade() == 1:
         extracted.append(current)
     alg = g.algebra
-    return [alg.vector(normalize_vector(v.coordinates())) for v in reversed(extracted)]
+    return [alg.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]

@@ -191,11 +191,15 @@ class PluckerLine:
 
 @dataclass(frozen=True)
 class ProjTransform4:
-    """Regular projective transformation of P^3, tagged with its action type."""
+    """Regular projective transformation of P^3, tagged with its action type.
+
+    The determinant that the regularity check computes is kept.
+    """
 
     matrix: Matrix
     kind: str  # collineation | correlation
     action: str  # points | planes
+    _det: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("collineation", "correlation"):
@@ -204,8 +208,14 @@ class ProjTransform4:
             raise AlgebraError("action must be 'points' or 'planes'")
         if (self.matrix.rows, self.matrix.cols) != (4, 4):
             raise AlgebraError("transform matrix must be 4x4")
-        if not self.matrix.det():
+        det = self.matrix.det()
+        if not det:
             raise SingularTransformError("transform matrix is singular")
+        object.__setattr__(self, "_det", det)
+
+    def determinant(self) -> Scalar:
+        """The exact determinant of the matrix, never zero."""
+        return self._det
 
     def to_json(self) -> dict:
         return {"matrix": self.matrix.to_json(), "kind": self.kind, "action": self.action}
@@ -474,7 +484,7 @@ def induced_line_map(t: ProjTransform4) -> Sandwich6:
     cols = [_pair_minors(a.col(i), a.col(j)) for i, j in _BASIS_POINT_PAIRS]
     planes = t.action == "planes"
     if planes:
-        det = a.det()
+        det = canonical(t.determinant())
         cols = [[det * x for x in c] for c in _swap_halves(cols)]
     if planes != (t.kind == "correlation"):
         cols = [_swap_halves(c) for c in cols]
@@ -575,8 +585,7 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     if t.action == "points":
         stacked = a.scale(s).entries + cofactors.entries
     else:
-        det = sum(x * y for x, y in zip(a.col(3), cofactors.col(3)))
-        stacked = cofactors.entries + a.scale(s / det).entries
+        stacked = cofactors.entries + a.scale(s / t.determinant()).entries
     stacked = [canonical(x) for x in stacked]
     coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
     last = next(c for c in reversed(coeffs) if c)

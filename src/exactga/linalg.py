@@ -1,20 +1,28 @@
-"""Dense exact linear algebra over rational and Gaussian-rational scalars."""
+"""Dense exact linear algebra over rational and Gaussian-rational scalars.
+
+Entries are stored in the internal form of ``scalars.canonical``: an ``int``
+where the value is integral, a ``ComplexRational`` with ``int`` parts for a
+Gaussian integer.  The matrices of this library (the line map, the OPNS
+systems of the descent, the polarities) are integral, so their products and
+eliminations run on Python integers.  Every single scalar returned
+(``determinant``, ``ratio``, ``proportionality``) is in the public form.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 from .scalars import (
     ComplexRational,
     Scalar,
-    as_scalar,
+    canonical,
     div,
+    exact_div,
     format_scalar,
-    imag_part,
-    real_part,
 )
 
 
@@ -24,7 +32,11 @@ class LinAlgError(ValueError):
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable matrix with exact entries, stored row-major."""
+    """Immutable matrix with exact entries, stored row-major.
+
+    The constructor stores every entry through ``canonical``, which parses
+    strings and refuses floats and booleans.
+    """
 
     rows: int
     cols: int
@@ -33,6 +45,7 @@ class Matrix:
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise LinAlgError("entry count does not match shape")
+        object.__setattr__(self, "entries", tuple(map(canonical, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -44,17 +57,16 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise LinAlgError("ragged rows")
-            flat.extend(as_scalar(v) for v in r)
+            flat.extend(r)
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0)
-                               for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols))
 
     def __getitem__(self, key):
         i, j = key
@@ -64,14 +76,14 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j::self.cols]
 
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
-                      tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+                      tuple(x for j in range(self.cols) for x in self.col(j)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
@@ -92,18 +104,17 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def scale(self, c) -> "Matrix":
-        c = as_scalar(c)
+        c = canonical(c)
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise LinAlgError("vector length does not match column count")
-        return tuple(sum((self[i, j] * vec[j] for j in range(self.cols)),
-                         start=Fraction(0)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return not any(self.entries)
 
     def is_skew(self) -> bool:
         if self.rows != self.cols:
@@ -111,22 +122,8 @@ class Matrix:
         return all(self[i, j] == -self[j, i]
                    for i in range(self.rows) for j in range(i, self.cols))
 
-    def det(self):
+    def det(self) -> Scalar:
         return determinant(self)
-
-    def adjugate(self) -> "Matrix":
-        """Transposed cofactor matrix; satisfies m @ adj = det * I exactly."""
-        if self.rows != self.cols:
-            raise LinAlgError("adjugate needs a square matrix")
-        n = self.rows
-        cof = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = Matrix(n - 1, n - 1, tuple(self[r, c] for r in range(n) if r != i
-                                                   for c in range(n) if c != j))
-                sign = -1 if (i + j) % 2 else 1
-                cof[i][j] = sign * determinant(minor)
-        return Matrix.from_rows(cof).transpose()
 
     def to_json(self) -> list[list[str]]:
         return [[format_scalar(v) for v in self.row(i)] for i in range(self.rows)]
@@ -135,7 +132,7 @@ class Matrix:
     def from_json(cls, data) -> "Matrix":
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             raise LinAlgError("matrix JSON must be a non-empty list of lists")
-        return cls.from_rows([[as_scalar(v) for v in row] for row in data])
+        return cls.from_rows([[canonical(v) for v in row] for row in data])
 
     def __str__(self):
         cells = [[format_scalar(v) for v in self.row(i)] for i in range(self.rows)]
@@ -146,27 +143,55 @@ class Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise LinAlgError(f"inner dimensions disagree: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = b.transpose()
-    flat = []
-    for i in range(a.rows):
-        ra = a.row(i)
-        for j in range(b.cols):
-            cb = bt.row(j)
-            flat.append(sum((x * y for x, y in zip(ra, cb)), start=Fraction(0)))
-    return Matrix(a.rows, b.cols, tuple(flat))
+    cols = [b.col(j) for j in range(b.cols)]
+    rows = [a.row(i) for i in range(a.rows)]
+    return Matrix(a.rows, b.cols, tuple(sum(map(mul, ra, cb)) for ra in rows for cb in cols))
 
 
-def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar]:
-    """Exact Gauss-Jordan elimination: (reduced rows, pivot columns, determinant).
+def _denominators(x) -> Iterable[int]:
+    if isinstance(x, ComplexRational):
+        return (x.re.denominator, x.im.denominator)
+    return (x.denominator,)
 
-    Pivot order is fixed: first nonzero column, smallest row index.  The
-    determinant is the signed product of the pivots; it is zero unless the
-    matrix is square with full rank.  Entries left of a pivot are zero in its
-    row, so each row update starts at the pivot column.
+
+def _int_parts(x) -> Iterable[int]:
+    if isinstance(x, ComplexRational):
+        return (x.re, x.im)
+    return (x,)
+
+
+def _lcm_of_denominators(values) -> int:
+    return math.lcm(*(d for v in values for d in _denominators(v)))
+
+
+def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
+    """Fraction-free Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22, 1968).
+
+    Returns (rows, pivot columns, d, determinant).  Each row is first scaled
+    by the lcm of its denominators, so every entry is a (Gaussian) integer.
+    Each pivot step then replaces every other row by (p * row - f * pivot
+    row) / d, with p the new pivot, f the row's entry in the pivot column and
+    d the previous pivot (1 before the first); every entry stays a minor of
+    the scaled matrix, so the division is exact.  At the end every pivot row
+    holds the last pivot d at its pivot column and zero at the other pivot
+    columns: the reduced row echelon form is rows / d.  Pivot order is fixed:
+    first nonzero column, smallest row index.  The determinant is zero unless
+    the matrix is square with full rank; then it is the signed last pivot over
+    the row scales.
     """
     rows = m.row_lists()
+    scales = 1
+    if all(type(x) is int for x in m.entries):
+        quot = floordiv
+    else:
+        quot = exact_div
+        for row in rows:
+            s = _lcm_of_denominators(row)
+            if s > 1:
+                row[:] = [canonical(v * s) for v in row]
+                scales *= s
     pivots = []
-    det = Fraction(1)
+    d, sign = 1, 1
     r = 0
     for c in range(m.cols):
         piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
@@ -174,111 +199,87 @@ def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det = det * rows[r][c]
-        inv = div(1, rows[r][c])
-        tail = [v * inv for v in rows[r][c:]]
-        rows[r][c:] = tail
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i][c:] = [a - f * b for a, b in zip(rows[i][c:], tail)]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                row[:] = [quot(p * x - f * y, d) for x, y in zip(row, prow)]
+            elif p != d:
+                row[:] = [quot(p * x, d) for x in row]
+        d = p
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
     if m.rows != m.cols or r < m.rows:
-        det = Fraction(0)
-    return rows, pivots, det
+        return rows, pivots, d, Fraction(0)
+    return rows, pivots, d, div(sign * d, scales)
 
 
 def determinant(m: Matrix) -> Scalar:
     if m.rows != m.cols:
         raise LinAlgError("determinant needs a square matrix")
-    return _gauss_jordan(m)[2]
+    return _gauss_jordan(m)[3]
 
 
 def rref(m: Matrix) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and pivot columns (see ``_gauss_jordan``)."""
-    rows, pivots, _ = _gauss_jordan(m)
-    return rows, pivots
+    rows, pivots, d, _ = _gauss_jordan(m)
+    return [[div(x, d) for x in row] for row in rows], pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def _denominators(x: Scalar) -> Iterable[int]:
-    if isinstance(x, ComplexRational):
-        yield x.re.denominator
-        yield x.im.denominator
-    else:
-        yield Fraction(x).denominator
-
-
-def _int_parts(x: Scalar) -> Iterable[int]:
-    if isinstance(x, ComplexRational):
-        yield x.re.numerator
-        yield x.im.numerator
-    else:
-        yield Fraction(x).numerator
+    return len(_gauss_jordan(m)[1])
 
 
 def normalize_vector(vec: Sequence) -> tuple:
     """Scale to integer entries with content 1 and positive leading entry.
 
-    For complex entries the leading sign is taken from the real part, or the
-    imaginary part when the real part vanishes.
+    The entries come back in the internal form (``int``s, or Gaussian
+    integers).  For complex entries the leading sign is taken from the real
+    part, or the imaginary part when the real part vanishes.
     """
-    vec = [as_scalar(v) for v in vec]
-    lcm = 1
-    for v in vec:
-        for d in _denominators(v):
-            lcm = lcm * d // math.gcd(lcm, d)
-    scaled = [v * lcm for v in vec]
-    g = 0
-    for v in scaled:
-        for p in _int_parts(v):
-            g = math.gcd(g, abs(p))
+    vec = [canonical(v) for v in vec]
+    lcm = _lcm_of_denominators(vec)
+    if lcm > 1:
+        vec = [canonical(v * lcm) for v in vec]
+    g = math.gcd(*(p for v in vec for p in _int_parts(v)))
     if g > 1:
-        scaled = [v / g for v in scaled]
-    for v in scaled:
-        if v:
-            lead = real_part(v) if real_part(v) != 0 else imag_part(v)
-            if lead < 0:
-                scaled = [-x for x in scaled]
-            break
-    return tuple(scaled)
+        vec = [exact_div(v, g) for v in vec]
+    lead = next((v for v in vec if v), 0)
+    if isinstance(lead, ComplexRational):
+        lead = lead.re or lead.im
+    if lead < 0:
+        vec = [-x for x in vec]
+    return tuple(vec)
 
 
 def nullspace(m: Matrix) -> list[tuple]:
     """Exact basis of the kernel, one vector per free column.
 
-    Basis vectors are normalized to integer entries with content 1 and
-    positive leading entry, which makes fixtures reproducible.
+    The vector for free column f is 1 there and -row[f] / d at each pivot
+    column of the echelon form, normalized to integer entries with content 1
+    and positive leading entry, which makes fixtures reproducible.  It is
+    built as an integral rational multiple: d times it for a real d, and
+    d * conj(d) times it for a Gaussian d, which ``normalize_vector`` could
+    not remove since it removes only rational content.
     """
-    rows, pivots = rref(m)
+    rows, pivots, d, _ = _gauss_jordan(m)
     free = [c for c in range(m.cols) if c not in pivots]
+    conj = 1 if type(d) is int else d.conjugate()
+    norm = d * conj
     basis = []
     for f in free:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
+        vec = [0] * m.cols
+        vec[f] = norm
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][f]
+            vec[pc] = -rows[r][f] * conj
         basis.append(normalize_vector(vec))
     return basis
-
-
-def solve_linear(m: Matrix, rhs: Sequence) -> tuple | None:
-    """One exact solution of m x = rhs, or None when inconsistent."""
-    aug = Matrix.from_rows([list(m.row(i)) + [as_scalar(rhs[i])] for i in range(m.rows)])
-    rows, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
-    return tuple(x)
 
 
 def ratio(xs: Sequence, ys: Sequence) -> Scalar | None:

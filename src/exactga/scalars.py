@@ -9,12 +9,14 @@ imaginary part simply by not being ``ComplexRational`` instances.
 
 Two forms of the same values are in use.  The public form, returned by every
 accessor, is a ``Fraction`` or a ``ComplexRational`` with ``Fraction`` parts.
-The internal form that ``algebra`` stores (``canonical``) keeps an integral
-rational as a plain ``int`` and a Gaussian integer as a ``ComplexRational``
-with ``int`` parts, so products of the integral versors and blade tables of
-this library run on Python integers; ``public`` converts back.  Since
-``int / int`` is a ``float`` in Python, every quotient that can see two
-``int``s goes through ``div``, the one exact division rule.
+The internal form that ``algebra`` and ``linalg`` store (``canonical``) keeps
+an integral rational as a plain ``int`` and a Gaussian integer as a
+``ComplexRational`` with ``int`` parts, so products of the integral versors,
+blade tables and matrices of this library run on Python integers; ``public``
+converts back.  Since ``int / int`` is a ``float`` in Python, every quotient
+that can see two ``int``s goes through ``div``, the one exact division rule,
+or through ``exact_div`` where the quotient is known to be a (Gaussian)
+integer.
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ class ComplexRational:
     def __pos__(self):
         return self
 
+    def conjugate(self):
+        return _new(self.re, -self.im)
+
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -157,6 +162,22 @@ def _make(re_part, im_part):
 
 
 Scalar = Union[Fraction, ComplexRational]
+
+
+def exact_div(a, b):
+    """a / b in the internal form, for Gaussian integers where b divides a.
+
+    The parts are divided with ``//``, so the caller must know the quotient
+    is integral; fraction-free elimination does.
+    """
+    if type(b) is int:
+        if type(a) is int:
+            return a // b
+        return _make(a.re // b, a.im // b)
+    n = b.re * b.re + b.im * b.im
+    if type(a) is int:
+        return _make(a * b.re // n, -a * b.im // n)
+    return _make((a.re * b.re + a.im * b.im) // n, (a.im * b.re - a.re * b.im) // n)
 
 
 def canonical(value):

@@ -3,6 +3,8 @@
 The diagonal-basis product here is a from-scratch implementation (bitmask
 transposition counting over an orthogonal basis) used to cross-check the
 library's metric-contraction product; it shares no code with the package.
+The adjugate, the linear solve and the span membership test serve only as
+oracles, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 from fractions import Fraction
 
 from exactga.algebra import Algebra, Multivector
-from exactga.linalg import Matrix
+from exactga.linalg import LinAlgError, Matrix, determinant, rref
 
 
 def bits(mask):
@@ -144,6 +146,43 @@ def cofactor_det(m: Matrix) -> Fraction:
         term = m[0, j] * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def adjugate(m: Matrix) -> Matrix:
+    """Transposed cofactor matrix; satisfies m @ adj = det * I exactly."""
+    if m.rows != m.cols:
+        raise LinAlgError("adjugate needs a square matrix")
+    n = m.rows
+    cof = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = Matrix(n - 1, n - 1, tuple(m[r, c] for r in range(n) if r != i
+                                               for c in range(n) if c != j))
+            sign = -1 if (i + j) % 2 else 1
+            cof[i][j] = sign * determinant(minor)
+    return Matrix.from_rows(cof).transpose()
+
+
+def solve_linear(m: Matrix, rhs) -> tuple | None:
+    """One exact solution of m x = rhs, or None when inconsistent."""
+    aug = Matrix.from_rows([list(m.row(i)) + [rhs[i]] for i in range(m.rows)])
+    rows, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][m.cols]
+    return tuple(x)
+
+
+def vector_in_span(v: Multivector, basis: list[Multivector]) -> bool:
+    """Exact membership of a grade-1 element in the span of grade-1 elements."""
+    if v.is_zero():
+        return True
+    alg = v.algebra
+    cols = [b.coordinates() for b in basis]
+    rows = [[cols[j][i] for j in range(len(basis))] for i in range(alg.dim)]
+    return solve_linear(Matrix.from_rows(rows), list(v.coordinates())) is not None
 
 
 # -- random generators ---------------------------------------------------------

@@ -10,10 +10,9 @@ from exactga.blades import (
     is_null_blade,
     max_grade_part,
     opns,
-    vector_in_span,
 )
 from exactga.klein import bilinear, klein_algebra
-from helpers import rand_invertible_vector, rand_versor
+from helpers import rand_invertible_vector, rand_versor, vector_in_span
 
 KLEIN = klein_algebra()
 E = KLEIN.e

@@ -6,7 +6,9 @@ and in Python ``int / int`` is a float.  The first test runs the whole
 pipeline with every public function and method of the package wrapped, and
 requires that no float is ever stored in a Multivector or Matrix or returned
 by a public call.  The others pin the public types of the accessors and
-parsers: ``Fraction``, or ``ComplexRational`` with ``Fraction`` parts.
+parsers, and of every call that returns a single scalar: ``Fraction``, or
+``ComplexRational`` with ``Fraction`` parts, although Matrix entries too are
+stored in the internal form.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from exactga.algebra import Algebra, Multivector, Versor, proportional
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational, as_scalar, canonical, parse_scalar
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
-from helpers import rand_versor
+from helpers import adjugate, rand_versor, solve_linear
 
 MODULES = (scalars, linalg, algebra, blades, klein, lie, factorize, cli)
 
@@ -166,8 +168,8 @@ def run_pipeline():
     singular = Matrix(3, 3, (2, 1, 3, 4, 2, 6, 1, 5, 2))
     assert linalg.rank(singular) == 2
     assert len(linalg.nullspace(singular)) == 1
-    assert linalg.solve_linear(m, [1, 1, 1]) is not None
-    assert m.adjugate() == m.adjugate()
+    assert solve_linear(m, [1, 1, 1]) is not None
+    assert adjugate(m) == adjugate(m)
     assert Algebra(m).signature() == (3, 0, 0)
     assert Algebra(Matrix(3, 3, (0, 1, 0, 1, 0, 0, 0, 0, -1))).signature() == (1, 2, 0)
     assert Algebra(Matrix(2, 2, (2, 3, 3, 2))).signature() == (1, 1, 0)
@@ -184,9 +186,26 @@ def test_no_float_is_stored_or_returned(monkeypatch):
 def test_accessors_return_public_types():
     kl = klein.klein_algebra()
     versors = []
+    scalars_returned = []
     for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
-        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
-        versors.append(klein.proj_to_versor(t, mode))
+        for action in ("points", "planes"):
+            t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", action)
+            result = factorize.factorize_matrix(t, mode)
+            assert result.verified()
+            scalars_returned += [linalg.determinant(t.matrix), t.matrix.det(), t.determinant(),
+                                 klein.induced_line_map(t).similitude_ratio(), result.scale,
+                                 linalg.proportionality(t.matrix.scale(6), t.matrix.scale(4)),
+                                 linalg.ratio(t.matrix.entries, t.matrix.entries)]
+            if action == "points":
+                versors.append(klein.proj_to_versor(t, mode))
+    assert any(isinstance(x, ComplexRational) for x in scalars_returned)
+    gaussian = Matrix.from_rows([["1+1i", 2], [3, "4i"]])
+    scalars_returned += [linalg.determinant(gaussian), gaussian.det(), kl.metric(0, 3),
+                         linalg.proportionality(gaussian.scale("2i"), gaussian),
+                         linalg.ratio(gaussian.scale(2).entries, gaussian.entries),
+                         linalg.determinant(Matrix.from_rows([[1, 2], [2, 4]]))]
+    assert all(is_public(x) for x in scalars_returned), \
+        [x for x in scalars_returned if not is_public(x)]
     assert any(isinstance(c, ComplexRational) for c in versors[1].value.terms.values())
     for versor in versors:
         g = versor.value

@@ -20,10 +20,10 @@ from exactga.klein import (
     klein_algebra,
     versor_to_proj,
 )
-from exactga.blades import Blade, BladeError, vector_in_span
+from exactga.blades import Blade, BladeError
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul
-from helpers import rand_versor
+from helpers import rand_versor, vector_in_span
 
 KLEIN = klein_algebra()
 E = KLEIN.e

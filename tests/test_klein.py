@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,8 +29,8 @@ from exactga.klein import (
     versor_to_proj,
 )
 from exactga.linalg import Matrix, mat_mul, proportionality
-from exactga.scalars import scalar_sqrt
-from helpers import rand_invertible_vector, rand_null_line, rand_point, rand_versor
+from exactga.scalars import ScalarError, scalar_sqrt
+from helpers import adjugate, rand_invertible_vector, rand_null_line, rand_point, rand_versor
 
 KLEIN = klein_algebra()
 E = KLEIN.e
@@ -240,7 +241,7 @@ def test_versor_points_planes_adjugate_relation():
             continue
         root = scalar_sqrt(pts.det())
         assert root is not None
-        cofactors = pts.adjugate().transpose().scale(1 / root)
+        cofactors = adjugate(pts).transpose().scale(1 / root)
         assert pls in (cofactors, -cofactors)
         parities.add(g.parity())
     assert parities == {"even", "odd"}
@@ -321,7 +322,7 @@ def _pair_minor(a, b, i, j):
 def adjugate_line_map(t: ProjTransform4) -> Matrix:
     """The line map pushed through spanning points: on planes, the points
     are the columns of adj(t)^T; a correlation swaps the coordinate halves."""
-    pts = t.matrix if t.action == "points" else t.matrix.adjugate().transpose()
+    pts = t.matrix if t.action == "points" else adjugate(t.matrix).transpose()
     pairs = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
     cols = []
     for i, j in pairs:
@@ -354,7 +355,7 @@ def test_cofactor_matrix_equals_adjugate_transpose():
     rows += [[[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)] for _ in range(12)]
     for r in rows:
         m = Matrix.from_rows(r)
-        assert _cofactor_matrix(m) == m.adjugate().transpose()
+        assert _cofactor_matrix(m) == adjugate(m).transpose()
 
 
 def test_reference_matrix_determinant(reference_matrix):
@@ -362,6 +363,19 @@ def test_reference_matrix_determinant(reference_matrix):
 
     assert cofactor_det(reference_matrix) == 4
     assert reference_matrix.det() == 4
+
+
+def test_transform_keeps_its_determinant(reference_matrix):
+    for kind, action in KINDS_AND_ACTIONS:
+        t = ProjTransform4(reference_matrix, kind, action)
+        assert t.determinant() == 4 and type(t.determinant()) is Fraction
+
+
+def test_transform_refuses_float_and_boolean_entries():
+    for bad in (0.5, 2.0, True):
+        entries = (bad, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+        with pytest.raises(ScalarError):
+            ProjTransform4(Matrix(4, 4, entries), "collineation", "points")
 
 
 def test_induced_map_plane_collineation_geometric_oracle():

@@ -11,9 +11,9 @@ from exactga.linalg import (
     nullspace,
     proportionality,
     rank,
-    solve_linear,
 )
-from helpers import cofactor_det, rand_fraction
+from exactga.scalars import ComplexRational, ScalarError
+from helpers import adjugate, cofactor_det, rand_fraction, solve_linear
 
 
 def rand_matrix(rng, rows, cols, span=4):
@@ -112,7 +112,7 @@ def test_adjugate_identity():
     for _ in range(10):
         m = rand_matrix(rng, 4, 4)
         d = determinant(m)
-        assert mat_mul(m, m.adjugate()) == Matrix.identity(4).scale(d)
+        assert mat_mul(m, adjugate(m)) == Matrix.identity(4).scale(d)
 
 
 def test_solve_linear():
@@ -145,3 +145,27 @@ def test_matrix_json_rejects_garbage():
 def test_skew_check():
     assert Matrix.from_rows([[0, 1], [-1, 0]]).is_skew()
     assert not Matrix.from_rows([[0, 1], [1, 0]]).is_skew()
+
+
+def test_constructor_refuses_floats_and_booleans():
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(ScalarError):
+            Matrix(2, 2, (bad, 0, 0, 1))
+        with pytest.raises(ScalarError):
+            Matrix.from_rows([[1, 0], [0, bad]])
+
+
+def test_constructor_stores_the_internal_form():
+    m = Matrix(2, 2, (Fraction(4, 2), "1/3", ComplexRational(2, 0), ComplexRational(1, 3)))
+    assert m.entries == (2, Fraction(1, 3), 2, ComplexRational(1, 3))
+    assert [type(x) for x in m.entries[:3]] == [int, Fraction, int]
+    assert type(m[1, 1].re) is int and type(m[1, 1].im) is int
+    assert Matrix.identity(2).entries == (1, 0, 0, 1)
+    assert all(type(x) is int for x in Matrix.identity(3).entries + Matrix.zeros(2, 3).entries)
+
+
+def test_nullspace_with_a_gaussian_pivot():
+    # the pivot 1+1i is not removed by rational content: the kernel vector is
+    # scaled to 1 at its free column before normalization
+    assert nullspace(Matrix.from_rows([["1+1i", 2]])) == [(ComplexRational(1, -1), -1)]
+    assert nullspace(Matrix.from_rows([["2i", "1+1i"]])) == [(ComplexRational(1, -1), -2)]

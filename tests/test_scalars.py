@@ -8,6 +8,8 @@ from exactga.scalars import (
     ComplexRational,
     ScalarError,
     as_scalar,
+    canonical,
+    exact_div,
     format_scalar,
     parse_scalar,
     rational_sqrt,
@@ -125,3 +127,21 @@ def test_parse_rejects_non_strings():
 def test_complex_format_is_exact(a, b):
     z = ComplexRational(a, b)
     assert parse_scalar(format_scalar(z)) == z
+
+
+gaussian_ints = st.builds(lambda a, b: canonical(ComplexRational(a, b)),
+                          st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+
+
+@given(gaussian_ints, gaussian_ints)
+def test_exact_div_undoes_a_product(a, b):
+    if b:
+        q = exact_div(a * b, b)
+        assert q == a and q == canonical(q)
+        assert type(q) is int or type(q.re) is type(q.im) is int
+
+
+def test_conjugate():
+    z = canonical(ComplexRational(3, -4))
+    assert z.conjugate() == canonical(ComplexRational(3, 4))
+    assert z * z.conjugate() == 25

@@ -2,14 +2,17 @@
 
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, a repeated similitude product, a
-blade sum in the lift or a second outer null space per descent step or
-classification fails here even when its output stays the same.  The
-storage guards require the integer core: int blade tables, and int or
-Gaussian-int coefficients in every multivector of a descent.
+blade sum in the lift, a second outer null space per descent step or
+classification, or a recomputed determinant fails here even when its
+output stays the same.  The storage guards require the integer core: int
+blade tables, and int or Gaussian-int coefficients in every multivector of
+a descent and in every matrix of the linear algebra.
 """
 
 import exactga.blades as blades
+import exactga.factorize as factorize
 import exactga.klein as klein
+import exactga.linalg as linalg
 from exactga.algebra import Multivector
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix
@@ -39,14 +42,22 @@ def plane_correlation() -> klein.ProjTransform4:
 
 def test_lift_uses_no_adjugate_and_one_similitude_product(monkeypatch):
     t = plane_correlation()
-    adjugates = counting(monkeypatch, Matrix, "adjugate")
     sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
     products = counting(monkeypatch, klein, "mat_mul")
     versor = klein.proj_to_versor(t)
     assert versor.parity == "odd"
-    assert adjugates == []
+    assert not hasattr(Matrix, "adjugate")
     assert len(sandwiches) == 1
     assert len(products) == 2  # one triple product M^T Q M
+
+
+def test_planes_lift_computes_the_determinant_once(monkeypatch):
+    calls = counting(monkeypatch, linalg, "determinant")
+    t = plane_correlation()
+    versor = klein.proj_to_versor(t)
+    assert versor.parity == "odd" and t.action == "planes"
+    # the regularity check of ProjTransform4; the pseudoscalar's 6x6 form check is apart
+    assert [m for (m,) in calls if m.rows == 4] == [t.matrix]
 
 
 def test_lift_reads_the_versor_off_the_tables(monkeypatch):
@@ -111,3 +122,22 @@ def test_descents_store_integral_coefficients(monkeypatch):
         assert all(is_integral_storage(c) for c in stored)
         if mode == "complex":
             assert any(type(c) is ComplexRational for c in stored)
+
+
+def test_linear_algebra_stores_integral_entries(monkeypatch):
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        value = klein.proj_to_versor(t, mode).value
+        systems = counting(monkeypatch, blades, "nullspace")
+        blades.factorize_versor(value)
+        monkeypatch.undo()
+        assert len(systems) >= 3  # a top-grade step needs no elimination
+        result = factorize.factorize_matrix(t, mode)
+        matrices = [args[0] for args in systems]
+        matrices += [klein.induced_line_map(t).matrix,
+                     factorize._polarity_product(result.polarities)]
+        matrices += [p.matrix for p in result.polarities]
+        entries = [x for m in matrices for x in m.entries]
+        assert all(is_integral_storage(x) for x in entries)
+        if mode == "complex":
+            assert any(type(x) is ComplexRational for x in entries)
