@@ -83,6 +83,7 @@ class Algebra:
         self.dim = form.rows
         self._metric = tuple(tuple(canonical(form[i, j]) for j in range(self.dim))
                              for i in range(self.dim))
+        self._degenerate = not form.det()
         self._gp_cache: dict[tuple[int, int], dict[int, Scalar]] = {}
 
     # -- basic data ---------------------------------------------------------
@@ -94,7 +95,7 @@ class Algebra:
         return public(self.form[i, j])
 
     def is_degenerate(self) -> bool:
-        return not self.form.det()
+        return self._degenerate
 
     def signature(self) -> tuple[int, int, int]:
         """Counts (p, q, r) of +1, -1, 0 squares in a diagonalizing basis."""

@@ -16,12 +16,12 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 
 from .algebra import AlgebraError
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
 from .klein import (
     ComplexRequiredError,
-    NotLiftableError,
     ProjTransform4,
     SingularTransformError,
     coefficient_vector,
@@ -70,15 +70,21 @@ def _transform_from_payload(payload: dict, kind: str | None, action: str | None)
         raise JobError(EXIT_PARSE, f"bad transform payload: {exc}")
 
 
-def cmd_factorize(payload: dict, opts: dict) -> dict:
-    t = _transform_from_payload(payload, opts.get("kind"), opts.get("action"))
+@contextmanager
+def _lift_refusals():
+    """Map a refused lift to its exit code: 2 when complex scalars would lift it, else 1."""
     try:
-        result = factorize_matrix(t, opts.get("scalar_mode", "rational"))
+        yield
     except ComplexRequiredError as exc:
         raise JobError(EXIT_COMPLEX_REQUIRED, str(exc), exc.diagnosis)
-    except (NotLiftableError, AlgebraError) as exc:
-        detail = getattr(exc, "diagnosis", {})
-        raise JobError(EXIT_FAILED, str(exc), detail)
+    except AlgebraError as exc:
+        raise JobError(EXIT_FAILED, str(exc), getattr(exc, "diagnosis", {}))
+
+
+def cmd_factorize(payload: dict, opts: dict) -> dict:
+    t = _transform_from_payload(payload, opts.get("kind"), opts.get("action"))
+    with _lift_refusals():
+        result = factorize_matrix(t, opts.get("scalar_mode", "rational"))
     report = result.to_json()
     if not result.verified():
         raise JobError(EXIT_FAILED, "factorization failed exact verification", report)
@@ -87,13 +93,8 @@ def cmd_factorize(payload: dict, opts: dict) -> dict:
 
 def cmd_lift(payload: dict, opts: dict) -> dict:
     t = _transform_from_payload(payload, opts.get("kind"), opts.get("action"))
-    try:
+    with _lift_refusals():
         versor = proj_to_versor(t, opts.get("scalar_mode", "rational"))
-    except ComplexRequiredError as exc:
-        raise JobError(EXIT_COMPLEX_REQUIRED, str(exc), exc.diagnosis)
-    except (NotLiftableError, AlgebraError) as exc:
-        detail = getattr(exc, "diagnosis", {})
-        raise JobError(EXIT_FAILED, str(exc), detail)
     round_trip = versor_to_proj(versor, t.action)
     coeffs = coefficient_vector(versor.value, versor.parity)[1:]
     scale = proportionality(round_trip.matrix, t.matrix)

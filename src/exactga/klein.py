@@ -7,9 +7,14 @@ form matrix is [[0,I],[I,0]]: coordinates are ordered
 
 so a vector squares to 2*(x1*x4 + x2*x5 + x3*x6) and lies on the quadric of
 lines exactly when the classical relation l01*l23 + l02*l31 + l03*l12 = 0
-holds.  Versors of the algebra induce projective transformations of P^3;
-the coefficient tables below transfer between the two representations, and
-grade-1 versors correspond to null polarities (skew-symmetric 4x4 matrices).
+holds.  Grade-1 versors correspond to null polarities (skew-symmetric 4x4
+matrices), and a versor acts on P^3 through the product of its factors'
+polarities: the coefficient tables that transfer between the two
+representations are the spin representation Cl+(3,3) = M4 + M4, derived
+once from the six polarities of the basis vectors.  The published point
+table has a second variant whose entry (2, 3) counts the e2^e6 coefficient
+twice more; ``versor_to_proj(..., m23_doubled=True)`` selects it, and the
+reference versor shows it inconsistent with the rest of the table.
 """
 
 from __future__ import annotations
@@ -92,6 +97,16 @@ def _swap_halves(x: Sequence) -> tuple:
     return (x[3], x[4], x[5], x[0], x[1], x[2])
 
 
+def _skew(x: Sequence) -> Matrix:
+    """The skew 4x4 matrix of six line coordinates, the layout of every polarity."""
+    x1, x2, x3, x4, x5, x6 = x
+    return Matrix.from_rows([
+        [0, x1, x2, x3],
+        [-x1, 0, x6, -x5],
+        [-x2, -x6, 0, x4],
+        [-x3, x5, -x4, 0]])
+
+
 @dataclass(frozen=True)
 class PluckerLine:
     """Homogeneous line coordinates, kept exactly on the quadric of lines."""
@@ -139,16 +154,11 @@ class PluckerLine:
 
     def point_matrix(self) -> Matrix:
         """Skew matrix sending a plane to the point where the line meets it."""
-        x1, x2, x3, x4, x5, x6 = self.coords
-        return Matrix.from_rows([
-            [0, x1, x2, x3],
-            [-x1, 0, x6, -x5],
-            [-x2, -x6, 0, x4],
-            [-x3, x5, -x4, 0]])
+        return _skew(self.coords)
 
     def plane_matrix(self) -> Matrix:
         """Skew matrix sending a point to the plane joining it with the line."""
-        return PluckerLine(_swap_halves(self.coords)).point_matrix()
+        return _skew(_swap_halves(self.coords))
 
     def contains_point(self, p: Sequence) -> bool:
         return all(not v for v in self.plane_matrix().apply([as_scalar(x) for x in p]))
@@ -294,25 +304,20 @@ def vector_sandwich_matrix(a: Multivector) -> Sandwich6:
 def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
     """The skew 4x4 matrix of the null polarity induced by a grade-1 element.
 
-    The matrix is the correlation coefficient table specialized to a pure
-    vector; it is singular exactly when the vector is null.
+    The plane action is the point matrix of the line with the vector's
+    coordinates, the point action minus its plane matrix; the matrix is
+    singular exactly when the vector is null.
     """
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("null polarities come from grade-1 elements")
-    a1, a2, a3, a4, a5, a6 = a.coordinates() if not a.is_zero() else (Fraction(0),) * 6
+    x = a._coordinates()
     if action == "points":
-        m = [[0, -a4, -a5, -a6],
-             [a4, 0, -a3, a2],
-             [a5, a3, 0, -a1],
-             [a6, -a2, a1, 0]]
+        m = _skew([-c for c in _swap_halves(x)])
     elif action == "planes":
-        m = [[0, a1, a2, a3],
-             [-a1, 0, a6, -a5],
-             [-a2, -a6, 0, a4],
-             [-a3, a5, -a4, 0]]
+        m = _skew(x)
     else:
         raise AlgebraError("action must be 'points' or 'planes'")
-    return NullPolarity(Matrix.from_rows(m), action)
+    return NullPolarity(m, action)
 
 
 def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None) -> Multivector:
@@ -333,11 +338,6 @@ def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None
 
 # -- coefficient tables ---------------------------------------------------------
 
-# Two published variants exist for the m23 entry of the point-action table;
-# the symmetric one is the only one consistent with the rest of the table,
-# which the golden chain tests pin down.
-M23_USE_DOUBLED_INNER = False
-
 
 @lru_cache(maxsize=2)
 def _masks(parity: str) -> tuple:
@@ -356,96 +356,75 @@ def multivector_from_coefficients(values: Sequence, parity: str) -> Multivector:
     return klein_algebra().mv({m: v for m, v in zip(masks, values)})
 
 
-def _collineation_matrix(g: list, action: str, m23_doubled: bool) -> Matrix:
-    m = [[None] * 4 for _ in range(4)]
-    if action == "points":
-        m[0][0] = g[1] - g[20] - g[24] - g[32] - g[29] + g[9] + g[4] + g[13]
-        m[1][1] = g[24] - g[9] + g[20] - g[13] - g[32] + g[1] + g[4] - g[29]
-        m[2][2] = g[1] - g[13] - g[32] - g[4] + g[29] + g[9] - g[24] + g[20]
-        m[3][3] = g[24] + g[13] + g[29] + g[1] - g[4] - g[9] - g[20] - g[32]
-        m[0][1] = 2 * (g[7] + g[17])
-        m[0][2] = 2 * (g[18] - g[3])
-        m[0][3] = 2 * (g[19] + g[2])
-        m[1][0] = -2 * (g[26] + g[16])
-        m[1][2] = 2 * (g[5] + g[25])
-        m[1][3] = 2 * (g[6] - g[22])
-        m[2][0] = 2 * (g[15] - g[30])
-        m[2][1] = 2 * (g[8] + g[28])
-        m[2][3] = 2 * (g[21] + 2 * g[10]) if m23_doubled else 2 * (g[21] + g[10])
-        m[3][0] = -2 * (g[31] + g[14])
-        m[3][1] = 2 * (g[11] - g[27])
-        m[3][2] = 2 * (g[23] + g[12])
-    else:
-        m[0][0] = g[32] - g[20] - g[13] - g[29] - g[9] - g[24] + g[1] - g[4]
-        m[1][1] = g[1] + g[9] + g[20] + g[24] + g[13] - g[29] + g[32] - g[4]
-        m[2][2] = g[20] + g[29] + g[4] + g[13] - g[9] - g[24] + g[1] + g[32]
-        m[3][3] = g[9] + g[24] + g[29] - g[13] + g[1] + g[4] - g[20] + g[32]
-        m[0][1] = 2 * (g[16] - g[26])
-        m[0][2] = -2 * (g[15] + g[30])
-        m[0][3] = 2 * (g[14] - g[31])
-        m[1][0] = 2 * (g[17] - g[7])
-        m[1][2] = 2 * (g[28] - g[8])
-        m[1][3] = -2 * (g[27] + g[11])
-        m[2][0] = 2 * (g[3] + g[18])
-        m[2][1] = 2 * (g[25] - g[5])
-        m[2][3] = 2 * (g[23] - g[12])
-        m[3][0] = 2 * (g[19] - g[2])
-        m[3][1] = -2 * (g[22] + g[6])
-        m[3][2] = 2 * (g[21] - g[10])
-    return Matrix.from_rows(m)
+@lru_cache(maxsize=1)
+def _spin_tables() -> dict:
+    """The 8x8 table tau(E) of every wedge basis blade E, on (point || plane) rows.
+
+    Gamma_i = [[0, Q_i], [P_i, 0]], with P_i and Q_i the point and plane
+    polarity matrices of e_i, satisfies Gamma_i Gamma_j + Gamma_j Gamma_i =
+    b(e_i, e_j) Id, so sqrt(2) Gamma_i generates the spin representation
+    Cl(3,3) = M8 that restricts to Cl+(3,3) = M4 + M4.  Peeling the lowest
+    generator, e_i ^ E = e_i E - e_i . E, gives
+
+        tau(1) = Id,  tau(e_i ^ E) = w Gamma_i tau(E) - sum c tau(m),
+
+    over the terms c e_m of the contraction e_i . E.  With w = 2 for an even
+    blade and 1 for an odd one, tau is the representation on even blades and
+    1/sqrt(2) of it on odd ones, so every entry is an integer.
+    """
+    alg = klein_algebra()
+    gammas = []
+    for i in range(6):
+        p = vector_to_null_polarity(alg.e(i + 1), "points").matrix
+        q = vector_to_null_polarity(alg.e(i + 1), "planes").matrix
+        gammas.append([(r, c + 4, q[r, c]) for r in range(4) for c in range(4) if q[r, c]]
+                      + [(r + 4, c, p[r, c]) for r in range(4) for c in range(4) if p[r, c]])
+    tables = {0: [[int(r == c) for c in range(8)] for r in range(8)]}
+    for mask in alg.basis_masks()[1:]:  # grade-major: E and e_i . E come first
+        low = mask & -mask
+        rest = mask ^ low
+        w = 1 if bin(mask).count("1") % 2 else 2
+        table = [[0] * 8 for _ in range(8)]
+        for r, k, v in gammas[low.bit_length() - 1]:
+            table[r] = [x + w * v * y for x, y in zip(table[r], tables[rest][k])]
+        for m, c in alg.blade_gp(low, rest).items():
+            if m != mask:
+                table = [[x - c * y for x, y in zip(row, other)]
+                         for row, other in zip(table, tables[m])]
+        tables[mask] = table
+    return tables
 
 
-def _correlation_matrix(h: list, action: str) -> Matrix:
-    m = [[None] * 4 for _ in range(4)]
-    if action == "points":
-        m[0][0] = 2 * h[26]
-        m[1][1] = 2 * h[17]
-        m[2][2] = -2 * h[12]
-        m[3][3] = 2 * h[10]
-        m[0][1] = h[32] - h[4] - h[20] - h[24]
-        m[0][2] = h[14] - h[31] - h[25] - h[5]
-        m[0][3] = h[30] + h[15] + h[22] - h[6]
-        m[1][0] = h[4] - h[32] - h[24] - h[20]
-        m[1][2] = h[18] - h[27] - h[3] - h[11]
-        m[1][3] = h[2] + h[8] + h[19] - h[28]
-        m[2][0] = h[31] + h[14] - h[25] + h[5]
-        m[2][1] = h[3] - h[11] + h[27] + h[18]
-        m[2][3] = h[9] - h[13] - h[1] - h[29]
-        m[3][0] = h[15] - h[30] + h[6] + h[22]
-        m[3][1] = h[8] - h[2] + h[28] + h[19]
-        m[3][2] = h[1] - h[13] + h[29] + h[9]
-    else:
-        m[0][0] = -2 * h[7]
-        m[1][1] = -2 * h[16]
-        m[2][2] = 2 * h[21]
-        m[3][3] = -2 * h[23]
-        m[0][1] = h[9] + h[13] - h[29] + h[1]
-        m[0][2] = h[2] - h[8] + h[28] + h[19]
-        m[0][3] = h[3] - h[27] - h[18] - h[11]
-        m[1][0] = h[29] + h[13] + h[9] - h[1]
-        m[1][2] = h[6] - h[22] + h[15] + h[30]
-        m[1][3] = h[31] - h[25] - h[5] - h[14]
-        m[2][0] = h[19] - h[8] - h[2] - h[28]
-        m[2][1] = h[15] - h[30] - h[6] - h[22]
-        m[2][3] = h[4] - h[20] + h[32] + h[24]
-        m[3][0] = h[27] - h[11] - h[18] - h[3]
-        m[3][1] = h[5] - h[31] - h[25] - h[14]
-        m[3][2] = h[24] - h[4] - h[32] - h[20]
-    return Matrix.from_rows(m)
+@lru_cache(maxsize=2)
+def _table_transpose(parity: str) -> tuple:
+    """Sparse rows of M^T: row k lists the pairs (r, M[r, k]) with M[r, k] != 0.
 
-
-def _coefficient_table(g: list, parity: str, action: str, m23_doubled: bool = False) -> Matrix:
-    if parity == "even":
-        return _collineation_matrix(g, action, m23_doubled)
-    return _correlation_matrix(g, action)
+    Column k of M stacks the point and the plane table (row-major) of the
+    k-th basis blade of the parity: the blocks of its spin table that take
+    points and planes to their images.  M^T M = 8 Id (even) and 4 Id (odd).
+    """
+    points = 0 if parity == "even" else 4  # odd blades swap points and planes
+    planes = 4 - points
+    rows = []
+    for mask in _masks(parity):
+        t = _spin_tables()[mask]
+        column = ([t[points + r][c] for r in range(4) for c in range(4)]
+                  + [t[planes + r][4 + c] for r in range(4) for c in range(4)])
+        rows.append(tuple((r, c) for r, c in enumerate(column) if c))
+    return tuple(rows)
 
 
 def versor_to_proj(g: Multivector | Versor, action: str,
-                   m23_doubled: bool | None = None) -> ProjTransform4:
+                   m23_doubled: bool = False) -> ProjTransform4:
     """Transfer a versor to its 4x4 projective representation.
 
     Even elements give collineations, odd elements correlations; the action
-    tag selects the point or plane coefficient table.
+    tag selects the point or the plane table, read off the spin
+    representation as M g (see ``_table_transpose``).  ``m23_doubled``
+    selects the other published variant of the even point table, which adds
+    2 * coeff(e2 ^ e6) at entry (2, 3); that variant is inconsistent with
+    the rest of the table (the reference versor then maps to no multiple of
+    the reference collineation), so it is off by default.
     """
     if isinstance(g, Versor):
         g = g.value
@@ -454,13 +433,19 @@ def versor_to_proj(g: Multivector | Versor, action: str,
     parity = g.parity()
     if parity is None:
         raise NotAVersorError("mixed-parity element cannot be a versor")
-    if m23_doubled is None:
-        m23_doubled = M23_USE_DOUBLED_INNER
-    matrix = _coefficient_table(coefficient_vector(g, parity), parity, action, m23_doubled)
-    kind = "collineation" if parity == "even" else "correlation"
-    if matrix.is_zero():
+    stacked = [0] * 32
+    for mask, row in zip(_masks(parity), _table_transpose(parity)):
+        c = g._terms.get(mask)
+        if c:
+            for r, t in row:
+                stacked[r] += t * c
+    entries = stacked[:16] if action == "points" else stacked[16:]
+    if m23_doubled and parity == "even" and action == "points":
+        entries[2 * 4 + 3] += 2 * g._terms.get(0b100010, 0)  # the e2 ^ e6 coefficient
+    if not any(entries):
         raise NotAVersorError("coefficient table yields the zero matrix")
-    return ProjTransform4(matrix, kind, action)
+    kind = "collineation" if parity == "even" else "correlation"
+    return ProjTransform4(Matrix(4, 4, tuple(entries)), kind, action)
 
 
 # -- induced line maps -----------------------------------------------------------
@@ -528,24 +513,6 @@ def _cofactor_matrix(a: Matrix) -> Matrix:
                      l4 * r[0] - l0 * r[3] + l2 * r[1],
                      l5 * r[0] + l0 * r[2] - l1 * r[1]))
     return Matrix.from_rows(list(zip(*cols)))
-
-
-@lru_cache(maxsize=2)
-def _table_transpose(parity: str) -> tuple:
-    """Sparse rows of M^T: row k lists the pairs (r, M[r, k]) with M[r, k] != 0.
-
-    Column k of M stacks the point and the plane table (row-major) of the
-    k-th unit coefficient vector of the parity.  M^T M = 8 Id (even) and
-    4 Id (odd): the tables are the isomorphism Cl+(3,3) = M4 + M4.
-    """
-    n = len(_masks(parity))
-    rows = []
-    for k in range(1, n + 1):
-        unit = [None] + [int(i == k) for i in range(1, n + 1)]
-        column = (_coefficient_table(unit, parity, "points").entries
-                  + _coefficient_table(unit, parity, "planes").entries)
-        rows.append(tuple((r, canonical(c)) for r, c in enumerate(column) if c))
-    return tuple(rows)
 
 
 def _checked_lift(g: Multivector, G: Matrix, s: Scalar, parity: str) -> Multivector:

@@ -3,8 +3,9 @@
 The diagonal-basis product here is a from-scratch implementation (bitmask
 transposition counting over an orthogonal basis) used to cross-check the
 library's metric-contraction product; it shares no code with the package.
-The adjugate, the linear solve and the span membership test serve only as
-oracles, so they live here rather than in the package.
+The adjugate, the linear solve, the span membership test and the published
+coefficient tables serve only as oracles, so they live here rather than in
+the package.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 from exactga.algebra import Algebra, Multivector
+from exactga.klein import coefficient_vector
 from exactga.linalg import LinAlgError, Matrix, determinant, rref
 
 
@@ -183,6 +185,101 @@ def vector_in_span(v: Multivector, basis: list[Multivector]) -> bool:
     cols = [b.coordinates() for b in basis]
     rows = [[cols[j][i] for j in range(len(basis))] for i in range(alg.dim)]
     return solve_linear(Matrix.from_rows(rows), list(v.coordinates())) is not None
+
+
+# -- the published coefficient tables -------------------------------------------
+
+# The point and plane tables of an even (collineation) and an odd (correlation)
+# element, typed out entry by entry from the published convention over the
+# 1-indexed coefficient list of ``klein.coefficient_vector``.  The library
+# derives its tables from the six null polarities; these are its oracle.
+
+
+def published_collineation_table(g: list, action: str, m23_doubled: bool) -> Matrix:
+    m = [[None] * 4 for _ in range(4)]
+    if action == "points":
+        m[0][0] = g[1] - g[20] - g[24] - g[32] - g[29] + g[9] + g[4] + g[13]
+        m[1][1] = g[24] - g[9] + g[20] - g[13] - g[32] + g[1] + g[4] - g[29]
+        m[2][2] = g[1] - g[13] - g[32] - g[4] + g[29] + g[9] - g[24] + g[20]
+        m[3][3] = g[24] + g[13] + g[29] + g[1] - g[4] - g[9] - g[20] - g[32]
+        m[0][1] = 2 * (g[7] + g[17])
+        m[0][2] = 2 * (g[18] - g[3])
+        m[0][3] = 2 * (g[19] + g[2])
+        m[1][0] = -2 * (g[26] + g[16])
+        m[1][2] = 2 * (g[5] + g[25])
+        m[1][3] = 2 * (g[6] - g[22])
+        m[2][0] = 2 * (g[15] - g[30])
+        m[2][1] = 2 * (g[8] + g[28])
+        m[2][3] = 2 * (g[21] + 2 * g[10]) if m23_doubled else 2 * (g[21] + g[10])
+        m[3][0] = -2 * (g[31] + g[14])
+        m[3][1] = 2 * (g[11] - g[27])
+        m[3][2] = 2 * (g[23] + g[12])
+    else:
+        m[0][0] = g[32] - g[20] - g[13] - g[29] - g[9] - g[24] + g[1] - g[4]
+        m[1][1] = g[1] + g[9] + g[20] + g[24] + g[13] - g[29] + g[32] - g[4]
+        m[2][2] = g[20] + g[29] + g[4] + g[13] - g[9] - g[24] + g[1] + g[32]
+        m[3][3] = g[9] + g[24] + g[29] - g[13] + g[1] + g[4] - g[20] + g[32]
+        m[0][1] = 2 * (g[16] - g[26])
+        m[0][2] = -2 * (g[15] + g[30])
+        m[0][3] = 2 * (g[14] - g[31])
+        m[1][0] = 2 * (g[17] - g[7])
+        m[1][2] = 2 * (g[28] - g[8])
+        m[1][3] = -2 * (g[27] + g[11])
+        m[2][0] = 2 * (g[3] + g[18])
+        m[2][1] = 2 * (g[25] - g[5])
+        m[2][3] = 2 * (g[23] - g[12])
+        m[3][0] = 2 * (g[19] - g[2])
+        m[3][1] = -2 * (g[22] + g[6])
+        m[3][2] = 2 * (g[21] - g[10])
+    return Matrix.from_rows(m)
+
+
+def published_correlation_table(h: list, action: str) -> Matrix:
+    m = [[None] * 4 for _ in range(4)]
+    if action == "points":
+        m[0][0] = 2 * h[26]
+        m[1][1] = 2 * h[17]
+        m[2][2] = -2 * h[12]
+        m[3][3] = 2 * h[10]
+        m[0][1] = h[32] - h[4] - h[20] - h[24]
+        m[0][2] = h[14] - h[31] - h[25] - h[5]
+        m[0][3] = h[30] + h[15] + h[22] - h[6]
+        m[1][0] = h[4] - h[32] - h[24] - h[20]
+        m[1][2] = h[18] - h[27] - h[3] - h[11]
+        m[1][3] = h[2] + h[8] + h[19] - h[28]
+        m[2][0] = h[31] + h[14] - h[25] + h[5]
+        m[2][1] = h[3] - h[11] + h[27] + h[18]
+        m[2][3] = h[9] - h[13] - h[1] - h[29]
+        m[3][0] = h[15] - h[30] + h[6] + h[22]
+        m[3][1] = h[8] - h[2] + h[28] + h[19]
+        m[3][2] = h[1] - h[13] + h[29] + h[9]
+    else:
+        m[0][0] = -2 * h[7]
+        m[1][1] = -2 * h[16]
+        m[2][2] = 2 * h[21]
+        m[3][3] = -2 * h[23]
+        m[0][1] = h[9] + h[13] - h[29] + h[1]
+        m[0][2] = h[2] - h[8] + h[28] + h[19]
+        m[0][3] = h[3] - h[27] - h[18] - h[11]
+        m[1][0] = h[29] + h[13] + h[9] - h[1]
+        m[1][2] = h[6] - h[22] + h[15] + h[30]
+        m[1][3] = h[31] - h[25] - h[5] - h[14]
+        m[2][0] = h[19] - h[8] - h[2] - h[28]
+        m[2][1] = h[15] - h[30] - h[6] - h[22]
+        m[2][3] = h[4] - h[20] + h[32] + h[24]
+        m[3][0] = h[27] - h[11] - h[18] - h[3]
+        m[3][1] = h[5] - h[31] - h[25] - h[14]
+        m[3][2] = h[24] - h[4] - h[32] - h[20]
+    return Matrix.from_rows(m)
+
+
+def published_table(g: Multivector, action: str, m23_doubled: bool = False) -> Matrix:
+    """The published point or plane table of a pure-parity element."""
+    parity = g.parity()
+    coeffs = coefficient_vector(g, parity)
+    if parity == "even":
+        return published_collineation_table(coeffs, action, m23_doubled)
+    return published_correlation_table(coeffs, action)
 
 
 # -- random generators ---------------------------------------------------------

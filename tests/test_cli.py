@@ -60,13 +60,18 @@ def test_factorize_identity(capsys):
 def test_factorize_complex_exit_codes(capsys):
     job = {"matrix": as_str_matrix(COMPLEX_VARIANT),
            "kind": "collineation", "action": "points"}
-    code, out = run_cli(capsys, ["--command", "factorize"], job)
-    assert code == 2
-    report = json.loads(out)
-    assert report["detail"]["reason"] == "negative-ratio"
+    for command in ("factorize", "lift"):
+        code, out = run_cli(capsys, ["--command", command], job)
+        assert code == 2, command
+        report = json.loads(out)
+        assert report["detail"]["reason"] == "negative-ratio"
+        assert report["detail"]["suggested_mode"] == "complex"
     code, out = run_cli(capsys, ["--command", "factorize", "--scalar-mode", "complex"], job)
     assert code == 0
     assert json.loads(out)["verified"] is True
+    code, out = run_cli(capsys, ["--command", "lift", "--scalar-mode", "complex"], job)
+    assert code == 0
+    assert json.loads(out)["round_trip_scale"] is not None
 
 
 def test_non_real_ratio_is_refused_in_both_modes(capsys):

@@ -15,6 +15,7 @@ from exactga.klein import (
     Sandwich6,
     SingularTransformError,
     _cofactor_matrix,
+    _table_transpose,
     bilinear,
     classify_blade,
     coefficient_vector,
@@ -29,8 +30,16 @@ from exactga.klein import (
     versor_to_proj,
 )
 from exactga.linalg import Matrix, mat_mul, proportionality
-from exactga.scalars import ScalarError, scalar_sqrt
-from helpers import adjugate, rand_invertible_vector, rand_null_line, rand_point, rand_versor
+from exactga.scalars import ComplexRational, ScalarError, scalar_sqrt
+from helpers import (
+    adjugate,
+    published_table,
+    rand_fraction,
+    rand_invertible_vector,
+    rand_null_line,
+    rand_point,
+    rand_versor,
+)
 
 KLEIN = klein_algebra()
 E = KLEIN.e
@@ -263,6 +272,47 @@ def test_pseudoscalar_absorption():
 def test_mixed_parity_rejected():
     with pytest.raises(NotAVersorError):
         versor_to_proj(KLEIN.scalar(1) + E(1), "points")
+
+
+def _table_or_refusal(g, action, doubled):
+    try:
+        return versor_to_proj(g, action, m23_doubled=doubled).matrix
+    except NotAVersorError:
+        return "zero"
+    except SingularTransformError:
+        return "singular"
+
+
+def test_tables_match_the_published_tables():
+    # the tables derived from the six polarities against the hand-typed convention
+    rng = random.Random("klein/published-tables")
+    elements = []
+    for parity in ("even", "odd"):
+        masks = KLEIN.basis_masks(parity=parity)
+        for k, (mask, row) in enumerate(zip(masks, _table_transpose(parity))):
+            blade = KLEIN.mv({mask: 1})
+            column = dict(row)
+            stacked = (published_table(blade, "points").entries
+                       + published_table(blade, "planes").entries)
+            assert [column.get(r, 0) for r in range(32)] == list(stacked), (parity, k)
+            elements.append(blade)
+        for _ in range(16):
+            picked = rng.sample(masks, rng.randint(1, len(masks)))
+            elements.append(KLEIN.mv({m: ComplexRational(rand_fraction(rng), rand_fraction(rng))
+                                      for m in picked}))
+    regular = 0
+    for g in elements:
+        for action in ("points", "planes"):
+            for doubled in (False, True):
+                expected = published_table(g, action, doubled)
+                if expected.is_zero():
+                    expected = "zero"
+                elif not expected.det():
+                    expected = "singular"
+                else:
+                    regular += 1
+                assert _table_or_refusal(g, action, doubled) == expected, (g, action, doubled)
+    assert regular >= 4 * 32
 
 
 # -- induced line maps ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ that reintroduces a cofactor inverse, a repeated similitude product, a
 blade sum in the lift, a second outer null space per descent step or
 classification, or a recomputed determinant fails here even when its
 output stays the same.  The storage guards require the integer core: int
-blade tables, and int or Gaussian-int coefficients in every multivector of
+blade and coefficient tables, and int or Gaussian-int coefficients in every multivector of
 a descent and in every matrix of the linear algebra.
 """
 
@@ -52,12 +52,13 @@ def test_lift_uses_no_adjugate_and_one_similitude_product(monkeypatch):
 
 
 def test_planes_lift_computes_the_determinant_once(monkeypatch):
+    klein.klein_algebra()  # an algebra decides the degeneracy of its form once, when built
     calls = counting(monkeypatch, linalg, "determinant")
     t = plane_correlation()
     versor = klein.proj_to_versor(t)
     assert versor.parity == "odd" and t.action == "planes"
-    # the regularity check of ProjTransform4; the pseudoscalar's 6x6 form check is apart
-    assert [m for (m,) in calls if m.rows == 4] == [t.matrix]
+    # the regularity check of ProjTransform4 is the only determinant of a lift
+    assert [m for (m,) in calls] == [t.matrix]
 
 
 def test_lift_reads_the_versor_off_the_tables(monkeypatch):
@@ -108,6 +109,9 @@ def test_blade_tables_store_ints():
         values = [c for a in masks for b in masks for c in alg.blade_gp(a, b).values()]
         assert len(values) >= len(masks) ** 2
         assert all(type(c) is int for c in values)
+    for parity in ("even", "odd"):
+        entries = [c for row in klein._table_transpose(parity) for _, c in row]
+        assert len(entries) >= 32 and all(type(c) is int for c in entries)
 
 
 def test_descents_store_integral_coefficients(monkeypatch):
