@@ -429,24 +429,20 @@ class Multivector:
 
     def involute(self) -> "Multivector":
         """Main involution: sign (-1)^k on grade k."""
-        return Multivector(self.algebra,
-                           {m: (-c if bin(m).count("1") % 2 else c)
-                            for m, c in self._terms.items()})
+        return self._negate_grades((False, True, False, True))
 
     def reverse(self) -> "Multivector":
-        out = {}
-        for m, c in self._terms.items():
-            k = bin(m).count("1")
-            out[m] = -c if (k * (k - 1) // 2) % 2 else c
-        return Multivector(self.algebra, out)
+        """Reversion: sign (-1)^(k(k-1)/2) on grade k."""
+        return self._negate_grades((False, False, True, True))
 
     def conjugate(self) -> "Multivector":
         """Clifford conjugation: main involution composed with reversal."""
-        out = {}
-        for m, c in self._terms.items():
-            k = bin(m).count("1")
-            out[m] = -c if (k * (k + 1) // 2) % 2 else c
-        return Multivector(self.algebra, out)
+        return self._negate_grades((False, True, True, False))
+
+    def _negate_grades(self, negated: tuple) -> "Multivector":
+        """Negate the terms of every grade k with negated[k % 4] (each sign has period 4)."""
+        return Multivector(self.algebra, {m: -c if negated[bin(m).count("1") & 3] else c
+                                          for m, c in self._terms.items()})
 
     # -- norms, inverses, duality -------------------------------------------------
 

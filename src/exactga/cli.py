@@ -96,7 +96,7 @@ def cmd_lift(payload: dict, opts: dict) -> dict:
     with _lift_refusals():
         versor = proj_to_versor(t, opts.get("scalar_mode", "rational"))
     round_trip = versor_to_proj(versor, t.action)
-    coeffs = coefficient_vector(versor.value, versor.parity)[1:]
+    coeffs = coefficient_vector(versor.value, versor.parity)
     scale = proportionality(round_trip.matrix, t.matrix)
     return {
         "parity": versor.parity,
@@ -167,7 +167,7 @@ def _format_text(report: dict, indent: str = "") -> str:
             lines.append(f"{indent}{key}:")
             try:
                 lines.append(str(Matrix.from_json(value)))
-            except Exception:
+            except (LinAlgError, ScalarError):  # a list of lists that is not a matrix
                 lines.append(f"{indent}  {value}")
         else:
             lines.append(f"{indent}{key}: {value}")

@@ -7,7 +7,14 @@ form matrix is [[0,I],[I,0]]: coordinates are ordered
 
 so a vector squares to 2*(x1*x4 + x2*x5 + x3*x6) and lies on the quadric of
 lines exactly when the classical relation l01*l23 + l02*l31 + l03*l12 = 0
-holds.  Grade-1 versors correspond to null polarities (skew-symmetric 4x4
+holds.  ``_PAIRS`` is the one statement of that order: the pair minors of
+two points, the entries of every skew 4x4 matrix, and the columns of the
+induced line map and of the cofactor matrix are read off it.  Exchanging points and planes swaps the
+two coordinate halves (``_swap_halves``); that swap is the point-plane
+duality, so the line of two planes, the common plane of two lines and the
+plane matrix of a line are the swapped point constructions.
+
+Grade-1 versors correspond to null polarities (skew-symmetric 4x4
 matrices), and a versor acts on P^3 through the product of its factors'
 polarities: the coefficient tables that transfer between the two
 representations are the spin representation Cl+(3,3) = M4 + M4, derived
@@ -23,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .algebra import (
@@ -86,25 +94,36 @@ def klein_form_value(x: Sequence) -> Scalar:
 # -- Pluecker coordinates -----------------------------------------------------
 
 
-def _pair_minors(p: Sequence, q: Sequence) -> tuple:
-    def m(i, j):
-        return p[i] * q[j] - p[j] * q[i]
+_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 
-    return (m(0, 1), m(0, 2), m(0, 3), m(2, 3), m(3, 1), m(1, 2))
+
+def _pair_minors(p: Sequence, q: Sequence) -> tuple:
+    return tuple(p[i] * q[j] - p[j] * q[i] for i, j in _PAIRS)
 
 
 def _swap_halves(x: Sequence) -> tuple:
+    """Exchange points and planes: (l01, l02, l03, l23, l31, l12) -> (l23, l31, l12, ...)."""
     return (x[3], x[4], x[5], x[0], x[1], x[2])
 
 
 def _skew(x: Sequence) -> Matrix:
     """The skew 4x4 matrix of six line coordinates, the layout of every polarity."""
-    x1, x2, x3, x4, x5, x6 = x
-    return Matrix.from_rows([
-        [0, x1, x2, x3],
-        [-x1, 0, x6, -x5],
-        [-x2, -x6, 0, x4],
-        [-x3, x5, -x4, 0]])
+    m = [0] * 16
+    for (i, j), c in zip(_PAIRS, x):
+        m[4 * i + j], m[4 * j + i] = c, -c
+    return Matrix(4, 4, tuple(m))
+
+
+def _join(p: Sequence, q: Sequence, what: str) -> tuple:
+    """The pair minors of two points (or two planes), refusing dependent ones."""
+    p = [as_scalar(v) for v in p]
+    q = [as_scalar(v) for v in q]
+    if len(p) != 4 or len(q) != 4:
+        raise AlgebraError(f"{what} need four homogeneous coordinates")
+    coords = _pair_minors(p, q)
+    if not any(coords):
+        raise AlgebraError(f"{what} are linearly dependent")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -125,25 +144,11 @@ class PluckerLine:
 
     @classmethod
     def from_points(cls, p: Sequence, q: Sequence) -> "PluckerLine":
-        p = [as_scalar(v) for v in p]
-        q = [as_scalar(v) for v in q]
-        if len(p) != 4 or len(q) != 4:
-            raise AlgebraError("points need four homogeneous coordinates")
-        coords = _pair_minors(p, q)
-        if not any(coords):
-            raise AlgebraError("points are linearly dependent")
-        return cls(coords)
+        return cls(_join(p, q, "points"))
 
     @classmethod
     def from_planes(cls, u: Sequence, v: Sequence) -> "PluckerLine":
-        u = [as_scalar(x) for x in u]
-        v = [as_scalar(x) for x in v]
-        if len(u) != 4 or len(v) != 4:
-            raise AlgebraError("planes need four homogeneous coordinates")
-        coords = _swap_halves(_pair_minors(u, v))
-        if not any(coords):
-            raise AlgebraError("planes are linearly dependent")
-        return cls(coords)
+        return cls(_swap_halves(_join(u, v, "planes")))
 
     def to_multivector(self) -> Multivector:
         return klein_algebra().vector(self.coords)
@@ -165,35 +170,29 @@ class PluckerLine:
 
     def meets(self, other: "PluckerLine") -> bool:
         """Coplanarity of two lines (vanishing of the polarized quadric form)."""
-        a, b = self.coords, other.coords
-        return (a[0] * b[3] + a[1] * b[4] + a[2] * b[5]
-                + a[3] * b[0] + a[4] * b[1] + a[5] * b[2]) == 0
+        return sum(map(mul, self.coords, _swap_halves(other.coords))) == 0
 
     def intersection_point(self, other: "PluckerLine") -> tuple:
         """Common point of two distinct coplanar lines."""
-        if not self.meets(other):
-            raise AlgebraError("lines are skew")
-        pm = self.point_matrix()
-        om = other.plane_matrix()
-        for k in range(4):
-            probe = [Fraction(1 if i == k else 0) for i in range(4)]
-            pt = pm.apply(om.apply(probe))
-            if any(pt):
-                return pt
-        raise AlgebraError("lines coincide; the intersection point is not unique")
+        return self._meet(other, self.point_matrix(), other.plane_matrix(), "intersection point")
 
     def common_plane(self, other: "PluckerLine") -> tuple:
         """Plane spanned by two distinct coplanar lines."""
+        return self._meet(other, self.plane_matrix(), other.point_matrix(), "common plane")
+
+    def _meet(self, other: "PluckerLine", first: Matrix, second: Matrix, what: str) -> tuple:
+        """The first nonzero image of a basis probe under first * second.
+
+        The probes are Fractions, so the coordinates returned are too.
+        """
         if not self.meets(other):
             raise AlgebraError("lines are skew")
-        pm = self.plane_matrix()
-        om = other.point_matrix()
         for k in range(4):
             probe = [Fraction(1 if i == k else 0) for i in range(4)]
-            pl = pm.apply(om.apply(probe))
-            if any(pl):
-                return pl
-        raise AlgebraError("lines coincide; the common plane is not unique")
+            x = first.apply(second.apply(probe))
+            if any(x):
+                return x
+        raise AlgebraError(f"lines coincide; the {what} is not unique")
 
 
 # -- transforms and polarities ------------------------------------------------
@@ -308,6 +307,8 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
     coordinates, the point action minus its plane matrix; the matrix is
     singular exactly when the vector is null.
     """
+    if not a.algebra.same_as(klein_algebra()):
+        raise AlgebraMismatchError("null polarities come from line-geometry elements")
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("null polarities come from grade-1 elements")
     x = a._coordinates()
@@ -329,10 +330,9 @@ def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None
     m = np.matrix
     if m.is_zero():
         raise AlgebraError("zero matrix is not a polarity")
+    coords = [m[pair] for pair in _PAIRS]
     if np.action == "points":
-        coords = (m[3, 2], m[1, 3], m[2, 1], m[1, 0], m[2, 0], m[3, 0])
-    else:
-        coords = (m[0, 1], m[0, 2], m[0, 3], m[2, 3], m[3, 1], m[1, 2])
+        coords = [-c for c in _swap_halves(coords)]
     return klein_algebra().vector(coords)
 
 
@@ -345,8 +345,10 @@ def _masks(parity: str) -> tuple:
 
 
 def coefficient_vector(mv: Multivector, parity: str) -> list:
-    """Coefficients in the canonical listing order, 1-indexed (index 0 unused)."""
-    return [None] + [mv.coeff(m) for m in _masks(parity)]
+    """Coefficients of a line-geometry element in the canonical listing order."""
+    if not mv.algebra.same_as(klein_algebra()):
+        raise AlgebraMismatchError("coefficient tables need a line-geometry element")
+    return [mv.coeff(m) for m in _masks(parity)]
 
 
 def multivector_from_coefficients(values: Sequence, parity: str) -> Multivector:
@@ -428,6 +430,8 @@ def versor_to_proj(g: Multivector | Versor, action: str,
     """
     if isinstance(g, Versor):
         g = g.value
+    if not g.algebra.same_as(klein_algebra()):
+        raise AlgebraMismatchError("coefficient tables need a line-geometry element")
     if action not in ("points", "planes"):
         raise AlgebraError("action must be 'points' or 'planes'")
     parity = g.parity()
@@ -451,9 +455,6 @@ def versor_to_proj(g: Multivector | Versor, action: str,
 # -- induced line maps -----------------------------------------------------------
 
 
-_BASIS_POINT_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
-
-
 def induced_line_map(t: ProjTransform4) -> Sandwich6:
     """The 6x6 line-coordinate map induced by a projective transformation.
 
@@ -466,7 +467,7 @@ def induced_line_map(t: ProjTransform4) -> Sandwich6:
     halves.  The similitude ratio is det(A) for points, det(A)^3 for planes.
     """
     a = t.matrix
-    cols = [_pair_minors(a.col(i), a.col(j)) for i, j in _BASIS_POINT_PAIRS]
+    cols = [_pair_minors(a.col(i), a.col(j)) for i, j in _PAIRS]
     planes = t.action == "planes"
     if planes:
         det = canonical(t.determinant())
@@ -500,18 +501,17 @@ def _cofactor_matrix(a: Matrix) -> Matrix:
     """adj(A)^T by Laplace expansion over the pair minors of A's columns.
 
     Column j is the w with w . x = det[p q r x] for an even arrangement
-    (p, q, r, j) of the columns of A; det[p q r x] is the polarized quadric
-    form of the lines pq and rx, so each entry is a three-term sum.
+    (p, q, r, j) of the columns of A: the plane through the line qp and the
+    point r, the plane matrix of that line applied to r.
     """
     c = [a.col(j) for j in range(4)]
     cols = []
     for p, q, k in ((3, 2, 1), (2, 3, 0), (1, 0, 3), (0, 1, 2)):
-        l0, l1, l2, l3, l4, l5 = _pair_minors(c[p], c[q])
-        r = c[k]
-        cols.append((-(l3 * r[1] + l4 * r[2] + l5 * r[3]),
-                     l3 * r[0] + l1 * r[3] - l2 * r[2],
-                     l4 * r[0] - l0 * r[3] + l2 * r[1],
-                     l5 * r[0] + l0 * r[2] - l1 * r[1]))
+        r, w = c[k], [0] * 4
+        for (i, j), y in zip(_PAIRS, _swap_halves(_pair_minors(c[q], c[p]))):
+            w[i] += y * r[j]
+            w[j] -= y * r[i]
+        cols.append(w)
     return Matrix.from_rows(list(zip(*cols)))
 
 
@@ -624,6 +624,13 @@ def _null_lines_in_plane(u: Multivector, v: Multivector):
     return lines, buv * buv - qu * qv
 
 
+def _pencil(u: Multivector, v: Multivector) -> ManifoldClass:
+    """The pencil of two meeting lines, witnessed by its vertex and its plane."""
+    l1, l2 = PluckerLine(u.coordinates()), PluckerLine(v.coordinates())
+    return ManifoldClass(ManifoldKind.PENCIL, {
+        "vertex": l1.intersection_point(l2), "plane": l1.common_plane(l2)})
+
+
 def classify_blade(b: Blade | Multivector) -> ManifoldClass:
     """Classify the set of lines cut out by a blade of grade 2..5.
 
@@ -641,14 +648,9 @@ def classify_blade(b: Blade | Multivector) -> ManifoldClass:
     gram_rank = rank(_gram(span))
 
     if b.grade == 2:
-        u, v = span
-        lines, disc = _null_lines_in_plane(u, v)
         if gram_rank == 0:
-            l1 = PluckerLine(u.coordinates())
-            l2 = PluckerLine(v.coordinates())
-            return ManifoldClass(ManifoldKind.PENCIL, {
-                "vertex": l1.intersection_point(l2),
-                "plane": l1.common_plane(l2)})
+            return _pencil(*span)
+        lines, disc = _null_lines_in_plane(*span)
         if gram_rank == 1:
             witness = {"line": lines[0].coordinates()} if lines else {}
             return ManifoldClass(ManifoldKind.SINGLE_LINE, witness)
@@ -659,9 +661,7 @@ def classify_blade(b: Blade | Multivector) -> ManifoldClass:
 
     if b.grade == 3:
         if gram_rank == 0:
-            l1 = PluckerLine(span[0].coordinates())
-            l2 = PluckerLine(span[1].coordinates())
-            l3 = PluckerLine(span[2].coordinates())
+            l1, l2, l3 = (PluckerLine(v.coordinates()) for v in span)
             vertex = l1.intersection_point(l2)
             if l3.contains_point(vertex):
                 return ManifoldClass(ManifoldKind.BUNDLE, {"vertex": vertex})
@@ -671,11 +671,7 @@ def classify_blade(b: Blade | Multivector) -> ManifoldClass:
         radical = _span_radical(span)
         if gram_rank == 1:
             # the section equals the two-dimensional radical: a pencil
-            l1 = PluckerLine(radical[0].coordinates())
-            l2 = PluckerLine(radical[1].coordinates())
-            return ManifoldClass(ManifoldKind.PENCIL, {
-                "vertex": l1.intersection_point(l2),
-                "plane": l1.common_plane(l2)})
+            return _pencil(*radical)
         return ManifoldClass(ManifoldKind.EMPTY_DEGENERATE, {
             "gram_rank": gram_rank,
             "common_line": tuple(radical[0].coordinates())})

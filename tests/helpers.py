@@ -191,7 +191,7 @@ def vector_in_span(v: Multivector, basis: list[Multivector]) -> bool:
 
 # The point and plane tables of an even (collineation) and an odd (correlation)
 # element, typed out entry by entry from the published convention over the
-# 1-indexed coefficient list of ``klein.coefficient_vector``.  The library
+# coefficient list of ``klein.coefficient_vector``, 1-indexed.  The library
 # derives its tables from the six null polarities; these are its oracle.
 
 
@@ -276,7 +276,7 @@ def published_correlation_table(h: list, action: str) -> Matrix:
 def published_table(g: Multivector, action: str, m23_doubled: bool = False) -> Matrix:
     """The published point or plane table of a pure-parity element."""
     parity = g.parity()
-    coeffs = coefficient_vector(g, parity)
+    coeffs = [None] + coefficient_vector(g, parity)
     if parity == "even":
         return published_collineation_table(coeffs, action, m23_doubled)
     return published_correlation_table(coeffs, action)

@@ -147,6 +147,23 @@ def test_involution_properties_random():
         assert a.conjugate().conjugate() == a
 
 
+@pytest.mark.parametrize("alg", [KLEIN, lie_algebra()], ids=["klein", "lie"])
+def test_reverse_properties_random(alg):
+    # each basis blade reverses to the wedge of its generators in reverse order
+    for mask in alg.basis_masks():
+        gens = [alg.e(i + 1) for i in range(alg.dim) if mask >> i & 1]
+        product = alg.scalar(1)
+        for g in reversed(gens):
+            product = product.wedge(g)
+        assert alg.mv({mask: 1}).reverse() == product
+    rng = random.Random(9)
+    for _ in range(25):
+        a = rand_multivector(rng, alg, 6)
+        b = rand_multivector(rng, alg, 6)
+        assert a.gp(b).reverse() == b.reverse().gp(a.reverse())
+        assert a.conjugate() == a.involute().reverse()
+
+
 # -- associativity and the diagonal-basis oracle --------------------------------------
 
 def test_associativity_random():

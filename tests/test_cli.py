@@ -252,6 +252,60 @@ def test_text_format(capsys):
     assert "." not in out.replace("...", "")  # exact values only, no decimals
 
 
+HALF_TURN_JOB = {"matrix": as_str_matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]),
+                 "kind": "collineation", "action": "points"}
+
+
+def test_text_format_factorize(capsys):
+    # the factors are lists of lists that are no matrix, so they print as data
+    code, out = run_cli(capsys, ["--command", "factorize", "--format", "text"], HALF_TURN_JOB)
+    assert code == 0
+    assert out == (
+        "factors:\n"
+        "  [[{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '2'}],"
+        " [{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '1'}]]\n"
+        "polarities: [{'matrix': [['0', '0', '1', '0'], ['0', '0', '0', '-2'],"
+        " ['-1', '0', '0', '0'], ['0', '2', '0', '0']], 'action': 'planes', 'skew': True},"
+        " {'matrix': [['0', '0', '-1', '0'], ['0', '0', '0', '1'], ['1', '0', '0', '0'],"
+        " ['0', '-1', '0', '0']], 'action': 'points', 'skew': True}]\n"
+        "scale: 1\n"
+        "verified: True\n")
+
+
+def test_text_format_batch(capsys):
+    reflection = as_str_matrix([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    batch = [
+        {"command": "lift", "payload": HALF_TURN_JOB},
+        {"command": "factorize",
+         "payload": {"matrix": reflection, "kind": "collineation", "action": "points"}},
+    ]
+    code, out = run_cli(capsys, ["--command", "factorize", "--format", "text"], batch)
+    assert code == 2
+    lift, refused = out.split("\n\n")
+    coefficients = ["3"] + ["0"] * 7 + ["-1"] + ["0"] * 23
+    assert lift == (
+        "exit_code: 0\n"
+        "parity: even\n"
+        f"coefficients: {coefficients}\n"
+        "versor: [{'mask': 0, 'coeff': '3'}, {'mask': 18, 'coeff': '-1'}]\n"
+        "witness:\n"
+        "  [[{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '2'}],"
+        " [{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '1'}]]\n"
+        "round_trip_matrix:\n"
+        "2  0  0  0\n"
+        "0  4  0  0\n"
+        "0  0  2  0\n"
+        "0  0  0  4\n"
+        "round_trip_scale: 2")
+    assert refused == (
+        "exit_code: 2\n"
+        "error: negative similitude ratio needs the complex scalar mode\n"
+        "detail:\n"
+        "  similitude_ratio: -1\n"
+        "  reason: negative-ratio\n"
+        "  suggested_mode: complex\n")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, _ = run_cli(capsys, ["--command", "lift", "--output", str(target)],

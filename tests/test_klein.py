@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from exactga.algebra import AlgebraError, NotAVersorError, Versor, proportional, sandwich
+from exactga.algebra import (
+    AlgebraError,
+    AlgebraMismatchError,
+    NotAVersorError,
+    Versor,
+    proportional,
+    sandwich,
+)
 from exactga.blades import Blade, BladeError
 from exactga.klein import (
     ComplexRequiredError,
@@ -29,6 +36,7 @@ from exactga.klein import (
     vector_to_null_polarity,
     versor_to_proj,
 )
+from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul, proportionality
 from exactga.scalars import ComplexRational, ScalarError, scalar_sqrt
 from helpers import (
@@ -664,6 +672,18 @@ def test_polarity_json_roundtrip(reference_polarities):
     assert NullPolarity.from_json(data) == p
 
 
+def test_klein_entry_points_refuse_sphere_elements():
+    sphere = lie_algebra()
+    with pytest.raises(AlgebraMismatchError):
+        versor_to_proj(sphere.e(1, 2) + 3, "points")
+    with pytest.raises(AlgebraMismatchError):
+        vector_to_null_polarity(sphere.e(1), "points")
+    with pytest.raises(AlgebraMismatchError):
+        coefficient_vector(sphere.e(1, 2) + 3, "even")
+    with pytest.raises(AlgebraMismatchError):
+        vector_sandwich_matrix(sphere.e(1))
+
+
 def test_coefficient_vector_roundtrip(reference_versor):
-    coeffs = coefficient_vector(reference_versor, "even")[1:]
+    coeffs = coefficient_vector(reference_versor, "even")
     assert multivector_from_coefficients(coeffs, "even") == reference_versor
