@@ -18,6 +18,16 @@ rank-6 models, so products run on Python integers.  The accessors
 (``coeff``, ``terms``, ``coordinates``, ``scalar_part``, ``norm``) return the
 public ``Fraction`` / ``ComplexRational`` form.
 
+The geometric product of Gaussian coefficients runs on their parts: ``_split``
+gives each coefficient as (real, imaginary) ints or Fractions, each pair of
+blades multiplies them once, (a + ib)(c + id) = (ac - bd) + i(ad + bc), the
+real table entries scale a real and an imaginary sum apart, and each result
+term is recombined once by ``scalars._make`` (an imaginary part that cancels
+leaves an ``int``).  Each multivector records at construction whether it
+holds a ``ComplexRational``; a product of two real ones, every product in
+rational mode, multiplies the coefficients as they are, as do the outer and
+inner products.
+
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra product cache, is filled idempotently, so concurrent
 use needs no coordination.
@@ -31,7 +41,16 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .linalg import Matrix, ratio
-from .scalars import ComplexRational, Scalar, as_scalar, canonical, div, format_scalar, public
+from .scalars import (
+    ComplexRational,
+    Scalar,
+    _make,
+    as_scalar,
+    canonical,
+    div,
+    format_scalar,
+    public,
+)
 
 
 class AlgebraError(ValueError):
@@ -52,6 +71,9 @@ class NullVersorError(AlgebraError):
 
 class NotAVersorError(AlgebraError):
     pass
+
+
+_set = object.__setattr__
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -83,6 +105,9 @@ class Algebra:
         self.dim = form.rows
         self._metric = tuple(tuple(canonical(form[i, j]) for j in range(self.dim))
                              for i in range(self.dim))
+        if any(type(c) is ComplexRational for row in self._metric for c in row):
+            # the product splits Gaussian coefficients against real blade tables
+            raise AlgebraError("form matrix must be real")
         self._degenerate = not form.det()
         self._gp_cache: dict[tuple[int, int], dict[int, Scalar]] = {}
 
@@ -244,6 +269,31 @@ class Algebra:
         return f"Algebra(dim={self.dim}, signature=({p},{q},{r}))"
 
 
+def _split(terms: dict) -> dict:
+    """Each coefficient as its real and imaginary part, ints or Fractions."""
+    return {m: (c.re, c.im) if type(c) is ComplexRational else (c, 0) for m, c in terms.items()}
+
+
+def _gaussian_product(alg: Algebra, x: dict, y: dict) -> dict:
+    """Geometric product of term dicts on the parts of their coefficients (module docstring)."""
+    lookup = alg._gp_cache.get
+    blade_gp = alg.blade_gp
+    real: dict[int, Scalar] = {}
+    imag: dict[int, Scalar] = {}
+    real_get, imag_get = real.get, imag.get
+    y_parts = _split(y).items()
+    for a, (ar, ai) in _split(x).items():
+        for b, (br, bi) in y_parts:
+            table = lookup((a, b))
+            if table is None:
+                table = blade_gp(a, b)
+            pr, pi = ar * br - ai * bi, ar * bi + ai * br
+            for m, c in table.items():
+                real[m] = real_get(m, 0) + pr * c
+                imag[m] = imag_get(m, 0) + pi * c
+    return {m: _make(r, imag[m]) for m, r in real.items()}
+
+
 def _blade_name(mask: int) -> str:
     if mask == 0:
         return ""
@@ -256,18 +306,25 @@ class Multivector:
     The coefficients are stored in the internal form of ``scalars.canonical``.
     """
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("algebra", "_terms", "_complex")
 
     def __init__(self, algebra: Algebra, terms: dict[int, object]):
         clean = {}
+        is_complex = False
+        dim = algebra.dim
         for mask, coeff in terms.items():
-            c = coeff if type(coeff) is int else canonical(coeff)
+            if type(coeff) is int:
+                c = coeff
+            else:
+                c = canonical(coeff)
+                is_complex = is_complex or type(c) is ComplexRational
             if c:
-                if mask < 0 or mask >> algebra.dim:
+                if mask < 0 or mask >> dim:
                     raise AlgebraError(f"mask {mask} outside the algebra")
                 clean[mask] = c
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "_terms", clean)
+        _set(self, "algebra", algebra)
+        _set(self, "_terms", clean)
+        _set(self, "_complex", is_complex)  # some coefficient is a ComplexRational
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -377,20 +434,25 @@ class Multivector:
     # -- products -------------------------------------------------------------
 
     def gp(self, other: "Multivector") -> "Multivector":
-        """Geometric product."""
-        self._check(other)
+        """Geometric product; Gaussian coefficients are multiplied as pairs of parts."""
+        alg = self.algebra
+        if other.algebra is not alg:
+            self._check(other)
+        if self._complex or other._complex:
+            return Multivector(alg, _gaussian_product(alg, self._terms, other._terms))
+        lookup = alg._gp_cache.get
+        blade_gp = alg.blade_gp
         acc: dict[int, Scalar] = {}
-        cache = self.algebra._gp_cache
-        blade_gp = self.algebra.blade_gp
+        get = acc.get
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
-                table = cache.get((a, b))
+                table = lookup((a, b))
                 if table is None:
                     table = blade_gp(a, b)
                 cab = ca * cb
                 for m, c in table.items():
-                    acc[m] = acc.get(m, 0) + cab * c
-        return Multivector(self.algebra, acc)
+                    acc[m] = get(m, 0) + cab * c
+        return Multivector(alg, acc)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Outer product, metric-free on the wedge basis."""

@@ -159,26 +159,45 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     Returns the factors in product order (leftmost first); the rightmost
     factor is the first one extracted by the descent.  Raises BladeError
     when a maximal-grade part is not a blade.
+
+    The descent runs first and needs no norm when it succeeds: it ends with
+    g v_1 ... v_k equal to a nonzero scalar or a non-null vector w, and every
+    v_i is non-null, so g = w v_k^-1 ... v_1^-1 is a product of invertible
+    vectors and its norm is nonzero.  Only a failed descent, or one that
+    ends in a null vector or a mixed-grade remainder, computes ``g.norm()``:
+    a null or non-versor input is then refused with ``NullVersorError`` or
+    ``NotAVersorError``, as by a check before the descent, and any other
+    input with the descent's own error.
     """
     if isinstance(g, Versor):
         g = g.value
     if g.is_zero():
         raise NullVersorError("zero element cannot be factorized")
-    if not g.norm():
-        raise NullVersorError("null versors are outside the factorization domain")
     extracted: list[Multivector] = []
     current = g
-    while (k := current.max_grade()) >= 2:
-        space = opns_of_multivector(current.grade(k))
-        if len(space) != k:
-            raise BladeError(f"grade-{k} element is not decomposable")
-        v = choose_nonnull_vector(space)
-        nxt = current.gp(v)
-        if nxt.is_zero() or nxt.max_grade() != k - 1:
-            raise AlgebraError("grade descent failed to reduce the maximal grade")
-        extracted.append(v)
-        current = nxt
+    try:
+        while (k := current.max_grade()) >= 2:
+            space = opns_of_multivector(current.grade(k))
+            if len(space) != k:
+                raise BladeError(f"grade-{k} element is not decomposable")
+            v = choose_nonnull_vector(space)
+            nxt = current.gp(v)
+            if nxt.is_zero() or nxt.max_grade() != k - 1:
+                raise AlgebraError("grade descent failed to reduce the maximal grade")
+            extracted.append(v)
+            current = nxt
+    except AlgebraError:
+        _require_nonzero_norm(g)
+        raise
     if current.max_grade() == 1:
+        if current.grades() != {1} or not bilinear(current, current):
+            _require_nonzero_norm(g)  # a mixed-grade remainder then fails in _coordinates
         extracted.append(current)
     alg = g.algebra
     return [alg.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]
+
+
+def _require_nonzero_norm(g: Multivector) -> None:
+    """Raise NotAVersorError or NullVersorError when g g* is not a nonzero scalar."""
+    if not g.norm():
+        raise NullVersorError("null versors are outside the factorization domain")

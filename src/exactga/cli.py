@@ -18,13 +18,14 @@ import sys
 import traceback
 from contextlib import contextmanager
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, Multivector
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
 from .klein import (
     ComplexRequiredError,
     ProjTransform4,
     SingularTransformError,
     coefficient_vector,
+    klein_algebra,
     proj_to_versor,
     versor_to_proj,
 )
@@ -157,18 +158,33 @@ _HANDLERS = {
 }
 
 
+def _terms_text(terms: list) -> str:
+    # the reports with terms (factorize, lift) are all in line geometry
+    return Multivector.from_json(klein_algebra(), terms).to_text()
+
+
 def _format_text(report: dict, indent: str = "") -> str:
+    """Readable report: multivectors in blade notation, matrices as aligned rows."""
     lines = []
+    inner = indent + "  "
     for key, value in report.items():
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
-            lines.append(_format_text(value, indent + "  "))
+            lines.append(_format_text(value, inner))
+        elif key == "versor":
+            lines.append(f"{indent}{key}: {_terms_text(value)}")
+        elif key in ("factors", "witness") and value:  # one factor per line
+            lines.append(f"{indent}{key}:")
+            lines.extend(inner + _terms_text(terms) for terms in value)
+        elif key == "polarities":
+            lines.append(f"{indent}{key}:")
+            for polarity in value:
+                lines.append(f"{inner}{polarity['action']}:")
+                rows = str(Matrix.from_json(polarity["matrix"])).split("\n")
+                lines.extend(inner + "  " + row for row in rows)
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{indent}{key}:")
-            try:
-                lines.append(str(Matrix.from_json(value)))
-            except (LinAlgError, ScalarError):  # a list of lists that is not a matrix
-                lines.append(f"{indent}  {value}")
+            lines.append(str(Matrix.from_json(value)))
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)

@@ -61,20 +61,25 @@ class SingularTransformError(AlgebraError):
     pass
 
 
-class ComplexRequiredError(AlgebraError):
+class _LiftRefusal(AlgebraError):
+    """A refused lift, with the ``diagnosis`` dict the CLI reports."""
+
+    def __init__(self, message: str, diagnosis: dict):
+        super().__init__(message)
+        self.diagnosis = diagnosis
+
+
+class ComplexRequiredError(_LiftRefusal):
     """Raised in rational mode when only a complex versor can induce the map."""
 
-    def __init__(self, message: str, diagnosis: dict):
-        super().__init__(message)
-        self.diagnosis = diagnosis
 
-
-class NotLiftableError(AlgebraError):
+class NotLiftableError(_LiftRefusal):
     """No exact versor exists over the requested scalar field."""
 
-    def __init__(self, message: str, diagnosis: dict):
-        super().__init__(message)
-        self.diagnosis = diagnosis
+
+def _check_action(action: str) -> None:
+    if action not in ("points", "planes"):
+        raise AlgebraError("action must be 'points' or 'planes'")
 
 
 @lru_cache(maxsize=1)
@@ -213,8 +218,7 @@ class ProjTransform4:
     def __post_init__(self):
         if self.kind not in ("collineation", "correlation"):
             raise AlgebraError("kind must be 'collineation' or 'correlation'")
-        if self.action not in ("points", "planes"):
-            raise AlgebraError("action must be 'points' or 'planes'")
+        _check_action(self.action)
         if (self.matrix.rows, self.matrix.cols) != (4, 4):
             raise AlgebraError("transform matrix must be 4x4")
         det = self.matrix.det()
@@ -242,8 +246,7 @@ class NullPolarity:
     action: str
 
     def __post_init__(self):
-        if self.action not in ("points", "planes"):
-            raise AlgebraError("action must be 'points' or 'planes'")
+        _check_action(self.action)
         if (self.matrix.rows, self.matrix.cols) != (4, 4):
             raise AlgebraError("polarity matrix must be 4x4")
         if not self.matrix.is_skew():
@@ -311,13 +314,9 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
         raise AlgebraMismatchError("null polarities come from line-geometry elements")
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("null polarities come from grade-1 elements")
+    _check_action(action)
     x = a._coordinates()
-    if action == "points":
-        m = _skew([-c for c in _swap_halves(x)])
-    elif action == "planes":
-        m = _skew(x)
-    else:
-        raise AlgebraError("action must be 'points' or 'planes'")
+    m = _skew([-c for c in _swap_halves(x)] if action == "points" else x)
     return NullPolarity(m, action)
 
 
@@ -432,8 +431,7 @@ def versor_to_proj(g: Multivector | Versor, action: str,
         g = g.value
     if not g.algebra.same_as(klein_algebra()):
         raise AlgebraMismatchError("coefficient tables need a line-geometry element")
-    if action not in ("points", "planes"):
-        raise AlgebraError("action must be 'points' or 'planes'")
+    _check_action(action)
     parity = g.parity()
     if parity is None:
         raise NotAVersorError("mixed-parity element cannot be a versor")

@@ -184,8 +184,13 @@ def canonical(value):
     """The internal form of an exact scalar (see the module docstring).
 
     Strings are parsed, and floats and booleans refused, as by ``as_scalar``.
+    An internal Gaussian integer (``int`` parts, the imaginary one nonzero,
+    the only kind of ``ComplexRational`` with ``int`` parts that ``_make``
+    builds) is returned as it is.
     """
     if type(value) is int:
+        return value
+    if type(value) is ComplexRational and type(value.re) is int and type(value.im) is int:
         return value
     if not isinstance(value, (Fraction, ComplexRational)):
         value = as_scalar(value)

@@ -3,9 +3,9 @@
 The diagonal-basis product here is a from-scratch implementation (bitmask
 transposition counting over an orthogonal basis) used to cross-check the
 library's metric-contraction product; it shares no code with the package.
-The adjugate, the linear solve, the span membership test and the published
-coefficient tables serve only as oracles, so they live here rather than in
-the package.
+The adjugate, the linear solve, the span membership test, the published
+coefficient tables, the per-term geometric product and the norm-first
+descent serve only as oracles, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from exactga.algebra import Algebra, Multivector
+from exactga.algebra import Algebra, Multivector, NullVersorError
+from exactga.blades import factorize_versor
 from exactga.klein import coefficient_vector
 from exactga.linalg import LinAlgError, Matrix, determinant, rref
 
@@ -133,6 +134,30 @@ def orthogonal_oracle_gp(x: Multivector, y: Multivector) -> Multivector:
     pf = diag_gp(xf, yf, KLEIN_F_SQUARES)
     pe = wedge_change_of_basis(pf, f2e)
     return Multivector(x.algebra, pe)
+
+
+def per_term_gp(x: Multivector, y: Multivector) -> Multivector:
+    """The geometric product with one scalar multiplication per coefficient pair.
+
+    Gaussian coefficients are multiplied as ``ComplexRational``s, so this
+    shares only the cached blade tables with ``Multivector.gp``.
+    """
+    acc = {}
+    for a, ca in x._terms.items():
+        for b, cb in y._terms.items():
+            cab = ca * cb
+            for m, c in x.algebra.blade_gp(a, b).items():
+                acc[m] = acc.get(m, 0) + cab * c
+    return Multivector(x.algebra, acc)
+
+
+def norm_first_factorize(g: Multivector) -> list[Multivector]:
+    """The descent behind an up-front check that g g* is a nonzero scalar."""
+    if g.is_zero():
+        raise NullVersorError("zero element cannot be factorized")
+    if not g.norm():
+        raise NullVersorError("null versors are outside the factorization domain")
+    return factorize_versor(g)
 
 
 def cofactor_det(m: Matrix) -> Fraction:

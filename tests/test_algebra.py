@@ -297,6 +297,11 @@ def test_algebra_mismatch():
         E(1).gp(lie_algebra().e(1))
 
 
+def test_algebra_refuses_a_complex_form():
+    with pytest.raises(AlgebraError, match="must be real"):
+        Algebra(Matrix.from_rows([["1i", 0], [0, 1]]))
+
+
 def test_text_and_json_roundtrip():
     x = KLEIN.scalar(7) + 6 * E(1, 2) - 6 * E(1, 3)
     assert x.to_text() == "7 + 6*e12 - 6*e13"

@@ -257,17 +257,24 @@ HALF_TURN_JOB = {"matrix": as_str_matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 
 
 
 def test_text_format_factorize(capsys):
-    # the factors are lists of lists that are no matrix, so they print as data
+    # one factor per line in blade notation, each polarity as its action and matrix
     code, out = run_cli(capsys, ["--command", "factorize", "--format", "text"], HALF_TURN_JOB)
     assert code == 0
     assert out == (
         "factors:\n"
-        "  [[{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '2'}],"
-        " [{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '1'}]]\n"
-        "polarities: [{'matrix': [['0', '0', '1', '0'], ['0', '0', '0', '-2'],"
-        " ['-1', '0', '0', '0'], ['0', '2', '0', '0']], 'action': 'planes', 'skew': True},"
-        " {'matrix': [['0', '0', '-1', '0'], ['0', '0', '0', '1'], ['1', '0', '0', '0'],"
-        " ['0', '-1', '0', '0']], 'action': 'points', 'skew': True}]\n"
+        "  e2 + 2*e5\n"
+        "  e2 + e5\n"
+        "polarities:\n"
+        "  planes:\n"
+        "     0  0  1   0\n"
+        "     0  0  0  -2\n"
+        "    -1  0  0   0\n"
+        "     0  2  0   0\n"
+        "  points:\n"
+        "    0   0  -1  0\n"
+        "    0   0   0  1\n"
+        "    1   0   0  0\n"
+        "    0  -1   0  0\n"
         "scale: 1\n"
         "verified: True\n")
 
@@ -287,10 +294,10 @@ def test_text_format_batch(capsys):
         "exit_code: 0\n"
         "parity: even\n"
         f"coefficients: {coefficients}\n"
-        "versor: [{'mask': 0, 'coeff': '3'}, {'mask': 18, 'coeff': '-1'}]\n"
+        "versor: 3 - e25\n"
         "witness:\n"
-        "  [[{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '2'}],"
-        " [{'mask': 2, 'coeff': '1'}, {'mask': 16, 'coeff': '1'}]]\n"
+        "  e2 + 2*e5\n"
+        "  e2 + e5\n"
         "round_trip_matrix:\n"
         "2  0  0  0\n"
         "0  4  0  0\n"

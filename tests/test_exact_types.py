@@ -8,7 +8,10 @@ requires that no float is ever stored in a Multivector or Matrix or returned
 by a public call.  The others pin the public types of the accessors and
 parsers, and of every call that returns a single scalar: ``Fraction``, or
 ``ComplexRational`` with ``Fraction`` parts, although Matrix entries too are
-stored in the internal form.
+stored in the internal form.  The last two pin the internal form itself:
+the geometric product, which multiplies Gaussian coefficients as pairs of
+parts, stores what the per-term product stores, and no stored
+``ComplexRational`` has a zero imaginary part.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from exactga.algebra import Algebra, Multivector, Versor, proportional
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational, as_scalar, canonical, parse_scalar
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
-from helpers import adjugate, rand_versor, solve_linear
+from helpers import adjugate, per_term_gp, rand_versor, solve_linear
 
 MODULES = (scalars, linalg, algebra, blades, klein, lie, factorize, cli)
 
@@ -230,3 +233,67 @@ def test_parsers_and_coercion_return_public_types():
     # an internal Gaussian integer comes back with Fraction parts
     values.append(as_scalar(canonical(ComplexRational(4, 2))))
     assert all(is_public(x) for x in values), [x for x in values if not is_public(x)]
+
+
+def storage(mv: Multivector) -> list:
+    """The stored terms with the exact type of each coefficient and part."""
+    out = []
+    for m, c in mv._terms.items():
+        parts = (c.re, c.im) if type(c) is ComplexRational else (c,)
+        out.append((m, type(c), tuple((type(x), x) for x in parts)))
+    return out
+
+
+def rand_coefficient(rng: random.Random, kind: str):
+    n = rng.randint(-3, 3)
+    if kind == "int":
+        return n
+    if kind == "fraction":
+        return Fraction(n, rng.choice((2, 3)))
+    im = rng.choice((-2, -1, 1, 3))
+    if kind == "gaussian":
+        return ComplexRational(n, im)
+    return ComplexRational(Fraction(n, rng.choice((1, 2))), Fraction(im, rng.choice((2, 3))))
+
+
+def test_split_product_matches_the_per_term_oracle():
+    rng = random.Random("exact-types/split-gp")
+    kinds = ("int", "fraction", "gaussian", "gaussian-rational")
+    for alg in (klein.klein_algebra(), lie.lie_algebra()):
+        masks = alg.basis_masks()
+        for _ in range(150):
+            operands = []
+            for allowed in (rng.choice(kinds[:2]), rng.choice(kinds)):
+                terms = {rng.choice(masks): rand_coefficient(rng, rng.choice(("int", allowed)))
+                         for _ in range(rng.randint(1, 8))}
+                operands.append(alg.mv(terms))
+            if rng.random() < 0.5:
+                operands.reverse()  # real times complex and complex times real
+            x, y = operands
+            for a, b in ((x, y), (y, y), (y, y.conjugate())):
+                assert storage(a.gp(b)) == storage(per_term_gp(a, b))
+    # an imaginary part that cancels is stored as an int
+    e = klein.klein_algebra().e
+    i = ComplexRational(0, 1)
+    product = (e(1) * i).gp(e(4) * i)
+    assert product == -1 - e(1, 4)
+    assert [t for _, t, _ in storage(product)] == [int, int]
+
+
+def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
+    stored = []
+    for cls, hook in ((Multivector, "__init__"), (Matrix, "__post_init__")):
+        original = getattr(cls, hook)
+
+        def record(self, *args, _original=original, **kwargs):
+            _original(self, *args, **kwargs)
+            values = self._terms.values() if isinstance(self, Multivector) else self.entries
+            stored.extend(c for c in values if type(c) is ComplexRational)
+
+        monkeypatch.setattr(cls, hook, record)
+    for action in ("points", "planes"):
+        t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), "collineation", action)
+        result = factorize.factorize_matrix(t, "complex")
+        assert factorize.verify_factorization(result, t)
+    assert len(stored) > 1000
+    assert all(c.im for c in stored)

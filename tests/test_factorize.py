@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactga.algebra import NullVersorError, proportional
+from exactga.algebra import AlgebraError, NotAVersorError, NullVersorError, proportional
 from exactga.factorize import (
     FactorizationResult,
     NoNonNullVectorError,
@@ -23,7 +23,13 @@ from exactga.klein import (
 from exactga.blades import Blade, BladeError
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul
-from helpers import rand_versor, vector_in_span
+from helpers import (
+    norm_first_factorize,
+    rand_invertible_vector,
+    rand_multivector,
+    rand_versor,
+    vector_in_span,
+)
 
 KLEIN = klein_algebra()
 E = KLEIN.e
@@ -123,6 +129,54 @@ def test_factorize_rejects_null_versors():
         factorize_versor(E(1))
     with pytest.raises(NullVersorError):
         factorize_versor(KLEIN.zero())
+
+
+# the smallest input found for each refusal of the descent, with its class and message
+REFUSALS = [
+    (KLEIN, lambda e: -e(5) - e(1, 2), NotAVersorError, "v v\\* is not scalar"),
+    (KLEIN, lambda e: -e(6), NullVersorError, "null versors are outside"),
+    (KLEIN, lambda e: 1 - e(2), AlgebraError, "not a pure vector"),
+    # a mixed-grade remainder of a null element: (2 + v)(2 - v) = 4 - b(v, v) = 0
+    (KLEIN, lambda e: 2 + 2 * e(1) + e(4), NullVersorError, "null versors are outside"),
+    (KLEIN, lambda e: -e(2) + e(3) - e(5) - e(2, 3, 5), NoNonNullVectorError,
+     "span is totally isotropic"),
+    (lie_algebra(), lambda e: -e(3) - e(1, 3), AlgebraError,
+     "grade descent failed to reduce the maximal grade"),
+    (lie_algebra(), lambda e: e(1) - e(2, 3, 4, 5, 6), BladeError,
+     "grade-3 element is not decomposable"),
+]
+
+
+@pytest.mark.parametrize("alg, build, error, message", REFUSALS)
+def test_factorize_refusal_classes(alg, build, error, message):
+    with pytest.raises(AlgebraError, match=message) as caught:
+        factorize_versor(build(alg.e))
+    assert type(caught.value) is error
+
+
+def outcome(factorize, g):
+    try:
+        return [f.to_json() for f in factorize(g)]
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def test_factorize_matches_the_norm_first_oracle():
+    # versors, products through a null vector, and versors with one term perturbed
+    rng = random.Random("factorize/norm-first")
+    seen = set()
+    for alg in (KLEIN, lie_algebra()):
+        for i in range(250):
+            g, _ = rand_versor(rng, alg, rng.randint(1, 6))
+            if i % 3 == 1:
+                null = alg.e(rng.randint(1, 6)) if alg is KLEIN else alg.e(1) + alg.e(5)
+                g = g.gp(null).gp(rand_invertible_vector(rng, alg))
+            elif i % 3 == 2:
+                g = g + rand_multivector(rng, alg, n_terms=1)
+            expected = outcome(norm_first_factorize, g)
+            assert outcome(factorize_versor, g) == expected
+            seen.add(expected[0] if isinstance(expected, tuple) else list)
+    assert {list, NotAVersorError, NullVersorError} <= seen
 
 
 def test_factorize_random_versors_bound_and_parity():

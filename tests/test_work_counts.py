@@ -3,11 +3,15 @@
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, a repeated similitude product, a
 blade sum in the lift, a second outer null space per descent step or
-classification, or a recomputed determinant fails here even when its
-output stays the same.  The storage guards require the integer core: int
-blade and coefficient tables, and int or Gaussian-int coefficients in every multivector of
-a descent and in every matrix of the linear algebra.
+classification, a norm product in a successful descent, or a
+``ComplexRational`` multiplication inside the geometric product fails here
+even when its output stays the same.  The storage guards require the
+integer core: int blade and coefficient tables, and int or Gaussian-int
+coefficients in every multivector of a descent and in every matrix of the
+linear algebra.
 """
+
+import random
 
 import exactga.blades as blades
 import exactga.factorize as factorize
@@ -18,6 +22,7 @@ from exactga.lie import lie_algebra
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
+from helpers import rand_versor
 
 
 def counting(monkeypatch, owner, attr):
@@ -87,6 +92,36 @@ def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
     steps = value.max_grade() - 1
     assert steps >= 2 and len(factors) == steps + 1
     assert len(kernels) == steps
+
+
+def lifted(rows, mode) -> Multivector:
+    t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+    return klein.proj_to_versor(t, mode).value
+
+
+def test_descent_multiplies_once_per_step(monkeypatch):
+    # a successful descent proves the norm nonzero, so it forms no g g*
+    versors = [lifted(REFERENCE_COLLINEATION, "rational"), lifted(COMPLEX_VARIANT, "complex"),
+               rand_versor(random.Random("work/lie"), lie_algebra(), 5)[0]]
+    for value in versors:
+        products = counting(monkeypatch, Multivector, "gp")
+        factors = blades.factorize_versor(value)
+        monkeypatch.undo()
+        steps = value.max_grade() - 1
+        assert steps >= 3 and len(factors) == steps + 1
+        assert len(products) == steps
+
+
+def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
+    value = lifted(COMPLEX_VARIANT, "complex")
+    conjugate = value.conjugate()
+    assert all(is_integral_storage(c) for c in value._terms.values())
+    assert any(type(c) is ComplexRational for c in value._terms.values())
+    left = counting(monkeypatch, ComplexRational, "__mul__")
+    right = counting(monkeypatch, ComplexRational, "__rmul__")
+    norm = value.gp(conjugate)
+    assert left == [] and right == []
+    assert norm.is_scalar() and norm.scalar_part()
 
 
 def test_classification_computes_one_outer_null_space(monkeypatch):
