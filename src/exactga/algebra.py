@@ -621,6 +621,13 @@ class Versor:
                 raise AlgebraError("witness product does not match the versor value")
 
     @classmethod
+    def _proved(cls, value: Multivector, parity: str, witness: tuple) -> "Versor":
+        """A versor whose caller proved the witness: its product is not formed."""
+        versor = object.__new__(cls)
+        versor.__dict__.update(value=value, parity=parity, witness=witness)
+        return versor
+
+    @classmethod
     def from_vectors(cls, algebra: Algebra, vectors: Sequence[Multivector]) -> "Versor":
         prod = algebra.scalar(1)
         for v in vectors:

@@ -164,7 +164,7 @@ def _terms_text(terms: list) -> str:
 
 
 def _format_text(report: dict, indent: str = "") -> str:
-    """Readable report: multivectors in blade notation, matrices as aligned rows."""
+    """Readable report: blade notation, aligned matrix rows, space-separated scalars."""
     lines = []
     inner = indent + "  "
     for key, value in report.items():
@@ -185,6 +185,8 @@ def _format_text(report: dict, indent: str = "") -> str:
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{indent}{key}:")
             lines.append(str(Matrix.from_json(value)))
+        elif isinstance(value, list) and value and all(isinstance(x, str) for x in value):
+            lines.append(f"{indent}{key}: {' '.join(value)}")  # coefficients, coordinates
         else:
             lines.append(f"{indent}{key}: {value}")
     return "\n".join(lines)

@@ -4,33 +4,28 @@ polarities, and its exact certificate.
 A transformation is lifted to a versor, whose grade-descent witness (see
 ``blades.factorize_versor``) gives at most six vectors.  Each vector becomes
 a null polarity, and the product of the polarities is certified exactly
-proportional to the input.  The descent names are re-exported here, which is
-their public path.
+proportional to the input, once, inside the lift (``klein.proj_to_versor``).
+The descent names are re-exported here, which is their public path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, Multivector
+from .algebra import Multivector
 from .blades import NoNonNullVectorError, choose_nonnull_vector, factorize_versor
 from .klein import (
     NullPolarity,
     ProjTransform4,
+    _alternating_actions,
+    _lift,
+    _polarity_product,
     klein_algebra,
     klein_form_value,
     null_polarity_to_vector,
-    proj_to_versor,
-    vector_to_null_polarity,
 )
-from .linalg import Matrix, mat_mul, proportionality
+from .linalg import Matrix
 from .scalars import Scalar, as_scalar, format_scalar
-
-
-def _alternating_actions(count: int, innermost: str) -> list[str]:
-    other = "planes" if innermost == "points" else "points"
-    # leftmost-first list; the rightmost factor carries the innermost action
-    return [innermost if (count - 1 - i) % 2 == 0 else other for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -58,16 +53,8 @@ class FactorizationResult:
         factors = tuple(Multivector.from_json(klein_algebra(), f) for f in data["factors"])
         polarities = tuple(NullPolarity.from_json(p) for p in data["polarities"])
         scale = as_scalar(data["scale"])
-        product = _polarity_product(polarities)
-        residual = product - transform.matrix.scale(scale)
+        residual = _polarity_product(polarities) - transform.matrix.scale(scale)
         return cls(factors, polarities, scale, residual)
-
-
-def _polarity_product(polarities) -> Matrix:
-    product = Matrix.identity(4)
-    for p in polarities:
-        product = mat_mul(product, p.matrix)
-    return product
 
 
 def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> FactorizationResult:
@@ -76,21 +63,10 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     Pipeline: lift to a versor, run the grade descent, convert each vector
     factor to its skew matrix with alternating point/plane action (the
     rightmost factor acts like the input), and certify the exact identity
-    product = scale * input.
+    product = scale * input, all within the lift (``klein._lift``).
     """
-    versor = proj_to_versor(t, scalar_mode)
-    vectors = list(versor.witness or ())
-    actions = _alternating_actions(len(vectors), t.action)
-    polarities = tuple(vector_to_null_polarity(v, a) for v, a in zip(vectors, actions))
-    product = _polarity_product(polarities)
-    scale = proportionality(product, t.matrix)
-    if scale is None:
-        raise AlgebraError("polarity product is not proportional to the input")
-    residual = product - t.matrix.scale(scale)
-    result = FactorizationResult(tuple(vectors), polarities, scale, residual)
-    if not result.residual.is_zero():
-        raise AlgebraError("factorization certificate failed the exact check")
-    return result
+    versor, polarities, scale, product = _lift(t, scalar_mode)
+    return FactorizationResult(versor.witness, polarities, scale, product - t.matrix.scale(scale))
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:

@@ -479,20 +479,20 @@ def induced_line_map(t: ProjTransform4) -> Sandwich6:
 
 
 def _normalization_scale(lam: Scalar, scalar_mode: str) -> Scalar:
-    diagnosis = {"similitude_ratio": format_scalar(lam)}
+    root = None if imag_part(lam) else scalar_sqrt(real_part(lam))
+    if root is not None and not (imag_part(root) and scalar_mode == "rational"):
+        return root
+    diagnosis = {"similitude_ratio": format_scalar(lam)}  # only a refusal formats the ratio
     if imag_part(lam):
         raise NotLiftableError("no exact versor: the similitude ratio is not real",
                                diagnosis | {"reason": "non-real-ratio"})
-    root = scalar_sqrt(real_part(lam))
     if root is None:
         raise NotLiftableError(
             "no exact versor: |similitude ratio| is not a rational square",
             diagnosis | {"reason": "irrational-scale"})
-    if imag_part(root) and scalar_mode == "rational":
-        raise ComplexRequiredError(
-            "negative similitude ratio needs the complex scalar mode",
-            diagnosis | {"reason": "negative-ratio", "suggested_mode": "complex"})
-    return root
+    raise ComplexRequiredError(
+        "negative similitude ratio needs the complex scalar mode",
+        diagnosis | {"reason": "negative-ratio", "suggested_mode": "complex"})
 
 
 def _cofactor_matrix(a: Matrix) -> Matrix:
@@ -513,56 +513,71 @@ def _cofactor_matrix(a: Matrix) -> Matrix:
     return Matrix.from_rows(list(zip(*cols)))
 
 
-def _checked_lift(g: Multivector, G: Matrix, s: Scalar, parity: str) -> Multivector:
-    """g if alpha(g) (s e_j) = G(e_j) g on all six basis vectors (alpha(g) = -g if odd).
-
-    Since s != 0 this is alpha(g) e_j = (G/s)(e_j) g; scaling by s instead of
-    dividing by it keeps the products integral when G and g are.
-    """
-    alg = klein_algebra()
-    se = s if parity == "even" else -s
-    if g.is_zero() or not all(g.gp(alg.mv({1 << j: se})) == alg.vector(G.col(j)).gp(g)
-                              for j in range(6)):
-        raise NotLiftableError("no versor of the requested parity induces this map",
-                               {"reason": "empty-kernel"})
-    return g
+def _alternating_actions(count: int, innermost: str) -> list[str]:
+    other = "planes" if innermost == "points" else "points"
+    # leftmost-first list; the rightmost factor carries the innermost action
+    return [innermost if (count - 1 - i) % 2 == 0 else other for i in range(count)]
 
 
-def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
-    """Lift a regular projective transformation to a versor with witness.
+def _polarity_product(polarities) -> Matrix:
+    product = Matrix.identity(4)
+    for p in polarities:
+        product = mat_mul(product, p.matrix)
+    return product
 
-    The induced line map G is normalized by the exact square root s of its
-    similitude ratio, so T = G/s is an isometry.  A versor's point table P
-    and plane table Q satisfy Q = +-adj(P)^T / sqrt(det P), so g is read off
-    as M^T (P, Q), with no linear solve: (P, Q) = (s A, adj(A)^T) for the
-    points action, (adj(A)^T, (s / det A) A) for the planes action.  This
-    root s picks the branch with alpha(g) x = T(x) g, checked exactly as
-    alpha(g) (s x) = G(x) g.  The grade descent supplies the witness.  An
-    exact lift exists precisely when the ratio is real and |ratio| is a
-    rational square; a negative ratio forces the complex scalar mode.
-    """
+
+def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
+    """(versor, polarities, scale, product) of a lift certified as in ``proj_to_versor``."""
     if scalar_mode not in ("rational", "complex"):
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
-    g6 = induced_line_map(t)
-    s = _normalization_scale(g6.similitude_ratio(), scalar_mode)
+    det = t.determinant()
+    s = _normalization_scale(det if t.action == "points" else det * det * det, scalar_mode)
     parity = "even" if t.kind == "collineation" else "odd"
     a, cofactors = t.matrix, _cofactor_matrix(t.matrix)
     if t.action == "points":
         stacked = a.scale(s).entries + cofactors.entries
     else:
-        stacked = cofactors.entries + a.scale(s / t.determinant()).entries
+        stacked = cofactors.entries + a.scale(s / det).entries
     stacked = [canonical(x) for x in stacked]
     coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
     last = next(c for c in reversed(coeffs) if c)
     g = multivector_from_coefficients(normalize_vector([div(c, last) for c in coeffs]), parity)
-    value = _checked_lift(g, g6.matrix, s, parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain
-    alternate = value.gp(klein_algebra().pseudoscalar())
-    if alternate.max_grade() < value.max_grade():
-        value = alternate
+    alternate = g.gp(klein_algebra().pseudoscalar())
+    value = alternate if alternate.max_grade() < g.max_grade() else g
     witness = tuple(factorize_versor(value))
-    return Versor(value, parity, witness)
+    actions = _alternating_actions(len(witness), t.action)
+    polarities = tuple(vector_to_null_polarity(v, act) for v, act in zip(witness, actions))
+    product = _polarity_product(polarities)
+    scale = proportionality(product, t.matrix)
+    if scale is None:
+        raise NotLiftableError("no versor of the requested parity induces this map",
+                               {"reason": "empty-kernel"})
+    return Versor._proved(value, parity, witness), polarities, scale, product
+
+
+def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
+    """Lift a regular projective transformation to a versor with witness.
+
+    The induced line map G has similitude ratio det(A) (points action) or
+    det(A)^3 (planes), so with s its exact root T = G/s is an isometry and G
+    is never built.  A versor's point table P and plane table Q satisfy
+    Q = +-adj(P)^T / sqrt(det P), so g is read off as M^T (P, Q), with no
+    linear solve: (P, Q) = (s A, adj(A)^T) for the points action,
+    (adj(A)^T, (s / det A) A) for the planes action.  An exact lift exists
+    precisely when the ratio is real and |ratio| is a rational square; a
+    negative ratio forces the complex scalar mode.
+
+    One check proves the result.  The descent ends with g v1 ... vk a
+    nonzero scalar or a non-null vector, so the witness is proportional to
+    g and is not multiplied out again.  The certificate (the witness's
+    polarity product is a multiple of A) proves that it induces A; the
+    versors inducing A are the multiples of g and g I, which induce T and
+    -T, so alpha(g) x = +-T(x) g holds unchecked.  A failed certificate
+    raises ``NotLiftableError`` with reason ``empty-kernel``.
+    """
+    return _lift(t, scalar_mode)[0]
 
 
 # -- line manifold classification -----------------------------------------------

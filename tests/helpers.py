@@ -4,8 +4,9 @@ The diagonal-basis product here is a from-scratch implementation (bitmask
 transposition counting over an orthogonal basis) used to cross-check the
 library's metric-contraction product; it shares no code with the package.
 The adjugate, the linear solve, the span membership test, the published
-coefficient tables, the per-term geometric product and the norm-first
-descent serve only as oracles, so they live here rather than in the package.
+coefficient tables, the per-term geometric product, the norm-first descent
+and the six-relation check of a lift serve only as oracles, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from exactga.algebra import Algebra, Multivector, NullVersorError
 from exactga.blades import factorize_versor
-from exactga.klein import coefficient_vector
+from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
 from exactga.linalg import LinAlgError, Matrix, determinant, rref
 
 
@@ -158,6 +159,21 @@ def norm_first_factorize(g: Multivector) -> list[Multivector]:
     if not g.norm():
         raise NullVersorError("null versors are outside the factorization domain")
     return factorize_versor(g)
+
+
+def checked_lift(g: Multivector, G: Matrix, s, parity: str) -> Multivector:
+    """g if alpha(g) (s e_j) = G(e_j) g on all six basis vectors (alpha(g) = -g if odd).
+
+    Since s != 0 this is alpha(g) e_j = (G/s)(e_j) g; scaling by s instead of
+    dividing by it keeps the products integral when G and g are.
+    """
+    alg = klein_algebra()
+    se = s if parity == "even" else -s
+    if g.is_zero() or not all(g.gp(alg.mv({1 << j: se})) == alg.vector(G.col(j)).gp(g)
+                              for j in range(6)):
+        raise NotLiftableError("no versor of the requested parity induces this map",
+                               {"reason": "empty-kernel"})
+    return g
 
 
 def cofactor_det(m: Matrix) -> Fraction:

@@ -252,6 +252,18 @@ def test_text_format(capsys):
     assert "." not in out.replace("...", "")  # exact values only, no decimals
 
 
+def test_text_format_prints_scalar_lists_space_separated(capsys):
+    payload = {
+        "a": {"variant": "sphere", "center": ["0", "0", "0"], "radius": "1"},
+        "b": {"variant": "sphere", "center": ["2", "0", "0"], "radius": "1/2"},
+    }
+    code, out = run_cli(capsys, ["--command", "lie-contact", "--format", "text"], payload)
+    assert code == 0
+    assert out == ("a_coordinates: 0 1 0 0 0 1\n"
+                   "b_coordinates: 19/8 -11/8 2 0 0 1/2\n"
+                   "contact: False\n")
+
+
 HALF_TURN_JOB = {"matrix": as_str_matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]),
                  "kind": "collineation", "action": "points"}
 
@@ -289,7 +301,7 @@ def test_text_format_batch(capsys):
     code, out = run_cli(capsys, ["--command", "factorize", "--format", "text"], batch)
     assert code == 2
     lift, refused = out.split("\n\n")
-    coefficients = ["3"] + ["0"] * 7 + ["-1"] + ["0"] * 23
+    coefficients = " ".join(["3"] + ["0"] * 7 + ["-1"] + ["0"] * 23)
     assert lift == (
         "exit_code: 0\n"
         "parity: even\n"

@@ -18,13 +18,12 @@ import pytest
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from exactga.algebra import NotAVersorError
+from exactga.algebra import NotAVersorError, proportional
 from exactga.klein import (
     ComplexRequiredError,
     NotLiftableError,
     ProjTransform4,
     SingularTransformError,
-    _checked_lift,
     _table_transpose,
     induced_line_map,
     klein_algebra,
@@ -32,9 +31,9 @@ from exactga.klein import (
     versor_to_proj,
 )
 from exactga.linalg import Matrix, mat_mul
-from exactga.scalars import ComplexRational, imag_part, rational_sqrt, real_part
+from exactga.scalars import ComplexRational, imag_part, rational_sqrt, real_part, scalar_sqrt
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
-from helpers import orthogonal_oracle_gp, rand_versor
+from helpers import checked_lift, orthogonal_oracle_gp, rand_versor
 
 KLEIN = klein_algebra()
 
@@ -151,9 +150,9 @@ def test_lift_matches_oracle_on_random_lifts(kind, action):
     assert proj_to_versor(flipped, "complex").value == _oracle_lift(flipped, "complex")
 
 
-def _refused(g, T: Matrix, parity: str) -> bool:
+def _refused(g, T: Matrix, parity: str, s=1) -> bool:
     try:
-        _checked_lift(g, T, 1, parity)
+        checked_lift(g, T, s, parity)
     except NotLiftableError as exc:
         assert exc.diagnosis == {"reason": "empty-kernel"}
         return True
@@ -195,3 +194,33 @@ def test_stacked_tables_are_inverted_by_their_transpose():
                        + versor_to_proj(g, "planes").matrix.entries)
             coeffs = [g.coeff(m) for m in KLEIN.basis_masks(parity=parity)]
             assert list(transpose.apply(stacked)) == [scale * c for c in coeffs]
+
+
+def test_lifts_pass_the_checks_they_no_longer_run():
+    """The lift trusts the descent and the certificate alone; both dropped
+    runtime checks hold on seeded lifts of every kind, action and mode."""
+    rng = random.Random("lift-oracle/dropped-checks")
+    cases = [(ProjTransform4(Matrix.from_rows(rows), "collineation", "points"), mode)
+             for rows, mode in ((REFERENCE_COLLINEATION, "rational"),
+                                (COMPLEX_VARIANT, "complex"))]
+    for kind in ("collineation", "correlation"):
+        for action in ("points", "planes"):
+            for _ in range(6):
+                t = _random_transform(rng, kind, action)
+                rows = t.matrix.row_lists()
+                flipped = Matrix.from_rows([[-x for x in rows[0]]] + rows[1:])
+                cases += [(t, "rational"), (ProjTransform4(flipped, kind, action), "complex")]
+    assert len(cases) == 50
+    for t, mode in cases:
+        versor = proj_to_versor(t, mode)
+        g6 = induced_line_map(t)
+        s = scalar_sqrt(g6.similitude_ratio())
+        value, parity = versor.value, versor.parity
+        # the six relations, for the value or its pseudoscalar partner (the branch)
+        assert (not _refused(value, g6.matrix, parity, s)
+                or not _refused(value.gp(KLEIN.pseudoscalar()), g6.matrix, parity, s))
+        # the witness multiplies out to a multiple of the value
+        product = KLEIN.scalar(1)
+        for v in versor.witness:
+            product = product.gp(v)
+        assert proportional(product, value) is not None

@@ -1,11 +1,11 @@
 """Work-count guards: the lift and the descent do each piece of work once.
 
 Each test counts calls through a monkeypatched wrapper, so a regression
-that reintroduces a cofactor inverse, a repeated similitude product, a
-blade sum in the lift, a second outer null space per descent step or
-classification, a norm product in a successful descent, or a
-``ComplexRational`` multiplication inside the geometric product fails here
-even when its output stays the same.  The storage guards require the
+that reintroduces a cofactor inverse, an induced line map, a blade sum, a
+product after the descent or a second polarity product in the lift, a
+second outer null space per descent step or classification, a norm product
+in a successful descent, or a ``ComplexRational`` multiplication inside the
+geometric product fails here even when its output stays the same.  The storage guards require the
 integer core: int blade and coefficient tables, and int or Gaussian-int
 coefficients in every multivector of a descent and in every matrix of the
 linear algebra.
@@ -45,15 +45,28 @@ def plane_correlation() -> klein.ProjTransform4:
     return klein.ProjTransform4(klein.mat_mul(polarity, m), "correlation", "planes")
 
 
-def test_lift_uses_no_adjugate_and_one_similitude_product(monkeypatch):
+def test_lift_uses_no_adjugate_and_no_induced_map(monkeypatch):
     t = plane_correlation()
     sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
-    products = counting(monkeypatch, klein, "mat_mul")
+    line_maps = counting(monkeypatch, klein, "induced_line_map")
     versor = klein.proj_to_versor(t)
     assert versor.parity == "odd"
     assert not hasattr(Matrix, "adjugate")
-    assert len(sandwiches) == 1
-    assert len(products) == 2  # one triple product M^T Q M
+    # the similitude ratio is det(A)^3, read off the regularity check
+    assert sandwiches == [] and line_maps == []
+
+
+def test_factorization_multiplies_the_polarities_once(monkeypatch):
+    for t, mode in ((plane_correlation(), "rational"),
+                    (klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT),
+                                          "collineation", "points"), "complex")):
+        chains = counting(monkeypatch, klein, "_polarity_product")
+        products = counting(monkeypatch, klein, "mat_mul")
+        result = factorize.factorize_matrix(t, mode)
+        monkeypatch.undo()
+        assert result.verified() and len(result.factors) >= 3
+        assert len(chains) == 1
+        assert len(products) == len(result.factors)  # one per factor, none for M^T Q M
 
 
 def test_planes_lift_computes_the_determinant_once(monkeypatch):
@@ -70,19 +83,23 @@ def test_lift_reads_the_versor_off_the_tables(monkeypatch):
     t = plane_correlation()
     products = counting(monkeypatch, Multivector, "gp")
     wedges = counting(monkeypatch, Multivector, "wedge")
-    before_descent = []
+    around_descent = []
     descent = klein.factorize_versor
 
     def snapshot(value):
-        before_descent.append((len(products), len(wedges)))
-        return descent(value)
+        around_descent.append((len(products), len(wedges)))
+        factors = descent(value)
+        around_descent.append((len(products), len(wedges)))
+        return factors
 
     monkeypatch.setattr(klein, "factorize_versor", snapshot)
     klein.proj_to_versor(t)
-    assert len(before_descent) == 1
-    gp_calls, wedge_calls = before_descent[0]
+    assert len(around_descent) == 2
+    gp_calls, wedge_calls = around_descent[0]
     assert wedge_calls == 0
-    assert gp_calls <= 13  # 12 for the six relations, 1 for the pseudoscalar branch
+    assert gp_calls == 1  # the pseudoscalar branch
+    # the witness is not multiplied out again after the descent
+    assert len(products) == around_descent[1][0]
 
 
 def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
