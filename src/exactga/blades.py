@@ -1,20 +1,18 @@
 """Blades, their outer / inner product null spaces, and the grade descent.
 
-OPNS and IPNS are computed by assembling the linear map ``v -> v ^ b``
-(respectively ``v -> v . b``) on grade-1 coordinates as an exact matrix and
-taking its nullspace, so one elimination code path serves both.
-
-One decomposability rule serves everywhere: a nonzero homogeneous k-vector
-is a blade exactly when its outer null space has dimension k.
+A blade's coefficients are the Grassmann coordinates of its outer null
+space (OPNS), so ``Blade`` reads that space off them and checks with k
+wedges that the k-vector is a blade, solving no linear system; this is the
+one decomposability rule.  The inner null space (IPNS) is the orthogonal
+complement of the OPNS under the form, a k-by-n system.
 
 The grade descent factorizes a versor into vectors: it repeatedly multiplies
 by a non-null vector from the outer null space of the maximal-grade blade,
-which lowers that grade by exactly one.  Each step checks the rule on the
-outer null space it needs anyway.  A versor of maximal grade k therefore
-splits into at most k vectors, and in the rank-6 models at most six.  It
-lives here, below both models, because it needs only blades and the
-algebra; ``klein`` calls it to attach the lift's witness and ``factorize``
-re-exports it.
+which lowers that grade by exactly one.  A versor of maximal grade k
+therefore splits into at most k vectors, and in the rank-6 models at most
+six.  It lives here, below both models, because it needs only blades and
+the algebra; ``klein`` calls it to attach the lift's witness and
+``factorize`` re-exports it.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
+from .algebra import _bits, _merge_sign
 from .linalg import Matrix, normalize_vector, nullspace
 
 
@@ -34,8 +33,9 @@ class Blade:
     """A homogeneous multivector that is an outer product of vectors.
 
     Decomposability is verified on construction at every grade: a nonzero
-    k-vector is a blade exactly when its outer null space has dimension k.
-    That outer null space is kept, so ``opns`` of a blade costs nothing more.
+    k-vector is a blade exactly when the k vectors read off its coefficients
+    (``_opns_from_coefficients``) each wedge it to zero.  They then span its
+    outer null space, which is kept, so ``opns`` of a blade costs nothing more.
     """
 
     value: Multivector
@@ -49,8 +49,8 @@ class Blade:
             return
         if self.value.grades() != {self.grade}:
             raise BladeError(f"value is not homogeneous of grade {self.grade}")
-        space = tuple(opns_of_multivector(self.value))
-        if len(space) != self.grade:
+        space = _opns_from_coefficients(self.value)
+        if any(not v.wedge(self.value).is_zero() for v in space):
             raise BladeError(f"grade-{self.grade} element is not decomposable")
         object.__setattr__(self, "_opns", space)
 
@@ -66,48 +66,53 @@ class Blade:
 
 
 def _as_multivector(b) -> Multivector:
-    if isinstance(b, Blade):
-        return b.value
-    if isinstance(b, Versor):
-        return b.value
+    return b.value if isinstance(b, (Blade, Versor)) else b
+
+
+def _opns_from_coefficients(b: Multivector) -> tuple[Multivector, ...]:
+    """k independent vectors read off a nonzero homogeneous k-vector b.
+
+    For f in F, the largest mask where b is nonzero, the e_j coordinate is
+    conj(b_F) times the coefficient of e_j ^ e_(F-f) in b: real at f, zero
+    on the rest of F.  When b is a blade they span its outer null space and,
+    normalized, are the basis ``nullspace`` gives for any matrix with that
+    kernel, since the free columns of such a matrix are the largest mask
+    where the kernel has a nonzero Grassmann coordinate.
+    """
+    terms = b._terms
+    top = max(terms)
+    conj = terms[top].conjugate()
+    space = []
+    for f in _bits(top):
+        rest = top ^ (1 << f)
+        coords = [0] * b.algebra.dim
+        for j in range(len(coords)):
+            if c := terms.get(rest | 1 << j):  # None for j in F - f: b is homogeneous
+                coords[j] = _merge_sign(1 << j, rest) * c * conj
+        space.append(b.algebra.vector(normalize_vector(coords)))
+    return tuple(space)
+
+
+def _nonzero_blade(b, space: str) -> Blade:
+    b = b if isinstance(b, Blade) else Blade.from_multivector(_as_multivector(b))
+    if b.value.is_zero():
+        raise BladeError(f"{space} null space of the zero blade is undefined")
     return b
 
 
-def _kernel_of_vector_map(alg: Algebra, image_fn) -> list[Multivector]:
-    """Kernel of a linear map from grade-1 elements into the algebra."""
-    n = alg.dim
-    columns = []
-    for i in range(n):
-        img = image_fn(alg.mv({1 << i: 1}))
-        columns.append(img._terms)
-    masks = sorted(set().union(*columns)) if any(columns) else []
-    if not masks:
-        return [alg.mv({1 << i: 1}) for i in range(n)]
-    rows = [[columns[j].get(m, 0) for j in range(n)] for m in masks]
-    basis = nullspace(Matrix.from_rows(rows))
-    return [alg.vector(vec) for vec in basis]
-
-
-def opns_of_multivector(b: Multivector) -> list[Multivector]:
-    return _kernel_of_vector_map(b.algebra, lambda v: v.wedge(b))
-
-
 def opns(b) -> list[Multivector]:
-    """Basis of the outer product null space {v : v ^ b = 0}."""
-    mv = _as_multivector(b)
-    if mv.is_zero():
-        raise BladeError("outer null space of the zero blade is undefined")
-    if isinstance(b, Blade):
-        return list(b._opns)
-    return opns_of_multivector(mv)
+    """Basis of the outer product null space {v : v ^ b = 0} of a blade."""
+    return list(_nonzero_blade(b, "outer")._opns)
 
 
 def ipns(b) -> list[Multivector]:
-    """Basis of the inner product null space {v : v . b = 0}."""
-    mv = _as_multivector(b)
-    if mv.is_zero():
-        raise BladeError("inner null space of the zero blade is undefined")
-    return _kernel_of_vector_map(mv.algebra, lambda v: v.inner(mv))
+    """Basis of the inner product null space {v : v . b = 0} of a blade."""
+    b = _nonzero_blade(b, "inner")
+    if not b._opns:  # a nonzero scalar s, and v . s = s v
+        return []
+    # for grade k >= 1, v . b = 0 exactly when v is orthogonal to the outer null space
+    rows = [b.algebra.form.apply(w._coordinates()) for w in b._opns]
+    return [b.algebra.vector(vec) for vec in nullspace(Matrix.from_rows(rows))]
 
 
 def is_null_blade(b) -> bool:
@@ -169,18 +174,14 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     ``NotAVersorError``, as by a check before the descent, and any other
     input with the descent's own error.
     """
-    if isinstance(g, Versor):
-        g = g.value
+    g = _as_multivector(g)
     if g.is_zero():
         raise NullVersorError("zero element cannot be factorized")
     extracted: list[Multivector] = []
     current = g
     try:
         while (k := current.max_grade()) >= 2:
-            space = opns_of_multivector(current.grade(k))
-            if len(space) != k:
-                raise BladeError(f"grade-{k} element is not decomposable")
-            v = choose_nonnull_vector(space)
+            v = choose_nonnull_vector(opns(Blade(current.grade(k), k)))
             nxt = current.gp(v)
             if nxt.is_zero() or nxt.max_grade() != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
@@ -193,8 +194,7 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
         if current.grades() != {1} or not bilinear(current, current):
             _require_nonzero_norm(g)  # a mixed-grade remainder then fails in _coordinates
         extracted.append(current)
-    alg = g.algebra
-    return [alg.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]
+    return [g.algebra.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]
 
 
 def _require_nonzero_norm(g: Multivector) -> None:

@@ -6,8 +6,9 @@ output prints rationals, never decimals.
 
 Exit codes: 0 success/verified, 1 verification or lifting failure (also
 any unexpected error inside one job), 2 complex scalars required in
-rational mode, 64 parse failure, 65 singular input matrix.  Each job of a
-batch gets its own code; one failing job never stops the others.
+rational mode, 64 parse failure (also input that is not UTF-8, JSON past
+Python's limits, an unknown scalar mode), 65 singular input matrix.  Each
+job of a batch gets its own code; one failing job never stops the others.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from contextlib import contextmanager
 from .algebra import AlgebraError, Multivector
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
 from .klein import (
+    SCALAR_MODES,
     ComplexRequiredError,
     ProjTransform4,
     SingularTransformError,
@@ -71,6 +73,13 @@ def _transform_from_payload(payload: dict, kind: str | None, action: str | None)
         raise JobError(EXIT_PARSE, f"bad transform payload: {exc}")
 
 
+def _scalar_mode(opts: dict) -> str:
+    mode = opts.get("scalar_mode", "rational")
+    if mode not in SCALAR_MODES:
+        raise JobError(EXIT_PARSE, f"scalar_mode must be 'rational' or 'complex', not {mode!r}")
+    return mode
+
+
 @contextmanager
 def _lift_refusals():
     """Map a refused lift to its exit code: 2 when complex scalars would lift it, else 1."""
@@ -85,7 +94,7 @@ def _lift_refusals():
 def cmd_factorize(payload: dict, opts: dict) -> dict:
     t = _transform_from_payload(payload, opts.get("kind"), opts.get("action"))
     with _lift_refusals():
-        result = factorize_matrix(t, opts.get("scalar_mode", "rational"))
+        result = factorize_matrix(t, _scalar_mode(opts))
     report = result.to_json()
     if not result.verified():
         raise JobError(EXIT_FAILED, "factorization failed exact verification", report)
@@ -95,7 +104,7 @@ def cmd_factorize(payload: dict, opts: dict) -> dict:
 def cmd_lift(payload: dict, opts: dict) -> dict:
     t = _transform_from_payload(payload, opts.get("kind"), opts.get("action"))
     with _lift_refusals():
-        versor = proj_to_versor(t, opts.get("scalar_mode", "rational"))
+        versor = proj_to_versor(t, _scalar_mode(opts))
     round_trip = versor_to_proj(versor, t.action)
     coeffs = coefficient_vector(versor.value, versor.parity)
     scale = proportionality(round_trip.matrix, t.matrix)
@@ -216,21 +225,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--input", help="input JSON file (stdin when absent)")
     parser.add_argument("--output", help="output file (stdout when absent)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--scalar-mode", choices=("rational", "complex"),
+    parser.add_argument("--scalar-mode", choices=SCALAR_MODES,
                         default="rational", dest="scalar_mode")
     parser.add_argument("--action", choices=("points", "planes"))
     parser.add_argument("--kind", choices=("collineation", "correlation"))
     args = parser.parse_args(argv)
 
     try:
-        raw = open(args.input).read() if args.input else sys.stdin.read()
-    except OSError as exc:
+        if args.input:
+            with open(args.input, encoding="utf-8") as fh:
+                raw = fh.read()
+        else:
+            raw = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         document = json.loads(raw)
     except json.JSONDecodeError as exc:
         print(f"input is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (ValueError, RecursionError) as exc:  # valid JSON past the interpreter's limits
+        print(f"cannot parse input: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     opts = {"scalar_mode": args.scalar_mode, "action": args.action, "kind": args.kind}

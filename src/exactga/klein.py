@@ -482,7 +482,12 @@ def _normalization_scale(lam: Scalar, scalar_mode: str) -> Scalar:
     root = None if imag_part(lam) else scalar_sqrt(real_part(lam))
     if root is not None and not (imag_part(root) and scalar_mode == "rational"):
         return root
-    diagnosis = {"similitude_ratio": format_scalar(lam)}  # only a refusal formats the ratio
+    try:
+        diagnosis = {"similitude_ratio": format_scalar(lam)}  # only a refusal formats the ratio
+    except ValueError:  # more digits than Python converts to text: report the size instead
+        parts = (real_part(lam), imag_part(lam))
+        diagnosis = {"similitude_ratio_bits": max(n.bit_length() for p in parts
+                                                  for n in (p.numerator, p.denominator))}
     if imag_part(lam):
         raise NotLiftableError("no exact versor: the similitude ratio is not real",
                                diagnosis | {"reason": "non-real-ratio"})
@@ -526,9 +531,12 @@ def _polarity_product(polarities) -> Matrix:
     return product
 
 
+SCALAR_MODES = ("rational", "complex")
+
+
 def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     """(versor, polarities, scale, product) of a lift certified as in ``proj_to_versor``."""
-    if scalar_mode not in ("rational", "complex"):
+    if scalar_mode not in SCALAR_MODES:
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
     det = t.determinant()
     s = _normalization_scale(det if t.action == "points" else det * det * det, scalar_mode)

@@ -2,8 +2,8 @@
 
 Entries are stored in the internal form of ``scalars.canonical``: an ``int``
 where the value is integral, a ``ComplexRational`` with ``int`` parts for a
-Gaussian integer.  The matrices of this library (the line map, the OPNS
-systems of the descent, the polarities) are integral, so their products and
+Gaussian integer.  The matrices of this library (the line map, the IPNS
+systems of blades, the polarities) are integral, so their products and
 eliminations run on Python integers.  Every single scalar returned
 (``determinant``, ``ratio``, ``proportionality``) is in the public form.
 """

@@ -3,10 +3,11 @@
 The diagonal-basis product here is a from-scratch implementation (bitmask
 transposition counting over an orthogonal basis) used to cross-check the
 library's metric-contraction product; it shares no code with the package.
-The adjugate, the linear solve, the span membership test, the published
-coefficient tables, the per-term geometric product, the norm-first descent
-and the six-relation check of a lift serve only as oracles, so they live
-here rather than in the package.
+The adjugate, the linear solve, the span membership test, the wedge- and
+inner-map kernels (outer and inner null spaces by elimination), the
+published coefficient tables, the per-term geometric product, the
+norm-first descent and the six-relation check of a lift serve only as
+oracles, so they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 from exactga.algebra import Algebra, Multivector, NullVersorError
 from exactga.blades import factorize_versor
 from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
-from exactga.linalg import LinAlgError, Matrix, determinant, rref
+from exactga.linalg import LinAlgError, Matrix, determinant, nullspace, rref
+from exactga.scalars import ComplexRational
 
 
 def bits(mask):
@@ -236,6 +238,29 @@ def vector_in_span(v: Multivector, basis: list[Multivector]) -> bool:
 # derives its tables from the six null polarities; these are its oracle.
 
 
+def kernel_of_vector_map(alg: Algebra, image_fn) -> list[Multivector]:
+    """Kernel of a linear map from grade-1 elements into the algebra.
+
+    Its matrix has one column per generator and one row per mask that some
+    image reaches; the kernel is that matrix's ``nullspace``.
+    """
+    n = alg.dim
+    columns = [image_fn(alg.mv({1 << i: 1}))._terms for i in range(n)]
+    masks = sorted(set().union(*columns))
+    if not masks:
+        return [alg.mv({1 << i: 1}) for i in range(n)]
+    rows = [[columns[j].get(m, 0) for j in range(n)] for m in masks]
+    return [alg.vector(vec) for vec in nullspace(Matrix.from_rows(rows))]
+
+
+def opns_by_elimination(b: Multivector) -> list[Multivector]:
+    return kernel_of_vector_map(b.algebra, lambda v: v.wedge(b))
+
+
+def ipns_by_elimination(b: Multivector) -> list[Multivector]:
+    return kernel_of_vector_map(b.algebra, lambda v: v.inner(b))
+
+
 def published_collineation_table(g: list, action: str, m23_doubled: bool) -> Matrix:
     m = [[None] * 4 for _ in range(4)]
     if action == "points":
@@ -328,6 +353,19 @@ def published_table(g: Multivector, action: str, m23_doubled: bool = False) -> M
 
 def rand_fraction(rng: random.Random, span: int = 3, denominators=(1, 1, 2, 3)) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.choice(denominators))
+
+
+def rand_coefficient(rng: random.Random, kind: str):
+    """A small coefficient: "int", "fraction", "gaussian" or "gaussian-rational"."""
+    n = rng.randint(-3, 3)
+    if kind == "int":
+        return n
+    if kind == "fraction":
+        return Fraction(n, rng.choice((2, 3)))
+    im = rng.choice((-2, -1, 1, 3))
+    if kind == "gaussian":
+        return ComplexRational(n, im)
+    return ComplexRational(Fraction(n, rng.choice((1, 2))), Fraction(im, rng.choice((2, 3))))
 
 
 def rand_multivector(rng: random.Random, alg: Algebra, n_terms: int = 4,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exactga.algebra import proportional
+from exactga.algebra import Algebra, proportional
 from exactga.blades import (
     Blade,
     BladeError,
@@ -12,7 +12,16 @@ from exactga.blades import (
     opns,
 )
 from exactga.klein import bilinear, klein_algebra
-from helpers import rand_invertible_vector, rand_versor, vector_in_span
+from exactga.lie import lie_algebra
+from exactga.linalg import Matrix
+from helpers import (
+    ipns_by_elimination,
+    opns_by_elimination,
+    rand_coefficient,
+    rand_invertible_vector,
+    rand_versor,
+    vector_in_span,
+)
 
 KLEIN = klein_algebra()
 E = KLEIN.e
@@ -188,3 +197,80 @@ def test_vector_in_span():
     basis = [E(1), E(2)]
     assert vector_in_span(E(1) + 2 * E(2), basis)
     assert not vector_in_span(E(3), basis)
+
+
+ORACLE_ALGEBRAS = {
+    "klein": klein_algebra(),
+    "lie": lie_algebra(),
+    "degenerate": Algebra(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]])),
+    "dense": Algebra(Matrix.from_rows(
+        [[2, 1, 0, -1, 3], [1, 0, 2, 1, 0], [0, 2, -1, 0, 1], [-1, 1, 0, 3, 2],
+         [3, 0, 1, 2, -2]])),
+}
+
+
+def rand_sparse_vector(rng, alg, kind):
+    return alg.vector([rand_coefficient(rng, rng.choice(("int", kind)))
+                       if rng.random() < 0.6 else 0 for _ in range(alg.dim)])
+
+
+def rand_k_vector(rng, alg, k, kind, blades=1):
+    """A sum of wedges of k random sparse vectors: a blade when blades == 1."""
+    total = alg.zero()
+    for _ in range(blades):
+        term = alg.scalar(rand_coefficient(rng, kind) or 1)
+        for _ in range(k):
+            term = term.wedge(rand_sparse_vector(rng, alg, kind))
+        total = total + term
+    return total
+
+
+def as_json(vectors):
+    return [v.to_json() for v in vectors]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_null_spaces_match_elimination(name):
+    """The closed-form OPNS and the IPNS system equal the wedge- and inner-map kernels."""
+    alg = ORACLE_ALGEBRAS[name]
+    rng = random.Random(f"blades/oracle/{name}")
+    compared = 0
+    for kind in ("int", "fraction", "gaussian", "gaussian-rational"):
+        for k in range(alg.dim + 1):
+            for _ in range(10):
+                b = rand_k_vector(rng, alg, k, kind)
+                if b.is_zero():
+                    continue
+                assert as_json(opns(b)) == as_json(opns_by_elimination(b))
+                assert as_json(ipns(b)) == as_json(ipns_by_elimination(b))
+                compared += 1
+    assert compared >= 30 * (alg.dim + 1)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_decomposability_matches_elimination(name):
+    """A k-vector is a blade exactly when its wedge-map kernel has dimension k."""
+    alg = ORACLE_ALGEBRAS[name]
+    rng = random.Random(f"blades/decomposable/{name}")
+    refused = 0
+    for kind in ("int", "gaussian"):
+        for k in range(2, alg.dim - 1):
+            for _ in range(10):
+                b = rand_k_vector(rng, alg, k, kind, blades=2)
+                if b.is_zero():
+                    continue
+                if len(opns_by_elimination(b)) == k:
+                    assert len(opns(Blade(b, k))) == k
+                else:
+                    with pytest.raises(BladeError, match=f"grade-{k} element is not decomposable"):
+                        Blade(b, k)
+                    refused += 1
+    assert refused >= 10
+
+
+def test_null_spaces_are_defined_on_blades_only():
+    with pytest.raises(BladeError, match="not decomposable"):
+        opns(E(1, 2) + E(3, 4))
+    with pytest.raises(BladeError, match="not homogeneous"):
+        ipns(E(1) + E(2, 3))

@@ -1,5 +1,7 @@
 import copy
+import io
 import json
+import sys
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -23,15 +25,16 @@ REFERENCE_JOB = {
 
 
 def run_cli(capsys, args, payload):
-    import io
-    import sys
+    return run_cli_stdin(capsys, args, io.StringIO(json.dumps(payload)))
 
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(payload))
+
+def run_cli_stdin(capsys, args, stdin):
+    saved = sys.stdin
+    sys.stdin = stdin
     try:
         code = main(args)
     finally:
-        sys.stdin = stdin
+        sys.stdin = saved
     out = capsys.readouterr().out
     return code, out
 
@@ -341,6 +344,43 @@ def test_input_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+def main_error(capsys, tmp_path, raw: bytes) -> str:
+    """Run a factorize job on raw input bytes; it must exit 64 with a one-line message."""
+    source = tmp_path / "job.json"
+    source.write_bytes(raw)
+    assert main(["--command", "factorize", "--input", str(source)]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # no traceback
+    return err
+
+
+def test_non_utf8_input_is_a_parse_failure(tmp_path, capsys):
+    raw = b'{"matrix": "\xff"}'
+    assert "cannot read input" in main_error(capsys, tmp_path, raw)
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    code, _ = run_cli_stdin(capsys, ["--command", "factorize"], stdin)
+    assert code == 64
+
+
+def test_json_past_the_interpreter_limits_is_a_parse_failure(tmp_path, capsys):
+    # an integer literal of more than 4,300 digits, and nesting deeper than the recursion limit
+    long_int = b'{"matrix": [[' + b"7" * 5000 + b"]]}"
+    assert "Exceeds the limit" in main_error(capsys, tmp_path, long_int)
+    assert "recursion" in main_error(capsys, tmp_path, b"[" * 100_000)
+
+
+def test_unknown_scalar_mode_is_a_parse_failure(capsys):
+    for command in ("factorize", "lift"):
+        code, report = run_job(command, REFERENCE_JOB, {"scalar_mode": "real"})
+        assert code == 64, command
+        assert report == {"error": "scalar_mode must be 'rational' or 'complex', not 'real'"}
+    jobs = [{"command": "factorize", "payload": REFERENCE_JOB, "scalar_mode": "real"},
+            {"command": "factorize", "payload": REFERENCE_JOB}]
+    code, out = run_cli(capsys, ["--command", "factorize"], jobs)
+    assert [r["exit_code"] for r in json.loads(out)] == [64, 0]
+    assert code == 64
 
 
 def test_flags_supply_kind_and_action(capsys):

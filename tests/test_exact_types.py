@@ -28,7 +28,7 @@ from exactga.algebra import Algebra, Multivector, Versor, proportional
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational, as_scalar, canonical, parse_scalar
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
-from helpers import adjugate, per_term_gp, rand_versor, solve_linear
+from helpers import adjugate, per_term_gp, rand_coefficient, rand_versor, solve_linear
 
 MODULES = (scalars, linalg, algebra, blades, klein, lie, factorize, cli)
 
@@ -244,18 +244,6 @@ def storage(mv: Multivector) -> list:
     return out
 
 
-def rand_coefficient(rng: random.Random, kind: str):
-    n = rng.randint(-3, 3)
-    if kind == "int":
-        return n
-    if kind == "fraction":
-        return Fraction(n, rng.choice((2, 3)))
-    im = rng.choice((-2, -1, 1, 3))
-    if kind == "gaussian":
-        return ComplexRational(n, im)
-    return ComplexRational(Fraction(n, rng.choice((1, 2))), Fraction(im, rng.choice((2, 3))))
-
-
 def test_split_product_matches_the_per_term_oracle():
     rng = random.Random("exact-types/split-gp")
     kinds = ("int", "fraction", "gaussian", "gaussian-rational")
@@ -291,9 +279,10 @@ def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
             stored.extend(c for c in values if type(c) is ComplexRational)
 
         monkeypatch.setattr(cls, hook, record)
-    for action in ("points", "planes"):
-        t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), "collineation", action)
-        result = factorize.factorize_matrix(t, "complex")
-        assert factorize.verify_factorization(result, t)
+    for kind in ("collineation", "correlation"):
+        for action in ("points", "planes"):
+            t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), kind, action)
+            result = factorize.factorize_matrix(t, "complex")
+            assert factorize.verify_factorization(result, t)
     assert len(stored) > 1000
     assert all(c.im for c in stored)

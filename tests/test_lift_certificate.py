@@ -3,7 +3,8 @@
 A lift whose witness does not induce the input must be refused by the
 certificate alone, in the library and in the CLI, and a successful lift
 never formats its similitude ratio, so a ratio longer than the
-interpreter's int-to-string limit still factorizes.
+interpreter's int-to-string limit still factorizes.  A refused ratio that
+long is reported by its bit length.
 """
 
 from __future__ import annotations
@@ -55,3 +56,26 @@ def test_ratio_past_the_string_limit_factorizes(action):
     result = factorize_matrix(t)
     assert result.verified()
     assert verify_factorization(result, t)
+
+
+def test_refused_ratio_past_the_string_limit_reports_its_size():
+    # det = 2 * 10**4400 is no square, and its digits pass the string limit
+    rows = [[2 * 10 ** 4400 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+    with pytest.raises(klein.NotLiftableError) as refused:
+        factorize_matrix(t)
+    assert refused.value.diagnosis == {
+        "reason": "irrational-scale", "similitude_ratio_bits": (2 * 10 ** 4400).bit_length()}
+
+
+@pytest.mark.parametrize("command", ["factorize", "lift"])
+def test_cli_refuses_a_ratio_too_long_to_print(command):
+    # a 1,451-digit entry parses; on planes the refused ratio det^3 has 4,351 digits
+    entry = 2 * 10 ** 1450
+    payload = {"matrix": [[str(entry) if i == j == 0 else str(int(i == j)) for j in range(4)]
+                          for i in range(4)],
+               "kind": "collineation", "action": "planes"}
+    code, report = run_job(command, payload, {"scalar_mode": "rational"})
+    assert code == 1
+    assert report["detail"] == {"reason": "irrational-scale",
+                                "similitude_ratio_bits": (entry ** 3).bit_length()}

@@ -6,7 +6,7 @@ each of sympy's vectors is scaled to 1 at its free column, as ``nullspace``
 builds them, and then gets the same integer normalization.  Besides small
 rationals the cases hold integral and Gaussian-integral matrices, small and
 of 72-bit entries, which the fraction-free elimination takes without
-clearing denominators (the path of the descent's OPNS systems).
+clearing denominators (the path of the IPNS systems).
 """
 
 from __future__ import annotations

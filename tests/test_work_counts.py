@@ -3,9 +3,10 @@
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
-second outer null space per descent step or classification, a norm product
-in a successful descent, or a ``ComplexRational`` multiplication inside the
-geometric product fails here even when its output stays the same.  The storage guards require the
+second outer null space per descent step or classification, a linear
+system in the descent, a norm product in a successful descent, or a
+``ComplexRational`` multiplication inside the geometric product fails here
+even when its output stays the same.  The storage guards require the
 integer core: int blade and coefficient tables, and int or Gaussian-int
 coefficients in every multivector of a descent and in every matrix of the
 linear algebra.
@@ -102,25 +103,32 @@ def test_lift_reads_the_versor_off_the_tables(monkeypatch):
     assert len(products) == around_descent[1][0]
 
 
-def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
-    value = klein.proj_to_versor(plane_correlation()).value
-    kernels = counting(monkeypatch, blades, "_kernel_of_vector_map")
-    factors = blades.factorize_versor(value)
-    steps = value.max_grade() - 1
-    assert steps >= 2 and len(factors) == steps + 1
-    assert len(kernels) == steps
-
-
 def lifted(rows, mode) -> Multivector:
     t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
     return klein.proj_to_versor(t, mode).value
 
 
+def descent_versors() -> list[Multivector]:
+    return [lifted(REFERENCE_COLLINEATION, "rational"), lifted(COMPLEX_VARIANT, "complex"),
+            rand_versor(random.Random("work/lie"), lie_algebra(), 5)[0]]
+
+
+def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
+    # each step reads the top blade's outer null space off its coefficients
+    for value in descent_versors() + [klein.proj_to_versor(plane_correlation()).value]:
+        spaces = counting(monkeypatch, blades, "_opns_from_coefficients")
+        systems = counting(monkeypatch, linalg, "_gauss_jordan")
+        factors = blades.factorize_versor(value)
+        monkeypatch.undo()
+        steps = value.max_grade() - 1
+        assert steps >= 2 and len(factors) == steps + 1
+        assert len(spaces) == steps
+        assert systems == []  # the descent solves no linear system
+
+
 def test_descent_multiplies_once_per_step(monkeypatch):
     # a successful descent proves the norm nonzero, so it forms no g g*
-    versors = [lifted(REFERENCE_COLLINEATION, "rational"), lifted(COMPLEX_VARIANT, "complex"),
-               rand_versor(random.Random("work/lie"), lie_algebra(), 5)[0]]
-    for value in versors:
+    for value in descent_versors():
         products = counting(monkeypatch, Multivector, "gp")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
@@ -143,10 +151,10 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
 
 def test_classification_computes_one_outer_null_space(monkeypatch):
     e = klein.klein_algebra().e
-    kernels = counting(monkeypatch, blades, "_kernel_of_vector_map")
+    spaces = counting(monkeypatch, blades, "_opns_from_coefficients")
     result = klein.classify_blade(e(1).wedge(e(4)).wedge(e(2) + e(5)))
     assert result.tag is klein.ManifoldKind.REGULUS
-    assert len(kernels) == 1
+    assert len(spaces) == 1
 
 
 def is_integral_storage(c) -> bool:
@@ -185,9 +193,11 @@ def test_linear_algebra_stores_integral_entries(monkeypatch):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         value = klein.proj_to_versor(t, mode).value
         systems = counting(monkeypatch, blades, "nullspace")
-        blades.factorize_versor(value)
+        factors = blades.factorize_versor(value)
+        assert systems == []  # the descent reads its outer null spaces off the coefficients
+        blades.ipns(blades.max_grade_part(value.gp(factors[-1])))
         monkeypatch.undo()
-        assert len(systems) >= 3  # a top-grade step needs no elimination
+        assert len(systems) == 1
         result = factorize.factorize_matrix(t, mode)
         matrices = [args[0] for args in systems]
         matrices += [klein.induced_line_map(t).matrix,
