@@ -561,7 +561,7 @@ class Multivector:
             mask = item["mask"]
             if not isinstance(mask, int) or isinstance(mask, bool):
                 raise AlgebraError("blade mask must be an integer")
-            terms[mask] = terms.get(mask, 0) + as_scalar(item["coeff"])
+            terms[mask] = terms.get(mask, 0) + canonical(item["coeff"])
         return cls(algebra, terms)
 
     def __repr__(self):

@@ -7,7 +7,8 @@ output prints rationals, never decimals.
 Exit codes: 0 success/verified, 1 verification or lifting failure (also
 any unexpected error inside one job), 2 complex scalars required in
 rational mode, 64 parse failure (also input that is not UTF-8, JSON past
-Python's limits, an unknown scalar mode), 65 singular input matrix.  Each
+Python's limits, an unknown scalar mode, an ``--output`` that cannot be
+opened for writing), 65 singular input matrix.  Each
 job of a batch gets its own code; one failing job never stops the others.
 """
 
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .algebra import AlgebraError, Multivector
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
@@ -216,6 +217,28 @@ def run_job(command: str, payload, opts: dict) -> tuple[int, dict]:
         return EXIT_FAILED, {"error": f"unexpected {type(exc).__name__}: {exc}"}
 
 
+def _run_document(document, command: str, opts: dict) -> tuple[int, object]:
+    """(exit code, report) of one job, or of a batch: a JSON array of job objects."""
+    if not isinstance(document, list):
+        return run_job(command, document, opts)
+    # batch: independent jobs, output order matches input order
+    reports = []
+    codes = []
+    for job in document:
+        if not isinstance(job, dict) or "command" not in job:
+            codes.append(EXIT_PARSE)
+            reports.append({"error": "batch entries need a 'command' field"})
+            continue
+        job_opts = dict(opts)
+        for key in ("scalar_mode", "action", "kind"):
+            if key in job:
+                job_opts[key] = job[key]
+        code, report = run_job(job["command"], job.get("payload", {}), job_opts)
+        codes.append(code)
+        reports.append({"exit_code": code, **report})
+    return next((c for c in codes if c), EXIT_OK), reports
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="exactga",
@@ -250,41 +273,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
     opts = {"scalar_mode": args.scalar_mode, "action": args.action, "kind": args.kind}
-
-    if isinstance(document, list):
-        # batch: independent jobs, output order matches input order
-        reports = []
-        codes = []
-        for job in document:
-            if not isinstance(job, dict) or "command" not in job:
-                codes.append(EXIT_PARSE)
-                reports.append({"error": "batch entries need a 'command' field"})
-                continue
-            job_opts = dict(opts)
-            for key in ("scalar_mode", "action", "kind"):
-                if key in job:
-                    job_opts[key] = job[key]
-            code, report = run_job(job["command"], job.get("payload", {}), job_opts)
-            codes.append(code)
-            reports.append({"exit_code": code, **report})
-        exit_code = next((c for c in codes if c), EXIT_OK)
-        body = reports
-    else:
-        exit_code, report = run_job(args.command, document, opts)
-        body = report
-
-    if args.format == "json":
-        text = json.dumps(body, indent=2, default=str)
-    else:
-        if isinstance(body, list):
+    try:  # opened before any job runs, so an unwritable path costs no work
+        sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    with sink as out:
+        exit_code, body = _run_document(document, args.command, opts)
+        if args.format == "json":
+            text = json.dumps(body, indent=2, default=str)
+        elif isinstance(body, list):
             text = "\n\n".join(_format_text(r) for r in body)
         else:
             text = _format_text(body)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        print(text, file=out)
     return exit_code
 
 

@@ -81,7 +81,7 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
     for f, p in zip(result.factors, result.polarities):
         # each factor is the non-null vector its polarity was built from
         if (p.matrix.is_zero() or f != null_polarity_to_vector(p)
-                or not klein_form_value(f.coordinates())):
+                or not klein_form_value(f._coordinates())):
             return False
     actions = [p.action for p in result.polarities]
     if actions != _alternating_actions(len(actions), t.action):

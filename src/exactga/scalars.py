@@ -13,10 +13,12 @@ The internal form that ``algebra`` and ``linalg`` store (``canonical``) keeps
 an integral rational as a plain ``int`` and a Gaussian integer as a
 ``ComplexRational`` with ``int`` parts, so products of the integral versors,
 blade tables and matrices of this library run on Python integers; ``public``
-converts back.  Since ``int / int`` is a ``float`` in Python, every quotient
-that can see two ``int``s goes through ``div``, the one exact division rule,
-or through ``exact_div`` where the quotient is known to be a (Gaussian)
-integer.
+converts back.  Strings parse straight into the internal form: each atom
+of the grammar goes through ``int()``, so ``canonical`` of a string builds
+no ``Fraction`` unless the value is one.  Since ``int / int`` is a
+``float`` in Python, every quotient that can see two ``int``s goes through
+``div``, the one exact division rule, or through ``exact_div`` where the
+quotient is known to be a (Gaussian) integer.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def exact_div(a, b):
 def canonical(value):
     """The internal form of an exact scalar (see the module docstring).
 
-    Strings are parsed, and floats and booleans refused, as by ``as_scalar``.
+    Strings are parsed straight into this form, and floats and booleans
+    refused, as by ``as_scalar``.
     An internal Gaussian integer (``int`` parts, the imaginary one nonzero,
     the only kind of ``ComplexRational`` with ``int`` parts that ``_make``
     builds) is returned as it is.
@@ -192,6 +195,8 @@ def canonical(value):
         return value
     if type(value) is ComplexRational and type(value.re) is int and type(value.im) is int:
         return value
+    if type(value) is str:
+        return _parse(value)
     if not isinstance(value, (Fraction, ComplexRational)):
         value = as_scalar(value)
     if isinstance(value, ComplexRational):
@@ -238,46 +243,60 @@ def imag_part(x: Scalar) -> Fraction:
     return x.im if isinstance(x, ComplexRational) else Fraction(0)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 # an optional real atom, then a signed imaginary atom; the real atom must be
 # followed by the sign, so '12i' cannot split into 1 + 2i
 _COMPLEX_RE = re.compile(
-    r"^(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?\d+(?:/\d+)?)i$"
+    r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?\d+(?:/\d+)?)i", re.ASCII
 )
 
 
-def _parse_rational(text: str, whole: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ScalarError(f"zero denominator in scalar {whole!r}") from None
-    except ValueError as exc:  # e.g. more digits than int() accepts
+def _parse_atom(atom: str, whole: str):
+    """'p' or 'p/q' (grammar-checked) in the internal form."""
+    num, _, den = atom.partition("/")
+    try:  # the numerator is converted first, as Fraction(text) does
+        p = int(num)
+        if not den:
+            return p
+        q = int(den)
+    except ValueError as exc:  # more digits than int() accepts
         raise ScalarError(f"cannot parse scalar {whole!r}: {exc}") from None
+    if not q:
+        raise ScalarError(f"zero denominator in scalar {whole!r}")
+    return p // q if p % q == 0 else Fraction(p, q)
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse 'p', 'p/q', 'r/si', 'p/q+r/si' or 'p/q-r/si' (whitespace ignored).
-
-    Every atom needs its digits ('1i', not 'i'), and a real part is joined
-    to the imaginary one by an explicit sign, as format_scalar writes it.
-    """
+def _parse(text: str):
+    """``parse_scalar`` in the internal form of ``canonical``."""
     if not isinstance(text, str):
         raise ScalarError(f"scalar text must be a string, not {type(text).__name__}")
     s = text.replace(" ", "")
     if not s:
         raise ScalarError("empty scalar string")
-    if _RATIONAL_RE.match(s):
-        return _parse_rational(s, text)
-    m = _COMPLEX_RE.match(s)
+    if _RATIONAL_RE.fullmatch(s):
+        return _parse_atom(s, text)
+    m = _COMPLEX_RE.fullmatch(s)
     if m:
         re_txt = m.group("re")
-        re_part = _parse_rational(re_txt, text) if re_txt else Fraction(0)
-        return _make(re_part, _parse_rational(m.group("im"), text))
+        re_part = _parse_atom(re_txt, text) if re_txt else 0
+        return _make(re_part, _parse_atom(m.group("im"), text))
     raise ScalarError(f"cannot parse scalar {text!r}")
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse 'p', 'p/q', 'r/si', 'p/q+r/si' or 'p/q-r/si' (spaces ignored).
+
+    Digits are ASCII, every atom needs its digits ('1i', not 'i'), and a
+    real part is joined to the imaginary one by an explicit sign, as
+    format_scalar writes it.
+    """
+    return public(_parse(text))
 
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form: 'p/q' for rationals, 'p/q+r/si' for complex."""
+    if type(x) is int:
+        return str(x)
     if isinstance(x, ComplexRational):
         if x.im == 0:
             return str(x.re)

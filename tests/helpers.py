@@ -6,20 +6,55 @@ library's metric-contraction product; it shares no code with the package.
 The adjugate, the linear solve, the span membership test, the wedge- and
 inner-map kernels (outer and inner null spaces by elimination), the
 published coefficient tables, the per-term geometric product, the
-norm-first descent and the six-relation check of a lift serve only as
-oracles, so they live here rather than in the package.
+norm-first descent, the six-relation check of a lift and the
+``Fraction(text)`` scalar parser serve only as oracles, so they live here
+rather than in the package.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from exactga.algebra import Algebra, Multivector, NullVersorError
 from exactga.blades import factorize_versor
 from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
 from exactga.linalg import LinAlgError, Matrix, determinant, nullspace, rref
-from exactga.scalars import ComplexRational
+from exactga.scalars import ComplexRational, ScalarError
+
+
+_ORACLE_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+_ORACLE_COMPLEX_RE = re.compile(
+    r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?\d+(?:/\d+)?)i", re.ASCII
+)
+
+
+def _oracle_rational(text: str, whole: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarError(f"zero denominator in scalar {whole!r}") from None
+    except ValueError as exc:  # e.g. more digits than int() accepts
+        raise ScalarError(f"cannot parse scalar {whole!r}: {exc}") from None
+
+
+def fraction_parse_scalar(text: str):
+    """The scalar grammar of ``parse_scalar``, each atom read by ``Fraction(text)``."""
+    if not isinstance(text, str):
+        raise ScalarError(f"scalar text must be a string, not {type(text).__name__}")
+    s = text.replace(" ", "")
+    if not s:
+        raise ScalarError("empty scalar string")
+    if _ORACLE_RATIONAL_RE.fullmatch(s):
+        return _oracle_rational(s, text)
+    m = _ORACLE_COMPLEX_RE.fullmatch(s)
+    if m:
+        re_txt = m.group("re")
+        re_part = _oracle_rational(re_txt, text) if re_txt else Fraction(0)
+        im_part = _oracle_rational(m.group("im"), text)
+        return ComplexRational(re_part, im_part) if im_part else re_part
+    raise ScalarError(f"cannot parse scalar {text!r}")
 
 
 def bits(mask):

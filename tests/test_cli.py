@@ -420,6 +420,35 @@ def test_zero_denominators_are_parse_failures(capsys):
     assert code == 64
 
 
+def test_scalar_grammar_is_strict(capsys):
+    # '$' used to match before a trailing newline and '\d' took any Unicode digit
+    jobs = [{"command": "factorize", "scalar_mode": mode,
+             "payload": dict(REFERENCE_JOB, matrix=[[entry, "0", "3", "0"]]
+                             + REFERENCE_JOB["matrix"][1:])}
+            for entry in ("1\n", "1+2i\n", "\u0661\u0662", "1\t")
+            for mode in ("rational", "complex")]
+    code, out = run_cli(capsys, ["--command", "factorize"], jobs)
+    reports = json.loads(out)
+    assert [r["exit_code"] for r in reports] == [64] * len(jobs)
+    assert all("cannot parse scalar" in r["error"] for r in reports)
+    assert code == 64
+
+
+def test_unwritable_output_is_a_parse_failure(tmp_path, capsys, monkeypatch):
+    import exactga.cli
+    jobs = []
+    monkeypatch.setattr(exactga.cli, "run_job", lambda *args: jobs.append(args))
+    source = tmp_path / "job.json"
+    source.write_text(json.dumps(REFERENCE_JOB))
+    target = tmp_path / "missing" / "out.json"
+    code = main(["--command", "factorize", "--input", str(source), "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 64 and out == ""
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert jobs == []  # the output is opened before any job runs
+    assert not target.parent.exists()
+
+
 def test_boolean_matrix_entry_is_a_parse_failure():
     # JSON true must not be read as the integer 1 (the reference has 1 there)
     job = dict(REFERENCE_JOB, matrix=[[True, "0", "3", "0"]] + REFERENCE_JOB["matrix"][1:])

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactga.scalars import (
@@ -15,6 +15,7 @@ from exactga.scalars import (
     rational_sqrt,
     scalar_sqrt,
 )
+from helpers import fraction_parse_scalar
 
 fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=100)
 
@@ -73,7 +74,8 @@ def test_parse_plain_imaginary():
 
 
 def test_parse_rejects_junk():
-    for bad in ("", "one", "1.5", "2+2", "i+i"):
+    # no trailing newline, no non-ASCII digits, and spaces are the only whitespace ignored
+    for bad in ("", "one", "1.5", "2+2", "i+i", "1\n", "1+2i\n", "\u0661\u0662", "1\t", "\t1"):
         with pytest.raises(ScalarError):
             parse_scalar(bad)
 
@@ -145,3 +147,59 @@ def test_conjugate():
     z = canonical(ComplexRational(3, -4))
     assert z.conjugate() == canonical(ComplexRational(3, 4))
     assert z * z.conjugate() == 25
+
+
+# strings drawn from the scalar grammar and around it: signs, leading zeros,
+# zero denominators, atoms just under and over the 4,300-digit limit of int(),
+# interior spaces, and malformed text
+_signs = st.sampled_from(["", "+", "-"])
+_digits = st.one_of(
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 3), st.integers(0, 10**15)),
+    st.builds(lambda n, d: "7" + d * (n - 1), st.sampled_from([4299, 4300, 4301, 4302]),
+              st.sampled_from("0123456789")),
+)
+_unsigned_atoms = st.one_of(
+    _digits,
+    st.builds(lambda p, q: f"{p}/{q}", _digits, st.one_of(st.sampled_from(["0", "00"]), _digits)),
+)
+_atoms = st.builds(str.__add__, _signs, _unsigned_atoms)
+_forms = st.one_of(
+    _atoms,
+    st.builds(lambda a: a + "i", _atoms),
+    st.builds(lambda a, sign, b: f"{a}{sign}{b}i", _atoms, st.sampled_from("+-"), _unsigned_atoms),
+    st.text(alphabet="0123456789+-/i .\n\t\u0661", max_size=12),
+    st.sampled_from(["", " ", "i", "1/", "/2", "1//2", "1+2", "1+i", "++1", "1.5", "1e3", "1_000"]),
+)
+
+
+def _with_spaces(text: str, positions: list) -> str:
+    for p in positions:
+        p %= len(text) + 1
+        text = text[:p] + " " + text[p:]
+    return text
+
+
+scalar_texts = st.builds(_with_spaces, _forms, st.lists(st.integers(0, 10**4), max_size=3))
+
+
+def _outcome(parse, text):
+    """The value and its exact types, or the exception's class and message."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if type(value) is ComplexRational:
+        return value, (ComplexRational, type(value.re), type(value.im))
+    return value, type(value)
+
+
+@settings(max_examples=400)
+@example("1" * 4301 + "/" + "2" * 4302)  # the numerator's digit count is the one reported
+@example("1" * 4301 + "/0")
+@given(st.one_of(scalar_texts, st.sampled_from([None, 3, 1.5, ["1"], b"1"])))
+def test_parse_matches_the_fraction_oracle(text):
+    expected = _outcome(fraction_parse_scalar, text)
+    assert _outcome(parse_scalar, text) == expected
+    if isinstance(text, str):
+        assert _outcome(canonical, text) == _outcome(
+            lambda t: canonical(fraction_parse_scalar(t)), text)

@@ -5,16 +5,19 @@ that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
 second outer null space per descent step or classification, a linear
 system in the descent, a norm product in a successful descent, or a
-``ComplexRational`` multiplication inside the geometric product fails here
-even when its output stays the same.  The storage guards require the
-integer core: int blade and coefficient tables, and int or Gaussian-int
-coefficients in every multivector of a descent and in every matrix of the
-linear algebra.
+``ComplexRational`` multiplication inside the geometric product, or a
+certificate check that parses scalars through ``Fraction(text)`` or
+evaluates the Klein form on public coordinates fails here even when its
+output stays the same.  The storage guards require the integer core: int
+blade and coefficient tables, and int or Gaussian-int coefficients in
+every multivector of a descent and in every matrix of the linear algebra.
 """
 
 import random
+from fractions import Fraction
 
 import exactga.blades as blades
+import exactga.cli as cli
 import exactga.factorize as factorize
 import exactga.klein as klein
 import exactga.linalg as linalg
@@ -207,3 +210,28 @@ def test_linear_algebra_stores_integral_entries(monkeypatch):
         assert all(is_integral_storage(x) for x in entries)
         if mode == "complex":
             assert any(type(x) is ComplexRational for x in entries)
+
+
+def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        job = {"transform": {"matrix": t.matrix.to_json(), "kind": t.kind, "action": t.action},
+               "result": factorize.factorize_matrix(t, mode).to_json()}
+        parsed = []
+        new_fraction = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            if args and isinstance(args[0], str):
+                parsed.append(args[0])
+            return new_fraction(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        forms = counting(monkeypatch, factorize, "klein_form_value")
+        code, report = cli.run_job("verify", job, {"scalar_mode": mode})
+        monkeypatch.undo()
+        assert code == 0 and report["verified"] is True
+        assert parsed == []  # every string goes straight to its internal form
+        assert len(forms) == len(job["result"]["factors"]) >= 3
+        assert all(is_integral_storage(c) for (x,) in forms for c in x)
+        if mode == "complex":
+            assert any(type(c) is ComplexRational for (x,) in forms for c in x)
