@@ -8,8 +8,17 @@ product is computed by metric contraction on wedge monomials:
     e_m ^ E  =  e_m E - (e_m . E)        for m below every index of E,
 
 which peels one generator at a time and bottoms out in the vector-blade
-product.  Per-algebra blade products are cached, so multivector products are
-sparse dictionary merges.
+product.
+
+Every product of multivectors is one kernel, ``_product``, over a table of
+blade products: the sum over coefficient pairs of c_a c_b times the table of
+(a, b).  Each algebra caches three tables, keyed by the int ``a << 16 | b``
+(the dimension is capped at 16): ``blade_gp``, the geometric product;
+``blade_wedge``, ``{}`` for blades that share a generator and else the one
+term ``a | b`` with its reordering sign; and ``blade_inner``, the grade
+|ka - kb| part of ``blade_gp``.  The kernel skips a pair whose table is
+empty before multiplying its coefficients, and no product computes a sign
+per pair.
 
 Coefficients and blade-table entries are stored in the internal form of
 ``scalars.canonical``: plain ``int``s (Gaussian integers in complex mode)
@@ -18,18 +27,17 @@ rank-6 models, so products run on Python integers.  The accessors
 (``coeff``, ``terms``, ``coordinates``, ``scalar_part``, ``norm``) return the
 public ``Fraction`` / ``ComplexRational`` form.
 
-The geometric product of Gaussian coefficients runs on their parts: ``_split``
-gives each coefficient as (real, imaginary) ints or Fractions, each pair of
-blades multiplies them once, (a + ib)(c + id) = (ac - bd) + i(ad + bc), the
-real table entries scale a real and an imaginary sum apart, and each result
-term is recombined once by ``scalars._make`` (an imaginary part that cancels
+A product of Gaussian coefficients runs on their parts: ``_split`` gives each
+coefficient as (real, imaginary) ints or Fractions, each pair of blades
+multiplies them once, (a + ib)(c + id) = (ac - bd) + i(ad + bc), the real
+table entries scale a real and an imaginary sum apart, and each result term
+is recombined once by ``scalars._make`` (an imaginary part that cancels
 leaves an ``int``).  Each multivector records at construction whether it
 holds a ``ComplexRational``; a product of two real ones, every product in
-rational mode, multiplies the coefficients as they are, as do the outer and
-inner products.
+rational mode, multiplies the coefficients as they are.
 
 All values are immutable and operations are pure; the one piece of mutable
-state, the per-algebra product cache, is filled idempotently, so concurrent
+state, the per-algebra table caches, is filled idempotently, so concurrent
 use needs no coordination.
 """
 
@@ -87,7 +95,7 @@ def _merge_sign(a: int, b: int) -> int:
     """Reordering sign of E_a ^ E_b into ascending index order (a, b disjoint)."""
     total = 0
     for i in _bits(a):
-        total += bin(b & ((1 << i) - 1)).count("1")
+        total += (b & ((1 << i) - 1)).bit_count()
     return -1 if total & 1 else 1
 
 
@@ -109,7 +117,10 @@ class Algebra:
             # the product splits Gaussian coefficients against real blade tables
             raise AlgebraError("form matrix must be real")
         self._degenerate = not form.det()
-        self._gp_cache: dict[tuple[int, int], dict[int, Scalar]] = {}
+        # blade tables keyed by a << 16 | b, unique while masks stay below 2**16
+        self._gp_cache: dict[int, dict[int, Scalar]] = {}
+        self._wedge_cache: dict[int, dict[int, int]] = {}
+        self._inner_cache: dict[int, dict[int, Scalar]] = {}
 
     # -- basic data ---------------------------------------------------------
 
@@ -243,7 +254,7 @@ class Algebra:
 
     def blade_gp(self, a: int, b: int) -> dict[int, Scalar]:
         """Geometric product of two wedge basis monomials, cached (internal form)."""
-        key = (a, b)
+        key = a << 16 | b
         cached = self._gp_cache.get(key)
         if cached is not None:
             return cached
@@ -264,6 +275,24 @@ class Algebra:
         self._gp_cache[key] = result
         return result
 
+    def blade_wedge(self, a: int, b: int) -> dict[int, int]:
+        """Outer product of two wedge basis monomials, cached: empty when they overlap."""
+        key = a << 16 | b
+        table = self._wedge_cache.get(key)
+        if table is None:
+            table = self._wedge_cache[key] = {} if a & b else {a | b: _merge_sign(a, b)}
+        return table
+
+    def blade_inner(self, a: int, b: int) -> dict[int, Scalar]:
+        """Generalized inner product of two monomials: the grade-|ka-kb| part of blade_gp."""
+        key = a << 16 | b
+        table = self._inner_cache.get(key)
+        if table is None:
+            target = abs(a.bit_count() - b.bit_count())
+            table = {m: c for m, c in self.blade_gp(a, b).items() if m.bit_count() == target}
+            self._inner_cache[key] = table
+        return table
+
     def __repr__(self):
         p, q, r = self.signature()
         return f"Algebra(dim={self.dim}, signature=({p},{q},{r}))"
@@ -274,23 +303,47 @@ def _split(terms: dict) -> dict:
     return {m: (c.re, c.im) if type(c) is ComplexRational else (c, 0) for m, c in terms.items()}
 
 
-def _gaussian_product(alg: Algebra, x: dict, y: dict) -> dict:
-    """Geometric product of term dicts on the parts of their coefficients (module docstring)."""
-    lookup = alg._gp_cache.get
-    blade_gp = alg.blade_gp
+def _product(x: "Multivector", y: "Multivector", cache: dict, build) -> "Multivector":
+    """The product whose blade tables are ``cache``, filled by ``build`` (module docstring)."""
+    alg = x.algebra
+    if y.algebra is not alg:
+        x._check(y)
+    if x._complex or y._complex:
+        return Multivector(alg, _gaussian_product(x._terms, y._terms, cache, build))
+    lookup = cache.get
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for a, ca in x._terms.items():
+        high = a << 16
+        for b, cb in y._terms.items():
+            table = lookup(high | b)
+            if table is None:
+                table = build(a, b)
+            if table:
+                cab = ca * cb
+                for m, c in table.items():
+                    acc[m] = get(m, 0) + cab * c
+    return Multivector(alg, acc)
+
+
+def _gaussian_product(x: dict, y: dict, cache: dict, build) -> dict:
+    """``_product`` of term dicts on the parts of their coefficients (module docstring)."""
+    lookup = cache.get
     real: dict[int, Scalar] = {}
     imag: dict[int, Scalar] = {}
     real_get, imag_get = real.get, imag.get
     y_parts = _split(y).items()
     for a, (ar, ai) in _split(x).items():
+        high = a << 16
         for b, (br, bi) in y_parts:
-            table = lookup((a, b))
+            table = lookup(high | b)
             if table is None:
-                table = blade_gp(a, b)
-            pr, pi = ar * br - ai * bi, ar * bi + ai * br
-            for m, c in table.items():
-                real[m] = real_get(m, 0) + pr * c
-                imag[m] = imag_get(m, 0) + pi * c
+                table = build(a, b)
+            if table:
+                pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                for m, c in table.items():
+                    real[m] = real_get(m, 0) + pr * c
+                    imag[m] = imag_get(m, 0) + pi * c
     return {m: _make(r, imag[m]) for m, r in real.items()}
 
 
@@ -339,7 +392,7 @@ class Multivector:
         return public(self._terms.get(mask, 0))
 
     def grades(self) -> set[int]:
-        return {bin(m).count("1") for m in self._terms}
+        return {m.bit_count() for m in self._terms}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -353,7 +406,7 @@ class Multivector:
     def max_grade(self) -> int:
         if not self._terms:
             raise AlgebraError("zero multivector has no grade")
-        return max(bin(m).count("1") for m in self._terms)
+        return max(m.bit_count() for m in self._terms)
 
     def parity(self) -> str | None:
         gs = {g % 2 for g in self.grades()}
@@ -436,56 +489,23 @@ class Multivector:
     def gp(self, other: "Multivector") -> "Multivector":
         """Geometric product; Gaussian coefficients are multiplied as pairs of parts."""
         alg = self.algebra
-        if other.algebra is not alg:
-            self._check(other)
-        if self._complex or other._complex:
-            return Multivector(alg, _gaussian_product(alg, self._terms, other._terms))
-        lookup = alg._gp_cache.get
-        blade_gp = alg.blade_gp
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                table = lookup((a, b))
-                if table is None:
-                    table = blade_gp(a, b)
-                cab = ca * cb
-                for m, c in table.items():
-                    acc[m] = get(m, 0) + cab * c
-        return Multivector(alg, acc)
+        return _product(self, other, alg._gp_cache, alg.blade_gp)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Outer product, metric-free on the wedge basis."""
-        self._check(other)
-        acc: dict[int, Scalar] = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                if a & b:
-                    continue
-                m = a | b
-                acc[m] = acc.get(m, 0) + ca * cb * _merge_sign(a, b)
-        return Multivector(self.algebra, acc)
+        alg = self.algebra
+        return _product(self, other, alg._wedge_cache, alg.blade_wedge)
 
     def inner(self, other: "Multivector") -> "Multivector":
         """Generalized inner product: |k-l| grade part, taken grade by grade."""
-        self._check(other)
-        acc: dict[int, Scalar] = {}
-        blade_gp = self.algebra.blade_gp
-        for a, ca in self._terms.items():
-            ka = bin(a).count("1")
-            for b, cb in other._terms.items():
-                target = abs(ka - bin(b).count("1"))
-                cab = ca * cb
-                for m, c in blade_gp(a, b).items():
-                    if bin(m).count("1") == target:
-                        acc[m] = acc.get(m, 0) + cab * c
-        return Multivector(self.algebra, acc)
+        alg = self.algebra
+        return _product(self, other, alg._inner_cache, alg.blade_inner)
 
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.algebra.dim:
             raise AlgebraError(f"grade {k} out of range 0..{self.algebra.dim}")
         return Multivector(self.algebra,
-                           {m: c for m, c in self._terms.items() if bin(m).count("1") == k})
+                           {m: c for m, c in self._terms.items() if m.bit_count() == k})
 
     # -- involutions ------------------------------------------------------------
 
@@ -503,7 +523,7 @@ class Multivector:
 
     def _negate_grades(self, negated: tuple) -> "Multivector":
         """Negate the terms of every grade k with negated[k % 4] (each sign has period 4)."""
-        return Multivector(self.algebra, {m: -c if negated[bin(m).count("1") & 3] else c
+        return Multivector(self.algebra, {m: -c if negated[m.bit_count() & 3] else c
                                           for m, c in self._terms.items()})
 
     # -- norms, inverses, duality -------------------------------------------------
@@ -530,7 +550,7 @@ class Multivector:
         if not self._terms:
             return "0"
         parts = []
-        ordered = sorted(self._terms, key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
+        ordered = sorted(self._terms, key=lambda m: (m.bit_count(), tuple(_bits(m))))
         for m in ordered:
             c = self._terms[m]
             txt = format_scalar(c)
@@ -551,7 +571,7 @@ class Multivector:
         return " ".join(parts)
 
     def to_json(self) -> list[dict]:
-        ordered = sorted(self._terms, key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
+        ordered = sorted(self._terms, key=lambda m: (m.bit_count(), tuple(_bits(m))))
         return [{"mask": m, "coeff": format_scalar(self._terms[m])} for m in ordered]
 
     @classmethod

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
-from .algebra import _bits, _merge_sign
+from .algebra import _bits
 from .linalg import Matrix, normalize_vector, nullspace
 
 
@@ -82,14 +82,16 @@ def _opns_from_coefficients(b: Multivector) -> tuple[Multivector, ...]:
     terms = b._terms
     top = max(terms)
     conj = terms[top].conjugate()
+    alg = b.algebra
     space = []
     for f in _bits(top):
         rest = top ^ (1 << f)
-        coords = [0] * b.algebra.dim
-        for j in range(len(coords)):
-            if c := terms.get(rest | 1 << j):  # None for j in F - f: b is homogeneous
-                coords[j] = _merge_sign(1 << j, rest) * c * conj
-        space.append(b.algebra.vector(normalize_vector(coords)))
+        coords = [0] * alg.dim
+        for j in range(alg.dim):
+            m = rest | 1 << j
+            if c := terms.get(m):  # None for j in F - f: b is homogeneous
+                coords[j] = alg.blade_wedge(1 << j, rest)[m] * c * conj
+        space.append(alg.vector(normalize_vector(coords)))
     return tuple(space)
 
 

@@ -10,7 +10,7 @@ The descent names are re-exported here, which is their public path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Multivector
 from .blades import NoNonNullVectorError, choose_nonnull_vector, factorize_versor
@@ -30,12 +30,18 @@ from .scalars import Scalar, as_scalar, format_scalar
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    """Vector factors of a transformation and their exact matrix certificate."""
+    """Vector factors of a transformation and their exact matrix certificate.
+
+    ``verify_factorization`` recomputes the polarity product unless the result
+    was built from that product by ``_of_product``, which keeps it; a
+    ``residual`` given by the caller is never trusted.
+    """
 
     factors: tuple[Multivector, ...]
     polarities: tuple[NullPolarity, ...]
     scale: Scalar
     residual: Matrix
+    _product: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def verified(self) -> bool:
         return self.residual.is_zero() and bool(self.scale)
@@ -53,8 +59,15 @@ class FactorizationResult:
         factors = tuple(Multivector.from_json(klein_algebra(), f) for f in data["factors"])
         polarities = tuple(NullPolarity.from_json(p) for p in data["polarities"])
         scale = as_scalar(data["scale"])
-        residual = _polarity_product(polarities) - transform.matrix.scale(scale)
-        return cls(factors, polarities, scale, residual)
+        return cls._of_product(factors, polarities, scale, _polarity_product(polarities), transform)
+
+    @classmethod
+    def _of_product(cls, factors, polarities, scale, product: Matrix,
+                    t: ProjTransform4) -> "FactorizationResult":
+        """A result whose polarities multiply to ``product``, which it keeps."""
+        result = cls(factors, polarities, scale, product - t.matrix.scale(scale))
+        object.__setattr__(result, "_product", product)
+        return result
 
 
 def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> FactorizationResult:
@@ -66,7 +79,7 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     product = scale * input, all within the lift (``klein._lift``).
     """
     versor, polarities, scale, product = _lift(t, scalar_mode)
-    return FactorizationResult(versor.witness, polarities, scale, product - t.matrix.scale(scale))
+    return FactorizationResult._of_product(versor.witness, polarities, scale, product, t)
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:
@@ -88,5 +101,7 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
         return False
     if not result.scale:
         return False
-    product = _polarity_product(result.polarities)
+    product = result._product
+    if product is None:
+        product = _polarity_product(result.polarities)
     return product == t.matrix.scale(result.scale)

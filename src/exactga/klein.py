@@ -384,7 +384,7 @@ def _spin_tables() -> dict:
     for mask in alg.basis_masks()[1:]:  # grade-major: E and e_i . E come first
         low = mask & -mask
         rest = mask ^ low
-        w = 1 if bin(mask).count("1") % 2 else 2
+        w = 1 if mask.bit_count() % 2 else 2
         table = [[0] * 8 for _ in range(8)]
         for r, k, v in gammas[low.bit_length() - 1]:
             table[r] = [x + w * v * y for x, y in zip(table[r], tables[rest][k])]

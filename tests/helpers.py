@@ -5,8 +5,8 @@ transposition counting over an orthogonal basis) used to cross-check the
 library's metric-contraction product; it shares no code with the package.
 The adjugate, the linear solve, the span membership test, the wedge- and
 inner-map kernels (outer and inner null spaces by elimination), the
-published coefficient tables, the per-term geometric product, the
-norm-first descent, the six-relation check of a lift and the
+published coefficient tables, the per-term geometric, outer and inner
+products, the norm-first descent, the six-relation check of a lift and the
 ``Fraction(text)`` scalar parser serve only as oracles, so they live here
 rather than in the package.
 """
@@ -17,9 +17,10 @@ import random
 import re
 from fractions import Fraction
 
-from exactga.algebra import Algebra, Multivector, NullVersorError
+from exactga.algebra import Algebra, Multivector, NullVersorError, _merge_sign
 from exactga.blades import factorize_versor
 from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
+from exactga.lie import lie_algebra
 from exactga.linalg import LinAlgError, Matrix, determinant, nullspace, rref
 from exactga.scalars import ComplexRational, ScalarError
 
@@ -186,6 +187,35 @@ def per_term_gp(x: Multivector, y: Multivector) -> Multivector:
             cab = ca * cb
             for m, c in x.algebra.blade_gp(a, b).items():
                 acc[m] = acc.get(m, 0) + cab * c
+    return Multivector(x.algebra, acc)
+
+
+def per_term_wedge(x: Multivector, y: Multivector) -> Multivector:
+    """The outer product with its reordering sign computed for every coefficient pair."""
+    x._check(y)
+    acc = {}
+    for a, ca in x._terms.items():
+        for b, cb in y._terms.items():
+            if a & b:
+                continue
+            m = a | b
+            acc[m] = acc.get(m, 0) + ca * cb * _merge_sign(a, b)
+    return Multivector(x.algebra, acc)
+
+
+def per_term_inner(x: Multivector, y: Multivector) -> Multivector:
+    """The generalized inner product, filtering each pair's ``blade_gp`` by grade."""
+    x._check(y)
+    acc = {}
+    blade_gp = x.algebra.blade_gp
+    for a, ca in x._terms.items():
+        ka = bin(a).count("1")
+        for b, cb in y._terms.items():
+            target = abs(ka - bin(b).count("1"))
+            cab = ca * cb
+            for m, c in blade_gp(a, b).items():
+                if bin(m).count("1") == target:
+                    acc[m] = acc.get(m, 0) + cab * c
     return Multivector(x.algebra, acc)
 
 
@@ -388,6 +418,19 @@ def published_table(g: Multivector, action: str, m23_doubled: bool = False) -> M
 
 def rand_fraction(rng: random.Random, span: int = 3, denominators=(1, 1, 2, 3)) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.choice(denominators))
+
+
+# forms the product and null-space oracles run in: both models, a degenerate
+# diagonal form and a dense non-diagonal one
+ORACLE_ALGEBRAS = {
+    "klein": klein_algebra(),
+    "lie": lie_algebra(),
+    "degenerate": Algebra(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]])),
+    "dense": Algebra(Matrix.from_rows(
+        [[2, 1, 0, -1, 3], [1, 0, 2, 1, 0], [0, 2, -1, 0, 1], [-1, 1, 0, 3, 2],
+         [3, 0, 1, 2, -2]])),
+}
 
 
 def rand_coefficient(rng: random.Random, kind: str):

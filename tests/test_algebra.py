@@ -19,7 +19,17 @@ from exactga.algebra import (
 from exactga.klein import bilinear, klein_algebra
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix
-from helpers import orthogonal_oracle_gp, rand_multivector, rand_vector
+from exactga.scalars import ComplexRational
+from helpers import (
+    ORACLE_ALGEBRAS,
+    orthogonal_oracle_gp,
+    per_term_gp,
+    per_term_inner,
+    per_term_wedge,
+    rand_coefficient,
+    rand_multivector,
+    rand_vector,
+)
 
 KLEIN = klein_algebra()
 E = KLEIN.e
@@ -201,6 +211,28 @@ def test_generalized_products_against_oracle():
         assert a.inner(b) == oracle.grade(abs(ka - kb))
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_products_match_the_per_term_oracles(name):
+    """gp, wedge and inner equal their one-multiplication-per-pair forms, as JSON."""
+    alg = ORACLE_ALGEBRAS[name]
+    rng = random.Random(f"algebra/products/{name}")
+    masks = alg.basis_masks()
+    oracles = {"gp": per_term_gp, "wedge": per_term_wedge, "inner": per_term_inner}
+    nonzero = dict.fromkeys(oracles, 0)
+    for kind in ("int", "fraction", "gaussian", "gaussian-rational"):
+        # mixed-grade operands, some real and some not, and the zero multivector
+        operands = [alg.zero()] + [
+            alg.mv({rng.choice(masks): rand_coefficient(rng, rng.choice(("int", kind)))
+                    for _ in range(rng.randint(1, 6))}) for _ in range(12)]
+        for x in operands:
+            for y in [operands[0]] + rng.sample(operands, 4):
+                for product, oracle in oracles.items():
+                    got = getattr(x, product)(y)
+                    assert got.to_json() == oracle(x, y).to_json()
+                    nonzero[product] += not got.is_zero()
+    assert min(nonzero.values()) >= 50
+
+
 # -- norms and inverses ------------------------------------------------------------------
 
 def test_norm_examples():
@@ -293,8 +325,11 @@ def test_center_elements_commute():
 # -- misc API ----------------------------------------------------------------------------------------
 
 def test_algebra_mismatch():
-    with pytest.raises(AlgebraMismatchError):
-        E(1).gp(lie_algebra().e(1))
+    lie = lie_algebra().e(1)
+    for x, y in ((E(1), lie), (lie, E(1)), (E(1) * ComplexRational(0, 1), lie)):
+        for product in ("gp", "wedge", "inner"):
+            with pytest.raises(AlgebraMismatchError):
+                getattr(x, product)(y)
 
 
 def test_algebra_refuses_a_complex_form():

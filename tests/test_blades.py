@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from exactga.algebra import Algebra, proportional
+from exactga.algebra import proportional
 from exactga.blades import (
     Blade,
     BladeError,
@@ -12,9 +12,8 @@ from exactga.blades import (
     opns,
 )
 from exactga.klein import bilinear, klein_algebra
-from exactga.lie import lie_algebra
-from exactga.linalg import Matrix
 from helpers import (
+    ORACLE_ALGEBRAS,
     ipns_by_elimination,
     opns_by_elimination,
     rand_coefficient,
@@ -197,17 +196,6 @@ def test_vector_in_span():
     basis = [E(1), E(2)]
     assert vector_in_span(E(1) + 2 * E(2), basis)
     assert not vector_in_span(E(3), basis)
-
-
-ORACLE_ALGEBRAS = {
-    "klein": klein_algebra(),
-    "lie": lie_algebra(),
-    "degenerate": Algebra(Matrix.from_rows(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]])),
-    "dense": Algebra(Matrix.from_rows(
-        [[2, 1, 0, -1, 3], [1, 0, 2, 1, 0], [0, 2, -1, 0, 1], [-1, 1, 0, 3, 2],
-         [3, 0, 1, 2, -2]])),
-}
 
 
 def rand_sparse_vector(rng, alg, kind):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -292,6 +293,25 @@ def test_verify_rejects_swapped_factors(reference_matrix, reference_factors,
     swapped[0], swapped[2] = swapped[2], swapped[0]
     result = FactorizationResult(vectors, tuple(swapped), Fraction(-4), Matrix.zeros(4, 4))
     assert not verify_factorization(result, t)
+
+
+def test_verify_does_not_trust_a_given_residual(reference_matrix):
+    t = ProjTransform4(reference_matrix, "collineation", "points")
+    kept = FactorizationResult.from_json(factorize_matrix(t).to_json(), t)
+    swapped = list(kept.polarities)
+    swapped[0], swapped[2] = swapped[2], swapped[0]
+    zero = Matrix.zeros(4, 4)
+    forged = [
+        # a zero residual the polarities do not bear out
+        FactorizationResult(kept.factors, kept.polarities, kept.scale * 2, zero),
+        # a copy of a result that kept its polarity product does not keep it
+        dataclasses.replace(kept, polarities=tuple(swapped), residual=zero),
+        dataclasses.replace(kept, scale=kept.scale * 2, residual=zero),
+    ]
+    assert verify_factorization(kept, t)
+    for result in forged:
+        assert result.verified()
+        assert not verify_factorization(result, t)
 
 
 def test_verify_empty_against_identity():

@@ -1,7 +1,9 @@
-"""Import structure of the exactga package, read from its source with ``ast``.
+"""Structure of the exactga package, read from its source with ``ast``.
 
 Every import sits at module level, and the imports between the package's
 own modules form no cycle, so each module can be read below the ones it uses.
+Only the blade-table builders of ``algebra`` compute a reordering sign, and
+popcounts use ``int.bit_count``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,50 @@ def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
             if found:
                 return found
     return None
+
+
+def _users(tree: ast.Module, name: str) -> set[str]:
+    """The innermost function around each use of ``name``; "" at module level."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def _bin_counts(tree: ast.Module) -> list[int]:
+    """Lines of every ``bin(...).count(...)`` call."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "count" and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Name) and node.func.value.func.id == "bin"]
+
+
+def test_reordering_signs_come_from_the_blade_tables():
+    modules = _modules()
+    users = {name: found for name, tree in modules.items()
+             if (found := _users(tree, "_merge_sign"))}
+    # the geometric-product recursion and the wedge table; every product reads the tables
+    assert users == {"algebra": {"_vec_gp", "blade_wedge"}}
+    popcounts = {name: lines for name, tree in modules.items() if (lines := _bin_counts(tree))}
+    assert popcounts == {}
+
+
+def test_rule_finders_see_their_targets():
+    tree = ast.parse("from m import f\n"
+                     "def g(x):\n    return f(x) + bin(x).count('1')\n"
+                     "class C:\n    def h(self):\n        return m.f\n")
+    assert _users(tree, "f") == {"", "g", "h"}
+    assert _bin_counts(tree) == [3]
 
 
 def test_no_imports_inside_functions():

@@ -4,11 +4,13 @@ Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
 second outer null space per descent step or classification, a linear
-system in the descent, a norm product in a successful descent, or a
-``ComplexRational`` multiplication inside the geometric product, or a
-certificate check that parses scalars through ``Fraction(text)`` or
-evaluates the Klein form on public coordinates fails here even when its
-output stays the same.  The storage guards require the integer core: int
+system in the descent, a norm product in a successful descent, a
+``ComplexRational`` multiplication inside a product, a reordering sign
+computed outside the warm blade tables, an outer or inner product routed
+through ``Multivector.gp``, a certificate check that parses scalars through
+``Fraction(text)`` or evaluates the Klein form on public coordinates, or a
+second polarity product in a verify job fails here even when its output
+stays the same.  The storage guards require the integer core: int
 blade and coefficient tables, and int or Gaussian-int coefficients in
 every multivector of a descent and in every matrix of the linear algebra.
 """
@@ -16,12 +18,13 @@ every multivector of a descent and in every matrix of the linear algebra.
 import random
 from fractions import Fraction
 
+import exactga.algebra as algebra
 import exactga.blades as blades
 import exactga.cli as cli
 import exactga.factorize as factorize
 import exactga.klein as klein
 import exactga.linalg as linalg
-from exactga.algebra import Multivector
+from exactga.algebra import Algebra, Multivector
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational
@@ -145,11 +148,47 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
     conjugate = value.conjugate()
     assert all(is_integral_storage(c) for c in value._terms.values())
     assert any(type(c) is ComplexRational for c in value._terms.values())
+    # the decomposability wedges of the Blade at each descent step
+    parts = counting(monkeypatch, blades, "_opns_from_coefficients")
+    blades.factorize_versor(value)
+    monkeypatch.undo()
+    checks = [(v, part) for (part,) in parts for v in blades._opns_from_coefficients(part)]
+    assert len(checks) >= 10 and any(v._complex for v, _ in checks)
     left = counting(monkeypatch, ComplexRational, "__mul__")
     right = counting(monkeypatch, ComplexRational, "__rmul__")
     norm = value.gp(conjugate)
+    wedges = [v.wedge(part) for v, part in checks]
+    inners = [value.inner(conjugate)] + [v.inner(part) for v, part in checks]
     assert left == [] and right == []
     assert norm.is_scalar() and norm.scalar_part()
+    assert all(w.is_zero() for w in wedges)
+    assert not any(w.is_zero() for w in inners)
+
+
+def test_warm_factorization_computes_no_reordering_sign(monkeypatch):
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        factorize.factorize_matrix(t, mode)  # fills the blade tables it reads
+        signs = counting(monkeypatch, algebra, "_merge_sign")
+        result = factorize.factorize_matrix(t, mode)
+        monkeypatch.undo()
+        assert result.verified() and len(result.factors) >= 4
+        assert signs == []
+
+
+def test_wedge_and_inner_read_their_own_tables(monkeypatch):
+    # neither goes through Multivector.gp, so counting gp (the descent's one
+    # product per step, the bench's algebra.gp.calls) counts geometric products
+    for x in (lifted(REFERENCE_COLLINEATION, "rational"), lifted(COMPLEX_VARIANT, "complex")):
+        y = x.conjugate()
+        expected = (x.wedge(y), x.inner(y))  # fills the wedge and inner tables
+        assert not any(z.is_zero() for z in expected)
+        products = counting(monkeypatch, Multivector, "gp")
+        gp_tables = counting(monkeypatch, Algebra, "blade_gp")
+        signs = counting(monkeypatch, algebra, "_merge_sign")
+        assert (x.wedge(y), x.inner(y)) == expected
+        monkeypatch.undo()
+        assert products == gp_tables == signs == []
 
 
 def test_classification_computes_one_outer_null_space(monkeypatch):
@@ -212,11 +251,28 @@ def test_linear_algebra_stores_integral_entries(monkeypatch):
             assert any(type(x) is ComplexRational for x in entries)
 
 
-def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
+def verify_jobs() -> list[tuple[dict, str]]:
+    """A CLI verify job for the reference and for the complex variant, with its mode."""
+    jobs = []
     for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
-        job = {"transform": {"matrix": t.matrix.to_json(), "kind": t.kind, "action": t.action},
-               "result": factorize.factorize_matrix(t, mode).to_json()}
+        jobs.append(({"transform": {"matrix": t.matrix.to_json(), "kind": t.kind,
+                                    "action": t.action},
+                      "result": factorize.factorize_matrix(t, mode).to_json()}, mode))
+    return jobs
+
+
+def test_verify_multiplies_the_polarities_once(monkeypatch):
+    for job, mode in verify_jobs():
+        chains = counting(monkeypatch, factorize, "_polarity_product")
+        code, report = cli.run_job("verify", job, {"scalar_mode": mode})
+        monkeypatch.undo()
+        assert code == 0 and report["verified"] is True
+        assert len(chains) == 1
+
+
+def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
+    for job, mode in verify_jobs():
         parsed = []
         new_fraction = Fraction.__new__
 
