@@ -7,11 +7,13 @@ one decomposability rule.  The inner null space (IPNS) is the orthogonal
 complement of the OPNS under the form, a k-by-n system.
 
 The grade descent factorizes a versor into vectors: it repeatedly multiplies
-by a non-null vector from the outer null space of the maximal-grade blade,
-which lowers that grade by exactly one.  A versor of maximal grade k
-therefore splits into at most k vectors, and in the rank-6 models at most
-six.  It lives here, below both models, because it needs only blades and
-the algebra; ``klein`` calls it to attach the lift's witness and
+by a non-null vector from the outer null space of the maximal-grade part,
+read off its coefficients, which lowers that grade by exactly one.  A versor
+of maximal grade k therefore splits into at most k vectors, and in the
+rank-6 models at most six.  Only a failed descent builds a ``Blade``: it is
+refused for the norm, then for the first non-blade top part, then with its
+own error.  It lives here, below both models, because it needs only blades
+and the algebra; ``klein`` calls it to attach the lift's witness and
 ``factorize`` re-exports it.
 """
 
@@ -164,42 +166,45 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     """Split a non-null versor into vectors whose product is proportional to it.
 
     Returns the factors in product order (leftmost first); the rightmost
-    factor is the first one extracted by the descent.  Raises BladeError
-    when a maximal-grade part is not a blade.
+    factor is the first one extracted by the descent.
 
-    The descent runs first and needs no norm when it succeeds: it ends with
-    g v_1 ... v_k equal to a nonzero scalar or a non-null vector w, and every
-    v_i is non-null, so g = w v_k^-1 ... v_1^-1 is a product of invertible
-    vectors and its norm is nonzero.  Only a failed descent, or one that
-    ends in a null vector or a mixed-grade remainder, computes ``g.norm()``:
-    a null or non-versor input is then refused with ``NullVersorError`` or
-    ``NotAVersorError``, as by a check before the descent, and any other
-    input with the descent's own error.
+    A step reads the outer null space off the top-grade part and builds no
+    ``Blade``.  The descent ends with g v_1 ... v_k equal to a nonzero scalar
+    or a non-null vector w, and every v_i is non-null, so g = w v_k^-1 ...
+    v_1^-1 is a versor: its norm is nonzero and the factors are right.
+    Only a failed descent, or one that ends in a null vector or a
+    mixed-grade remainder, checks them (``_refuse``): the norm first
+    (``NullVersorError``, ``NotAVersorError``), then the top parts in step
+    order (``BladeError``), then the descent's own error.
     """
     g = _as_multivector(g)
     if g.is_zero():
         raise NullVersorError("zero element cannot be factorized")
     extracted: list[Multivector] = []
+    tops: list[Multivector] = []
     current = g
     try:
         while (k := current.max_grade()) >= 2:
-            v = choose_nonnull_vector(opns(Blade(current.grade(k), k)))
+            tops.append(current.grade(k))
+            v = choose_nonnull_vector(_opns_from_coefficients(tops[-1]))
             nxt = current.gp(v)
             if nxt.is_zero() or nxt.max_grade() != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
             extracted.append(v)
             current = nxt
     except AlgebraError:
-        _require_nonzero_norm(g)
+        _refuse(g, tops)
         raise
     if current.max_grade() == 1:
         if current.grades() != {1} or not bilinear(current, current):
-            _require_nonzero_norm(g)  # a mixed-grade remainder then fails in _coordinates
+            _refuse(g, tops)  # a mixed-grade remainder then fails in _coordinates
         extracted.append(current)
     return [g.algebra.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]
 
 
-def _require_nonzero_norm(g: Multivector) -> None:
-    """Raise NotAVersorError or NullVersorError when g g* is not a nonzero scalar."""
+def _refuse(g: Multivector, tops: list[Multivector]) -> None:
+    """Raise for a failed descent of g: a null or non-scalar norm, then a non-blade top part."""
     if not g.norm():
         raise NullVersorError("null versors are outside the factorization domain")
+    for top in tops:
+        Blade.from_multivector(top)

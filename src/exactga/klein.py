@@ -48,7 +48,6 @@ from .scalars import (
     Scalar,
     as_scalar,
     canonical,
-    div,
     format_scalar,
     imag_part,
     rational_sqrt,
@@ -548,8 +547,9 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
         stacked = cofactors.entries + a.scale(s / det).entries
     stacked = [canonical(x) for x in stacked]
     coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
-    last = next(c for c in reversed(coeffs) if c)
-    g = multivector_from_coefficients(normalize_vector([div(c, last) for c in coeffs]), parity)
+    # c conj(last) is c / last times the positive |last|^2, which normalizing removes
+    conj = next(c for c in reversed(coeffs) if c).conjugate()
+    g = multivector_from_coefficients(normalize_vector([c * conj for c in coeffs]), parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain
     alternate = g.gp(klein_algebra().pseudoscalar())

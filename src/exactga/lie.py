@@ -130,7 +130,7 @@ class LieCoordinate:
         object.__setattr__(self, "coords", coords)
 
     def on_quadric(self) -> bool:
-        return quadric_value(self.coords) == 0
+        return lie_bilinear(self.coords, self.coords) == 0
 
     def to_multivector(self) -> Multivector:
         return lie_algebra().vector(self.coords)
@@ -138,11 +138,6 @@ class LieCoordinate:
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "LieCoordinate":
         return cls(mv.coordinates())
-
-
-def quadric_value(x: Sequence) -> Scalar:
-    return (-x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-            + x[3] * x[3] + x[4] * x[4] - x[5] * x[5])
 
 
 def lie_bilinear(a: Sequence, b: Sequence) -> Scalar:

@@ -6,9 +6,10 @@ library's metric-contraction product; it shares no code with the package.
 The adjugate, the linear solve, the span membership test, the wedge- and
 inner-map kernels (outer and inner null spaces by elimination), the
 published coefficient tables, the per-term geometric, outer and inner
-products, the norm-first descent, the six-relation check of a lift and the
-``Fraction(text)`` scalar parser serve only as oracles, so they live here
-rather than in the package.
+products, the norm-first descent, the descent that checks every step with a
+``Blade``, Scherk's minimal length of an isometry, the six-relation check of
+a lift and the ``Fraction(text)`` scalar parser serve only as oracles, so
+they live here rather than in the package.
 """
 
 from __future__ import annotations
@@ -17,11 +18,27 @@ import random
 import re
 from fractions import Fraction
 
-from exactga.algebra import Algebra, Multivector, NullVersorError, _merge_sign
-from exactga.blades import factorize_versor
+from exactga.algebra import (
+    Algebra,
+    AlgebraError,
+    Multivector,
+    NullVersorError,
+    _merge_sign,
+    bilinear,
+)
+from exactga.blades import Blade, choose_nonnull_vector, factorize_versor, opns
 from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
 from exactga.lie import lie_algebra
-from exactga.linalg import LinAlgError, Matrix, determinant, nullspace, rref
+from exactga.linalg import (
+    LinAlgError,
+    Matrix,
+    determinant,
+    mat_mul,
+    normalize_vector,
+    nullspace,
+    rank,
+    rref,
+)
 from exactga.scalars import ComplexRational, ScalarError
 
 
@@ -226,6 +243,53 @@ def norm_first_factorize(g: Multivector) -> list[Multivector]:
     if not g.norm():
         raise NullVersorError("null versors are outside the factorization domain")
     return factorize_versor(g)
+
+
+def _require_nonzero_norm(g: Multivector) -> None:
+    if not g.norm():
+        raise NullVersorError("null versors are outside the factorization domain")
+
+
+def checked_factorize_versor(g: Multivector) -> list[Multivector]:
+    """The grade descent that builds a ``Blade``, and so runs its wedges, at every step.
+
+    A failed descent, or one ending in a null vector or a mixed-grade
+    remainder, is refused for the norm first, then with its own error.
+    """
+    if g.is_zero():
+        raise NullVersorError("zero element cannot be factorized")
+    extracted = []
+    current = g
+    try:
+        while (k := current.max_grade()) >= 2:
+            v = choose_nonnull_vector(opns(Blade(current.grade(k), k)))
+            nxt = current.gp(v)
+            if nxt.is_zero() or nxt.max_grade() != k - 1:
+                raise AlgebraError("grade descent failed to reduce the maximal grade")
+            extracted.append(v)
+            current = nxt
+    except AlgebraError:
+        _require_nonzero_norm(g)
+        raise
+    if current.max_grade() == 1:
+        if current.grades() != {1} or not bilinear(current, current):
+            _require_nonzero_norm(g)  # a mixed-grade remainder then fails in _coordinates
+        extracted.append(current)
+    return [g.algebra.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]
+
+
+def scherk_length(t: Matrix) -> int:
+    """The fewest reflections whose product is the isometry t of the Klein form Q.
+
+    rank(t - Id), plus 2 when t != Id and the image of t - Id is totally
+    isotropic, that is (t - Id)^T Q (t - Id) = 0 (P. Scherk, "On the
+    decomposition of orthogonalities into symmetries", Proc. AMS 1, 1950).
+    """
+    d = t - Matrix.identity(t.rows)
+    if d.is_zero():
+        return 0
+    isotropic = mat_mul(mat_mul(d.transpose(), klein_algebra().form), d).is_zero()
+    return rank(d) + (2 if isotropic else 0)
 
 
 def checked_lift(g: Multivector, G: Matrix, s, parity: str) -> Multivector:

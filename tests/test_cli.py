@@ -1,16 +1,19 @@
 import copy
+import hashlib
 import io
 import json
+import random
 import sys
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from exactga.cli import main, run_job
+from exactga.cli import _format_text, main, run_job
 from exactga.factorize import factorize_matrix
-from exactga.klein import ProjTransform4
+from exactga.klein import ProjTransform4, klein_algebra, versor_to_proj
 from exactga.linalg import Matrix
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION, REFERENCE_POLARITY_MATRICES
+from helpers import rand_versor
 
 
 def as_str_matrix(rows):
@@ -572,3 +575,63 @@ def test_fuzzed_jobs_end_in_documented_codes(job, opts):
     assert code in DOCUMENTED_CODES
     assert isinstance(report, dict)
     json.dumps(report, default=str)
+
+
+def sweep_jobs() -> list[tuple[str, dict]]:
+    """99 random liftable maps as (scalar mode, transform payload).
+
+    Factor counts 1-6 give both kinds, the action alternates every six maps,
+    and every third group of six has row 0 negated, so it needs the complex mode.
+    """
+    rng = random.Random("cli/sweep")
+    jobs = []
+    for i in range(99):
+        action = ("points", "planes")[i // 6 % 2]
+        t = versor_to_proj(rand_versor(rng, klein_algebra(), 1 + i % 6)[0], action)
+        rows = t.matrix.row_lists()
+        mode = "complex" if i // 6 % 3 == 2 else "rational"
+        if mode == "complex":
+            rows[0] = [-x for x in rows[0]]
+        jobs.append((mode, {"matrix": Matrix.from_rows(rows).to_json(), "kind": t.kind,
+                            "action": action}))
+    return jobs
+
+
+def sweep_digests() -> dict[str, str]:
+    """sha256 of each (command, mode, format) group of the sweep's rendered reports."""
+    rendered = {}
+    for mode, transform in sweep_jobs():
+        opts = {"scalar_mode": mode}
+        factorized = run_job("factorize", transform, opts)
+        verified = run_job("verify", {"transform": transform, "result": factorized[1]}, opts)
+        for command, (code, report) in (("factorize", factorized),
+                                        ("lift", run_job("lift", transform, opts)),
+                                        ("verify", verified)):
+            assert code == 0, report
+            for fmt, text in (("json", json.dumps(report, indent=2, default=str)),
+                              ("text", _format_text(report))):
+                rendered.setdefault(f"{command}/{mode}/{fmt}", []).append(text)
+    return {key: hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+            for key, texts in sorted(rendered.items())}
+
+
+# recorded while the grade descent still built a Blade at every step
+SWEEP_DIGESTS = {
+    "factorize/complex/json": "e617094d53d355ca903c76ae27fe65e2862e2cc05ebb85540d468eb4bc213e41",
+    "factorize/complex/text": "3dd55b75573fedfbfde72265e95d88a28728f4b314e32b957e75c0358ae3d0f2",
+    "factorize/rational/json": "2f2c2eed70624ab55b8edc760b67bd7d00c1cd99aa0e44b4be8da42a38794ec0",
+    "factorize/rational/text": "18418836ae19f258fee9769960b3f53e9d538609b2c5f36c7ea8f6b69b703951",
+    "lift/complex/json": "b12efb2fe02da40b3fb82cb80049ed3e85a1e1d563d1232319153929a391ec58",
+    "lift/complex/text": "934d1c2b3cd58f241052d7acddb031182465b96a67c156660b0472371fd1e54c",
+    "lift/rational/json": "bad8d84955f2fa7a82f94be4062d24e68de8888ab95fb97c293527b1d7e56057",
+    "lift/rational/text": "f2e6d143f41ac664ebbe911745a27ffcd41b4ea3268693658fcce3fb8aa12286",
+    "verify/complex/json": "741227c99b465b41fbe32e3d9018483ed2c6cc99f062cf917b894d36a295deb8",
+    "verify/complex/text": "ab0285ddfbf45fdab93f312a416318eaf8c043360a4dc30024015ab1fce526e8",
+    "verify/rational/json": "2fc75c7df32c86c65de0e660d0e85c8a4994c8dc4518f18a167c56331b351379",
+    "verify/rational/text": "0e946d085fd771f7096345d06e44bfba131ce69a55ed2fb3cf2ae5730fa6bbc3",
+}
+
+
+def test_cli_sweep_is_byte_identical():
+    # 297 jobs: a factorize, a lift and a verify of each of 99 liftable maps
+    assert sweep_digests() == SWEEP_DIGESTS

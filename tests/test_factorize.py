@@ -18,17 +18,23 @@ from exactga.klein import (
     NullPolarity,
     ProjTransform4,
     bilinear,
+    induced_line_map,
     klein_algebra,
     versor_to_proj,
 )
+import exactga.blades as blades
 from exactga.blades import Blade, BladeError
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul
+from exactga.scalars import scalar_sqrt
 from helpers import (
+    checked_factorize_versor,
     norm_first_factorize,
+    rand_fraction,
     rand_invertible_vector,
     rand_multivector,
     rand_versor,
+    scherk_length,
     vector_in_span,
 )
 
@@ -155,6 +161,26 @@ def test_factorize_refusal_classes(alg, build, error, message):
     assert type(caught.value) is error
 
 
+def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
+    # the grade-4 part of this g + c g I is no blade, yet its step lowers the
+    # grade; the descent gives out one step later, on a grade-3 part, and the
+    # refusal still names the first part that is not a blade
+    g = (-2 + 4 * E(1, 2) + 4 * E(1, 3) - E(1, 5) + 4 * E(1, 6) + 4 * E(2, 3) - 2 * E(2, 5)
+         + 4 * E(2, 6) - E(3, 5) + E(5, 6) + 12 * E(1, 2, 3, 4) - 12 * E(1, 2, 3, 5)
+         + 12 * E(1, 2, 3, 6) + 12 * E(1, 2, 4, 6) - 12 * E(1, 2, 5, 6) - 3 * E(1, 3, 4, 5)
+         + 6 * E(1, 3, 4, 6) - 3 * E(1, 3, 5, 6) + 3 * E(1, 4, 5, 6) + 6 * E(1, 2, 3, 4, 5, 6))
+    steps, checked = [], []
+    choose, post_init = blades.choose_nonnull_vector, Blade.__post_init__
+    monkeypatch.setattr(blades, "choose_nonnull_vector",
+                        lambda space: steps.append(len(space)) or choose(space))
+    monkeypatch.setattr(Blade, "__post_init__",
+                        lambda self: checked.append(self.grade) or post_init(self))
+    with pytest.raises(BladeError, match="grade-4 element is not decomposable"):
+        factorize_versor(g)
+    assert steps == [6, 5, 4, 3]
+    assert checked == [6, 5, 4]
+
+
 def outcome(factorize, g):
     try:
         return [f.to_json() for f in factorize(g)]
@@ -178,6 +204,69 @@ def test_factorize_matches_the_norm_first_oracle():
             assert outcome(factorize_versor, g) == expected
             seen.add(expected[0] if isinstance(expected, tuple) else list)
     assert {list, NotAVersorError, NullVersorError} <= seen
+
+
+def descent_input(rng: random.Random, alg, i: int):
+    """One of five shapes by i: a versor of 1-6 vectors, a product through a
+    null vector, a versor with 1-4 perturbed terms, g + c g I, or a random
+    multivector."""
+    shape = i % 5
+    if shape == 4:
+        return rand_multivector(rng, alg, n_terms=rng.randint(1, 8))
+    g, _ = rand_versor(rng, alg, rng.randint(1, 6))
+    if shape == 1:
+        null = alg.e(rng.randint(1, 6)) if alg is KLEIN else alg.e(1) + alg.e(5)
+        return g.gp(null).gp(rand_invertible_vector(rng, alg))
+    if shape == 2:
+        return g + rand_multivector(rng, alg, n_terms=rng.randint(1, 4))
+    if shape == 3:
+        return g + g.gp(alg.pseudoscalar()) * rand_fraction(rng)
+    return g
+
+
+def test_factorize_matches_the_blade_checked_oracle():
+    # the descent that builds a Blade per step gives the same factors, or the
+    # same refusal, on 2,000 inputs in Cl(3,3) and Cl(4,2)
+    rng = random.Random("factorize/blade-checked")
+    seen = set()
+    for alg in (KLEIN, lie_algebra()):
+        for i in range(1000):
+            g = descent_input(rng, alg, i)
+            expected = outcome(checked_factorize_versor, g)
+            assert outcome(factorize_versor, g) == expected
+            seen.add(expected[0] if isinstance(expected, tuple) else list)
+    assert seen == {list, AlgebraError, NoNonNullVectorError, NotAVersorError,
+                    NullVersorError, BladeError}
+
+
+def line_isometry(t: ProjTransform4) -> Matrix:
+    """T = G / s, for G the induced line map and s a root of its similitude ratio."""
+    g = induced_line_map(t)
+    return g.matrix.scale(1 / scalar_sqrt(g.similitude_ratio()))
+
+
+def test_factor_count_is_scherks_minimal_length():
+    # g and g I induce T and -T, so the shorter of their minimal lengths is
+    # the fewest vectors any factorization can have
+    rng = random.Random("factorize/scherk")
+    counts = set()
+    for i in range(240):
+        k, action = 1 + i % 6, ("points", "planes")[i // 6 % 2]
+        mode = "complex" if i // 12 % 4 == 3 else "rational"
+        t = versor_to_proj(rand_versor(rng, KLEIN, k)[0], action)
+        if mode == "complex":  # a negated row makes the ratio negative
+            rows = t.matrix.row_lists()
+            t = ProjTransform4(Matrix.from_rows([[-x for x in rows[0]]] + rows[1:]),
+                               t.kind, action)
+        result = factorize_matrix(t, mode)
+        assert result.verified()
+        iso = line_isometry(t)
+        assert len(result.factors) == min(scherk_length(iso), scherk_length(-iso))
+        counts.add((t.kind, action, mode, len(result.factors)))
+    assert {(kind, action, mode) for kind, action, mode, _ in counts} == {
+        (kind, action, mode) for kind in ("collineation", "correlation")
+        for action in ("points", "planes") for mode in ("rational", "complex")}
+    assert {n for *_, n in counts} == set(range(1, 7))
 
 
 def test_factorize_random_versors_bound_and_parity():

@@ -4,7 +4,8 @@ Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
 second outer null space per descent step or classification, a linear
-system in the descent, a norm product in a successful descent, a
+system in the descent, a norm product, a ``Blade`` or a decomposability
+wedge in a successful descent, a division before the lift's normalization, a
 ``ComplexRational`` multiplication inside a product, a reordering sign
 computed outside the warm blade tables, an outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
@@ -141,6 +142,32 @@ def test_descent_multiplies_once_per_step(monkeypatch):
         steps = value.max_grade() - 1
         assert steps >= 3 and len(factors) == steps + 1
         assert len(products) == steps
+
+
+def test_successful_descent_builds_no_blade(monkeypatch):
+    # g v_1 ... v_k ending in a nonzero scalar or a non-null vector proves
+    # the factors right, so only a refusal runs the decomposability wedges
+    for value in descent_versors():
+        wedges = counting(monkeypatch, Multivector, "wedge")
+        built = counting(monkeypatch, blades.Blade, "__post_init__")
+        factors = blades.factorize_versor(value)
+        monkeypatch.undo()
+        assert len(factors) == value.max_grade() >= 4
+        assert wedges == [] and built == []
+
+
+def test_lift_normalizes_integral_coefficients(monkeypatch):
+    # the lift scales its coefficients by conj(last), the positive |last|^2
+    # times a division by last, so it forms no Fraction to normalize away
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        normalized = counting(monkeypatch, klein, "normalize_vector")
+        klein.proj_to_versor(t, mode)
+        monkeypatch.undo()
+        assert [len(vec) for (vec,) in normalized] == [32]
+        assert all(is_integral_storage(c) for c in normalized[0][0])
+        if mode == "complex":
+            assert any(type(c) is ComplexRational for c in normalized[0][0])
 
 
 def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
