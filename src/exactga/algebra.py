@@ -116,6 +116,9 @@ class Algebra:
         if any(type(c) is ComplexRational for row in self._metric for c in row):
             # the product splits Gaussian coefficients against real blade tables
             raise AlgebraError("form matrix must be real")
+        # the nonzero entries (i, j, b_ij) of the form, for b on coordinate lists
+        self._form_terms = tuple((i, j, m) for i, row in enumerate(self._metric)
+                                 for j, m in enumerate(row) if m)
         self._degenerate = not form.det()
         # blade tables keyed by a << 16 | b, unique while masks stay below 2**16
         self._gp_cache: dict[int, dict[int, Scalar]] = {}
@@ -129,6 +132,10 @@ class Algebra:
 
     def metric(self, i: int, j: int) -> Scalar:
         return public(self.form[i, j])
+
+    def _bilinear(self, x: Sequence, y: Sequence) -> Scalar:
+        """b(x, y) of two internal coordinate lists, in the internal form."""
+        return sum(x[i] * m * y[j] for i, j, m in self._form_terms)
 
     def is_degenerate(self) -> bool:
         return self._degenerate
@@ -597,15 +604,7 @@ def sandwich(g, x: Multivector) -> Multivector:
 
 def bilinear(v: Multivector, w: Multivector) -> Scalar:
     """The symmetric form b(v, w) of two grade-1 elements; b(v, v) = v*v."""
-    metric = v.algebra._metric
-    a, b = v._coordinates(), w._coordinates()
-    total = 0
-    for ai, row in zip(a, metric):
-        if ai:
-            for m, bj in zip(row, b):
-                if m:
-                    total += ai * m * bj
-    return public(total)
+    return public(v.algebra._bilinear(v._coordinates(), w._coordinates()))
 
 
 def proportional(a: Multivector, b: Multivector) -> Scalar | None:

@@ -2,26 +2,22 @@
 
 A blade's coefficients are the Grassmann coordinates of its outer null
 space (OPNS), so ``Blade`` reads that space off them and checks with k
-wedges that the k-vector is a blade, solving no linear system; this is the
-one decomposability rule.  The inner null space (IPNS) is the orthogonal
-complement of the OPNS under the form, a k-by-n system.
+wedges that the k-vector is a blade, solving no linear system.  The inner
+null space (IPNS) is the orthogonal complement of the OPNS, a k-by-n system.
 
-The grade descent factorizes a versor into vectors: it repeatedly multiplies
-by a non-null vector from the outer null space of the maximal-grade part,
-read off its coefficients, which lowers that grade by exactly one.  A versor
-of maximal grade k therefore splits into at most k vectors, and in the
-rank-6 models at most six.  Only a failed descent builds a ``Blade``: it is
-refused for the norm, then for the first non-blade top part, then with its
-own error.  It lives here, below both models, because it needs only blades
-and the algebra; ``klein`` calls it to attach the lift's witness and
-``factorize`` re-exports it.
+The grade descent splits a versor of maximal grade k into at most k vectors:
+each step multiplies by a non-null vector of the top part's OPNS, which
+lowers that grade by one.  A step probes the OPNS as raw coordinate lists
+and normalizes only its pick.  The descent lives here, below both models;
+``klein`` calls it and ``factorize`` re-exports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .algebra import Algebra, AlgebraError, Multivector, NullVersorError, Versor, bilinear
+from .algebra import Algebra, AlgebraError, Multivector, NotAVersorError, NullVersorError, Versor
 from .algebra import _bits
 from .linalg import Matrix, normalize_vector, nullspace
 
@@ -36,7 +32,7 @@ class Blade:
 
     Decomposability is verified on construction at every grade: a nonzero
     k-vector is a blade exactly when the k vectors read off its coefficients
-    (``_opns_from_coefficients``) each wedge it to zero.  They then span its
+    (``_read_off``), normalized, each wedge it to zero.  They then span its
     outer null space, which is kept, so ``opns`` of a blade costs nothing more.
     """
 
@@ -51,7 +47,7 @@ class Blade:
             return
         if self.value.grades() != {self.grade}:
             raise BladeError(f"value is not homogeneous of grade {self.grade}")
-        space = _opns_from_coefficients(self.value)
+        space = tuple(self.algebra.vector(normalize_vector(c)) for c in _read_off(self.value))
         if any(not v.wedge(self.value).is_zero() for v in space):
             raise BladeError(f"grade-{self.grade} element is not decomposable")
         object.__setattr__(self, "_opns", space)
@@ -71,21 +67,18 @@ def _as_multivector(b) -> Multivector:
     return b.value if isinstance(b, (Blade, Versor)) else b
 
 
-def _opns_from_coefficients(b: Multivector) -> tuple[Multivector, ...]:
-    """k independent vectors read off a nonzero homogeneous k-vector b.
+def _read_off(b: Multivector):
+    """Yield k coordinate lists read off a nonzero homogeneous k-vector b.
 
     For f in F, the largest mask where b is nonzero, the e_j coordinate is
-    conj(b_F) times the coefficient of e_j ^ e_(F-f) in b: real at f, zero
-    on the rest of F.  When b is a blade they span its outer null space and,
-    normalized, are the basis ``nullspace`` gives for any matrix with that
-    kernel, since the free columns of such a matrix are the largest mask
-    where the kernel has a nonzero Grassmann coordinate.
+    conj(b_F) times the coefficient of e_j ^ e_(F-f) in b.  When b is a blade
+    they span its OPNS and, normalized, are the basis ``nullspace`` gives for
+    a matrix with that kernel (whose free columns are the largest such mask).
     """
     terms = b._terms
     top = max(terms)
     conj = terms[top].conjugate()
     alg = b.algebra
-    space = []
     for f in _bits(top):
         rest = top ^ (1 << f)
         coords = [0] * alg.dim
@@ -93,8 +86,7 @@ def _opns_from_coefficients(b: Multivector) -> tuple[Multivector, ...]:
             m = rest | 1 << j
             if c := terms.get(m):  # None for j in F - f: b is homogeneous
                 coords[j] = alg.blade_wedge(1 << j, rest)[m] * c * conj
-        space.append(alg.vector(normalize_vector(coords)))
-    return tuple(space)
+        yield coords
 
 
 def _nonzero_blade(b, space: str) -> Blade:
@@ -130,8 +122,7 @@ def max_grade_part(g) -> Blade:
     mv = _as_multivector(g)
     if mv.is_zero():
         raise BladeError("zero element has no maximal grade part")
-    k = mv.max_grade()
-    return Blade(mv.grade(k), k)
+    return Blade.from_multivector(mv.grade(mv.max_grade()))
 
 
 # -- grade descent ----------------------------------------------------------------
@@ -142,69 +133,78 @@ class NoNonNullVectorError(AlgebraError):
 
 
 def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
-    """Deterministic non-null pick from the span of the given grade-1 basis.
-
-    Probes basis vectors in order, then pairwise sums.  If all of those are
-    null, then 2 b(v_i, v_j) = b(v_i + v_j, v_i + v_j) = 0 for every pair,
-    so the span is totally isotropic.
-    """
+    """Deterministic non-null pick from the span of the given grade-1 basis (``_choose``)."""
     if not space:
         raise NoNonNullVectorError("empty span")
+    alg = space[0].algebra
+    return alg.vector(_choose(alg, (v._coordinates() for v in space), tuple)[0])
+
+
+def _choose(alg: Algebra, space, normalize) -> tuple:
+    """(v, normalize(v)) for the first non-null vector of a basis, else of its pair sums.
+
+    Scaling keeps a vector null or not, so only the pick is normalized; the
+    pair sums are of the normalized basis.  When they are null too, then
+    2 b(v_i, v_j) = b(v_i + v_j, v_i + v_j) = 0: the span is totally isotropic.
+    """
+    probed = []
     for v in space:
-        if bilinear(v, v):
-            return v
-    n = len(space)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = space[i] + space[j]
-            if bilinear(v, v):
-                return v
+        if alg._bilinear(v, v):
+            v = normalize(v)
+            return v, v
+        probed.append(v)
+    for a, b in combinations([normalize(v) for v in probed], 2):
+        v = [x + y for x, y in zip(a, b)]
+        if alg._bilinear(v, v):
+            return v, normalize(v)
     raise NoNonNullVectorError("span is totally isotropic")
+
+
+_REASONS = {NullVersorError: "null-versor", NotAVersorError: "not-a-versor",
+            BladeError: "not-a-blade", NoNonNullVectorError: "totally-isotropic"}
 
 
 def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     """Split a non-null versor into vectors whose product is proportional to it.
 
     Returns the factors in product order (leftmost first); the rightmost
-    factor is the first one extracted by the descent.
-
-    A step reads the outer null space off the top-grade part and builds no
-    ``Blade``.  The descent ends with g v_1 ... v_k equal to a nonzero scalar
-    or a non-null vector w, and every v_i is non-null, so g = w v_k^-1 ...
-    v_1^-1 is a versor: its norm is nonzero and the factors are right.
-    Only a failed descent, or one that ends in a null vector or a
-    mixed-grade remainder, checks them (``_refuse``): the norm first
-    (``NullVersorError``, ``NotAVersorError``), then the top parts in step
-    order (``BladeError``), then the descent's own error.
+    factor is the first one extracted by the descent.  A step builds a
+    ``Multivector`` only for the vector it picks (``_choose``).  The descent
+    ends with g v_1 ... v_k a nonzero scalar or a non-null vector w, and each
+    v_i is non-null, so g = w v_k^-1 ... v_1^-1 is a versor and the factors
+    are right.  A failed descent raises for the norm first, then for the
+    first top part that is no ``Blade``, then with its own error.  The error
+    carries a ``diagnosis`` of the step where it gave out, with ``opns_dim``
+    the number of vectors read off its top part.
     """
     g = _as_multivector(g)
     if g.is_zero():
         raise NullVersorError("zero element cannot be factorized")
-    extracted: list[Multivector] = []
-    tops: list[Multivector] = []
-    current = g
+    alg, current, tops, extracted = g.algebra, g, [], []
     try:
-        while (k := current.max_grade()) >= 2:
+        k = g.max_grade()
+        while k >= 2:
             tops.append(current.grade(k))
-            v = choose_nonnull_vector(_opns_from_coefficients(tops[-1]))
-            nxt = current.gp(v)
-            if nxt.is_zero() or nxt.max_grade() != k - 1:
+            v, factor = _choose(alg, _read_off(tops[-1]), normalize_vector)
+            current = current.gp(alg.vector(v))
+            if current.is_zero() or current.max_grade() != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
-            extracted.append(v)
-            current = nxt
-    except AlgebraError:
-        _refuse(g, tops)
-        raise
-    if current.max_grade() == 1:
-        if current.grades() != {1} or not bilinear(current, current):
-            _refuse(g, tops)  # a mixed-grade remainder then fails in _coordinates
-        extracted.append(current)
-    return [g.algebra.vector(normalize_vector(v._coordinates())) for v in reversed(extracted)]
-
-
-def _refuse(g: Multivector, tops: list[Multivector]) -> None:
-    """Raise for a failed descent of g: a null or non-scalar norm, then a non-blade top part."""
-    if not g.norm():
-        raise NullVersorError("null versors are outside the factorization domain")
-    for top in tops:
-        Blade.from_multivector(top)
+            extracted.append(factor)
+            k -= 1
+        if k == 1:  # a mixed-grade remainder fails in _coordinates, a null one in _choose
+            extracted.append(_choose(alg, [current._coordinates()], normalize_vector)[1])
+    except AlgebraError as exc:
+        error, step = exc, len(tops) + (k < 2)  # the remainder is one step past the last part
+        try:
+            if not g.norm():
+                raise NullVersorError("null versors are outside the factorization domain")
+            for i, top in enumerate(tops, 1):
+                Blade.from_multivector(top)
+        except BladeError as refused:
+            error, step, k = refused, i, top.max_grade()
+        except AlgebraError as refused:
+            error = refused
+        reason = _REASONS.get(type(error), "grade-not-reduced" if k > 1 else "mixed-remainder")
+        error.diagnosis = dict(stage="descent", step=step, grade=k, opns_dim=k, reason=reason)
+        raise error
+    return [alg.vector(v) for v in reversed(extracted)]

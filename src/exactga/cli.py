@@ -39,8 +39,8 @@ from .lie import (
     lie_encode,
     oriented_contact,
 )
-from .linalg import LinAlgError, Matrix, proportionality
-from .scalars import ScalarError, format_scalar
+from .linalg import Matrix, proportionality
+from .scalars import format_scalar
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -58,20 +58,69 @@ class JobError(Exception):
         self.detail = detail or {}
 
 
-def _transform_from_payload(payload: dict, kind: str | None, action: str | None) -> ProjTransform4:
+# The JSON shape of each payload: None for a scalar, list for an array, a
+# tuple of the allowed strings, and {field: shape} for an object that needs
+# each field.  Scalars and array items are checked as they convert, and a
+# failure names the field that holds them (``_parse_error``).
+_ACTION = ("points", "planes")
+_TRANSFORM = {"matrix": list, "kind": ("collineation", "correlation"), "action": _ACTION}
+_RESULT = {"factors": list, "polarities": list, "scale": None}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               bool: "a boolean", type(None): "null"}  # anything else from JSON is a number
+
+
+def _expected(shape) -> str:
+    if shape is None:
+        return "a scalar"
+    if isinstance(shape, tuple):
+        return " or ".join(map(repr, shape))
+    return _JSON_TYPES[shape if isinstance(shape, type) else type(shape)]
+
+
+def _check(value, shape, name: str) -> None:
+    """Refuse with exit 64, naming the field ``name``, a value not of the JSON ``shape``."""
+    if shape is None:
+        return
+    if isinstance(shape, tuple):
+        ok = isinstance(value, str) and value in shape
+    else:
+        ok = isinstance(value, shape if isinstance(shape, type) else type(shape))
+    if not ok or isinstance(value, bool):
+        got = repr(value) if isinstance(value, str) else _JSON_TYPES.get(type(value), "a number")
+        raise JobError(EXIT_PARSE, f"field '{name}' must be {_expected(shape)}, not {got}")
+    if isinstance(shape, dict):
+        for field, inner in shape.items():
+            if field not in value:
+                raise JobError(EXIT_PARSE, f"field '{field}' is missing from '{name}': "
+                                           f"expected {_expected(inner)}")
+            _check(value[field], inner, field)
+
+
+# what converting a malformed JSON value raises
+_CONVERSION_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _parse_error(name: str, exc: Exception) -> JobError:
+    """Exit 64 for a value of the field ``name`` that raised ``exc`` as it converted."""
+    missing = "missing field " if isinstance(exc, KeyError) else ""
+    return JobError(EXIT_PARSE, f"field '{name}': {missing}{exc}")
+
+
+def _transform_from_payload(payload, kind: str | None, action: str | None,
+                            name: str = "payload") -> ProjTransform4:
+    _check(payload, {}, name)
+    data = dict(payload)
+    if kind:
+        data.setdefault("kind", kind)
+    if action:
+        data.setdefault("action", action)
+    _check(data, _TRANSFORM, name)
     try:
-        data = dict(payload)
-        if kind:
-            data.setdefault("kind", kind)
-        if action:
-            data.setdefault("action", action)
-        if "kind" not in data or "action" not in data:
-            raise JobError(EXIT_PARSE, "transform needs 'kind' and 'action'")
         return ProjTransform4.from_json(data)
     except SingularTransformError as exc:
         raise JobError(EXIT_SINGULAR, str(exc))
-    except (KeyError, TypeError, ScalarError, LinAlgError, ValueError) as exc:
-        raise JobError(EXIT_PARSE, f"bad transform payload: {exc}")
+    except _CONVERSION_ERRORS as exc:  # kind and action are checked, so it is the matrix
+        raise _parse_error("matrix", exc)
 
 
 def _scalar_mode(opts: dict) -> str:
@@ -119,14 +168,15 @@ def cmd_lift(payload: dict, opts: dict) -> dict:
     }
 
 
-def cmd_verify(payload: dict, opts: dict) -> dict:
+def cmd_verify(payload, opts: dict) -> dict:
+    _check(payload, {"transform": {}}, "payload")
+    t = _transform_from_payload(payload["transform"], opts.get("kind"), opts.get("action"),
+                                "transform")
+    _check(payload, {"result": _RESULT}, "payload")
     try:
-        t = _transform_from_payload(payload["transform"], opts.get("kind"), opts.get("action"))
         result = FactorizationResult.from_json(payload["result"], t)
-    except JobError:
-        raise
-    except (KeyError, TypeError, ScalarError, LinAlgError, AlgebraError, ValueError) as exc:
-        raise JobError(EXIT_PARSE, f"bad verification payload: {exc}")
+    except _CONVERSION_ERRORS as exc:
+        raise _parse_error("result", exc)
     ok = verify_factorization(result, t)
     report = {"verified": ok, "scale": format_scalar(result.scale)}
     if not ok:
@@ -134,25 +184,27 @@ def cmd_verify(payload: dict, opts: dict) -> dict:
     return report
 
 
-def cmd_lie_contact(payload: dict, opts: dict) -> dict:
-    try:
-        if "vector" in payload:
-            coords = payload["vector"]
-            vec = lie_algebra().vector([c for c in coords])
+def cmd_lie_contact(payload, opts: dict) -> dict:
+    _check(payload, {}, "payload")
+    if "vector" in payload:
+        try:
+            vec = lie_algebra().vector(payload["vector"])
             c = vec.coordinates()
-            return {
-                "laguerre": is_laguerre(vec),
-                "a1_plus_a2": format_scalar(c[0] + c[1]),
-            }
-        a = lie_element_from_json(payload["a"])
-        b = lie_element_from_json(payload["b"])
-        ca, cb = lie_encode(a), lie_encode(b)
-        report = {
-            "a_coordinates": [format_scalar(x) for x in ca.coords],
-            "b_coordinates": [format_scalar(x) for x in cb.coords],
-        }
-    except (KeyError, TypeError, ScalarError, AlgebraError, ValueError) as exc:
-        raise JobError(EXIT_PARSE, f"bad sphere payload: {exc}")
+            return {"laguerre": is_laguerre(vec), "a1_plus_a2": format_scalar(c[0] + c[1])}
+        except _CONVERSION_ERRORS as exc:
+            raise _parse_error("vector", exc)
+    _check(payload, {"a": {}, "b": {}}, "payload")
+    coords = []
+    for name in ("a", "b"):
+        try:
+            coords.append(lie_encode(lie_element_from_json(payload[name])))
+        except _CONVERSION_ERRORS as exc:
+            raise _parse_error(name, exc)
+    ca, cb = coords
+    report = {
+        "a_coordinates": [format_scalar(x) for x in ca.coords],
+        "b_coordinates": [format_scalar(x) for x in cb.coords],
+    }
     try:
         report["contact"] = oriented_contact(ca, cb)
     except AlgebraError as exc:
@@ -206,7 +258,8 @@ def run_job(command: str, payload, opts: dict) -> tuple[int, dict]:
     """Run one job; every outcome, even an unexpected exception, is an exit code."""
     handler = _HANDLERS.get(command) if isinstance(command, str) else None
     if handler is None:
-        return EXIT_PARSE, {"error": f"unknown command {command!r}"}
+        return EXIT_PARSE, {"error": f"field 'command' must be one of {', '.join(COMMANDS)}, "
+                                     f"not {command!r}"}
     try:
         report = handler(payload, opts)
         return EXIT_OK, report

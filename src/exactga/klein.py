@@ -50,6 +50,7 @@ from .scalars import (
     canonical,
     format_scalar,
     imag_part,
+    public,
     rational_sqrt,
     real_part,
     scalar_sqrt,
@@ -276,6 +277,13 @@ class Sandwich6:
             raise AlgebraError("matrix does not preserve the quadric form")
         object.__setattr__(self, "_ratio", ratio)
 
+    @classmethod
+    def _proved(cls, matrix: Matrix, ratio) -> "Sandwich6":
+        """A 6x6 line map whose caller knows its ratio in closed form: M^T Q M is not formed."""
+        line_map = object.__new__(cls)
+        line_map.__dict__.update(matrix=matrix, _ratio=public(canonical(ratio)))
+        return line_map
+
     def similitude_ratio(self) -> Scalar:
         """The exact ratio in M^T Q M = ratio * Q; zero for degenerate maps."""
         return self._ratio
@@ -297,9 +305,9 @@ def vector_sandwich_matrix(a: Multivector) -> Sandwich6:
     x = a.coordinates()
     pairing = _swap_halves(x)  # b(a, e_j) under the form [[0,I],[I,0]]
     square = bilinear(a, a)
-    return Sandwich6(Matrix.from_rows(
+    return Sandwich6._proved(Matrix.from_rows(
         [[2 * x[i] * pairing[j] - (square if i == j else 0) for j in range(6)]
-         for i in range(6)]))
+         for i in range(6)]), square * square)
 
 
 def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
@@ -466,12 +474,13 @@ def induced_line_map(t: ProjTransform4) -> Sandwich6:
     a = t.matrix
     cols = [_pair_minors(a.col(i), a.col(j)) for i, j in _PAIRS]
     planes = t.action == "planes"
+    det = canonical(t.determinant())
     if planes:
-        det = canonical(t.determinant())
         cols = [[det * x for x in c] for c in _swap_halves(cols)]
     if planes != (t.kind == "correlation"):
         cols = [_swap_halves(c) for c in cols]
-    return Sandwich6(Matrix.from_rows([[c[r] for c in cols] for r in range(6)]))
+    matrix = Matrix.from_rows([[c[r] for c in cols] for r in range(6)])
+    return Sandwich6._proved(matrix, det * det * det if planes else det)
 
 
 # -- lifting matrices to versors ---------------------------------------------------

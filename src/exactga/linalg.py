@@ -243,6 +243,11 @@ def normalize_vector(vec: Sequence) -> tuple:
     integers).  For complex entries the leading sign is taken from the real
     part, or the imaginary part when the real part vanishes.
     """
+    if all(type(v) is int for v in vec):  # no denominator and no Gaussian part to clear
+        g = math.gcd(*vec)
+        if next((v for v in vec if v), 0) < 0:
+            g = -g
+        return tuple(v // g for v in vec) if g else tuple(vec)
     vec = [canonical(v) for v in vec]
     lcm = _lcm_of_denominators(vec)
     if lcm > 1:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
 
 from hypothesis import given, seed, settings
@@ -94,6 +95,20 @@ def test_non_real_ratio_is_refused_in_both_modes(capsys):
                 assert code == 1, (entry, action, command, mode)
                 assert json.loads(out)["detail"] == {
                     "reason": "non-real-ratio", "similitude_ratio": ratio}
+
+
+def test_descent_refusals_report_their_diagnosis():
+    # both maps lift, but the top part of the versor has a totally isotropic
+    # outer null space; the library cannot factorize them yet
+    translation = [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3], [0, 0, 0, 1]]
+    shear = [[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for rows in (translation, shear):
+        job = {"matrix": as_str_matrix(rows), "kind": "collineation", "action": "points"}
+        for command in ("factorize", "lift"):
+            assert run_job(command, job, {}) == (1, {
+                "error": "span is totally isotropic",
+                "detail": {"stage": "descent", "step": 1, "grade": 2, "opns_dim": 2,
+                           "reason": "totally-isotropic"}})
 
 
 def test_parse_failure_exit_code(capsys):
@@ -575,6 +590,34 @@ def test_fuzzed_jobs_end_in_documented_codes(job, opts):
     assert code in DOCUMENTED_CODES
     assert isinstance(report, dict)
     json.dumps(report, default=str)
+    if code == 64:
+        assert names_a_field(report["error"]), report
+
+
+PAYLOAD_FIELDS = ("payload", "command", "matrix", "kind", "action", "transform", "result",
+                  "factors", "polarities", "scale", "mask", "coeff", "vector", "a", "b",
+                  "variant", "position", "center", "radius", "normal", "offset")
+
+
+def names_a_field(message: str) -> bool:
+    """A parse failure names the field it found wrong (the scalar mode is an option)."""
+    return (message.startswith("scalar_mode must be ")
+            or re.match(r"field '(%s)'" % "|".join(PAYLOAD_FIELDS), message) is not None)
+
+
+def test_malformed_payloads_name_the_field_and_the_expected_type():
+    jobs = [("factorize", None, "field 'payload' must be an object, not null"),
+            ("factorize", ["x"], "field 'payload' must be an object, not an array"),
+            ("lift", {"kind": "collineation", "action": "points"},
+             "field 'matrix' is missing from 'payload': expected an array"),
+            ("verify", {"result": {}},
+             "field 'transform' is missing from 'payload': expected an object"),
+            ("factorize", dict(REFERENCE_JOB, kind="lines"),
+             "field 'kind' must be 'collineation' or 'correlation', not 'lines'"),
+            ("factorize", dict(REFERENCE_JOB, matrix=[["1", "0", "3", "0"]] * 3 + [None]),
+             "field 'matrix': matrix JSON must be a non-empty list of lists")]
+    for command, payload, message in jobs:
+        assert run_job(command, payload, {}) == (64, {"error": message})
 
 
 def sweep_jobs() -> list[tuple[str, dict]]:

@@ -161,6 +161,22 @@ def test_factorize_refusal_classes(alg, build, error, message):
     assert type(caught.value) is error
 
 
+# the diagnosis of each refusal above: the step where the descent gave out,
+# or the step of the part that is no blade, with its grade and the reason
+REFUSAL_DIAGNOSES = [(1, 2, "not-a-versor"), (1, 1, "null-versor"), (1, 1, "mixed-remainder"),
+                     (1, 1, "null-versor"), (2, 2, "totally-isotropic"),
+                     (1, 2, "grade-not-reduced"), (3, 3, "not-a-blade")]
+
+
+def test_factorize_refusals_carry_a_diagnosis():
+    for (alg, build, _, _), (step, grade, reason) in zip(REFUSALS, REFUSAL_DIAGNOSES,
+                                                         strict=True):
+        with pytest.raises(AlgebraError) as caught:
+            factorize_versor(build(alg.e))
+        assert caught.value.diagnosis == {"stage": "descent", "step": step, "grade": grade,
+                                          "opns_dim": grade, "reason": reason}
+
+
 def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
     # the grade-4 part of this g + c g I is no blade, yet its step lowers the
     # grade; the descent gives out one step later, on a grade-3 part, and the
@@ -170,15 +186,22 @@ def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
          + 12 * E(1, 2, 3, 6) + 12 * E(1, 2, 4, 6) - 12 * E(1, 2, 5, 6) - 3 * E(1, 3, 4, 5)
          + 6 * E(1, 3, 4, 6) - 3 * E(1, 3, 5, 6) + 3 * E(1, 4, 5, 6) + 6 * E(1, 2, 3, 4, 5, 6))
     steps, checked = [], []
-    choose, post_init = blades.choose_nonnull_vector, Blade.__post_init__
-    monkeypatch.setattr(blades, "choose_nonnull_vector",
-                        lambda space: steps.append(len(space)) or choose(space))
+    choose, post_init = blades._choose, Blade.__post_init__
+
+    def probe(alg, space, normalize):
+        space = list(space)
+        steps.append(len(space))
+        return choose(alg, space, normalize)
+
+    monkeypatch.setattr(blades, "_choose", probe)
     monkeypatch.setattr(Blade, "__post_init__",
                         lambda self: checked.append(self.grade) or post_init(self))
-    with pytest.raises(BladeError, match="grade-4 element is not decomposable"):
+    with pytest.raises(BladeError, match="grade-4 element is not decomposable") as caught:
         factorize_versor(g)
     assert steps == [6, 5, 4, 3]
     assert checked == [6, 5, 4]
+    assert caught.value.diagnosis == {"stage": "descent", "step": 3, "grade": 4, "opns_dim": 4,
+                                      "reason": "not-a-blade"}
 
 
 def outcome(factorize, g):

@@ -373,6 +373,33 @@ def test_induced_map_similitude_ratio_is_det():
             assert induced_line_map(t).similitude_ratio() == m.det() ** power
 
 
+def test_proved_line_maps_match_the_checked_constructor():
+    # induced_line_map and vector_sandwich_matrix pass the ratio they know in
+    # closed form; the public constructor recomputes it from M^T Q M
+    rng = random.Random("klein/proved-line-maps")
+    maps = vectors = 0
+    while maps < 100:
+        entries = [rng.randint(-3, 3) for _ in range(16)]
+        if maps % 5 == 4:  # a Gaussian entry, in every kind and action
+            entries[rng.randrange(16)] = ComplexRational(rng.randint(-2, 2), rng.randint(1, 2))
+        m = Matrix(4, 4, tuple(entries))
+        if not m.det():
+            continue
+        kind, action = KINDS_AND_ACTIONS[maps % 4]
+        coords = [rng.randint(-3, 3) for _ in range(6)]
+        if maps % 3 == 2:
+            coords[rng.randrange(6)] = ComplexRational(rng.randint(-2, 2), 1)
+        for proved in (induced_line_map(ProjTransform4(m, kind, action)),
+                       vector_sandwich_matrix(KLEIN.vector(coords))):
+            checked = Sandwich6(proved.matrix)
+            assert proved == checked
+            assert proved.similitude_ratio() == checked.similitude_ratio()
+            assert type(proved.similitude_ratio()) is type(checked.similitude_ratio())
+            vectors += not proved.similitude_ratio()
+        maps += 1
+    assert vectors >= 1  # some vector is null, so its sandwich is degenerate
+
+
 def _pair_minor(a, b, i, j):
     return a[i] * b[j] - a[j] * b[i]
 

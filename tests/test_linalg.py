@@ -8,6 +8,7 @@ from exactga.linalg import (
     Matrix,
     determinant,
     mat_mul,
+    normalize_vector,
     nullspace,
     proportionality,
     rank,
@@ -169,3 +170,18 @@ def test_nullspace_with_a_gaussian_pivot():
     # scaled to 1 at its free column before normalization
     assert nullspace(Matrix.from_rows([["1+1i", 2]])) == [(ComplexRational(1, -1), -1)]
     assert nullspace(Matrix.from_rows([["2i", "1+1i"]])) == [(ComplexRational(1, -1), -2)]
+
+
+def test_normalize_vector_int_path_matches_the_general_path():
+    # plain ints skip canonical and the denominators; Fractions of the same
+    # values take the general path and must give the same tuple of ints
+    rng = random.Random("linalg/normalize")
+    vectors = [[], [0, 0, 0], [0, -4, 6], [3], [-1, 0]]
+    vectors += [[rng.choice((0, 0, 1, -1)) * rng.randint(0, 10**rng.randint(1, 30))
+                 * rng.choice((1, 6, -12)) for _ in range(rng.randint(1, 6))]
+                for _ in range(300)]
+    for vec in vectors:
+        expected = normalize_vector([Fraction(v) for v in vec])
+        got = normalize_vector(vec)
+        assert got == expected and all(type(x) is int for x in got)
+        assert not got or next((x for x in got if x), 0) >= 0

@@ -3,10 +3,11 @@
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
-second outer null space per descent step or classification, a linear
-system in the descent, a norm product, a ``Blade`` or a decomposability
-wedge in a successful descent, a division before the lift's normalization, a
-``ComplexRational`` multiplication inside a product, a reordering sign
+second outer null space per descent step or classification, a read-off
+vector normalized before its probe, a linear system in the descent, a norm
+product, a ``Blade`` or a decomposability wedge in a successful descent, a
+division before the lift's normalization, a ``ComplexRational``
+multiplication inside a product, a reordering sign
 computed outside the warm blade tables, an outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form on public coordinates, or a
@@ -123,7 +124,7 @@ def descent_versors() -> list[Multivector]:
 def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
     # each step reads the top blade's outer null space off its coefficients
     for value in descent_versors() + [klein.proj_to_versor(plane_correlation()).value]:
-        spaces = counting(monkeypatch, blades, "_opns_from_coefficients")
+        spaces = counting(monkeypatch, blades, "_read_off")
         systems = counting(monkeypatch, linalg, "_gauss_jordan")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
@@ -131,6 +132,19 @@ def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
         assert steps >= 2 and len(factors) == steps + 1
         assert len(spaces) == steps
         assert systems == []  # the descent solves no linear system
+
+
+def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
+    # the form probes raw read-off vectors, since scaling keeps a vector null
+    # or not: a step normalizes its pick, or its basis and the pair sum it
+    # takes, and the descent its remainder; 26 calls when every read-off
+    # vector was normalized before the probe
+    value = lifted(REFERENCE_COLLINEATION, "rational")
+    normalized = counting(monkeypatch, blades, "normalize_vector")
+    factors = blades.factorize_versor(value)
+    monkeypatch.undo()
+    assert len(factors) == 6
+    assert len(normalized) <= 17
 
 
 def test_descent_multiplies_once_per_step(monkeypatch):
@@ -176,10 +190,10 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
     assert all(is_integral_storage(c) for c in value._terms.values())
     assert any(type(c) is ComplexRational for c in value._terms.values())
     # the decomposability wedges of the Blade at each descent step
-    parts = counting(monkeypatch, blades, "_opns_from_coefficients")
+    parts = counting(monkeypatch, blades, "_read_off")
     blades.factorize_versor(value)
     monkeypatch.undo()
-    checks = [(v, part) for (part,) in parts for v in blades._opns_from_coefficients(part)]
+    checks = [(v, part) for (part,) in parts for v in blades.opns(part)]
     assert len(checks) >= 10 and any(v._complex for v, _ in checks)
     left = counting(monkeypatch, ComplexRational, "__mul__")
     right = counting(monkeypatch, ComplexRational, "__rmul__")
@@ -220,7 +234,7 @@ def test_wedge_and_inner_read_their_own_tables(monkeypatch):
 
 def test_classification_computes_one_outer_null_space(monkeypatch):
     e = klein.klein_algebra().e
-    spaces = counting(monkeypatch, blades, "_opns_from_coefficients")
+    spaces = counting(monkeypatch, blades, "_read_off")
     result = klein.classify_blade(e(1).wedge(e(4)).wedge(e(2) + e(5)))
     assert result.tag is klein.ManifoldKind.REGULUS
     assert len(spaces) == 1
