@@ -20,6 +20,13 @@ term ``a | b`` with its reordering sign; and ``blade_inner``, the grade
 empty before multiplying its coefficients, and no product computes a sign
 per pair.
 
+A geometric product whose right factor is a vector, each step of the grade
+descent and every ``gp`` by a grade-1 element, takes ``_times_vector``
+instead: the same sum over the same pairs, in the same order, but mask a
+looks up one row, the items of ``blade_gp(a, e_i)`` for each generator i,
+read once from the cached table, and generator i indexes it.  It works on
+stored term dicts, so the descent builds no ``Multivector`` per product.
+
 Coefficients and blade-table entries are stored in the internal form of
 ``scalars.canonical``: plain ``int``s (Gaussian integers in complex mode)
 wherever the value is integral, which is every versor and table of the two
@@ -34,7 +41,8 @@ table entries scale a real and an imaginary sum apart, and each result term
 is recombined once by ``scalars._make`` (an imaginary part that cancels
 leaves an ``int``).  Each multivector records at construction whether it
 holds a ``ComplexRational``; a product of two real ones, every product in
-rational mode, multiplies the coefficients as they are.
+rational mode, multiplies the coefficients as they are.  The vector kernel
+looks at its term dicts for one instead.
 
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra table caches, is filled idempotently, so concurrent
@@ -124,6 +132,8 @@ class Algebra:
         self._gp_cache: dict[int, dict[int, Scalar]] = {}
         self._wedge_cache: dict[int, dict[int, int]] = {}
         self._inner_cache: dict[int, dict[int, Scalar]] = {}
+        # per mask a, the items of blade_gp(a, e_i) for each generator i
+        self._vector_rows: dict[int, tuple] = {}
 
     # -- basic data ---------------------------------------------------------
 
@@ -300,6 +310,48 @@ class Algebra:
             self._inner_cache[key] = table
         return table
 
+    def _times_vector(self, terms: dict, v: dict) -> dict:
+        """The stored terms of x * v for stored terms x and a vector v (module docstring)."""
+        rows = self._vector_rows
+        gens = {b.bit_length() - 1: c for b, c in v.items()}  # generator index: coefficient
+        if ComplexRational in map(type, terms.values()) or ComplexRational in map(type, v.values()):
+            return self._gaussian_times_vector(terms, gens)
+        acc: dict[int, Scalar] = {}
+        get = acc.get
+        gen_items = list(gens.items())
+        for a, ca in terms.items():
+            row = rows.get(a) or self._vector_row(a)
+            for i, cb in gen_items:
+                if table := row[i]:
+                    cab = ca * cb
+                    for m, c in table:
+                        acc[m] = get(m, 0) + cab * c
+        return {m: c if type(c) is int else canonical(c) for m, c in acc.items() if c}
+
+    def _gaussian_times_vector(self, terms: dict, gens: dict) -> dict:
+        """``_times_vector`` on the parts of the coefficients, as ``_gaussian_product``."""
+        rows = self._vector_rows
+        real: dict[int, Scalar] = {}
+        imag: dict[int, Scalar] = {}
+        real_get, imag_get = real.get, imag.get
+        gen_parts = list(_split(gens).items())
+        for a, (ar, ai) in _split(terms).items():
+            row = rows.get(a) or self._vector_row(a)
+            for i, (br, bi) in gen_parts:
+                if table := row[i]:
+                    pr, pi = ar * br - ai * bi, ar * bi + ai * br
+                    for m, c in table:
+                        real[m] = real_get(m, 0) + pr * c
+                        imag[m] = imag_get(m, 0) + pi * c
+        return {m: c if type(c) is int else canonical(c) for m, r in real.items()
+                if (c := _make(r, imag[m]))}
+
+    def _vector_row(self, a: int) -> tuple:
+        """The items of blade_gp(a, e_i) for each generator i, cached."""
+        row = self._vector_rows[a] = tuple(tuple(self.blade_gp(a, 1 << i).items())
+                                           for i in range(self.dim))
+        return row
+
     def __repr__(self):
         p, q, r = self.signature()
         return f"Algebra(dim={self.dim}, signature=({p},{q},{r}))"
@@ -385,6 +437,15 @@ class Multivector:
         _set(self, "algebra", algebra)
         _set(self, "_terms", clean)
         _set(self, "_complex", is_complex)  # some coefficient is a ComplexRational
+
+    @classmethod
+    def _stored(cls, algebra: Algebra, terms: dict) -> "Multivector":
+        """A multivector of terms already in the stored form: nonzero, canonical, in range."""
+        mv = object.__new__(cls)
+        _set(mv, "algebra", algebra)
+        _set(mv, "_terms", terms)
+        _set(mv, "_complex", ComplexRational in map(type, terms.values()))
+        return mv
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -494,8 +555,15 @@ class Multivector:
     # -- products -------------------------------------------------------------
 
     def gp(self, other: "Multivector") -> "Multivector":
-        """Geometric product; Gaussian coefficients are multiplied as pairs of parts."""
+        """Geometric product; Gaussian coefficients are multiplied as pairs of parts.
+
+        A right operand whose terms are all of grade 1 takes the vector kernel.
+        """
         alg = self.algebra
+        if all(b.bit_count() == 1 for b in other._terms):
+            if other.algebra is not alg:
+                self._check(other)
+            return Multivector._stored(alg, alg._times_vector(self._terms, other._terms))
         return _product(self, other, alg._gp_cache, alg.blade_gp)
 
     def wedge(self, other: "Multivector") -> "Multivector":

@@ -8,8 +8,11 @@ null space (IPNS) is the orthogonal complement of the OPNS, a k-by-n system.
 The grade descent splits a versor of maximal grade k into at most k vectors:
 each step multiplies by a non-null vector of the top part's OPNS, which
 lowers that grade by one.  A step probes the OPNS as raw coordinate lists
-and normalizes only its pick.  The descent lives here, below both models;
-``klein`` calls it and ``factorize`` re-exports it.
+and normalizes only its pick.  The remainder g v_1 ... v_i stays a stored
+term dict, multiplied by each pick through the algebra's vector kernel
+(``Algebra._times_vector``); only each step's top part is a ``Multivector``.
+The descent lives here, below both models; ``klein`` calls it and
+``factorize`` re-exports it.
 """
 
 from __future__ import annotations
@@ -169,8 +172,9 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
 
     Returns the factors in product order (leftmost first); the rightmost
     factor is the first one extracted by the descent.  A step builds a
-    ``Multivector`` only for the vector it picks (``_choose``).  The descent
-    ends with g v_1 ... v_k a nonzero scalar or a non-null vector w, and each
+    ``Multivector`` only for its top part; the product by the vector it
+    picks (``_choose``) runs on term dicts.  The descent ends with
+    g v_1 ... v_k a nonzero scalar or a non-null vector w, and each
     v_i is non-null, so g = w v_k^-1 ... v_1^-1 is a versor and the factors
     are right.  A failed descent raises for the norm first, then for the
     first top part that is no ``Blade``, then with its own error.  The error
@@ -180,19 +184,21 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     g = _as_multivector(g)
     if g.is_zero():
         raise NullVersorError("zero element cannot be factorized")
-    alg, current, tops, extracted = g.algebra, g, [], []
+    alg, current, tops, extracted = g.algebra, g._terms, [], []
     try:
         k = g.max_grade()
         while k >= 2:
-            tops.append(current.grade(k))
+            tops.append(Multivector._stored(alg, {m: c for m, c in current.items()
+                                                  if m.bit_count() == k}))
             v, factor = _choose(alg, _read_off(tops[-1]), normalize_vector)
-            current = current.gp(alg.vector(v))
-            if current.is_zero() or current.max_grade() != k - 1:
+            current = alg._times_vector(current, {1 << i: c for i, c in enumerate(v) if c})
+            if not current or max(map(int.bit_count, current)) != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
             extracted.append(factor)
             k -= 1
         if k == 1:  # a mixed-grade remainder fails in _coordinates, a null one in _choose
-            extracted.append(_choose(alg, [current._coordinates()], normalize_vector)[1])
+            remainder = Multivector._stored(alg, current)._coordinates()
+            extracted.append(_choose(alg, [remainder], normalize_vector)[1])
     except AlgebraError as exc:
         error, step = exc, len(tops) + (k < 2)  # the remainder is one step past the last part
         try:

@@ -226,12 +226,6 @@ def determinant(m: Matrix) -> Scalar:
     return _gauss_jordan(m)[3]
 
 
-def rref(m: Matrix) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and pivot columns (see ``_gauss_jordan``)."""
-    rows, pivots, d, _ = _gauss_jordan(m)
-    return [[div(x, d) for x in row] for row in rows], pivots
-
-
 def rank(m: Matrix) -> int:
     return len(_gauss_jordan(m)[1])
 

@@ -9,7 +9,9 @@ published coefficient tables, the per-term geometric, outer and inner
 products, the norm-first descent, the descent that checks every step with a
 ``Blade``, Scherk's minimal length of an isometry, the six-relation check of
 a lift and the ``Fraction(text)`` scalar parser serve only as oracles, so
-they live here rather than in the package.
+they live here rather than in the package.  So does ``rref``, the reduced
+row echelon form read off the package's elimination, which the package
+never needs.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from exactga.lie import lie_algebra
 from exactga.linalg import (
     LinAlgError,
     Matrix,
+    _gauss_jordan,
     determinant,
     mat_mul,
     normalize_vector,
     nullspace,
     rank,
-    rref,
 )
-from exactga.scalars import ComplexRational, ScalarError
+from exactga.scalars import ComplexRational, ScalarError, div
 
 
 _ORACLE_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -335,6 +337,12 @@ def adjugate(m: Matrix) -> Matrix:
             sign = -1 if (i + j) % 2 else 1
             cof[i][j] = sign * determinant(minor)
     return Matrix.from_rows(cof).transpose()
+
+
+def rref(m: Matrix) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form and pivot columns: the rows of ``_gauss_jordan`` over d."""
+    rows, pivots, d, _ = _gauss_jordan(m)
+    return [[div(x, d) for x in row] for row in rows], pivots
 
 
 def solve_linear(m: Matrix, rhs) -> tuple | None:

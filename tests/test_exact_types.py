@@ -8,10 +8,11 @@ requires that no float is ever stored in a Multivector or Matrix or returned
 by a public call.  The others pin the public types of the accessors and
 parsers, and of every call that returns a single scalar: ``Fraction``, or
 ``ComplexRational`` with ``Fraction`` parts, although Matrix entries too are
-stored in the internal form.  The last two pin the internal form itself:
+stored in the internal form.  The last three pin the internal form itself:
 the geometric product, which multiplies Gaussian coefficients as pairs of
-parts, stores what the per-term product stores, and no stored
-``ComplexRational`` has a zero imaginary part.
+parts, stores what the per-term product stores, in the same order, and so
+does its vector kernel; and no stored ``ComplexRational`` has a zero
+imaginary part.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import inspect
 import random
 from fractions import Fraction
 
+import pytest
+
 from exactga import algebra, blades, cli, factorize, klein, lie, linalg, scalars
-from exactga.algebra import Algebra, Multivector, Versor, proportional
+from exactga.algebra import Algebra, AlgebraMismatchError, Multivector, Versor, proportional
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational, as_scalar, canonical, parse_scalar
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
@@ -69,7 +72,7 @@ def guarded(fn, name, found):
 
 
 def guard_package(monkeypatch, found):
-    """Wrap every public function and method, and the two storage constructors."""
+    """Wrap every public function and method, and the three storage constructors."""
     for module in MODULES:
         for name, value in list(vars(module).items()):
             if name.startswith("_") or getattr(value, "__module__", "").split(".")[0] != "exactga":
@@ -89,6 +92,23 @@ def guard_package(monkeypatch, found):
                 found.append(f"a float stored in {self!r}")
 
         monkeypatch.setattr(cls, hook, stored)
+
+    def no_floats(terms):
+        if floats_in(terms):
+            found.append(f"a float stored in {terms!r}")
+
+    on_adopted_terms(monkeypatch, no_floats)
+
+
+def on_adopted_terms(monkeypatch, check):
+    """Call check(terms) on every term dict that ``Multivector._stored`` adopts unchecked."""
+    adopt = Multivector._stored
+
+    def checked(cls, algebra, terms):
+        check(terms)
+        return adopt(algebra, terms)
+
+    monkeypatch.setattr(Multivector, "_stored", classmethod(checked))
 
 
 def guard_class(monkeypatch, cls, found):
@@ -268,6 +288,53 @@ def test_split_product_matches_the_per_term_oracle():
     assert [t for _, t, _ in storage(product)] == [int, int]
 
 
+def test_vector_kernel_matches_the_pair_loop_and_the_per_term_oracle(monkeypatch):
+    # a right operand whose masks are all single bits takes Algebra._times_vector
+    kernel = []
+    times_vector = Algebra._times_vector
+
+    def counted(self, terms, v):
+        kernel.append(v)
+        return times_vector(self, terms, v)
+
+    monkeypatch.setattr(Algebra, "_times_vector", counted)
+    rng = random.Random("exact-types/vector-kernel")
+    kinds = ("int", "fraction", "gaussian", "gaussian-rational")
+    hyperbolic = Algebra(Matrix(3, 3, (0, 1, 0, 1, 0, 0, 0, 0, -1)))
+    degenerate = Algebra(Matrix(3, 3, (1, 0, 0, 0, 0, 0, 0, 0, -1)))
+    products = 0
+    for alg in (klein.klein_algebra(), lie.lie_algebra(), hyperbolic, degenerate):
+        masks = alg.basis_masks()
+        for _ in range(120):
+            x = alg.mv({rng.choice(masks): rand_coefficient(rng, rng.choice(kinds))
+                        for _ in range(rng.randint(1, 10))})
+            # generators in random order, not in index order
+            gens = rng.sample(range(alg.dim), rng.randint(1, alg.dim))
+            v = alg.mv({1 << i: rand_coefficient(rng, rng.choice(kinds)) or 1 for i in gens})
+            for a, b in ((x, v), (v, v), (x.gp(v), v)):
+                before = len(kernel)
+                got = a.gp(b)
+                assert len(kernel) == before + 1
+                assert storage(got) == storage(algebra._product(a, b, alg._gp_cache, alg.blade_gp))
+                assert storage(got) == storage(per_term_gp(a, b))
+                products += 1
+        x = alg.mv({m: 1 for m in masks})
+        kernel.clear()
+        assert x.gp(alg.zero()).is_zero() and alg.zero().gp(alg.e(1)).is_zero()
+        # mask 0 is no vector, so a scalar or a scalar-plus-vector takes the pair loop
+        assert x.gp(alg.scalar(3)) == x * 3
+        assert storage(x.gp(alg.e(1) + 2)) == storage(per_term_gp(x, alg.e(1) + 2))
+        assert len(kernel) == 2
+        # an algebra of an equal form multiplies, one of another form is refused
+        twin = Algebra(alg.form)
+        assert x.gp(twin.e(1)) == x.gp(alg.e(1))
+        other = Algebra(Matrix(alg.dim, alg.dim, tuple(int(i == j) for i in range(alg.dim)
+                                                       for j in range(alg.dim))))
+        with pytest.raises(AlgebraMismatchError):
+            x.gp(other.e(1))
+    assert products == 4 * 120 * 3
+
+
 def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
     stored = []
     for cls, hook in ((Multivector, "__init__"), (Matrix, "__post_init__")):
@@ -279,6 +346,8 @@ def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
             stored.extend(c for c in values if type(c) is ComplexRational)
 
         monkeypatch.setattr(cls, hook, record)
+    on_adopted_terms(monkeypatch, lambda terms: stored.extend(
+        c for c in terms.values() if type(c) is ComplexRational))
     for kind in ("collineation", "correlation"):
         for action in ("points", "planes"):
             t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), kind, action)

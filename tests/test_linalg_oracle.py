@@ -1,7 +1,8 @@
 """Exact elimination checked against sympy's DomainMatrix over QQ and QQ_I.
 
-The reduced row echelon form, the determinant and the rank are unique, so
-they are compared directly.  Kernel bases are compared vector by vector:
+The reduced row echelon form (``helpers.rref``, over the package's
+elimination), the determinant and the rank are unique, so they are compared
+directly.  Kernel bases are compared vector by vector:
 each of sympy's vectors is scaled to 1 at its free column, as ``nullspace``
 builds them, and then gets the same integer normalization.  Besides small
 rationals the cases hold integral and Gaussian-integral matrices, small and
@@ -18,9 +19,9 @@ import pytest
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from exactga.linalg import Matrix, determinant, mat_mul, normalize_vector, nullspace, rank, rref
+from exactga.linalg import Matrix, determinant, mat_mul, normalize_vector, nullspace, rank
 from exactga.scalars import ComplexRational, imag_part, real_part
-from helpers import rand_fraction
+from helpers import rand_fraction, rref
 
 
 def _rational(x) -> Fraction:

@@ -5,7 +5,9 @@ that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
 second outer null space per descent step or classification, a read-off
 vector normalized before its probe, a linear system in the descent, a norm
-product, a ``Blade`` or a decomposability wedge in a successful descent, a
+product, a general pair-loop product (``algebra._product``) instead of the
+vector kernel ``Algebra._times_vector``, a ``Blade`` or a decomposability
+wedge in a successful descent, a
 division before the lift's normalization, a ``ComplexRational``
 multiplication inside a product, a reordering sign
 computed outside the warm blade tables, an outer or inner product routed
@@ -14,7 +16,8 @@ through ``Multivector.gp``, a certificate check that parses scalars through
 second polarity product in a verify job fails here even when its output
 stays the same.  The storage guards require the integer core: int
 blade and coefficient tables, and int or Gaussian-int coefficients in
-every multivector of a descent and in every matrix of the linear algebra.
+every multivector and vector-kernel product of a descent and in every
+matrix of the linear algebra.
 """
 
 import random
@@ -44,6 +47,20 @@ def counting(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, wrapper)
     return calls
+
+
+def returns(monkeypatch, owner, attr):
+    """Like ``counting``, but records what each call returns."""
+    outs = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return outs
 
 
 def plane_correlation() -> klein.ProjTransform4:
@@ -148,14 +165,17 @@ def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
 
 
 def test_descent_multiplies_once_per_step(monkeypatch):
-    # a successful descent proves the norm nonzero, so it forms no g g*
+    # each step multiplies by its vector through the per-generator rows; a
+    # successful descent proves the norm nonzero, so it forms no g g* either
     for value in descent_versors():
-        products = counting(monkeypatch, Multivector, "gp")
+        by_vector = counting(monkeypatch, Algebra, "_times_vector")
+        products = counting(monkeypatch, algebra, "_product")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
         steps = value.max_grade() - 1
         assert steps >= 3 and len(factors) == steps + 1
-        assert len(products) == steps
+        assert len(by_vector) == steps
+        assert products == []
 
 
 def test_successful_descent_builds_no_blade(monkeypatch):
@@ -218,8 +238,8 @@ def test_warm_factorization_computes_no_reordering_sign(monkeypatch):
 
 
 def test_wedge_and_inner_read_their_own_tables(monkeypatch):
-    # neither goes through Multivector.gp, so counting gp (the descent's one
-    # product per step, the bench's algebra.gp.calls) counts geometric products
+    # neither goes through Multivector.gp, so counting gp (the bench's
+    # algebra.gp.calls) counts geometric products
     for x in (lifted(REFERENCE_COLLINEATION, "rational"), lifted(COMPLEX_VARIANT, "complex")):
         y = x.conjugate()
         expected = (x.wedge(y), x.inner(y))  # fills the wedge and inner tables
@@ -262,10 +282,13 @@ def test_descents_store_integral_coefficients(monkeypatch):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         value = klein.proj_to_versor(t, mode).value
         built = counting(monkeypatch, Multivector, "__init__")
+        products = returns(monkeypatch, Algebra, "_times_vector")
         blades.factorize_versor(value)
         monkeypatch.undo()
         stored = [c for args in built for c in args[0]._terms.values()]
-        assert len(built) > 20 and stored
+        stored += [c for terms in products for c in terms.values()]
+        assert len(products) == value.max_grade() - 1 >= 4  # one product per step
+        assert all(products) and stored
         assert all(is_integral_storage(c) for c in stored)
         if mode == "complex":
             assert any(type(c) is ComplexRational for c in stored)
