@@ -11,21 +11,20 @@ which peels one generator at a time and bottoms out in the vector-blade
 product.
 
 Every product of multivectors is one kernel, ``_product``, over a table of
-blade products: the sum over coefficient pairs of c_a c_b times the table of
-(a, b).  Each algebra caches three tables, keyed by the int ``a << 16 | b``
-(the dimension is capped at 16): ``blade_gp``, the geometric product;
-``blade_wedge``, ``{}`` for blades that share a generator and else the one
-term ``a | b`` with its reordering sign; and ``blade_inner``, the grade
-|ka - kb| part of ``blade_gp``.  The kernel skips a pair whose table is
-empty before multiplying its coefficients, and no product computes a sign
-per pair.
-
-A geometric product whose right factor is a vector, each step of the grade
-descent and every ``gp`` by a grade-1 element, takes ``_times_vector``
-instead: the same sum over the same pairs, in the same order, but mask a
-looks up one row, the items of ``blade_gp(a, e_i)`` for each generator i,
-read once from the cached table, and generator i indexes it.  It works on
-stored term dicts, so the descent builds no ``Multivector`` per product.
+blade products: the sum over coefficient pairs of c_a c_b times the table
+entry of (a, b), a tuple of (mask, coefficient) terms.  Each algebra caches
+three tables as rows, ``rows[a][b]`` (the per-left-blade layout of Dorst,
+Fontijne & Mann, *Geometric Algebra for Computer Science*, ch. 19):
+``blade_gp``, the geometric product; ``blade_wedge``, ``()`` for blades that
+share a generator and else the one term ``a | b`` with its reordering sign;
+and ``blade_inner``, the grade |ka - kb| part of ``blade_gp``.  Each left
+blade reads its row once and each pair indexes it, so a product by a vector
+costs one row per left blade and one index per generator.  An entry is
+built on first use.  The kernel skips a pair whose entry is empty before
+multiplying its coefficients, and no product computes a sign per pair.  It
+works on stored term dicts: ``Multivector.gp``, ``wedge`` and ``inner`` wrap
+its result, and each step of the grade descent calls it through
+``Algebra._gp`` without building a ``Multivector``.
 
 Coefficients and blade-table entries are stored in the internal form of
 ``scalars.canonical``: plain ``int``s (Gaussian integers in complex mode)
@@ -39,10 +38,9 @@ coefficient as (real, imaginary) ints or Fractions, each pair of blades
 multiplies them once, (a + ib)(c + id) = (ac - bd) + i(ad + bc), the real
 table entries scale a real and an imaginary sum apart, and each result term
 is recombined once by ``scalars._make`` (an imaginary part that cancels
-leaves an ``int``).  Each multivector records at construction whether it
-holds a ``ComplexRational``; a product of two real ones, every product in
-rational mode, multiplies the coefficients as they are.  The vector kernel
-looks at its term dicts for one instead.
+leaves an ``int``).  The kernel looks through both term dicts for a
+``ComplexRational``; a product of two real ones, every product in rational
+mode, multiplies the coefficients as they are.
 
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra table caches, is filled idempotently, so concurrent
@@ -51,6 +49,7 @@ use needs no coordination.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -128,12 +127,10 @@ class Algebra:
         self._form_terms = tuple((i, j, m) for i, row in enumerate(self._metric)
                                  for j, m in enumerate(row) if m)
         self._degenerate = not form.det()
-        # blade tables keyed by a << 16 | b, unique while masks stay below 2**16
-        self._gp_cache: dict[int, dict[int, Scalar]] = {}
-        self._wedge_cache: dict[int, dict[int, int]] = {}
-        self._inner_cache: dict[int, dict[int, Scalar]] = {}
-        # per mask a, the items of blade_gp(a, e_i) for each generator i
-        self._vector_rows: dict[int, tuple] = {}
+        # blade tables by rows: rows[a][b] is the table of the blade pair (a, b)
+        self._gp_rows: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
+        self._wedge_rows: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
+        self._inner_rows: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
 
     # -- basic data ---------------------------------------------------------
 
@@ -269,88 +266,50 @@ class Algebra:
             out.append((mask | (1 << i), sign))
         return out
 
-    def blade_gp(self, a: int, b: int) -> dict[int, Scalar]:
-        """Geometric product of two wedge basis monomials, cached (internal form)."""
-        key = a << 16 | b
-        cached = self._gp_cache.get(key)
+    def blade_gp(self, a: int, b: int) -> tuple:
+        """Geometric product of two wedge basis monomials as cached (mask, coefficient) terms."""
+        row = self._gp_rows[a]
+        cached = row.get(b)
         if cached is not None:
             return cached
         if a == 0:
-            result = {b: 1}
+            result = ((b, 1),)
         else:
             low = a & -a
             i = low.bit_length() - 1
             rest = a ^ low
             acc: dict[int, Scalar] = {}
-            for m, c in self.blade_gp(rest, b).items():
+            for m, c in self.blade_gp(rest, b):
                 for m2, c2 in self._vec_gp(i, m):
                     acc[m2] = acc.get(m2, 0) + c * c2
             for mc, cc in self._vec_contract(i, rest):
-                for m2, c2 in self.blade_gp(mc, b).items():
+                for m2, c2 in self.blade_gp(mc, b):
                     acc[m2] = acc.get(m2, 0) - cc * c2
-            result = {m: canonical(c) for m, c in acc.items() if c}
-        self._gp_cache[key] = result
+            result = tuple((m, canonical(c)) for m, c in acc.items() if c)
+        row[b] = result
         return result
 
-    def blade_wedge(self, a: int, b: int) -> dict[int, int]:
+    def blade_wedge(self, a: int, b: int) -> tuple:
         """Outer product of two wedge basis monomials, cached: empty when they overlap."""
-        key = a << 16 | b
-        table = self._wedge_cache.get(key)
+        row = self._wedge_rows[a]
+        table = row.get(b)
         if table is None:
-            table = self._wedge_cache[key] = {} if a & b else {a | b: _merge_sign(a, b)}
+            table = row[b] = () if a & b else ((a | b, _merge_sign(a, b)),)
         return table
 
-    def blade_inner(self, a: int, b: int) -> dict[int, Scalar]:
+    def blade_inner(self, a: int, b: int) -> tuple:
         """Generalized inner product of two monomials: the grade-|ka-kb| part of blade_gp."""
-        key = a << 16 | b
-        table = self._inner_cache.get(key)
+        row = self._inner_rows[a]
+        table = row.get(b)
         if table is None:
             target = abs(a.bit_count() - b.bit_count())
-            table = {m: c for m, c in self.blade_gp(a, b).items() if m.bit_count() == target}
-            self._inner_cache[key] = table
+            table = row[b] = tuple((m, c) for m, c in self.blade_gp(a, b)
+                                   if m.bit_count() == target)
         return table
 
-    def _times_vector(self, terms: dict, v: dict) -> dict:
-        """The stored terms of x * v for stored terms x and a vector v (module docstring)."""
-        rows = self._vector_rows
-        gens = {b.bit_length() - 1: c for b, c in v.items()}  # generator index: coefficient
-        if ComplexRational in map(type, terms.values()) or ComplexRational in map(type, v.values()):
-            return self._gaussian_times_vector(terms, gens)
-        acc: dict[int, Scalar] = {}
-        get = acc.get
-        gen_items = list(gens.items())
-        for a, ca in terms.items():
-            row = rows.get(a) or self._vector_row(a)
-            for i, cb in gen_items:
-                if table := row[i]:
-                    cab = ca * cb
-                    for m, c in table:
-                        acc[m] = get(m, 0) + cab * c
-        return {m: c if type(c) is int else canonical(c) for m, c in acc.items() if c}
-
-    def _gaussian_times_vector(self, terms: dict, gens: dict) -> dict:
-        """``_times_vector`` on the parts of the coefficients, as ``_gaussian_product``."""
-        rows = self._vector_rows
-        real: dict[int, Scalar] = {}
-        imag: dict[int, Scalar] = {}
-        real_get, imag_get = real.get, imag.get
-        gen_parts = list(_split(gens).items())
-        for a, (ar, ai) in _split(terms).items():
-            row = rows.get(a) or self._vector_row(a)
-            for i, (br, bi) in gen_parts:
-                if table := row[i]:
-                    pr, pi = ar * br - ai * bi, ar * bi + ai * br
-                    for m, c in table:
-                        real[m] = real_get(m, 0) + pr * c
-                        imag[m] = imag_get(m, 0) + pi * c
-        return {m: c if type(c) is int else canonical(c) for m, r in real.items()
-                if (c := _make(r, imag[m]))}
-
-    def _vector_row(self, a: int) -> tuple:
-        """The items of blade_gp(a, e_i) for each generator i, cached."""
-        row = self._vector_rows[a] = tuple(tuple(self.blade_gp(a, 1 << i).items())
-                                           for i in range(self.dim))
-        return row
+    def _gp(self, x: dict, y: dict) -> dict:
+        """The stored terms of x y, for stored term dicts x and y."""
+        return _product(x, y, self._gp_rows, self.blade_gp)
 
     def __repr__(self):
         p, q, r = self.signature()
@@ -362,48 +321,50 @@ def _split(terms: dict) -> dict:
     return {m: (c.re, c.im) if type(c) is ComplexRational else (c, 0) for m, c in terms.items()}
 
 
-def _product(x: "Multivector", y: "Multivector", cache: dict, build) -> "Multivector":
-    """The product whose blade tables are ``cache``, filled by ``build`` (module docstring)."""
-    alg = x.algebra
-    if y.algebra is not alg:
-        x._check(y)
-    if x._complex or y._complex:
-        return Multivector(alg, _gaussian_product(x._terms, y._terms, cache, build))
-    lookup = cache.get
+def _product(x: dict, y: dict, rows, build) -> dict:
+    """The stored terms of the product of x and y whose blade table is ``rows``.
+
+    ``build(a, b)`` fills a missing entry of ``rows[a]`` (module docstring).
+    """
+    if ComplexRational in map(type, x.values()) or ComplexRational in map(type, y.values()):
+        return _gaussian_product(x, y, rows, build)
     acc: dict[int, Scalar] = {}
     get = acc.get
-    for a, ca in x._terms.items():
-        high = a << 16
-        for b, cb in y._terms.items():
-            table = lookup(high | b)
-            if table is None:
+    y_items = list(y.items())
+    for a, ca in x.items():
+        row = rows[a]
+        for b, cb in y_items:
+            try:
+                table = row[b]
+            except KeyError:
                 table = build(a, b)
             if table:
                 cab = ca * cb
-                for m, c in table.items():
+                for m, c in table:
                     acc[m] = get(m, 0) + cab * c
-    return Multivector(alg, acc)
+    return {m: c if type(c) is int else canonical(c) for m, c in acc.items() if c}
 
 
-def _gaussian_product(x: dict, y: dict, cache: dict, build) -> dict:
-    """``_product`` of term dicts on the parts of their coefficients (module docstring)."""
-    lookup = cache.get
+def _gaussian_product(x: dict, y: dict, rows, build) -> dict:
+    """``_product`` on the parts of the coefficients (module docstring)."""
     real: dict[int, Scalar] = {}
     imag: dict[int, Scalar] = {}
     real_get, imag_get = real.get, imag.get
-    y_parts = _split(y).items()
+    y_parts = list(_split(y).items())
     for a, (ar, ai) in _split(x).items():
-        high = a << 16
+        row = rows[a]
         for b, (br, bi) in y_parts:
-            table = lookup(high | b)
-            if table is None:
+            try:
+                table = row[b]
+            except KeyError:
                 table = build(a, b)
             if table:
                 pr, pi = ar * br - ai * bi, ar * bi + ai * br
-                for m, c in table.items():
+                for m, c in table:
                     real[m] = real_get(m, 0) + pr * c
                     imag[m] = imag_get(m, 0) + pi * c
-    return {m: _make(r, imag[m]) for m, r in real.items()}
+    return {m: c if type(c) is int else canonical(c) for m, r in real.items()
+            if (c := _make(r, imag[m]))}
 
 
 def _blade_name(mask: int) -> str:
@@ -418,25 +379,19 @@ class Multivector:
     The coefficients are stored in the internal form of ``scalars.canonical``.
     """
 
-    __slots__ = ("algebra", "_terms", "_complex")
+    __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: Algebra, terms: dict[int, object]):
         clean = {}
-        is_complex = False
         dim = algebra.dim
         for mask, coeff in terms.items():
-            if type(coeff) is int:
-                c = coeff
-            else:
-                c = canonical(coeff)
-                is_complex = is_complex or type(c) is ComplexRational
+            c = coeff if type(coeff) is int else canonical(coeff)
             if c:
                 if mask < 0 or mask >> dim:
                     raise AlgebraError(f"mask {mask} outside the algebra")
                 clean[mask] = c
         _set(self, "algebra", algebra)
         _set(self, "_terms", clean)
-        _set(self, "_complex", is_complex)  # some coefficient is a ComplexRational
 
     @classmethod
     def _stored(cls, algebra: Algebra, terms: dict) -> "Multivector":
@@ -444,7 +399,6 @@ class Multivector:
         mv = object.__new__(cls)
         _set(mv, "algebra", algebra)
         _set(mv, "_terms", terms)
-        _set(mv, "_complex", ComplexRational in map(type, terms.values()))
         return mv
 
     def __setattr__(self, name, value):
@@ -554,27 +508,27 @@ class Multivector:
 
     # -- products -------------------------------------------------------------
 
-    def gp(self, other: "Multivector") -> "Multivector":
-        """Geometric product; Gaussian coefficients are multiplied as pairs of parts.
-
-        A right operand whose terms are all of grade 1 takes the vector kernel.
-        """
+    def _times(self, other: "Multivector", rows, build) -> "Multivector":
+        """The product whose blade table is ``rows``, through ``_product``."""
         alg = self.algebra
-        if all(b.bit_count() == 1 for b in other._terms):
-            if other.algebra is not alg:
-                self._check(other)
-            return Multivector._stored(alg, alg._times_vector(self._terms, other._terms))
-        return _product(self, other, alg._gp_cache, alg.blade_gp)
+        if other.algebra is not alg:
+            self._check(other)
+        return Multivector._stored(alg, _product(self._terms, other._terms, rows, build))
+
+    def gp(self, other: "Multivector") -> "Multivector":
+        """Geometric product; Gaussian coefficients are multiplied as pairs of parts."""
+        alg = self.algebra
+        return self._times(other, alg._gp_rows, alg.blade_gp)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Outer product, metric-free on the wedge basis."""
         alg = self.algebra
-        return _product(self, other, alg._wedge_cache, alg.blade_wedge)
+        return self._times(other, alg._wedge_rows, alg.blade_wedge)
 
     def inner(self, other: "Multivector") -> "Multivector":
         """Generalized inner product: |k-l| grade part, taken grade by grade."""
         alg = self.algebra
-        return _product(self, other, alg._inner_cache, alg.blade_inner)
+        return self._times(other, alg._inner_rows, alg.blade_inner)
 
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.algebra.dim:
@@ -622,28 +576,7 @@ class Multivector:
     # -- serialization ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        ordered = sorted(self._terms, key=lambda m: (m.bit_count(), tuple(_bits(m))))
-        for m in ordered:
-            c = self._terms[m]
-            txt = format_scalar(c)
-            if isinstance(c, ComplexRational) and c.im != 0:
-                txt = f"({txt})"
-            neg = txt.startswith("-")
-            if neg:
-                txt = txt[1:]
-            name = _blade_name(m)
-            if name:
-                body = name if txt == "1" else f"{txt}*{name}"
-            else:
-                body = txt
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return terms_text(self.to_json())
 
     def to_json(self) -> list[dict]:
         ordered = sorted(self._terms, key=lambda m: (m.bit_count(), tuple(_bits(m))))
@@ -661,6 +594,30 @@ class Multivector:
 
     def __repr__(self):
         return f"<{self.to_text()}>"
+
+
+def terms_text(terms: list[dict]) -> str:
+    """Blade notation of terms in the form of ``Multivector.to_json``, in their order."""
+    if not terms:
+        return "0"
+    parts = []
+    for term in terms:
+        m, txt = term["mask"], term["coeff"]
+        if txt.endswith("i"):  # a complex coefficient
+            txt = f"({txt})"
+        neg = txt.startswith("-")
+        if neg:
+            txt = txt[1:]
+        name = _blade_name(m)
+        if name:
+            body = name if txt == "1" else f"{txt}*{name}"
+        else:
+            body = txt
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
 
 
 def sandwich(g, x: Multivector) -> Multivector:

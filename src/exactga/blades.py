@@ -9,8 +9,8 @@ The grade descent splits a versor of maximal grade k into at most k vectors:
 each step multiplies by a non-null vector of the top part's OPNS, which
 lowers that grade by one.  A step probes the OPNS as raw coordinate lists
 and normalizes only its pick.  The remainder g v_1 ... v_i stays a stored
-term dict, multiplied by each pick through the algebra's vector kernel
-(``Algebra._times_vector``); only each step's top part is a ``Multivector``.
+term dict, multiplied by each pick through the algebra's product kernel
+(``Algebra._gp``); only each step's top part is a ``Multivector``.
 The descent lives here, below both models; ``klein`` calls it and
 ``factorize`` re-exports it.
 """
@@ -88,7 +88,7 @@ def _read_off(b: Multivector):
         for j in range(alg.dim):
             m = rest | 1 << j
             if c := terms.get(m):  # None for j in F - f: b is homogeneous
-                coords[j] = alg.blade_wedge(1 << j, rest)[m] * c * conj
+                coords[j] = alg.blade_wedge(1 << j, rest)[0][1] * c * conj
         yield coords
 
 
@@ -191,7 +191,7 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
             tops.append(Multivector._stored(alg, {m: c for m, c in current.items()
                                                   if m.bit_count() == k}))
             v, factor = _choose(alg, _read_off(tops[-1]), normalize_vector)
-            current = alg._times_vector(current, {1 << i: c for i, c in enumerate(v) if c})
+            current = alg._gp(current, {1 << i: c for i, c in enumerate(v) if c})
             if not current or max(map(int.bit_count, current)) != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
             extracted.append(factor)

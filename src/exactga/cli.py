@@ -6,9 +6,10 @@ output prints rationals, never decimals.
 
 Exit codes: 0 success/verified, 1 verification or lifting failure (also
 any unexpected error inside one job), 2 complex scalars required in
-rational mode, 64 parse failure (also input that is not UTF-8, JSON past
-Python's limits, an unknown scalar mode, an ``--output`` that cannot be
-opened for writing), 65 singular input matrix.  Each
+rational mode, 64 parse failure (also a scalar atom of more than 4,300
+digits, input that is not UTF-8, JSON past Python's limits, an unknown
+scalar mode, an ``--output`` that cannot be opened for writing), 65
+singular input matrix.  Each
 job of a batch gets its own code; one failing job never stops the others.
 """
 
@@ -20,7 +21,7 @@ import sys
 import traceback
 from contextlib import contextmanager, nullcontext
 
-from .algebra import AlgebraError, Multivector
+from .algebra import AlgebraError, terms_text
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
 from .klein import (
     SCALAR_MODES,
@@ -28,7 +29,6 @@ from .klein import (
     ProjTransform4,
     SingularTransformError,
     coefficient_vector,
-    klein_algebra,
     proj_to_versor,
     versor_to_proj,
 )
@@ -39,7 +39,7 @@ from .lie import (
     lie_encode,
     oriented_contact,
 )
-from .linalg import Matrix, proportionality
+from .linalg import aligned, proportionality
 from .scalars import format_scalar
 
 EXIT_OK = 0
@@ -220,13 +220,11 @@ _HANDLERS = {
 }
 
 
-def _terms_text(terms: list) -> str:
-    # the reports with terms (factorize, lift) are all in line geometry
-    return Multivector.from_json(klein_algebra(), terms).to_text()
-
-
 def _format_text(report: dict, indent: str = "") -> str:
-    """Readable report: blade notation, aligned matrix rows, space-separated scalars."""
+    """Readable report: blade notation, aligned matrix rows, space-separated scalars.
+
+    It lays out the strings of the report as they are, parsing none of them.
+    """
     lines = []
     inner = indent + "  "
     for key, value in report.items():
@@ -234,19 +232,19 @@ def _format_text(report: dict, indent: str = "") -> str:
             lines.append(f"{indent}{key}:")
             lines.append(_format_text(value, inner))
         elif key == "versor":
-            lines.append(f"{indent}{key}: {_terms_text(value)}")
+            lines.append(f"{indent}{key}: {terms_text(value)}")
         elif key in ("factors", "witness") and value:  # one factor per line
             lines.append(f"{indent}{key}:")
-            lines.extend(inner + _terms_text(terms) for terms in value)
+            lines.extend(inner + terms_text(terms) for terms in value)
         elif key == "polarities":
             lines.append(f"{indent}{key}:")
             for polarity in value:
                 lines.append(f"{inner}{polarity['action']}:")
-                rows = str(Matrix.from_json(polarity["matrix"])).split("\n")
+                rows = aligned(polarity["matrix"]).split("\n")
                 lines.extend(inner + "  " + row for row in rows)
         elif isinstance(value, list) and value and isinstance(value[0], list):
             lines.append(f"{indent}{key}:")
-            lines.append(str(Matrix.from_json(value)))
+            lines.append(aligned(value))
         elif isinstance(value, list) and value and all(isinstance(x, str) for x in value):
             lines.append(f"{indent}{key}: {' '.join(value)}")  # coefficients, coordinates
         else:

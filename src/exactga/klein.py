@@ -45,6 +45,7 @@ from .algebra import (
 from .blades import Blade, factorize_versor, ipns, opns
 from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionality, rank
 from .scalars import (
+    ATOM_DIGITS,
     Scalar,
     as_scalar,
     canonical,
@@ -395,7 +396,7 @@ def _spin_tables() -> dict:
         table = [[0] * 8 for _ in range(8)]
         for r, k, v in gammas[low.bit_length() - 1]:
             table[r] = [x + w * v * y for x, y in zip(table[r], tables[rest][k])]
-        for m, c in alg.blade_gp(low, rest).items():
+        for m, c in alg.blade_gp(low, rest):
             if m != mask:
                 table = [[x - c * y for x, y in zip(row, other)]
                          for row, other in zip(table, tables[m])]
@@ -490,12 +491,11 @@ def _normalization_scale(lam: Scalar, scalar_mode: str) -> Scalar:
     root = None if imag_part(lam) else scalar_sqrt(real_part(lam))
     if root is not None and not (imag_part(root) and scalar_mode == "rational"):
         return root
-    try:
-        diagnosis = {"similitude_ratio": format_scalar(lam)}  # only a refusal formats the ratio
-    except ValueError:  # more digits than Python converts to text: report the size instead
-        parts = (real_part(lam), imag_part(lam))
-        diagnosis = {"similitude_ratio_bits": max(n.bit_length() for p in parts
-                                                  for n in (p.numerator, p.denominator))}
+    parts = [n for p in (real_part(lam), imag_part(lam)) for n in (p.numerator, p.denominator)]
+    if max(map(abs, parts)) < 10 ** ATOM_DIGITS:  # only a refusal formats the ratio
+        diagnosis = {"similitude_ratio": format_scalar(lam)}
+    else:  # longer than a scalar atom may be: report the size instead
+        diagnosis = {"similitude_ratio_bits": max(n.bit_length() for n in parts)}
     if imag_part(lam):
         raise NotLiftableError("no exact versor: the similitude ratio is not real",
                                diagnosis | {"reason": "non-real-ratio"})

@@ -135,9 +135,13 @@ class Matrix:
         return cls.from_rows([[canonical(v) for v in row] for row in data])
 
     def __str__(self):
-        cells = [[format_scalar(v) for v in self.row(i)] for i in range(self.rows)]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
-        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
+        return aligned(self.to_json())
+
+
+def aligned(cells: list[list[str]]) -> str:
+    """Rows of text cells, each column right-aligned, two spaces apart."""
+    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -282,21 +286,18 @@ def nullspace(m: Matrix) -> list[tuple]:
 
 
 def ratio(xs: Sequence, ys: Sequence) -> Scalar | None:
-    """Exact nonzero c with xs == c * ys entrywise, or None. Zero against zero gives 1."""
-    c = None
-    for x, y in zip(xs, ys):
-        if not y:
-            if x:
-                return None
-            continue
-        q = div(x, y)
-        if c is None:
-            c = q
-        elif c != q:
-            return None
-    if c is None:
-        return Fraction(1)
-    return c if c else None
+    """Exact nonzero c with xs == c * ys entrywise, or None. Zero against zero gives 1.
+
+    c is x_k / y_k at the first nonzero y_k; every pair is checked by
+    x_i y_k == x_k y_i, so that quotient is the only division.
+    """
+    pairs = list(zip(xs, ys))
+    xk, yk = next(((x, y) for x, y in pairs if y), (0, 0))
+    if not yk:
+        return None if any(x for x, _ in pairs) else Fraction(1)
+    if not xk or any(x * yk != xk * y for x, y in pairs):
+        return None
+    return div(xk, yk)
 
 
 def proportionality(a: Matrix, b: Matrix) -> Scalar | None:

@@ -15,7 +15,10 @@ an integral rational as a plain ``int`` and a Gaussian integer as a
 blade tables and matrices of this library run on Python integers; ``public``
 converts back.  Strings parse straight into the internal form: each atom
 of the grammar goes through ``int()``, so ``canonical`` of a string builds
-no ``Fraction`` unless the value is one.  Since ``int / int`` is a
+no ``Fraction`` unless the value is one.  An atom (a numerator, a
+denominator, a real or an imaginary part) may have at most ``ATOM_DIGITS``
+digits, the most that ``int()`` converts by default; ``format_scalar``
+prints a scalar of any length.  Since ``int / int`` is a
 ``float`` in Python, every quotient that can see two ``int``s goes through
 ``div``, the one exact division rule, or through ``exact_div`` where the
 quotient is known to be a (Gaussian) integer.
@@ -243,6 +246,8 @@ def imag_part(x: Scalar) -> Fraction:
     return x.im if isinstance(x, ComplexRational) else Fraction(0)
 
 
+ATOM_DIGITS = 4300  # the default limit of Python's int() on decimal text
+
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 # an optional real atom, then a signed imaginary atom; the real atom must be
 # followed by the sign, so '12i' cannot split into 1 + 2i
@@ -254,13 +259,15 @@ _COMPLEX_RE = re.compile(
 def _parse_atom(atom: str, whole: str):
     """'p' or 'p/q' (grammar-checked) in the internal form."""
     num, _, den = atom.partition("/")
-    try:  # the numerator is converted first, as Fraction(text) does
-        p = int(num)
-        if not den:
-            return p
-        q = int(den)
-    except ValueError as exc:  # more digits than int() accepts
-        raise ScalarError(f"cannot parse scalar {whole!r}: {exc}") from None
+    if len(atom) > ATOM_DIGITS:
+        for digits in (num.lstrip("+-"), den):  # the numerator first, as Fraction(text) reads it
+            if len(digits) > ATOM_DIGITS:
+                raise ScalarError(f"scalar atom of {len(digits):,} digits is past the limit "
+                                  f"of {ATOM_DIGITS:,} digits")
+    p = int(num)
+    if not den:
+        return p
+    q = int(den)
     if not q:
         raise ScalarError(f"zero denominator in scalar {whole!r}")
     return p // q if p % q == 0 else Fraction(p, q)
@@ -294,15 +301,37 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form: 'p/q' for rationals, 'p/q+r/si' for complex."""
+    """Canonical text form: 'p/q' for rationals, 'p/q+r/si' for complex, at any length."""
     if type(x) is int:
-        return str(x)
+        return _decimal(x)
     if isinstance(x, ComplexRational):
         if x.im == 0:
-            return str(x.re)
+            return _rational_text(x.re)
         sign = "+" if x.im > 0 else "-"
-        return f"{x.re}{sign}{abs(x.im)}i"
-    return str(Fraction(x))
+        return f"{_rational_text(x.re)}{sign}{_rational_text(abs(x.im))}i"
+    return _rational_text(x)
+
+
+def _rational_text(q) -> str:
+    """str(Fraction(q)) of an int or a Fraction, at any length."""
+    if type(q) is int or q.denominator == 1:
+        return _decimal(int(q))
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """str(n) at any length.
+
+    str() refuses more than 4,300 digits by default, so past 13,000 bits
+    (3,914 digits) n is split at a power of ten near half its digits.
+    """
+    if n.bit_length() <= 13_000:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # log10(2) / 2 is about 0.15
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

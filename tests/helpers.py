@@ -51,12 +51,14 @@ _ORACLE_COMPLEX_RE = re.compile(
 
 
 def _oracle_rational(text: str, whole: str) -> Fraction:
+    for digits in re.findall(r"\d+", text):  # the numerator first
+        if len(digits) > 4300:
+            raise ScalarError(f"scalar atom of {len(digits):,} digits is past the limit "
+                              f"of 4,300 digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ScalarError(f"zero denominator in scalar {whole!r}") from None
-    except ValueError as exc:  # e.g. more digits than int() accepts
-        raise ScalarError(f"cannot parse scalar {whole!r}: {exc}") from None
 
 
 def fraction_parse_scalar(text: str):
@@ -204,7 +206,7 @@ def per_term_gp(x: Multivector, y: Multivector) -> Multivector:
     for a, ca in x._terms.items():
         for b, cb in y._terms.items():
             cab = ca * cb
-            for m, c in x.algebra.blade_gp(a, b).items():
+            for m, c in x.algebra.blade_gp(a, b):
                 acc[m] = acc.get(m, 0) + cab * c
     return Multivector(x.algebra, acc)
 
@@ -232,7 +234,7 @@ def per_term_inner(x: Multivector, y: Multivector) -> Multivector:
         for b, cb in y._terms.items():
             target = abs(ka - bin(b).count("1"))
             cab = ca * cb
-            for m, c in blade_gp(a, b).items():
+            for m, c in blade_gp(a, b):
                 if bin(m).count("1") == target:
                     acc[m] = acc.get(m, 0) + cab * c
     return Multivector(x.algebra, acc)

@@ -389,6 +389,54 @@ def test_json_past_the_interpreter_limits_is_a_parse_failure(tmp_path, capsys):
     assert "recursion" in main_error(capsys, tmp_path, b"[" * 100_000)
 
 
+def diagonal_job(entry: str, action: str = "points") -> dict:
+    return {"matrix": [[entry if i == j == 0 else str(int(i == j)) for j in range(4)]
+                       for i in range(4)], "kind": "collineation", "action": action}
+
+
+LIMIT_MESSAGE = "field 'matrix': scalar atom of 4,301 digits is past the limit of 4,300 digits"
+
+
+def test_result_past_the_string_limit_prints():
+    # A = B B^T with 1,000-digit entries in B: its factors have atoms of about
+    # 12,000 digits, which str() refuses by default
+    rng = random.Random("cli/b-bt")
+    b = [[rng.randrange(10 ** 999, 10 ** 1000) * rng.choice((1, -1)) for _ in range(4)]
+         for _ in range(4)]
+    a = [[sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
+    code, report = run_job("factorize", {"matrix": as_str_matrix(a), "kind": "collineation",
+                                         "action": "points"}, {"scalar_mode": "rational"})
+    assert code == 0, report.get("error")  # so the factors were verified
+    coeffs = [term["coeff"] for factor in report["factors"] for term in factor]
+    assert max(map(len, coeffs)) > 10_000
+    text = _format_text(report)
+    assert all(c.lstrip("-") in text for c in coeffs)
+
+
+def test_entries_at_the_limit():
+    # 16 * 10**4298, a square, has 4,300 digits and factorizes in both actions
+    # (a negative one in complex mode); one more digit is refused before any work
+    at_limit = "16" + "0" * 4298
+    for entry, mode in ((at_limit, "rational"), ("-" + at_limit, "complex")):
+        for action in ("points", "planes"):
+            code, report = run_job("factorize", diagonal_job(entry, action), {"scalar_mode": mode})
+            assert code == 0, report.get("error")
+            assert _format_text(report)
+    code, report = run_job("factorize", diagonal_job(at_limit + "0"), {})
+    assert (code, report) == (64, {"error": LIMIT_MESSAGE})
+
+
+def test_job_past_the_limit_fails_alone_in_its_batch(capsys):
+    jobs = [{"command": "factorize", "payload": REFERENCE_JOB},
+            {"command": "factorize", "payload": diagonal_job("7" * 4301)},
+            {"command": "lift", "payload": REFERENCE_JOB}]
+    code, out = run_cli(capsys, ["--command", "factorize"], jobs)
+    reports = json.loads(out)
+    assert code == 64
+    assert [r["exit_code"] for r in reports] == [0, 64, 0]
+    assert reports[1]["error"] == LIMIT_MESSAGE
+
+
 def test_unknown_scalar_mode_is_a_parse_failure(capsys):
     for command in ("factorize", "lift"):
         code, report = run_job(command, REFERENCE_JOB, {"scalar_mode": "real"})

@@ -2,8 +2,9 @@
 
 Every import sits at module level, and the imports between the package's
 own modules form no cycle, so each module can be read below the ones it uses.
-Only the blade-table builders of ``algebra`` compute a reordering sign, and
-popcounts use ``int.bit_count``.
+Only the blade-table builders of ``algebra`` compute a reordering sign, only
+``algebra`` names the rows of its blade tables, and popcounts use
+``int.bit_count``.
 """
 
 from __future__ import annotations
@@ -109,6 +110,16 @@ def test_reordering_signs_come_from_the_blade_tables():
     assert users == {"algebra": {"_vec_gp", "blade_wedge"}}
     popcounts = {name: lines for name, tree in modules.items() if (lines := _bin_counts(tree))}
     assert popcounts == {}
+
+
+def test_only_algebra_names_the_blade_rows():
+    # the descent reaches the product kernel through Algebra._gp, so the
+    # table format stays inside one module
+    modules = _modules()
+    users = {name for name, tree in modules.items()
+             for rows in ("_gp_rows", "_wedge_rows", "_inner_rows") if _users(tree, rows)}
+    assert users == {"algebra"}
+    assert _users(modules["blades"], "_gp") == {"factorize_versor"}
 
 
 def test_rule_finders_see_their_targets():

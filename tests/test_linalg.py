@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactga.linalg import (
     LinAlgError,
@@ -12,8 +14,9 @@ from exactga.linalg import (
     nullspace,
     proportionality,
     rank,
+    ratio,
 )
-from exactga.scalars import ComplexRational, ScalarError
+from exactga.scalars import ComplexRational, ScalarError, as_scalar, canonical
 from helpers import adjugate, cofactor_det, rand_fraction, solve_linear
 
 
@@ -131,6 +134,44 @@ def test_proportionality():
     assert proportionality(b, a) == Fraction(1, 2)
     assert proportionality(a, Matrix.identity(2)) is None
     assert proportionality(Matrix.zeros(2, 2), Matrix.zeros(2, 2)) == 1
+
+
+_rationals = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=5))
+# internal forms: ints, Fractions and Gaussian values with int or Fraction parts
+_scalars = st.one_of(_rationals, st.builds(ComplexRational, _rationals, _rationals)).map(canonical)
+
+
+@st.composite
+def _ratio_cases(draw):
+    """(xs, ys) with xs = c * ys, zeros among the ys and c, and a few entries redrawn."""
+    n = draw(st.integers(0, 6))
+    ys = draw(st.lists(st.one_of(st.just(0), _scalars), min_size=n, max_size=n))
+    c = draw(st.one_of(st.just(0), _scalars))
+    xs = [canonical(c * y) for y in ys]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else ():
+        xs[i] = draw(st.one_of(st.just(0), _scalars))
+    return xs, ys
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_ratio_cases())
+def test_ratio_against_its_definition(case):
+    xs, ys = case
+    got = ratio(xs, ys)
+    if not any(xs) and not any(ys):
+        assert got == 1 and type(got) is Fraction
+        return
+    # the only c that can work is x_k / y_k at a nonzero y_k
+    k = next((i for i, y in enumerate(ys) if y), None)
+    candidate = None if k is None else as_scalar(xs[k]) / as_scalar(ys[k])
+    works = (candidate is not None and candidate != 0
+             and all(x == candidate * y for x, y in zip(xs, ys)))
+    if not works:
+        assert got is None
+        return
+    assert got == candidate
+    assert type(got) is Fraction or (type(got) is ComplexRational
+                                     and type(got.re) is type(got.im) is Fraction)
 
 
 def test_matrix_json_roundtrip():

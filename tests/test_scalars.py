@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -203,3 +205,22 @@ def test_parse_matches_the_fraction_oracle(text):
     if isinstance(text, str):
         assert _outcome(canonical, text) == _outcome(
             lambda t: canonical(fraction_parse_scalar(t)), text)
+
+
+def test_format_scalar_prints_past_the_string_limit():
+    rng = random.Random("scalars/long-format")
+    saved = sys.get_int_max_str_digits()
+    values = []
+    for bits in (12_999, 13_000, 13_001, 40_000, 150_000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        values += [n, -n, 10 ** (bits // 4), 10 ** (bits // 4) - 1]
+    sys.set_int_max_str_digits(0)  # str() itself, as the oracle
+    try:
+        expected = [str(n) for n in values]
+        fractions = [str(Fraction(n, 3)) for n in values]
+        gaussian = [f"{n}-{Fraction(n, 7)}i" for n in values if n > 0]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert [format_scalar(n) for n in values] == expected
+    assert [format_scalar(Fraction(n, 3)) for n in values] == fractions
+    assert [format_scalar(ComplexRational(n, -Fraction(n, 7))) for n in values if n > 0] == gaussian

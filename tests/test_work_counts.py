@@ -5,10 +5,9 @@ that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 product after the descent or a second polarity product in the lift, a
 second outer null space per descent step or classification, a read-off
 vector normalized before its probe, a linear system in the descent, a norm
-product, a general pair-loop product (``algebra._product``) instead of the
-vector kernel ``Algebra._times_vector``, a ``Blade`` or a decomposability
-wedge in a successful descent, a
-division before the lift's normalization, a ``ComplexRational``
+product, more than one call of the product kernel ``algebra._product`` per
+descent step, a ``Blade`` or a decomposability wedge in a successful
+descent, a division before the lift's normalization, a ``ComplexRational``
 multiplication inside a product, a reordering sign
 computed outside the warm blade tables, an outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
@@ -16,7 +15,7 @@ through ``Multivector.gp``, a certificate check that parses scalars through
 second polarity product in a verify job fails here even when its output
 stays the same.  The storage guards require the integer core: int
 blade and coefficient tables, and int or Gaussian-int coefficients in
-every multivector and vector-kernel product of a descent and in every
+every multivector and kernel product of a descent and in every
 matrix of the linear algebra.
 """
 
@@ -165,17 +164,16 @@ def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
 
 
 def test_descent_multiplies_once_per_step(monkeypatch):
-    # each step multiplies by its vector through the per-generator rows; a
+    # each step multiplies its remainder by its vector in one kernel call; a
     # successful descent proves the norm nonzero, so it forms no g g* either
     for value in descent_versors():
-        by_vector = counting(monkeypatch, Algebra, "_times_vector")
         products = counting(monkeypatch, algebra, "_product")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
         steps = value.max_grade() - 1
         assert steps >= 3 and len(factors) == steps + 1
-        assert len(by_vector) == steps
-        assert products == []
+        assert len(products) == steps
+        assert all(len(y) and all(b.bit_count() == 1 for b in y) for _, y, _, _ in products)
 
 
 def test_successful_descent_builds_no_blade(monkeypatch):
@@ -214,7 +212,8 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
     blades.factorize_versor(value)
     monkeypatch.undo()
     checks = [(v, part) for (part,) in parts for v in blades.opns(part)]
-    assert len(checks) >= 10 and any(v._complex for v, _ in checks)
+    assert len(checks) >= 10
+    assert any(type(c) is ComplexRational for v, _ in checks for c in v._terms.values())
     left = counting(monkeypatch, ComplexRational, "__mul__")
     right = counting(monkeypatch, ComplexRational, "__rmul__")
     norm = value.gp(conjugate)
@@ -269,7 +268,7 @@ def is_integral_storage(c) -> bool:
 def test_blade_tables_store_ints():
     for alg in (klein.klein_algebra(), lie_algebra()):
         masks = alg.basis_masks()
-        values = [c for a in masks for b in masks for c in alg.blade_gp(a, b).values()]
+        values = [c for a in masks for b in masks for _, c in alg.blade_gp(a, b)]
         assert len(values) >= len(masks) ** 2
         assert all(type(c) is int for c in values)
     for parity in ("even", "odd"):
@@ -282,7 +281,7 @@ def test_descents_store_integral_coefficients(monkeypatch):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         value = klein.proj_to_versor(t, mode).value
         built = counting(monkeypatch, Multivector, "__init__")
-        products = returns(monkeypatch, Algebra, "_times_vector")
+        products = returns(monkeypatch, algebra, "_product")
         blades.factorize_versor(value)
         monkeypatch.undo()
         stored = [c for args in built for c in args[0]._terms.values()]
