@@ -50,6 +50,7 @@ use needs no coordination.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -60,7 +61,6 @@ from .scalars import (
     ComplexRational,
     Scalar,
     _make,
-    as_scalar,
     canonical,
     div,
     format_scalar,
@@ -69,7 +69,11 @@ from .scalars import (
 
 
 class AlgebraError(ValueError):
-    pass
+    """A refusal of the algebra layers; ``diagnosis`` says where it gave out (empty if unknown)."""
+
+    def __init__(self, message: str = "", diagnosis: dict | None = None):
+        super().__init__(message)
+        self.diagnosis = diagnosis or {}
 
 
 class AlgebraMismatchError(AlgebraError):
@@ -96,6 +100,17 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def coordinate_list(values, count: int, message: str) -> tuple:
+    """``values`` as a tuple of ``count`` coordinates, else ``AlgebraError(message)``.
+
+    Text and mappings are refused whatever their length: their characters
+    or keys are not coordinates.
+    """
+    if isinstance(values, (str, bytes, Mapping)) or len(values := tuple(values)) != count:
+        raise AlgebraError(message)
+    return values
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -210,8 +225,8 @@ class Algebra:
         return Multivector(self, {mask: 1})
 
     def vector(self, coords: Sequence) -> "Multivector":
-        if len(coords) != self.dim:
-            raise AlgebraError("coordinate count must equal the generator count")
+        coords = coordinate_list(coords, self.dim,
+                                 "coordinate count must equal the generator count")
         return Multivector(self, {1 << i: c for i, c in enumerate(coords)})
 
     def basis_masks(self, grade: int | None = None, parity: str | None = None) -> list[int]:
@@ -455,7 +470,7 @@ class Multivector:
             raise AlgebraMismatchError("operands live in different algebras")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
+        if not isinstance(other, Multivector):
             other = self.algebra.scalar(other)
         self._check(other)
         acc = dict(self._terms)
@@ -498,7 +513,7 @@ class Multivector:
         if isinstance(other, Multivector):
             return self.algebra.same_as(other.algebra) and self._terms == other._terms
         if isinstance(other, (int, Fraction, ComplexRational)):
-            s = as_scalar(other)
+            s = canonical(other)
             if not s:
                 return self.is_zero()
             return self._terms == {0: s}
@@ -584,6 +599,8 @@ class Multivector:
 
     @classmethod
     def from_json(cls, algebra: Algebra, data) -> "Multivector":
+        if not isinstance(data, list):
+            raise AlgebraError("multivector JSON must be a list of terms")
         terms = {}
         for item in data:
             mask = item["mask"]

@@ -24,6 +24,8 @@ from contextlib import contextmanager, nullcontext
 from .algebra import AlgebraError, terms_text
 from .factorize import FactorizationResult, factorize_matrix, verify_factorization
 from .klein import (
+    ACTIONS,
+    KINDS,
     SCALAR_MODES,
     ComplexRequiredError,
     ProjTransform4,
@@ -61,9 +63,8 @@ class JobError(Exception):
 # The JSON shape of each payload: None for a scalar, list for an array, a
 # tuple of the allowed strings, and {field: shape} for an object that needs
 # each field.  Scalars and array items are checked as they convert, and a
-# failure names the field that holds them (``_parse_error``).
-_ACTION = ("points", "planes")
-_TRANSFORM = {"matrix": list, "kind": ("collineation", "correlation"), "action": _ACTION}
+# failure names the field that holds them (``_field``).
+_TRANSFORM = {"matrix": list, "kind": KINDS, "action": ACTIONS}
 _RESULT = {"factors": list, "polarities": list, "scale": None}
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                bool: "a boolean", type(None): "null"}  # anything else from JSON is a number
@@ -96,14 +97,19 @@ def _check(value, shape, name: str) -> None:
             _check(value[field], inner, field)
 
 
-# what converting a malformed JSON value raises
-_CONVERSION_ERRORS = (KeyError, TypeError, ValueError)
+@contextmanager
+def _field(name: str):
+    """Exit 64, naming the field ``name``, for a value of it that does not convert.
 
-
-def _parse_error(name: str, exc: Exception) -> JobError:
-    """Exit 64 for a value of the field ``name`` that raised ``exc`` as it converted."""
-    missing = "missing field " if isinstance(exc, KeyError) else ""
-    return JobError(EXIT_PARSE, f"field '{name}': {missing}{exc}")
+    A singular transform matrix converts but is refused, with exit 65.
+    """
+    try:
+        yield
+    except SingularTransformError as exc:
+        raise JobError(EXIT_SINGULAR, str(exc))
+    except (KeyError, TypeError, ValueError) as exc:  # what a malformed JSON value raises
+        missing = "missing field " if isinstance(exc, KeyError) else ""
+        raise JobError(EXIT_PARSE, f"field '{name}': {missing}{exc}")
 
 
 def _transform_from_payload(payload, kind: str | None, action: str | None,
@@ -115,12 +121,8 @@ def _transform_from_payload(payload, kind: str | None, action: str | None,
     if action:
         data.setdefault("action", action)
     _check(data, _TRANSFORM, name)
-    try:
+    with _field("matrix"):  # kind and action are checked, so only the matrix can fail
         return ProjTransform4.from_json(data)
-    except SingularTransformError as exc:
-        raise JobError(EXIT_SINGULAR, str(exc))
-    except _CONVERSION_ERRORS as exc:  # kind and action are checked, so it is the matrix
-        raise _parse_error("matrix", exc)
 
 
 def _scalar_mode(opts: dict) -> str:
@@ -135,10 +137,9 @@ def _lift_refusals():
     """Map a refused lift to its exit code: 2 when complex scalars would lift it, else 1."""
     try:
         yield
-    except ComplexRequiredError as exc:
-        raise JobError(EXIT_COMPLEX_REQUIRED, str(exc), exc.diagnosis)
     except AlgebraError as exc:
-        raise JobError(EXIT_FAILED, str(exc), getattr(exc, "diagnosis", {}))
+        code = EXIT_COMPLEX_REQUIRED if isinstance(exc, ComplexRequiredError) else EXIT_FAILED
+        raise JobError(code, str(exc), exc.diagnosis)
 
 
 def cmd_factorize(payload: dict, opts: dict) -> dict:
@@ -173,10 +174,8 @@ def cmd_verify(payload, opts: dict) -> dict:
     t = _transform_from_payload(payload["transform"], opts.get("kind"), opts.get("action"),
                                 "transform")
     _check(payload, {"result": _RESULT}, "payload")
-    try:
+    with _field("result"):
         result = FactorizationResult.from_json(payload["result"], t)
-    except _CONVERSION_ERRORS as exc:
-        raise _parse_error("result", exc)
     ok = verify_factorization(result, t)
     report = {"verified": ok, "scale": format_scalar(result.scale)}
     if not ok:
@@ -187,19 +186,15 @@ def cmd_verify(payload, opts: dict) -> dict:
 def cmd_lie_contact(payload, opts: dict) -> dict:
     _check(payload, {}, "payload")
     if "vector" in payload:
-        try:
+        with _field("vector"):
             vec = lie_algebra().vector(payload["vector"])
             c = vec.coordinates()
             return {"laguerre": is_laguerre(vec), "a1_plus_a2": format_scalar(c[0] + c[1])}
-        except _CONVERSION_ERRORS as exc:
-            raise _parse_error("vector", exc)
     _check(payload, {"a": {}, "b": {}}, "payload")
     coords = []
     for name in ("a", "b"):
-        try:
+        with _field(name):
             coords.append(lie_encode(lie_element_from_json(payload[name])))
-        except _CONVERSION_ERRORS as exc:
-            raise _parse_error(name, exc)
     ca, cb = coords
     report = {
         "a_coordinates": [format_scalar(x) for x in ca.coords],
@@ -301,8 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--scalar-mode", choices=SCALAR_MODES,
                         default="rational", dest="scalar_mode")
-    parser.add_argument("--action", choices=("points", "planes"))
-    parser.add_argument("--kind", choices=("collineation", "correlation"))
+    parser.add_argument("--action", choices=ACTIONS)
+    parser.add_argument("--kind", choices=KINDS)
     args = parser.parse_args(argv)
 
     try:

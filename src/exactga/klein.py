@@ -41,6 +41,7 @@ from .algebra import (
     NotAVersorError,
     Versor,
     bilinear,
+    coordinate_list,
 )
 from .blades import Blade, factorize_versor, ipns, opns
 from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionality, rank
@@ -51,7 +52,6 @@ from .scalars import (
     canonical,
     format_scalar,
     imag_part,
-    public,
     rational_sqrt,
     real_part,
     scalar_sqrt,
@@ -62,24 +62,22 @@ class SingularTransformError(AlgebraError):
     pass
 
 
-class _LiftRefusal(AlgebraError):
-    """A refused lift, with the ``diagnosis`` dict the CLI reports."""
-
-    def __init__(self, message: str, diagnosis: dict):
-        super().__init__(message)
-        self.diagnosis = diagnosis
-
-
-class ComplexRequiredError(_LiftRefusal):
+class ComplexRequiredError(AlgebraError):
     """Raised in rational mode when only a complex versor can induce the map."""
 
 
-class NotLiftableError(_LiftRefusal):
+class NotLiftableError(AlgebraError):
     """No exact versor exists over the requested scalar field."""
 
 
+# the vocabularies of a transform and of a lift, in the order messages list them
+KINDS = ("collineation", "correlation")
+ACTIONS = ("points", "planes")
+SCALAR_MODES = ("rational", "complex")
+
+
 def _check_action(action: str) -> None:
-    if action not in ("points", "planes"):
+    if action not in ACTIONS:
         raise AlgebraError("action must be 'points' or 'planes'")
 
 
@@ -122,10 +120,8 @@ def _skew(x: Sequence) -> Matrix:
 
 def _join(p: Sequence, q: Sequence, what: str) -> tuple:
     """The pair minors of two points (or two planes), refusing dependent ones."""
-    p = [as_scalar(v) for v in p]
-    q = [as_scalar(v) for v in q]
-    if len(p) != 4 or len(q) != 4:
-        raise AlgebraError(f"{what} need four homogeneous coordinates")
+    message = f"{what} need four homogeneous coordinates"
+    p, q = (tuple(map(as_scalar, coordinate_list(x, 4, message))) for x in (p, q))
     coords = _pair_minors(p, q)
     if not any(coords):
         raise AlgebraError(f"{what} are linearly dependent")
@@ -139,10 +135,9 @@ class PluckerLine:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(as_scalar(c) for c in self.coords)
+        coords = tuple(map(as_scalar, coordinate_list(self.coords, 6,
+                                                       "a line needs six coordinates")))
         object.__setattr__(self, "coords", coords)
-        if len(coords) != 6:
-            raise AlgebraError("a line needs six coordinates")
         if not any(coords):
             raise AlgebraError("line coordinates must not all vanish")
         if klein_form_value(coords) != 0:
@@ -217,7 +212,7 @@ class ProjTransform4:
     _det: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("collineation", "correlation"):
+        if self.kind not in KINDS:
             raise AlgebraError("kind must be 'collineation' or 'correlation'")
         _check_action(self.action)
         if (self.matrix.rows, self.matrix.cols) != (4, 4):
@@ -282,7 +277,7 @@ class Sandwich6:
     def _proved(cls, matrix: Matrix, ratio) -> "Sandwich6":
         """A 6x6 line map whose caller knows its ratio in closed form: M^T Q M is not formed."""
         line_map = object.__new__(cls)
-        line_map.__dict__.update(matrix=matrix, _ratio=public(canonical(ratio)))
+        line_map.__dict__.update(matrix=matrix, _ratio=as_scalar(ratio))
         return line_map
 
     def similitude_ratio(self) -> Scalar:
@@ -539,9 +534,6 @@ def _polarity_product(polarities) -> Matrix:
     return product
 
 
-SCALAR_MODES = ("rational", "complex")
-
-
 def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     """(versor, polarities, scale, product) of a lift certified as in ``proj_to_versor``."""
     if scalar_mode not in SCALAR_MODES:
@@ -554,7 +546,6 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
         stacked = a.scale(s).entries + cofactors.entries
     else:
         stacked = cofactors.entries + a.scale(s / det).entries
-    stacked = [canonical(x) for x in stacked]
     coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
     # c conj(last) is c / last times the positive |last|^2, which normalizing removes
     conj = next(c for c in reversed(coeffs) if c).conjugate()

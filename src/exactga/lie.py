@@ -13,12 +13,12 @@ are generated by vectors whose first two coordinates cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
-from .algebra import Algebra, AlgebraError, Multivector, sandwich
+from .algebra import Algebra, AlgebraError, Multivector, coordinate_list, sandwich
 from .linalg import Matrix
 from .scalars import Scalar, as_scalar, format_scalar
 
@@ -30,25 +30,37 @@ def lie_algebra() -> Algebra:
     return Algebra(Matrix.from_rows(rows))
 
 
+class _Element:
+    """The JSON form of a Lie element: its variant, then each field in order."""
+
+    variant: ClassVar[str]
+
+    def to_json(self) -> dict:
+        data = {"variant": self.variant}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = ([format_scalar(c) for c in value] if isinstance(value, tuple)
+                            else format_scalar(value))
+        return data
+
+
 @dataclass(frozen=True)
-class LiePoint:
+class LiePoint(_Element):
+    variant = "point"
     position: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "position", _triple(self.position))
 
-    def to_json(self) -> dict:
-        return {"variant": "point", "position": [format_scalar(c) for c in self.position]}
+
+@dataclass(frozen=True)
+class LieInfinity(_Element):
+    variant = "infinity"
 
 
 @dataclass(frozen=True)
-class LieInfinity:
-    def to_json(self) -> dict:
-        return {"variant": "infinity"}
-
-
-@dataclass(frozen=True)
-class LieSphere:
+class LieSphere(_Element):
+    variant = "sphere"
     center: tuple
     radius: Scalar  # signed; the sign carries the orientation
 
@@ -56,14 +68,10 @@ class LieSphere:
         object.__setattr__(self, "center", _triple(self.center))
         object.__setattr__(self, "radius", as_scalar(self.radius))
 
-    def to_json(self) -> dict:
-        return {"variant": "sphere",
-                "center": [format_scalar(c) for c in self.center],
-                "radius": format_scalar(self.radius)}
-
 
 @dataclass(frozen=True)
-class LiePlane:
+class LiePlane(_Element):
+    variant = "plane"
     normal: tuple
     offset: Scalar  # plane is {u : u . normal = offset}
 
@@ -78,37 +86,24 @@ class LiePlane:
     def has_unit_normal(self) -> bool:
         return _dot(self.normal, self.normal) == 1
 
-    def to_json(self) -> dict:
-        return {"variant": "plane",
-                "normal": [format_scalar(c) for c in self.normal],
-                "offset": format_scalar(self.offset)}
-
 
 LieElement = Union[LiePoint, LieInfinity, LieSphere, LiePlane]
+_VARIANTS = {cls.variant: cls for cls in (LiePoint, LieInfinity, LieSphere, LiePlane)}
 
 
 def lie_element_from_json(data: dict) -> LieElement:
+    """The element of a JSON object: its ``variant``, then one key per field."""
     if not isinstance(data, dict):
         raise AlgebraError("a Lie element is a JSON object with a 'variant' key")
     variant = data.get("variant")
-    if variant == "point":
-        return LiePoint(tuple(as_scalar(c) for c in data["position"]))
-    if variant == "infinity":
-        return LieInfinity()
-    if variant == "sphere":
-        return LieSphere(tuple(as_scalar(c) for c in data["center"]),
-                         as_scalar(data["radius"]))
-    if variant == "plane":
-        return LiePlane(tuple(as_scalar(c) for c in data["normal"]),
-                        as_scalar(data["offset"]))
-    raise AlgebraError(f"unknown Lie element variant {variant!r}")
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise AlgebraError(f"unknown Lie element variant {variant!r}")
+    return cls(*(data[f.name] for f in fields(cls)))
 
 
 def _triple(values: Sequence) -> tuple:
-    vals = tuple(as_scalar(v) for v in values)
-    if len(vals) != 3:
-        raise AlgebraError("expected three coordinates")
-    return vals
+    return tuple(map(as_scalar, coordinate_list(values, 3, "expected three coordinates")))
 
 
 def _dot(a: Sequence, b: Sequence) -> Scalar:
@@ -122,9 +117,8 @@ class LieCoordinate:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(as_scalar(c) for c in self.coords)
-        if len(coords) != 6:
-            raise AlgebraError("Lie coordinates have six components")
+        coords = tuple(map(as_scalar, coordinate_list(self.coords, 6,
+                                                       "Lie coordinates have six components")))
         if not any(coords):
             raise AlgebraError("Lie coordinates must not all vanish")
         object.__setattr__(self, "coords", coords)

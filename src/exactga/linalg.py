@@ -132,7 +132,7 @@ class Matrix:
     def from_json(cls, data) -> "Matrix":
         if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
             raise LinAlgError("matrix JSON must be a non-empty list of lists")
-        return cls.from_rows([[canonical(v) for v in row] for row in data])
+        return cls.from_rows(data)
 
     def __str__(self):
         return aligned(self.to_json())

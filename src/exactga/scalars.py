@@ -36,12 +36,6 @@ class ScalarError(ValueError):
     pass
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, float):
-        raise ScalarError("floating point values are not exact; pass a string or Fraction")
-    return Fraction(value)
-
-
 def div(a, b):
     """The exact quotient a / b: two ints give a Fraction, never a float."""
     if isinstance(a, int) and isinstance(b, int):
@@ -50,13 +44,19 @@ def div(a, b):
 
 
 class ComplexRational:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar with rational real and imaginary parts.
+
+    Each part is coerced by ``as_scalar`` and must be real.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        for name, part in (("re", re), ("im", im)):
+            value = as_scalar(part)
+            if isinstance(value, ComplexRational):
+                raise ScalarError(f"a part of a complex scalar must be real, not {part!r}")
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
@@ -188,8 +188,9 @@ def exact_div(a, b):
 def canonical(value):
     """The internal form of an exact scalar (see the module docstring).
 
-    Strings are parsed straight into this form, and floats and booleans
-    refused, as by ``as_scalar``.
+    The one coercion rule of the library: ints, Fractions, ComplexRationals
+    and scalar strings (parsed straight into this form) are accepted;
+    booleans, floats and every other type are refused.
     An internal Gaussian integer (``int`` parts, the imaginary one nonzero,
     the only kind of ``ComplexRational`` with ``int`` parts that ``_make``
     builds) is returned as it is.
@@ -198,18 +199,19 @@ def canonical(value):
         return value
     if type(value) is ComplexRational and type(value.re) is int and type(value.im) is int:
         return value
-    if type(value) is str:
+    if isinstance(value, str):  # before Fraction, whose isinstance check is an ABC's
         return _parse(value)
-    if not isinstance(value, (Fraction, ComplexRational)):
-        value = as_scalar(value)
-    if isinstance(value, ComplexRational):
-        re_part, im_part = value.re, value.im
-        if re_part.denominator == 1:
-            re_part = re_part.numerator
-        if im_part.denominator == 1:
-            im_part = im_part.numerator
-        return _make(re_part, im_part)
-    return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, ComplexRational):  # its parts are ints or Fractions
+        return _make(canonical(value.re), canonical(value.im))
+    if isinstance(value, bool):
+        raise ScalarError(f"refusing boolean {value!r} as a scalar")
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        raise ScalarError(f"refusing float {value!r}; use a string like '1/3' instead")
+    raise ScalarError(f"cannot interpret {value!r} as an exact scalar")
 
 
 def public(value) -> Scalar:
@@ -222,20 +224,10 @@ def public(value) -> Scalar:
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce ints, strings, Fractions and ComplexRationals to an exact scalar."""
+    """An exact scalar in the public form, by the rule of ``canonical``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, ComplexRational):
-        return public(value)
-    if isinstance(value, bool):
-        raise ScalarError(f"refusing boolean {value!r} as a scalar")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_scalar(value)
-    if isinstance(value, float):
-        raise ScalarError(f"refusing float {value!r}; use a string like '1/3' instead")
-    raise ScalarError(f"cannot interpret {value!r} as an exact scalar")
+    return public(canonical(value))
 
 
 def real_part(x: Scalar) -> Fraction:

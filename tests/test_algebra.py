@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from exactga.algebra import (
 from exactga.klein import bilinear, klein_algebra
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix
-from exactga.scalars import ComplexRational
+from exactga.scalars import ComplexRational, ScalarError
 from helpers import (
     ORACLE_ALGEBRAS,
     orthogonal_oracle_gp,
@@ -335,6 +336,24 @@ def test_algebra_mismatch():
 def test_algebra_refuses_a_complex_form():
     with pytest.raises(AlgebraError, match="must be real"):
         Algebra(Matrix.from_rows([["1i", 0], [0, 1]]))
+
+
+def test_scalar_operands_follow_one_rule():
+    # +, - and * coerce a scalar operand alike, so text adds and floats are refused
+    v = E(1) + 2 * E(2, 4)
+    assert v + "1/2" == v - "-1/2" == "1/2" + v == v + Fraction(1, 2)
+    assert v * "2" == v + v
+    for bad in (1.5, True, "1e3", 1j):
+        for op in (operator.add, operator.sub, operator.mul):
+            for args in ((v, bad), (bad, v)):
+                with pytest.raises(ScalarError):
+                    op(*args)
+
+
+def test_errors_carry_an_empty_diagnosis_by_default():
+    assert AlgebraError("refused").diagnosis == {}
+    assert NullVersorError("refused", {"step": 1}).diagnosis == {"step": 1}
+    assert str(NullVersorError("refused", {"step": 1})) == "refused"
 
 
 def test_text_and_json_roundtrip():

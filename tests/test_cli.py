@@ -556,8 +556,12 @@ def test_unexpected_error_stays_in_its_job(capsys, monkeypatch):
 
 DOCUMENTED_CODES = {0, 1, 2, 64, 65}
 
+# a scalar atom past the limit of 4,300 digits, as each part of the grammar
+LONG_ATOMS = st.builds(lambda form, digit, n: form.format(digit * n),
+                       st.sampled_from(["{}", "-{}", "1/{}", "{}/7", "{}i", "1-{}i", "-{}+1i"]),
+                       st.sampled_from("123456789"), st.integers(4301, 4400))
 JUNK = st.sampled_from(["1/0", "0/0", "12i", "1/2+3i", "i", "", "x", "1.5", "0", "-1",
-                        "1e3", "+", "1//2", "9" * 30])
+                        "1e3", "+", "1//2", "9" * 30]) | LONG_ATOMS
 KEYS = st.sampled_from(["matrix", "kind", "action", "transform", "result", "factors",
                         "polarities", "scale", "mask", "coeff", "a", "b", "vector",
                         "center", "radius", "command", "payload"])
@@ -596,6 +600,12 @@ def _leaf_paths(value, path=()):
         for i, v in enumerate(value):
             yield from _leaf_paths(v, path + (i,))
     yield path
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
 
 
 def _replace(value, path, new):
@@ -642,6 +652,39 @@ def test_fuzzed_jobs_end_in_documented_codes(job, opts):
         assert names_a_field(report["error"]), report
 
 
+SCALAR_TEXT = re.compile(r"[-+0-9/i]+")
+
+
+@st.composite
+def ambiguous_payloads(draw):
+    """A valid payload with one scalar past the atom limit, or one array a string or an object."""
+    command, payload = draw(st.sampled_from(VALID_PAYLOADS))
+    paths = [p for p in _leaf_paths(payload) if isinstance(_at(payload, p), list)
+             or isinstance(_at(payload, p), str) and SCALAR_TEXT.fullmatch(_at(payload, p))]
+    path = draw(st.sampled_from(paths))
+    array = isinstance(_at(payload, path), list)
+    if array:
+        # digits and digit keys, which a lax parser would read as coordinates
+        digits = st.text("0123456789", max_size=6)
+        new = draw(st.text(max_size=8) | digits
+                   | st.dictionaries(digits | st.text(max_size=3), JUNK | JSON_VALUES, max_size=6))
+    else:
+        new = draw(LONG_ATOMS)
+    return command, array, _replace(payload, path, new)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(ambiguous_payloads())
+def test_fuzzed_ambiguous_values_are_parse_failures(job):
+    command, array, payload = job
+    code, report = run_job(command, payload, {})
+    assert code == 64, report
+    assert names_a_field(report["error"]), report
+    if not array:
+        assert "past the limit of 4,300 digits" in report["error"], report
+
+
 PAYLOAD_FIELDS = ("payload", "command", "matrix", "kind", "action", "transform", "result",
                   "factors", "polarities", "scale", "mask", "coeff", "vector", "a", "b",
                   "variant", "position", "center", "radius", "normal", "offset")
@@ -664,6 +707,22 @@ def test_malformed_payloads_name_the_field_and_the_expected_type():
              "field 'kind' must be 'collineation' or 'correlation', not 'lines'"),
             ("factorize", dict(REFERENCE_JOB, matrix=[["1", "0", "3", "0"]] * 3 + [None]),
              "field 'matrix': matrix JSON must be a non-empty list of lists")]
+    # coordinates are arrays: the characters of a string and the keys of an
+    # object are not read as coordinates, whatever their number
+    sphere = {"variant": "sphere", "center": ["0", "0", "0"], "radius": "1"}
+    six = "field 'vector': coordinate count must equal the generator count"
+    for bad in ("123", {"1": "0", "2": "0", "3": "0"}):
+        jobs += [("lie-contact", {"a": {"variant": "point", "position": bad}, "b": sphere},
+                  "field 'a': expected three coordinates"),
+                 ("lie-contact", {"a": sphere, "b": dict(sphere, center=bad)},
+                  "field 'b': expected three coordinates"),
+                 ("lie-contact", {"a": sphere, "b": {"variant": "plane", "normal": bad,
+                                                     "offset": "2"}},
+                  "field 'b': expected three coordinates")]
+    jobs += [("lie-contact", {"a": {"variant": ["point"]}, "b": sphere},
+              "field 'a': unknown Lie element variant ['point']"),
+             ("lie-contact", {"vector": "110000"}, six),
+             ("lie-contact", {"vector": {str(i): 0 for i in range(1, 7)}}, six)]
     for command, payload, message in jobs:
         assert run_job(command, payload, {}) == (64, {"error": message})
 

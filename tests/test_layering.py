@@ -122,6 +122,21 @@ def test_only_algebra_names_the_blade_rows():
     assert _users(modules["blades"], "_gp") == {"factorize_versor"}
 
 
+def test_each_input_rule_is_stated_once():
+    # scalars holds the one type ladder, algebra the one coordinate-list rule,
+    # and a Lie element's JSON keys are its dataclass fields
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in sources.items() if "refusing float" in text] == ["scalars"]
+    modules = _modules()
+    users = {name: found for name, tree in modules.items()
+             if (found := _users(tree, "coordinate_list"))}
+    assert users == {"algebra": {"vector"}, "klein": {"", "_join", "__post_init__"},
+                     "lie": {"", "_triple", "__post_init__"}}
+    writers = [node for node in ast.walk(modules["lie"])
+               if isinstance(node, ast.FunctionDef) and node.name == "to_json"]
+    assert len(writers) == 1
+
+
 def test_rule_finders_see_their_targets():
     tree = ast.parse("from m import f\n"
                      "def g(x):\n    return f(x) + bin(x).count('1')\n"

@@ -87,6 +87,27 @@ def test_as_scalar_rejects_floats():
         as_scalar(0.5)
 
 
+COERCIONS = {"canonical": canonical, "as_scalar": as_scalar,
+             "real part": lambda x: ComplexRational(x, 1),
+             "imaginary part": lambda x: ComplexRational(0, x)}
+
+
+@pytest.mark.parametrize("coerce", COERCIONS.values(), ids=COERCIONS)
+@pytest.mark.parametrize("bad", [True, False, 0.5, 1j, None, [1], "1.5", "1e3", "\u0661", "1\n"],
+                         ids=repr)
+def test_every_coercion_refuses_what_the_rule_refuses(coerce, bad):
+    with pytest.raises(ScalarError):
+        coerce(bad)
+
+
+def test_complex_parts_must_be_real():
+    for part in ("1+2i", "3i", ComplexRational(1, 2), ComplexRational(0, 1)):
+        for args in ((part, 1), (1, part)):
+            with pytest.raises(ScalarError, match="must be real"):
+                ComplexRational(*args)
+    assert ComplexRational(ComplexRational(5, 0), "1/2") == ComplexRational(5, Fraction(1, 2))
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(4)) == 2
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
