@@ -34,7 +34,8 @@ rank-6 models, so products run on Python integers.  The accessors
 public ``Fraction`` / ``ComplexRational`` form.
 
 A product of Gaussian coefficients runs on their parts: ``_split`` gives each
-coefficient as (real, imaginary) ints or Fractions, each pair of blades
+coefficient as (real, imaginary) ints or Fractions by the one split rule,
+``scalars._parts``, that ``linalg``'s matrix products share; each pair of blades
 multiplies them once, (a + ib)(c + id) = (ac - bd) + i(ad + bc), the real
 table entries scale a real and an imaginary sum apart, and each result term
 is recombined once by ``scalars._make`` (an imaginary part that cancels
@@ -61,6 +62,7 @@ from .scalars import (
     ComplexRational,
     Scalar,
     _make,
+    _parts,
     canonical,
     div,
     format_scalar,
@@ -332,8 +334,8 @@ class Algebra:
 
 
 def _split(terms: dict) -> dict:
-    """Each coefficient as its real and imaginary part, ints or Fractions."""
-    return {m: (c.re, c.im) if type(c) is ComplexRational else (c, 0) for m, c in terms.items()}
+    """Each coefficient as its real and imaginary part (``scalars._parts``)."""
+    return {m: _parts(c) for m, c in terms.items()}
 
 
 def _product(x: dict, y: dict, rows, build) -> dict:

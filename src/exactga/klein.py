@@ -44,7 +44,15 @@ from .algebra import (
     coordinate_list,
 )
 from .blades import Blade, factorize_versor, ipns, opns
-from .linalg import Matrix, mat_mul, normalize_vector, nullspace, proportionality, rank
+from .linalg import (
+    Matrix,
+    _chain_product,
+    _table_product,
+    normalize_vector,
+    nullspace,
+    proportionality,
+    rank,
+)
 from .scalars import (
     ATOM_DIGITS,
     Scalar,
@@ -167,7 +175,8 @@ class PluckerLine:
         return _skew(_swap_halves(self.coords))
 
     def contains_point(self, p: Sequence) -> bool:
-        return all(not v for v in self.plane_matrix().apply([as_scalar(x) for x in p]))
+        point = coordinate_list(p, 4, "a point needs four homogeneous coordinates")
+        return not any(self.plane_matrix().apply([as_scalar(x) for x in point]))
 
     def meets(self, other: "PluckerLine") -> bool:
         """Coplanarity of two lines (vanishing of the polarized quadric form)."""
@@ -248,6 +257,13 @@ class NullPolarity:
         if not self.matrix.is_skew():
             raise AlgebraError("polarity matrix must be skew-symmetric")
 
+    @classmethod
+    def _proved(cls, matrix: Matrix, action: str) -> "NullPolarity":
+        """A polarity whose 4x4 matrix is skew by construction: no check is run."""
+        polarity = object.__new__(cls)
+        polarity.__dict__.update(matrix=matrix, action=action)
+        return polarity
+
     def to_json(self) -> dict:
         return {"matrix": self.matrix.to_json(), "action": self.action, "skew": True}
 
@@ -267,7 +283,7 @@ class Sandwich6:
         if (self.matrix.rows, self.matrix.cols) != (6, 6):
             raise AlgebraError("line map must be 6x6")
         q = klein_algebra().form
-        pulled = mat_mul(mat_mul(self.matrix.transpose(), q), self.matrix)
+        pulled = _chain_product((self.matrix.transpose(), q, self.matrix), 6)
         ratio = Fraction(0) if pulled.is_zero() else proportionality(pulled, q)
         if ratio is None:
             raise AlgebraError("matrix does not preserve the quadric form")
@@ -311,7 +327,8 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
 
     The plane action is the point matrix of the line with the vector's
     coordinates, the point action minus its plane matrix; the matrix is
-    singular exactly when the vector is null.
+    singular exactly when the vector is null.  ``_skew`` builds it skew, so
+    the check of the public ``NullPolarity`` constructor is not run.
     """
     if not a.algebra.same_as(klein_algebra()):
         raise AlgebraMismatchError("null polarities come from line-geometry elements")
@@ -320,7 +337,7 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
     _check_action(action)
     x = a._coordinates()
     m = _skew([-c for c in _swap_halves(x)] if action == "points" else x)
-    return NullPolarity(m, action)
+    return NullPolarity._proved(m, action)
 
 
 def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None) -> Multivector:
@@ -528,10 +545,8 @@ def _alternating_actions(count: int, innermost: str) -> list[str]:
 
 
 def _polarity_product(polarities) -> Matrix:
-    product = Matrix.identity(4)
-    for p in polarities:
-        product = mat_mul(product, p.matrix)
-    return product
+    """The product of the polarity matrices, in one call of the chain kernel."""
+    return _chain_product([p.matrix for p in polarities], 4)
 
 
 def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
@@ -546,7 +561,7 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
         stacked = a.scale(s).entries + cofactors.entries
     else:
         stacked = cofactors.entries + a.scale(s / det).entries
-    coeffs = [sum(c * stacked[r] for r, c in row) for row in _table_transpose(parity)]
+    coeffs = _table_product(_table_transpose(parity), stacked)
     # c conj(last) is c / last times the positive |last|^2, which normalizing removes
     conj = next(c for c in reversed(coeffs) if c).conjugate()
     g = multivector_from_coefficients(normalize_vector([c * conj for c in coeffs]), parity)

@@ -6,6 +6,25 @@ Gaussian integer.  The matrices of this library (the line map, the IPNS
 systems of blades, the polarities) are integral, so their products and
 eliminations run on Python integers.  Every single scalar returned
 (``determinant``, ``ratio``, ``proportionality``) is in the public form.
+
+Every matrix product is one kernel, ``_chain_product``, which multiplies a
+sequence of matrices left to right: ``mat_mul``, the M^T Q M of a checked
+``klein.Sandwich6`` and the polarity chain of a factorization.  It carries
+the running product as lists of rows, builds no intermediate ``Matrix``,
+and forms each entry of a step as one ``sum(map(mul, row, column))``.  A
+chain of real entries multiplies them as they are.  A chain with a
+Gaussian entry splits every factor once into real and imaginary parts, by
+the split rule that ``algebra``'s product kernel uses too
+(``scalars._parts``).  A row of the running product P then holds the real
+parts of its entries followed by their imaginary parts, and a factor B
+enters as the real block matrix [[Re B, Im B], [-Im B, Re B]], so that
+
+    [Re P | Im P] [[Re B, Im B], [-Im B, Re B]] = [Re PB | Im PB]
+
+keeps the layout from factor to factor on ints (or Fractions).  Each entry
+of the result is recombined once, through ``scalars._make``.
+``_table_product``, the sparse integer table that reads a versor's
+coefficients off a projective map, runs on the same parts.
 """
 
 from __future__ import annotations
@@ -14,11 +33,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import (
     ComplexRational,
     Scalar,
+    _make,
+    _parts,
     canonical,
     div,
     exact_div,
@@ -145,27 +166,65 @@ def aligned(cells: list[list[str]]) -> str:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise LinAlgError(f"inner dimensions disagree: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    cols = [b.col(j) for j in range(b.cols)]
-    rows = [a.row(i) for i in range(a.rows)]
-    return Matrix(a.rows, b.cols, tuple(sum(map(mul, ra, cb)) for ra in rows for cb in cols))
+    return _chain_product((a, b), a.rows)
 
 
-def _denominators(x) -> Iterable[int]:
-    if isinstance(x, ComplexRational):
-        return (x.re.denominator, x.im.denominator)
-    return (x.denominator,)
+def _chain_product(factors: Sequence[Matrix], rows: int) -> Matrix:
+    """The product of the rows x rows identity and ``factors``, left to right.
+
+    The one matrix product kernel (module docstring).
+    """
+    cols = rows
+    for f in factors:
+        if f.rows != cols:
+            raise LinAlgError(f"inner dimensions disagree: {rows}x{cols} @ {f.rows}x{f.cols}")
+        cols = f.cols
+    if not factors:
+        return Matrix.identity(rows)
+    first, *rest = factors
+    if all(ComplexRational not in map(type, f.entries) for f in factors):
+        carry = [first.row(i) for i in range(rows)]
+        for f in rest:
+            columns = [f.col(j) for j in range(f.cols)]
+            carry = [[sum(map(mul, row, col)) for col in columns] for row in carry]
+        return Matrix(rows, cols, tuple(x for row in carry for x in row))
+    real, imag = _part_lists(first.entries)
+    k = first.cols
+    carry = [real[i * k:i * k + k] + imag[i * k:i * k + k] for i in range(rows)]
+    for f in rest:
+        real, imag = _part_lists(f.entries)
+        m = f.cols
+        pairs = [(real[j::m], imag[j::m]) for j in range(m)]
+        columns = ([re + [-x for x in im] for re, im in pairs]
+                   + [im + re for re, im in pairs])
+        carry = [[sum(map(mul, row, col)) for col in columns] for row in carry]
+    return Matrix(rows, cols, tuple(_make(row[j], row[cols + j])
+                                    for row in carry for j in range(cols)))
 
 
-def _int_parts(x) -> Iterable[int]:
-    if isinstance(x, ComplexRational):
-        return (x.re, x.im)
-    return (x,)
+def _part_lists(entries) -> tuple[list, list]:
+    """The real and the imaginary parts of ``entries``, by ``scalars._parts``."""
+    parts = [_parts(x) for x in entries]
+    return [x for x, _ in parts], [y for _, y in parts]
+
+
+def _table_product(table, values: Sequence) -> list:
+    """Entry i is the sum of c * values[r] over the pairs (r, c) of ``table[i]``.
+
+    ``table`` is a sparse matrix of ints, so a Gaussian ``values`` is
+    multiplied on its real and imaginary part lists, and each entry is
+    recombined once through ``scalars._make``.  The entries are not
+    brought to the internal form.
+    """
+    if ComplexRational not in map(type, values):
+        return [sum(c * values[r] for r, c in row) for row in table]
+    real, imag = _part_lists(values)
+    return [_make(sum(c * real[r] for r, c in row), sum(c * imag[r] for r, c in row))
+            for row in table]
 
 
 def _lcm_of_denominators(values) -> int:
-    return math.lcm(*(d for v in values for d in _denominators(v)))
+    return math.lcm(*(p.denominator for v in values for p in _parts(v)))
 
 
 def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
@@ -250,13 +309,11 @@ def normalize_vector(vec: Sequence) -> tuple:
     lcm = _lcm_of_denominators(vec)
     if lcm > 1:
         vec = [canonical(v * lcm) for v in vec]
-    g = math.gcd(*(p for v in vec for p in _int_parts(v)))
+    g = math.gcd(*(p for v in vec for p in _parts(v)))
     if g > 1:
         vec = [exact_div(v, g) for v in vec]
-    lead = next((v for v in vec if v), 0)
-    if isinstance(lead, ComplexRational):
-        lead = lead.re or lead.im
-    if lead < 0:
+    lead_real, lead_imag = _parts(next((v for v in vec if v), 0))
+    if (lead_real or lead_imag) < 0:
         vec = [-x for x in vec]
     return tuple(vec)
 

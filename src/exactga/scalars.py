@@ -166,6 +166,16 @@ def _make(re_part, im_part):
     return _new(re_part, im_part) if im_part else re_part
 
 
+def _parts(x) -> tuple:
+    """The real and the imaginary part of an internal scalar, ints or Fractions.
+
+    The one split rule of the kernels that multiply Gaussian values on their
+    parts (``algebra._split``, the chain and table products of ``linalg``);
+    each of them recombines a result once through ``_make``.
+    """
+    return (x.re, x.im) if type(x) is ComplexRational else (x, 0)
+
+
 Scalar = Union[Fraction, ComplexRational]
 
 

@@ -8,7 +8,8 @@ inner-map kernels (outer and inner null spaces by elimination), the
 published coefficient tables, the per-term geometric, outer and inner
 products, the norm-first descent, the descent that checks every step with a
 ``Blade``, Scherk's minimal length of an isometry, the six-relation check of
-a lift and the ``Fraction(text)`` scalar parser serve only as oracles, so
+a lift, the entry-by-entry matrix chain product and the ``Fraction(text)``
+scalar parser serve only as oracles, so
 they live here rather than in the package.  So does ``rref``, the reduced
 row echelon form read off the package's elimination, which the package
 never needs.
@@ -41,7 +42,7 @@ from exactga.linalg import (
     nullspace,
     rank,
 )
-from exactga.scalars import ComplexRational, ScalarError, div
+from exactga.scalars import ComplexRational, ScalarError, as_scalar, div
 
 
 _ORACLE_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -339,6 +340,29 @@ def adjugate(m: Matrix) -> Matrix:
             sign = -1 if (i + j) % 2 else 1
             cof[i][j] = sign * determinant(minor)
     return Matrix.from_rows(cof).transpose()
+
+
+def naive_chain_product(factors, rows: int) -> list[list]:
+    """The rows x rows identity times the factors, one entry at a time.
+
+    A triple loop in public ``Fraction`` / ``ComplexRational`` arithmetic,
+    which demotes an entry whose imaginary part cancels; it shares no code
+    with the chain kernel of ``linalg``.
+    """
+    product = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
+    for f in factors:
+        entries = [[as_scalar(f[i, j]) for j in range(f.cols)] for i in range(f.rows)]
+        out = []
+        for i in range(rows):
+            row = []
+            for j in range(f.cols):
+                total = Fraction(0)
+                for k in range(f.rows):
+                    total = total + product[i][k] * entries[k][j]
+                row.append(total)
+            out.append(row)
+        product = out
+    return product
 
 
 def rref(m: Matrix) -> tuple[list[list], list[int]]:

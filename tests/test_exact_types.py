@@ -349,5 +349,8 @@ def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
             t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), kind, action)
             result = factorize.factorize_matrix(t, "complex")
             assert factorize.verify_factorization(result, t)
+            # the verify path reads every factor and polarity back from JSON
+            again = factorize.FactorizationResult.from_json(result.to_json(), t)
+            assert factorize.verify_factorization(again, t)
     assert len(stored) > 1000
     assert all(c.im for c in stored)

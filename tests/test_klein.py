@@ -97,6 +97,16 @@ def test_line_incidence_helpers():
     assert not l1.contains_point([0, 0, 1, 0])
 
 
+def test_contains_point_reads_four_coordinates():
+    # a point is a coordinate list like every other: the characters of
+    # "1000" or the keys of a mapping are not its coordinates
+    line = PluckerLine.from_points([1, 0, 0, 0], [0, 1, 0, 0])
+    assert line.contains_point(("1", 0, 0, 0)) and line.contains_point(iter([1, 1, 0, 0]))
+    for bad in ("1000", "0010", {1: 1, 0: 0, 2: 0, 3: 0}, [1, 0, 0], [1, 0, 0, 0, 0]):
+        with pytest.raises(AlgebraError, match="a point needs four homogeneous coordinates"):
+            line.contains_point(bad)
+
+
 # -- vector sandwich matrix ---------------------------------------------------------
 
 def test_sandwich_matrix_columns_match_sandwich():
@@ -172,6 +182,23 @@ def test_polarity_determinant_is_square_of_form():
         q = bilinear(a, a) / 2  # the quadric polynomial x1 x4 + x2 x5 + x3 x6
         for action in ("points", "planes"):
             assert vector_to_null_polarity(a, action).matrix.det() == q * q
+
+
+def test_proved_polarities_match_the_checked_constructor():
+    # vector_to_null_polarity builds its matrix skew by construction and
+    # skips the checks that the public constructor runs
+    rng = random.Random("klein/proved-polarities")
+    for n in range(100):
+        coords = [rng.randint(-3, 3) for _ in range(6)]
+        if n % 3 == 2:
+            coords[rng.randrange(6)] = ComplexRational(rng.randint(-2, 2), rng.randint(1, 2))
+        if n % 5 == 4:
+            coords[rng.randrange(6)] = Fraction(rng.randint(-3, 3), 2)
+        for action in ("points", "planes"):
+            proved = vector_to_null_polarity(KLEIN.vector(coords), action)
+            checked = NullPolarity(proved.matrix, action)
+            assert proved == checked and type(proved) is NullPolarity
+            assert proved.matrix.is_skew() and proved.to_json() == checked.to_json()
 
 
 def test_null_polarity_round_trip():

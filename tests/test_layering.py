@@ -3,8 +3,8 @@
 Every import sits at module level, and the imports between the package's
 own modules form no cycle, so each module can be read below the ones it uses.
 Only the blade-table builders of ``algebra`` compute a reordering sign, only
-``algebra`` names the rows of its blade tables, and popcounts use
-``int.bit_count``.
+``algebra`` names the rows of its blade tables, only ``scalars`` reads the
+parts of a Gaussian value, and popcounts use ``int.bit_count``.
 """
 
 from __future__ import annotations
@@ -130,11 +130,42 @@ def test_each_input_rule_is_stated_once():
     modules = _modules()
     users = {name: found for name, tree in modules.items()
              if (found := _users(tree, "coordinate_list"))}
-    assert users == {"algebra": {"vector"}, "klein": {"", "_join", "__post_init__"},
+    assert users == {"algebra": {"vector"},
+                     "klein": {"", "_join", "__post_init__", "contains_point"},
                      "lie": {"", "_triple", "__post_init__"}}
     writers = [node for node in ast.walk(modules["lie"])
                if isinstance(node, ast.FunctionDef) and node.name == "to_json"]
     assert len(writers) == 1
+
+
+def _part_reads(tree: ast.Module) -> list[int]:
+    """Lines that read a ``.re`` or ``.im`` attribute."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("re", "im"))
+
+
+def test_gaussian_part_split_is_stated_once():
+    # scalars._parts splits a Gaussian value into the parts that the product
+    # kernels of algebra and linalg multiply, and _make recombines them; the
+    # geometric layers reach the parts only through those kernels
+    modules = _modules()
+    for name in ("klein", "blades", "factorize", "lie", "cli"):
+        assert _part_reads(modules[name]) == [], name
+        assert _users(modules[name], "_make") == set(), name
+
+
+def test_only_scalars_reads_the_parts_of_a_gaussian_value():
+    # the kernels too split through scalars._parts, and the lift's
+    # coefficient build is linalg._table_product
+    modules = _modules()
+    readers = {name for name, tree in modules.items() if _part_reads(tree)}
+    assert readers == {"scalars"}
+    users = {name: found for name, tree in modules.items()
+             if (found := _users(tree, "_parts")) and name != "scalars"}
+    assert users == {"algebra": {"", "_split"},
+                     "linalg": {"", "_part_lists", "_lcm_of_denominators",
+                                "normalize_vector"}}
+    assert _users(modules["klein"], "_table_product") == {"", "_lift"}
 
 
 def test_rule_finders_see_their_targets():
@@ -143,6 +174,7 @@ def test_rule_finders_see_their_targets():
                      "class C:\n    def h(self):\n        return m.f\n")
     assert _users(tree, "f") == {"", "g", "h"}
     assert _bin_counts(tree) == [3]
+    assert _part_reads(ast.parse("import re\nx = re.compile(z.im)\ny = w.re\n")) == [2, 3]
 
 
 def test_no_imports_inside_functions():

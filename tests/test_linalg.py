@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from exactga.linalg import (
     LinAlgError,
     Matrix,
+    _chain_product,
     determinant,
     mat_mul,
     normalize_vector,
@@ -17,7 +18,14 @@ from exactga.linalg import (
     ratio,
 )
 from exactga.scalars import ComplexRational, ScalarError, as_scalar, canonical
-from helpers import adjugate, cofactor_det, rand_fraction, solve_linear
+from helpers import (
+    adjugate,
+    cofactor_det,
+    naive_chain_product,
+    rand_coefficient,
+    rand_fraction,
+    solve_linear,
+)
 
 
 def rand_matrix(rng, rows, cols, span=4):
@@ -93,6 +101,67 @@ def test_mat_mul_identity_and_zero():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(LinAlgError):
         mat_mul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+
+
+def _rand_factor(rng, rows, cols, kinds) -> Matrix:
+    entries = [rng.choice(kinds) for _ in range(rows * cols)]
+    return Matrix(rows, cols, tuple(0 if rng.random() < 0.2 else rand_coefficient(rng, kind)
+                                    for kind in entries))
+
+
+def _chain_cases():
+    """Seeded chains: 0-6 square factors, and non-square shapes."""
+    rng = random.Random("linalg/chain")
+    mixes = (("int",), ("int", "fraction"), ("int", "gaussian"),
+             ("int", "fraction", "gaussian", "gaussian-rational"))
+    cases = []
+    for n in range(300):
+        kinds = mixes[n % 4]
+        if n % 3:
+            count, size = n % 7, rng.choice((1, 4, 6))
+            shapes = [(size, size)] * count
+        else:
+            dims = [rng.randint(1, 5) for _ in range(rng.randint(2, 5))]
+            size, shapes = dims[0], list(zip(dims, dims[1:]))
+        cases.append((size, [_rand_factor(rng, r, c, kinds) for r, c in shapes]))
+    # imaginary parts that cancel: i * i, (1 + i)(1 - i), and a Gaussian row
+    # against a column that makes it real
+    i = ComplexRational(0, 1)
+    cases += [(1, [Matrix(1, 1, (i,)), Matrix(1, 1, (i,))]),
+              (2, [Matrix(2, 2, ("1+1i", 0, 0, "1/2i")), Matrix(2, 2, ("1-1i", 0, 0, "2i"))]),
+              (1, [Matrix(1, 2, ("1+1i", "1-1i")), Matrix(2, 1, (1, 1))]),
+              (2, [Matrix(2, 2, ("3i", 0, 0, 1)), Matrix.identity(2),
+                   Matrix(2, 2, ("-1/3i", 0, 0, 2))])]
+    return cases
+
+
+def test_chain_kernel_matches_the_entrywise_product():
+    cases = _chain_cases()
+    cancelled = gaussian = 0
+    for rows, factors in cases:
+        got = _chain_product(factors, rows)
+        expected = naive_chain_product(factors, rows)
+        assert (got.rows, got.cols) == (rows, factors[-1].cols if factors else rows)
+        assert got.row_lists() == expected
+        stored = [canonical(x) for row in expected for x in row]
+        assert [type(x) for x in got.entries] == [type(x) for x in stored]
+        assert [(type(x.re), type(x.im)) for x in got.entries if type(x) is ComplexRational] \
+            == [(type(x.re), type(x.im)) for x in stored if type(x) is ComplexRational]
+        if len(factors) == 2:
+            assert mat_mul(*factors) == got
+        has_gaussian = any(type(x) is ComplexRational for f in factors for x in f.entries)
+        gaussian += has_gaussian
+        cancelled += has_gaussian and not any(type(x) is ComplexRational for x in got.entries)
+    assert gaussian >= 100 and cancelled >= 4
+    assert {len(factors) for _, factors in cases} >= set(range(7))
+
+
+def test_chain_kernel_checks_every_shape():
+    with pytest.raises(LinAlgError, match="2x3 @ 2x3"):
+        _chain_product([Matrix.zeros(2, 3), Matrix.zeros(2, 3)], 2)
+    with pytest.raises(LinAlgError, match="3x3 @ 2x2"):
+        _chain_product([Matrix.identity(2)], 3)
+    assert _chain_product([], 3) == Matrix.identity(3)
 
 
 def test_determinant_against_cofactor_oracle():

@@ -8,8 +8,11 @@ vector normalized before its probe, a linear system in the descent, a norm
 product, more than one call of the product kernel ``algebra._product`` per
 descent step, a ``Blade`` or a decomposability wedge in a successful
 descent, a division before the lift's normalization, a ``ComplexRational``
-multiplication inside a product, a reordering sign
-computed outside the warm blade tables, an outer or inner product routed
+multiplication inside a product, a ``ComplexRational`` multiplication or
+sum inside the polarity chain, ``mat_mul`` or the lift's coefficient
+table, a polarity chain that takes more than one call of the chain
+kernel, a reordering sign computed outside the warm blade tables, an
+outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form on public coordinates, or a
 second polarity product in a verify job fails here even when its output
@@ -67,7 +70,7 @@ def plane_correlation() -> klein.ProjTransform4:
     e = klein.klein_algebra().e
     polarity = klein.vector_to_null_polarity(e(1) + e(4), "planes").matrix
     m = Matrix.from_rows(REFERENCE_COLLINEATION)
-    return klein.ProjTransform4(klein.mat_mul(polarity, m), "correlation", "planes")
+    return klein.ProjTransform4(linalg.mat_mul(polarity, m), "correlation", "planes")
 
 
 def test_lift_uses_no_adjugate_and_no_induced_map(monkeypatch):
@@ -86,12 +89,16 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
                     (klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT),
                                           "collineation", "points"), "complex")):
         chains = counting(monkeypatch, klein, "_polarity_product")
-        products = counting(monkeypatch, klein, "mat_mul")
+        products = counting(monkeypatch, klein, "_chain_product")
+        pairs = counting(monkeypatch, linalg, "mat_mul")
+        sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
         result = factorize.factorize_matrix(t, mode)
         monkeypatch.undo()
         assert result.verified() and len(result.factors) >= 3
         assert len(chains) == 1
-        assert len(products) == len(result.factors)  # one per factor, none for M^T Q M
+        # one chain-kernel call covers every factor; an M^T Q M would be another
+        assert [len(factors) for factors, _ in products] == [len(result.factors)]
+        assert pairs == [] and sandwiches == []
 
 
 def test_planes_lift_computes_the_determinant_once(monkeypatch):
@@ -223,6 +230,56 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
     assert norm.is_scalar() and norm.scalar_part()
     assert all(w.is_zero() for w in wedges)
     assert not any(w.is_zero() for w in inners)
+
+
+def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
+    # the chain kernel and the lift's table product multiply Gaussian
+    # entries on their int parts and recombine each result once
+    inside, found, outside = [], [], []
+    outputs = {}
+
+    def scoped(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args):
+            inside.append(attr)
+            try:
+                out = original(*args)
+            finally:
+                inside.pop()
+            outputs.setdefault(attr, []).append(out)
+            return out
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((klein, "_table_product"), (klein, "_polarity_product"),
+                        (factorize, "_polarity_product"), (linalg, "mat_mul")):
+        scoped(owner, attr)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def operation(self, other, _original=getattr(ComplexRational, name), _name=name):
+            (found if inside else outside).append((tuple(inside), _name))
+            return _original(self, other)
+
+        monkeypatch.setattr(ComplexRational, name, operation)
+    for kind in ("collineation", "correlation"):
+        for action in ("points", "planes"):
+            t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), kind, action)
+            result = factorize.factorize_matrix(t, "complex")
+            again = factorize.FactorizationResult.from_json(result.to_json(), t)
+            assert factorize.verify_factorization(again, t)
+            matrices = [p.matrix for p in result.polarities]
+            for a, b in zip(matrices, matrices[1:]):
+                linalg.mat_mul(a, b)
+    monkeypatch.undo()
+    assert found == []
+    assert outside  # the operations are watched: the rest of the lift uses them
+    assert sorted(outputs) == ["_polarity_product", "_table_product", "mat_mul"]
+    assert len(outputs["_polarity_product"]) == 8  # four lifts, four verify jobs
+    # every kernel returned Gaussian entries, so none ran on real ones only
+    gaussian = {attr: sum(type(x) is ComplexRational
+                          for out in outs for x in getattr(out, "entries", out))
+                for attr, outs in outputs.items()}
+    assert all(gaussian.values()), gaussian
 
 
 def test_warm_factorization_computes_no_reordering_sign(monkeypatch):
