@@ -77,11 +77,17 @@ def _read_off(b: Multivector):
     conj(b_F) times the coefficient of e_j ^ e_(F-f) in b.  When b is a blade
     they span its OPNS and, normalized, are the basis ``nullspace`` gives for
     a matrix with that kernel (whose free columns are the largest such mask).
+    A single term c e_F (every grade-n part among them) yields the unit
+    vectors e_f, which those lists normalize to whatever c is.
     """
     terms = b._terms
     top = max(terms)
-    conj = terms[top].conjugate()
     alg = b.algebra
+    if len(terms) == 1:
+        for f in _bits(top):
+            yield [int(j == f) for j in range(alg.dim)]
+        return
+    conj = terms[top].conjugate()
     for f in _bits(top):
         rest = top ^ (1 << f)
         coords = [0] * alg.dim
@@ -147,8 +153,10 @@ def _choose(alg: Algebra, space, normalize) -> tuple:
     """(v, normalize(v)) for the first non-null vector of a basis, else of its pair sums.
 
     Scaling keeps a vector null or not, so only the pick is normalized; the
-    pair sums are of the normalized basis.  When they are null too, then
-    2 b(v_i, v_j) = b(v_i + v_j, v_i + v_j) = 0: the span is totally isotropic.
+    pair sums are of the normalized basis.  For null v_i and v_j the sum
+    squares to 2 b(v_i, v_j) at any scale of either, so a pair is probed on
+    the raw vectors and only the two it picks are normalized.  When every
+    b(v_i, v_j) is 0 too, the span is totally isotropic.
     """
     probed = []
     for v in space:
@@ -156,9 +164,9 @@ def _choose(alg: Algebra, space, normalize) -> tuple:
             v = normalize(v)
             return v, v
         probed.append(v)
-    for a, b in combinations([normalize(v) for v in probed], 2):
-        v = [x + y for x, y in zip(a, b)]
-        if alg._bilinear(v, v):
+    for a, b in combinations(probed, 2):
+        if alg._bilinear(a, b):
+            v = [x + y for x, y in zip(normalize(a), normalize(b))]
             return v, normalize(v)
     raise NoNonNullVectorError("span is totally isotropic")
 

@@ -83,13 +83,18 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:
-    """Exact acceptance check of a factorization against its transformation."""
+    """Exact acceptance check of a factorization against its transformation.
+
+    Every polarity must be a ``NullPolarity``, whose constructors prove its
+    matrix skew (the public one checks it, ``NullPolarity._proved`` builds it
+    skew), so skewness is not checked again here.
+    """
     if len(result.factors) > 6 or len(result.factors) != len(result.polarities):
         return False
     expected_parity = 0 if t.kind == "collineation" else 1
     if len(result.factors) % 2 != expected_parity:
         return False
-    if not all(p.matrix.is_skew() for p in result.polarities):
+    if not all(type(p) is NullPolarity for p in result.polarities):
         return False
     for f, p in zip(result.factors, result.polarities):
         # each factor is the non-null vector its polarity was built from

@@ -566,9 +566,10 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     conj = next(c for c in reversed(coeffs) if c).conjugate()
     g = multivector_from_coefficients(normalize_vector([c * conj for c in coeffs]), parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
-    # branch without changing the induced map; prefer the shorter factor chain
-    alternate = g.gp(klein_algebra().pseudoscalar())
-    value = alternate if alternate.max_grade() < g.max_grade() else g
+    # branch without changing the induced map; prefer the shorter factor chain.
+    # It maps each grade k to grade 6 - k, so g I is formed only when chosen
+    grades = g.grades()
+    value = g.gp(klein_algebra().pseudoscalar()) if 6 - min(grades) < max(grades) else g
     witness = tuple(factorize_versor(value))
     actions = _alternating_actions(len(witness), t.action)
     polarities = tuple(vector_to_null_polarity(v, act) for v, act in zip(witness, actions))

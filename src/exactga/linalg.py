@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv, mul
+from operator import floordiv, mul, neg
 from typing import Sequence
 
 from .scalars import (
@@ -138,10 +138,9 @@ class Matrix:
         return not any(self.entries)
 
     def is_skew(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self[i, j] == -self[j, i]
-                   for i in range(self.rows) for j in range(i, self.cols))
+        """-A == A^T, compared on the stored entries: column j is entries[j::n]."""
+        n, e = self.rows, self.entries
+        return n == self.cols and list(map(neg, e)) == [x for j in range(n) for x in e[j::n]]
 
     def det(self) -> Scalar:
         return determinant(self)

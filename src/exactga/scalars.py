@@ -279,6 +279,12 @@ def _parse(text: str):
     """``parse_scalar`` in the internal form of ``canonical``."""
     if not isinstance(text, str):
         raise ScalarError(f"scalar text must be a string, not {type(text).__name__}")
+    # a plain integer atom, the commonest text, skips the grammar: isascii()
+    # keeps out digits like '\u0663' and '\u00b2', and isdigit() the '_' and
+    # spaces that int() takes
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdigit() and digits.isascii() and len(digits) <= ATOM_DIGITS:
+        return int(text)
     s = text.replace(" ", "")
     if not s:
         raise ScalarError("empty scalar string")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import exactga.blades as blades
 from exactga.algebra import proportional
 from exactga.blades import (
     Blade,
@@ -12,8 +13,12 @@ from exactga.blades import (
     opns,
 )
 from exactga.klein import bilinear, klein_algebra
+from exactga.lie import lie_algebra
+from exactga.linalg import normalize_vector
+from exactga.scalars import ComplexRational
 from helpers import (
     ORACLE_ALGEBRAS,
+    bits,
     ipns_by_elimination,
     opns_by_elimination,
     rand_coefficient,
@@ -262,3 +267,43 @@ def test_null_spaces_are_defined_on_blades_only():
         opns(E(1, 2) + E(3, 4))
     with pytest.raises(BladeError, match="not homogeneous"):
         ipns(E(1) + E(2, 3))
+
+
+def cofactor_read_off(b):
+    """The read-off of any homogeneous k-vector: for f in F, the top mask, the
+    e_j coordinate is conj(b_F) times the coefficient of e_j ^ e_(F-f)."""
+    terms = b.terms
+    top = max(terms)
+    conj = terms[top].conjugate()
+    for f in bits(top):
+        rest = top ^ (1 << f)
+        yield [b.algebra.blade_wedge(1 << j, rest)[0][1] * terms[rest | 1 << j] * conj
+               if rest | 1 << j in terms else 0 for j in range(b.algebra.dim)]
+
+
+def test_single_term_read_off_is_the_unit_vectors(monkeypatch):
+    """c e_F reads off as the e_f, the cofactor read-off normalized, with no
+    product by c or its conjugate."""
+    products = []
+
+    def counted(original):
+        def wrapper(*args):
+            products.append(args)
+            return original(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "conjugate"):
+        monkeypatch.setattr(ComplexRational, name, counted(getattr(ComplexRational, name)))
+    rng = random.Random("blades/monomial-read-off")
+    compared = 0
+    for alg in (klein_algebra(), lie_algebra()):
+        for mask in range(1, 1 << alg.dim):
+            for kind in ("int", "fraction", "gaussian", "gaussian-rational"):
+                c = rand_coefficient(rng, kind) or 1
+                b = alg.mv({mask: c})
+                expected = [normalize_vector(v) for v in cofactor_read_off(b)]
+                products.clear()
+                assert [tuple(v) for v in blades._read_off(b)] == expected
+                assert products == []
+                compared += 1
+    assert compared == 2 * 63 * 4

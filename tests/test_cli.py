@@ -437,6 +437,21 @@ def test_job_past_the_limit_fails_alone_in_its_batch(capsys):
     assert reports[1]["error"] == LIMIT_MESSAGE
 
 
+def test_verify_of_a_non_skew_polarity_fails_alone_in_its_batch(capsys):
+    # skewness is checked once, when the result is parsed
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    result = factorize_matrix(t).to_json()
+    bent = copy.deepcopy(result)
+    bent["polarities"][0]["matrix"][0][1] = "5"
+    jobs = [{"command": "verify", "payload": {"transform": REFERENCE_JOB, "result": r}}
+            for r in (result, bent, result)]
+    code, out = run_cli(capsys, ["--command", "verify"], jobs)
+    reports = json.loads(out)
+    assert code == 64
+    assert [r["exit_code"] for r in reports] == [0, 64, 0]
+    assert reports[1]["error"] == "field 'result': polarity matrix must be skew-symmetric"
+
+
 def test_unknown_scalar_mode_is_a_parse_failure(capsys):
     for command in ("factorize", "lift"):
         code, report = run_job(command, REFERENCE_JOB, {"scalar_mode": "real"})

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -423,6 +424,19 @@ def test_verify_does_not_trust_a_given_residual(reference_matrix):
     assert verify_factorization(kept, t)
     for result in forged:
         assert result.verified()
+        assert not verify_factorization(result, t)
+
+
+def test_verify_takes_only_null_polarities(reference_matrix):
+    # the NullPolarity constructors prove skewness, so verify checks the type
+    t = ProjTransform4(reference_matrix, "collineation", "points")
+    kept = factorize_matrix(t)
+    first = kept.polarities[0]
+    stand_ins = [SimpleNamespace(matrix=first.matrix, action=first.action), first.matrix,
+                 SimpleNamespace(matrix=first.matrix + Matrix.identity(4), action=first.action)]
+    assert verify_factorization(kept, t)
+    for stand_in in stand_ins:
+        result = dataclasses.replace(kept, polarities=(stand_in,) + kept.polarities[1:])
         assert not verify_factorization(result, t)
 
 

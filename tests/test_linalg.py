@@ -256,6 +256,21 @@ def test_matrix_json_rejects_garbage():
 def test_skew_check():
     assert Matrix.from_rows([[0, 1], [-1, 0]]).is_skew()
     assert not Matrix.from_rows([[0, 1], [1, 0]]).is_skew()
+    assert not Matrix.zeros(2, 3).is_skew()
+    # against the entrywise definition: skew matrices, and each with one entry changed
+    rng = random.Random("linalg/skew")
+    for _ in range(200):
+        n, kind = rng.randint(1, 5), rng.choice(("int", "fraction", "gaussian"))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rand_coefficient(rng, kind)
+                rows[j][i] = -rows[i][j]
+        i, j = rng.randrange(n), rng.randrange(n)
+        for m in (rows, [r[:j] + [r[j] + (k == i)] + r[j + 1:] for k, r in enumerate(rows)]):
+            m = Matrix.from_rows(m)
+            assert m.is_skew() == all(m[i, j] == -m[j, i] for i in range(n) for j in range(n))
+        assert Matrix.from_rows(rows).is_skew()
 
 
 def test_constructor_refuses_floats_and_booleans():

@@ -219,6 +219,17 @@ def _outcome(parse, text):
 @settings(max_examples=400)
 @example("1" * 4301 + "/" + "2" * 4302)  # the numerator's digit count is the one reported
 @example("1" * 4301 + "/0")
+# around the plain-integer fast path: text int() or str.isdigit() takes that the grammar does not
+@example("+0")
+@example("-007")
+@example("\u0663")
+@example("\u00b2")
+@example("1_000")
+@example("--1")
+@example("+")
+@example("-" + "9" * 4300)
+@example("+" + "9" * 4301)
+@example("-" + "9" * 4301)
 @given(st.one_of(scalar_texts, st.sampled_from([None, 3, 1.5, ["1"], b"1"])))
 def test_parse_matches_the_fraction_oracle(text):
     expected = _outcome(fraction_parse_scalar, text)

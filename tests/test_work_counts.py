@@ -2,7 +2,8 @@
 
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, an induced line map, a blade sum, a
-product after the descent or a second polarity product in the lift, a
+pseudoscalar product it does not choose, a product after the descent or a
+second polarity product in the lift, a
 second outer null space per descent step or classification, a read-off
 vector normalized before its probe, a linear system in the descent, a norm
 product, more than one call of the product kernel ``algebra._product`` per
@@ -112,26 +113,33 @@ def test_planes_lift_computes_the_determinant_once(monkeypatch):
 
 
 def test_lift_reads_the_versor_off_the_tables(monkeypatch):
-    t = plane_correlation()
-    products = counting(monkeypatch, Multivector, "gp")
-    wedges = counting(monkeypatch, Multivector, "wedge")
-    around_descent = []
-    descent = klein.factorize_versor
+    # g I is formed only when its top grade, 6 minus g's lowest, is the
+    # smaller one: not for the correlation, once for diag(1, 1, -1, -1),
+    # whose g has grade 4 and g I grade 2
+    flip = klein.ProjTransform4(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]), "collineation", "points")
+    for t, pseudoscalar_products, top in ((plane_correlation(), 0, 5), (flip, 1, 2)):
+        products = counting(monkeypatch, Multivector, "gp")
+        wedges = counting(monkeypatch, Multivector, "wedge")
+        around_descent = []
+        descent = klein.factorize_versor
 
-    def snapshot(value):
-        around_descent.append((len(products), len(wedges)))
-        factors = descent(value)
-        around_descent.append((len(products), len(wedges)))
-        return factors
+        def snapshot(value):
+            around_descent.append((len(products), len(wedges)))
+            factors = descent(value)
+            around_descent.append((len(products), len(wedges)))
+            return factors
 
-    monkeypatch.setattr(klein, "factorize_versor", snapshot)
-    klein.proj_to_versor(t)
-    assert len(around_descent) == 2
-    gp_calls, wedge_calls = around_descent[0]
-    assert wedge_calls == 0
-    assert gp_calls == 1  # the pseudoscalar branch
-    # the witness is not multiplied out again after the descent
-    assert len(products) == around_descent[1][0]
+        monkeypatch.setattr(klein, "factorize_versor", snapshot)
+        versor = klein.proj_to_versor(t)
+        monkeypatch.undo()
+        assert len(around_descent) == 2
+        gp_calls, wedge_calls = around_descent[0]
+        assert wedge_calls == 0
+        assert gp_calls == pseudoscalar_products
+        # the witness is not multiplied out again after the descent
+        assert len(products) == around_descent[1][0]
+        assert versor.value.max_grade() == top
 
 
 def lifted(rows, mode) -> Multivector:
@@ -159,15 +167,18 @@ def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
 
 def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
     # the form probes raw read-off vectors, since scaling keeps a vector null
-    # or not: a step normalizes its pick, or its basis and the pair sum it
-    # takes, and the descent its remainder; 26 calls when every read-off
-    # vector was normalized before the probe
-    value = lifted(REFERENCE_COLLINEATION, "rational")
-    normalized = counting(monkeypatch, blades, "normalize_vector")
-    factors = blades.factorize_versor(value)
-    monkeypatch.undo()
-    assert len(factors) == 6
-    assert len(normalized) <= 17
+    # or not: a step normalizes its pick, or the two null vectors whose pair
+    # it takes and their sum, and the descent its remainder; 26 calls on the
+    # reference when every read-off vector was normalized before the probe,
+    # 17 when every basis vector of a pair step was
+    for rows, mode, calls in ((REFERENCE_COLLINEATION, "rational", 10),
+                              (COMPLEX_VARIANT, "complex", 8)):
+        value = lifted(rows, mode)
+        normalized = counting(monkeypatch, blades, "normalize_vector")
+        factors = blades.factorize_versor(value)
+        monkeypatch.undo()
+        assert len(factors) == 6
+        assert len(normalized) == calls
 
 
 def test_descent_multiplies_once_per_step(monkeypatch):
