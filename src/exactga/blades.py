@@ -142,15 +142,15 @@ class NoNonNullVectorError(AlgebraError):
 
 
 def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
-    """Deterministic non-null pick from the span of the given grade-1 basis (``_choose``)."""
+    """The normalized non-null vector ``_choose`` picks from the span of a grade-1 basis."""
     if not space:
         raise NoNonNullVectorError("empty span")
     alg = space[0].algebra
-    return alg.vector(_choose(alg, (v._coordinates() for v in space), tuple)[0])
+    return alg.vector(_choose(alg, [v._coordinates() for v in space]))
 
 
-def _choose(alg: Algebra, space, normalize) -> tuple:
-    """(v, normalize(v)) for the first non-null vector of a basis, else of its pair sums.
+def _choose(alg: Algebra, space) -> tuple:
+    """The first non-null vector of a basis, else of its pair sums, normalized.
 
     Scaling keeps a vector null or not, so only the pick is normalized; the
     pair sums are of the normalized basis.  For null v_i and v_j the sum
@@ -161,13 +161,12 @@ def _choose(alg: Algebra, space, normalize) -> tuple:
     probed = []
     for v in space:
         if alg._bilinear(v, v):
-            v = normalize(v)
-            return v, v
+            return normalize_vector(v)
         probed.append(v)
     for a, b in combinations(probed, 2):
         if alg._bilinear(a, b):
-            v = [x + y for x, y in zip(normalize(a), normalize(b))]
-            return v, normalize(v)
+            a, b = normalize_vector(a), normalize_vector(b)
+            return normalize_vector([x + y for x, y in zip(a, b)])
     raise NoNonNullVectorError("span is totally isotropic")
 
 
@@ -198,15 +197,14 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
         while k >= 2:
             tops.append(Multivector._stored(alg, {m: c for m, c in current.items()
                                                   if m.bit_count() == k}))
-            v, factor = _choose(alg, _read_off(tops[-1]), normalize_vector)
+            v = _choose(alg, _read_off(tops[-1]))
             current = alg._gp(current, {1 << i: c for i, c in enumerate(v) if c})
             if not current or max(map(int.bit_count, current)) != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
-            extracted.append(factor)
+            extracted.append(v)
             k -= 1
         if k == 1:  # a mixed-grade remainder fails in _coordinates, a null one in _choose
-            remainder = Multivector._stored(alg, current)._coordinates()
-            extracted.append(_choose(alg, [remainder], normalize_vector)[1])
+            extracted.append(_choose(alg, [Multivector._stored(alg, current)._coordinates()]))
     except AlgebraError as exc:
         error, step = exc, len(tops) + (k < 2)  # the remainder is one step past the last part
         try:

@@ -3,8 +3,8 @@ polarities, and its exact certificate.
 
 A transformation is lifted to a versor, whose grade-descent witness (see
 ``blades.factorize_versor``) gives at most six vectors.  Each vector becomes
-a null polarity, and the product of the polarities is certified exactly
-proportional to the input, once, inside the lift (``klein.proj_to_versor``).
+a null polarity, and the lift (``klein.proj_to_versor``) certifies once that
+the polarities multiply to a multiple of the input: the zero residual.
 The descent names are re-exported here, which is their public path.
 """
 
@@ -21,7 +21,6 @@ from .klein import (
     _lift,
     _polarity_product,
     klein_algebra,
-    klein_form_value,
     null_polarity_to_vector,
 )
 from .linalg import Matrix
@@ -32,16 +31,16 @@ from .scalars import Scalar, as_scalar, format_scalar
 class FactorizationResult:
     """Vector factors of a transformation and their exact matrix certificate.
 
-    ``verify_factorization`` recomputes the polarity product unless the result
-    was built from that product by ``_of_product``, which keeps it; a
-    ``residual`` given by the caller is never trusted.
+    ``verify_factorization`` reads ``residual`` only when ``from_json`` formed
+    it against the same matrix (``_against``); otherwise, a caller's residual
+    included, it multiplies the polarities afresh.
     """
 
     factors: tuple[Multivector, ...]
     polarities: tuple[NullPolarity, ...]
     scale: Scalar
     residual: Matrix
-    _product: Matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _against: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def verified(self) -> bool:
         return self.residual.is_zero() and bool(self.scale)
@@ -59,15 +58,15 @@ class FactorizationResult:
         factors = tuple(Multivector.from_json(klein_algebra(), f) for f in data["factors"])
         polarities = tuple(NullPolarity.from_json(p) for p in data["polarities"])
         scale = as_scalar(data["scale"])
-        return cls._of_product(factors, polarities, scale, _polarity_product(polarities), transform)
-
-    @classmethod
-    def _of_product(cls, factors, polarities, scale, product: Matrix,
-                    t: ProjTransform4) -> "FactorizationResult":
-        """A result whose polarities multiply to ``product``, which it keeps."""
-        result = cls(factors, polarities, scale, product - t.matrix.scale(scale))
-        object.__setattr__(result, "_product", product)
+        a = transform.matrix
+        result = cls(factors, polarities, scale, _polarity_product(polarities) - a.scale(scale))
+        object.__setattr__(result, "_against", a)
         return result
+
+
+# the residual of every lifted factorization: the lift's ``proportionality``
+# proved product == scale * A, so the difference is not formed
+_PROVED = Matrix.zeros(4, 4)
 
 
 def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> FactorizationResult:
@@ -78,8 +77,8 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     rightmost factor acts like the input), and certify the exact identity
     product = scale * input, all within the lift (``klein._lift``).
     """
-    versor, polarities, scale, product = _lift(t, scalar_mode)
-    return FactorizationResult._of_product(versor.witness, polarities, scale, product, t)
+    versor, polarities, scale = _lift(t, scalar_mode)
+    return FactorizationResult(versor.witness, polarities, scale, _PROVED)
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:
@@ -87,7 +86,8 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
 
     Every polarity must be a ``NullPolarity``, whose constructors prove its
     matrix skew (the public one checks it, ``NullPolarity._proved`` builds it
-    skew), so skewness is not checked again here.
+    skew), so skewness is not checked again here.  Nor is nullness: a null
+    factor's polarity is singular, so no product with it equals scale * A.
     """
     if len(result.factors) > 6 or len(result.factors) != len(result.polarities):
         return False
@@ -97,16 +97,14 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
     if not all(type(p) is NullPolarity for p in result.polarities):
         return False
     for f, p in zip(result.factors, result.polarities):
-        # each factor is the non-null vector its polarity was built from
-        if (p.matrix.is_zero() or f != null_polarity_to_vector(p)
-                or not klein_form_value(f._coordinates())):
+        # each factor is the vector its polarity was built from
+        if p.matrix.is_zero() or f != null_polarity_to_vector(p):
             return False
     actions = [p.action for p in result.polarities]
     if actions != _alternating_actions(len(actions), t.action):
         return False
     if not result.scale:
         return False
-    product = result._product
-    if product is None:
-        product = _polarity_product(result.polarities)
-    return product == t.matrix.scale(result.scale)
+    if result._against == t.matrix:
+        return result.residual.is_zero()
+    return _polarity_product(result.polarities) == t.matrix.scale(result.scale)

@@ -550,7 +550,7 @@ def _polarity_product(polarities) -> Matrix:
 
 
 def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
-    """(versor, polarities, scale, product) of a lift certified as in ``proj_to_versor``."""
+    """(versor, polarities, scale), the polarity product proved scale * A (``proj_to_versor``)."""
     if scalar_mode not in SCALAR_MODES:
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
     det = t.determinant()
@@ -573,12 +573,11 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     witness = tuple(factorize_versor(value))
     actions = _alternating_actions(len(witness), t.action)
     polarities = tuple(vector_to_null_polarity(v, act) for v, act in zip(witness, actions))
-    product = _polarity_product(polarities)
-    scale = proportionality(product, t.matrix)
+    scale = proportionality(_polarity_product(polarities), t.matrix)
     if scale is None:
         raise NotLiftableError("no versor of the requested parity induces this map",
                                {"reason": "empty-kernel"})
-    return Versor._proved(value, parity, witness), polarities, scale, product
+    return Versor._proved(value, parity, witness), polarities, scale
 
 
 def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:

@@ -214,7 +214,7 @@ def test_accessors_return_public_types():
         for action in ("points", "planes"):
             t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", action)
             result = factorize.factorize_matrix(t, mode)
-            assert result.verified()
+            assert result.verified() and factorize.verify_factorization(result, t)
             scalars_returned += [linalg.determinant(t.matrix), t.matrix.det(), t.determinant(),
                                  klein.induced_line_map(t).similitude_ratio(), result.scale,
                                  linalg.proportionality(t.matrix.scale(6), t.matrix.scale(4)),

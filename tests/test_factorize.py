@@ -21,6 +21,8 @@ from exactga.klein import (
     bilinear,
     induced_line_map,
     klein_algebra,
+    null_polarity_to_vector,
+    vector_to_null_polarity,
     versor_to_proj,
 )
 import exactga.blades as blades
@@ -63,6 +65,12 @@ def test_choose_nonnull_falls_back_to_pair_sums():
     v = choose_nonnull_vector(space)
     assert v == E(1) + E(4)
     assert bilinear(v, v) != 0
+
+
+def test_choose_nonnull_returns_the_normalized_pick():
+    # the vector the descent keeps, whatever the scale of the basis
+    assert choose_nonnull_vector([-2 * E(1) - 2 * E(4), E(2)]) == E(1) + E(4)
+    assert choose_nonnull_vector([E(2) * Fraction(1, 3), -6 * E(5)]) == E(2) + E(5)
 
 
 def test_choose_nonnull_rejects_isotropic_span():
@@ -189,10 +197,10 @@ def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
     steps, checked = [], []
     choose, post_init = blades._choose, Blade.__post_init__
 
-    def probe(alg, space, normalize):
+    def probe(alg, space):
         space = list(space)
         steps.append(len(space))
-        return choose(alg, space, normalize)
+        return choose(alg, space)
 
     monkeypatch.setattr(blades, "_choose", probe)
     monkeypatch.setattr(Blade, "__post_init__",
@@ -283,7 +291,7 @@ def test_factor_count_is_scherks_minimal_length():
             t = ProjTransform4(Matrix.from_rows([[-x for x in rows[0]]] + rows[1:]),
                                t.kind, action)
         result = factorize_matrix(t, mode)
-        assert result.verified()
+        assert result.verified() and verify_factorization(result, t)
         iso = line_isometry(t)
         assert len(result.factors) == min(scherk_length(iso), scherk_length(-iso))
         counts.add((t.kind, action, mode, len(result.factors)))
@@ -438,6 +446,36 @@ def test_verify_takes_only_null_polarities(reference_matrix):
     for stand_in in stand_ins:
         result = dataclasses.replace(kept, polarities=(stand_in,) + kept.polarities[1:])
         assert not verify_factorization(result, t)
+
+
+def null_pair(scale) -> FactorizationResult:
+    """Factors (e1, e1) of a collineation on points, with their planes and
+    points polarities; e1 is null."""
+    polarities = tuple(vector_to_null_polarity(E(1), a) for a in ("planes", "points"))
+    return FactorizationResult((E(1), E(1)), polarities, scale, Matrix.zeros(4, 4))
+
+
+def test_verify_refuses_null_factors_by_their_product(reference_matrix):
+    # every check but the product passes; a null factor's polarity is
+    # singular, so the product is no multiple of the regular input
+    t = ProjTransform4(reference_matrix, "collineation", "points")
+    forged = null_pair(Fraction(-4))
+    assert all(f == null_polarity_to_vector(p) for f, p in zip(forged.factors, forged.polarities))
+    parsed = FactorizationResult.from_json(forged.to_json(), t)
+    assert not parsed.residual.is_zero()
+    assert [verify_factorization(result, t) for result in (forged, parsed)] == [False, False]
+
+
+def test_verify_refuses_a_zero_scale(reference_matrix):
+    # the two polarities of one null line multiply to the zero matrix, which
+    # is 0 * A: only the scale guard refuses this result
+    t = ProjTransform4(reference_matrix, "collineation", "points")
+    forged = null_pair(Fraction(0))
+    data = forged.to_json()
+    assert data["scale"] == "0"
+    parsed = FactorizationResult.from_json(data, t)
+    assert parsed.residual.is_zero()
+    assert [verify_factorization(result, t) for result in (forged, parsed)] == [False, False]
 
 
 def test_verify_empty_against_identity():

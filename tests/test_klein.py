@@ -42,6 +42,7 @@ from exactga.scalars import ComplexRational, ScalarError, scalar_sqrt
 from helpers import (
     adjugate,
     published_table,
+    rand_coefficient,
     rand_fraction,
     rand_invertible_vector,
     rand_null_line,
@@ -176,12 +177,21 @@ def test_polarity_skew_for_all_inputs():
 
 
 def test_polarity_determinant_is_square_of_form():
-    rng = random.Random(6)
-    for _ in range(20):
-        a = rand_invertible_vector(rng, KLEIN)
-        q = bilinear(a, a) / 2  # the quadric polynomial x1 x4 + x2 x5 + x3 x6
+    # det = q^2 for q = x1 x4 + x2 x5 + x3 x6 on int, Fraction and Gaussian
+    # coordinates, null ones among them: a null vector's polarity is singular,
+    # which is why verify_factorization needs no Klein form of its factors
+    rng = random.Random("klein/polarity-determinant")
+    nulls = 0
+    for n in range(300):
+        x = [rand_coefficient(rng, ("int", "fraction", "gaussian")[n % 3]) for _ in range(6)]
+        if n % 4 == 3:  # solve q = 0 for x6
+            x[2] = (x[2] or 1) * Fraction(1)  # an exact divisor, never an int
+            x[5] = -(x[0] * x[3] + x[1] * x[4]) / x[2]
+        q = x[0] * x[3] + x[1] * x[4] + x[2] * x[5]
+        nulls += not q
         for action in ("points", "planes"):
-            assert vector_to_null_polarity(a, action).matrix.det() == q * q
+            assert vector_to_null_polarity(KLEIN.vector(x), action).matrix.det() == q * q
+    assert 75 <= nulls < 300
 
 
 def test_proved_polarities_match_the_checked_constructor():

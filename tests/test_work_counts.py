@@ -15,9 +15,10 @@ table, a polarity chain that takes more than one call of the chain
 kernel, a reordering sign computed outside the warm blade tables, an
 outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
-``Fraction(text)`` or evaluates the Klein form on public coordinates, or a
-second polarity product in a verify job fails here even when its output
-stays the same.  The storage guards require the integer core: int
+``Fraction(text)`` or evaluates the Klein form at all, a second polarity
+product or a second ``scale * A`` in a verify job, a residual formed by a
+factorization, or a verify of a factorization that takes a product it did
+not form fails here even when its output stays the same.  The storage guards require the integer core: int
 blade and coefficient tables, and int or Gaussian-int coefficients in
 every multivector and kernel product of a descent and in every
 matrix of the linear algebra.
@@ -96,6 +97,7 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
         result = factorize.factorize_matrix(t, mode)
         monkeypatch.undo()
         assert result.verified() and len(result.factors) >= 3
+        assert factorize.verify_factorization(result, t)
         assert len(chains) == 1
         # one chain-kernel call covers every factor; an M^T Q M would be another
         assert [len(factors) for factors, _ in products] == [len(result.factors)]
@@ -301,6 +303,7 @@ def test_warm_factorization_computes_no_reordering_sign(monkeypatch):
         result = factorize.factorize_matrix(t, mode)
         monkeypatch.undo()
         assert result.verified() and len(result.factors) >= 4
+        assert factorize.verify_factorization(result, t)
         assert signs == []
 
 
@@ -393,13 +396,30 @@ def verify_jobs() -> list[tuple[dict, str]]:
     return jobs
 
 
+def klein_forms(monkeypatch) -> list:
+    """The calls of ``klein_form_value`` through every module that binds it."""
+    calls = []
+    for owner in (klein, factorize, cli):
+        if hasattr(owner, "klein_form_value"):
+            original = getattr(owner, "klein_form_value")
+            monkeypatch.setattr(owner, "klein_form_value",
+                                lambda x, _original=original: calls.append(x) or _original(x))
+    return calls
+
+
 def test_verify_multiplies_the_polarities_once(monkeypatch):
+    # the residual of a parsed result is the job's one product and one
+    # scale * A; the product proves each factor non-null (a null factor's
+    # polarity is singular), so no Klein form is evaluated
     for job, mode in verify_jobs():
         chains = counting(monkeypatch, factorize, "_polarity_product")
+        scales = counting(monkeypatch, Matrix, "scale")
+        forms = klein_forms(monkeypatch)
         code, report = cli.run_job("verify", job, {"scalar_mode": mode})
         monkeypatch.undo()
         assert code == 0 and report["verified"] is True
-        assert len(chains) == 1
+        assert len(chains) == 1 and len(scales) == 1
+        assert forms == []
 
 
 def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
@@ -413,12 +433,39 @@ def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
             return new_fraction(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counting_new)
-        forms = counting(monkeypatch, factorize, "klein_form_value")
+        chains = counting(monkeypatch, factorize, "_polarity_product")
         code, report = cli.run_job("verify", job, {"scalar_mode": mode})
         monkeypatch.undo()
         assert code == 0 and report["verified"] is True
         assert parsed == []  # every string goes straight to its internal form
-        assert len(forms) == len(job["result"]["factors"]) >= 3
-        assert all(is_integral_storage(c) for (x,) in forms for c in x)
+        (polarities,), = chains
+        entries = [c for p in polarities for c in p.matrix.entries]
+        assert len(polarities) == len(job["result"]["factors"]) >= 3
+        assert all(is_integral_storage(c) for c in entries)
         if mode == "complex":
-            assert any(type(c) is ComplexRational for (x,) in forms for c in x)
+            assert any(type(c) is ComplexRational for c in entries)
+
+
+def test_warm_factorization_forms_no_residual(monkeypatch):
+    # the lift's proportionality proves product == s A, so the only scaled
+    # matrix is the lift's own s A and no difference is formed
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        factorize.factorize_matrix(t, mode)
+        scales = counting(monkeypatch, Matrix, "scale")
+        differences = counting(monkeypatch, Matrix, "__sub__")
+        result = factorize.factorize_matrix(t, mode)
+        monkeypatch.undo()
+        assert len(result.factors) == 6
+        assert len(scales) == 1 and differences == []
+
+
+def test_verifying_a_factorization_multiplies_its_polarities_once(monkeypatch):
+    # a result of factorize_matrix keeps no product, so verify forms it once
+    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+        t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        result = factorize.factorize_matrix(t, mode)
+        chains = counting(monkeypatch, factorize, "_polarity_product")
+        assert factorize.verify_factorization(result, t)
+        monkeypatch.undo()
+        assert [args[0] for args in chains] == [result.polarities]
