@@ -22,9 +22,9 @@ blade reads its row once and each pair indexes it, so a product by a vector
 costs one row per left blade and one index per generator.  An entry is
 built on first use.  The kernel skips a pair whose entry is empty before
 multiplying its coefficients, and no product computes a sign per pair.  It
-works on stored term dicts: ``Multivector.gp``, ``wedge`` and ``inner`` wrap
-its result, and each step of the grade descent calls it through
-``Algebra._gp`` without building a ``Multivector``.
+works on term dicts: ``Multivector.gp``, ``wedge`` and ``inner`` wrap its
+result, and each step of the grade descent calls it through ``Algebra._gp``,
+or ``Algebra._gp_split`` on split terms, without building a ``Multivector``.
 
 Coefficients and blade-table entries are stored in the internal form of
 ``scalars.canonical``: plain ``int``s (Gaussian integers in complex mode)
@@ -33,15 +33,17 @@ rank-6 models, so products run on Python integers.  The accessors
 (``coeff``, ``terms``, ``coordinates``, ``scalar_part``, ``norm``) return the
 public ``Fraction`` / ``ComplexRational`` form.
 
-A product of Gaussian coefficients runs on their parts: ``_split`` gives each
-coefficient as (real, imaginary) ints or Fractions by the one split rule,
-``scalars._parts``, that ``linalg``'s matrix products share; each pair of blades
-multiplies them once, (a + ib)(c + id) = (ac - bd) + i(ad + bc), the real
-table entries scale a real and an imaginary sum apart, and each result term
-is recombined once by ``scalars._make`` (an imaginary part that cancels
-leaves an ``int``).  The kernel looks through both term dicts for a
-``ComplexRational``; a product of two real ones, every product in rational
-mode, multiplies the coefficients as they are.
+A product of Gaussian coefficients runs on their parts.  ``_split`` gives
+each coefficient as a (real, imaginary) pair by the one split rule,
+``scalars._parts``, that ``linalg`` shares, and ``_join`` recombines each
+pair once by ``scalars._make``.  ``_gaussian_product`` takes and returns
+split terms: each pair of blades multiplies its coefficients once,
+(a + ib)(c + id) = (ac - bd) + i(ad + bc), and the real table entries scale
+a real and an imaginary sum apart.  ``_product`` looks through both term
+dicts for a ``ComplexRational``: a product of two real ones, every product
+in rational mode, multiplies the coefficients as they are, and any other is
+split, multiplied and joined in that one call.  The grade descent keeps a
+Gaussian remainder split across its steps (``Algebra._gp_split``).
 
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra table caches, is filled idempotently, so concurrent
@@ -328,6 +330,10 @@ class Algebra:
         """The stored terms of x y, for stored term dicts x and y."""
         return _product(x, y, self._gp_rows, self.blade_gp)
 
+    def _gp_split(self, x: dict, y: dict) -> dict:
+        """The split terms of x y, for split terms x (``_split``) and stored terms y."""
+        return _gaussian_product(x, _split(y), self._gp_rows, self.blade_gp)
+
     def __repr__(self):
         p, q, r = self.signature()
         return f"Algebra(dim={self.dim}, signature=({p},{q},{r}))"
@@ -338,13 +344,24 @@ def _split(terms: dict) -> dict:
     return {m: _parts(c) for m, c in terms.items()}
 
 
+def _join(split: dict) -> dict:
+    """The stored terms of split terms: each coefficient recombined once by ``scalars._make``."""
+    return {m: canonical(_make(r, i)) for m, (r, i) in split.items()}
+
+
+def _times_conjugate(sign: int, c: tuple, lead: tuple):
+    """sign * c * conj(lead) for split c and lead, recombined once by ``scalars._make``."""
+    (a, b), (lr, li) = c, lead
+    return _make(sign * (a * lr + b * li), sign * (b * lr - a * li))
+
+
 def _product(x: dict, y: dict, rows, build) -> dict:
     """The stored terms of the product of x and y whose blade table is ``rows``.
 
     ``build(a, b)`` fills a missing entry of ``rows[a]`` (module docstring).
     """
     if ComplexRational in map(type, x.values()) or ComplexRational in map(type, y.values()):
-        return _gaussian_product(x, y, rows, build)
+        return _join(_gaussian_product(_split(x), _split(y), rows, build))
     acc: dict[int, Scalar] = {}
     get = acc.get
     y_items = list(y.items())
@@ -363,12 +380,12 @@ def _product(x: dict, y: dict, rows, build) -> dict:
 
 
 def _gaussian_product(x: dict, y: dict, rows, build) -> dict:
-    """``_product`` on the parts of the coefficients (module docstring)."""
+    """``_product`` of split terms (``_split``), as split terms (module docstring)."""
     real: dict[int, Scalar] = {}
     imag: dict[int, Scalar] = {}
     real_get, imag_get = real.get, imag.get
-    y_parts = list(_split(y).items())
-    for a, (ar, ai) in _split(x).items():
+    y_parts = list(y.items())
+    for a, (ar, ai) in x.items():
         row = rows[a]
         for b, (br, bi) in y_parts:
             try:
@@ -380,8 +397,7 @@ def _gaussian_product(x: dict, y: dict, rows, build) -> dict:
                 for m, c in table:
                     real[m] = real_get(m, 0) + pr * c
                     imag[m] = imag_get(m, 0) + pi * c
-    return {m: c if type(c) is int else canonical(c) for m, r in real.items()
-            if (c := _make(r, imag[m]))}
+    return {m: (r, i) for m, r in real.items() if (i := imag[m]) or r}
 
 
 def _blade_name(mask: int) -> str:

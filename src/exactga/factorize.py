@@ -33,7 +33,9 @@ class FactorizationResult:
 
     ``verify_factorization`` reads ``residual`` only when ``from_json`` formed
     it against the same matrix (``_against``); otherwise, a caller's residual
-    included, it multiplies the polarities afresh.
+    included, it multiplies the polarities afresh.  ``verified`` trusts only
+    a residual the lift or ``from_json`` formed (``_formed``), so a result
+    built by the constructor or ``dataclasses.replace`` is not verified.
     """
 
     factors: tuple[Multivector, ...]
@@ -41,9 +43,10 @@ class FactorizationResult:
     scale: Scalar
     residual: Matrix
     _against: Matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _formed: bool = field(default=False, init=False, repr=False, compare=False)
 
     def verified(self) -> bool:
-        return self.residual.is_zero() and bool(self.scale)
+        return self._formed and self.residual.is_zero() and bool(self.scale)
 
     def to_json(self) -> dict:
         return {
@@ -61,6 +64,7 @@ class FactorizationResult:
         a = transform.matrix
         result = cls(factors, polarities, scale, _polarity_product(polarities) - a.scale(scale))
         object.__setattr__(result, "_against", a)
+        object.__setattr__(result, "_formed", True)
         return result
 
 
@@ -78,7 +82,9 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     product = scale * input, all within the lift (``klein._lift``).
     """
     versor, polarities, scale = _lift(t, scalar_mode)
-    return FactorizationResult(versor.witness, polarities, scale, _PROVED)
+    result = FactorizationResult(versor.witness, polarities, scale, _PROVED)
+    object.__setattr__(result, "_formed", True)
+    return result
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:

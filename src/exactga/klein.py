@@ -47,6 +47,7 @@ from .blades import Blade, factorize_versor, ipns, opns
 from .linalg import (
     Matrix,
     _chain_product,
+    _normalized_table_product,
     _table_product,
     normalize_vector,
     nullspace,
@@ -55,6 +56,7 @@ from .linalg import (
 )
 from .scalars import (
     ATOM_DIGITS,
+    ComplexRational,
     Scalar,
     as_scalar,
     canonical,
@@ -553,18 +555,23 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     """(versor, polarities, scale), the polarity product proved scale * A (``proj_to_versor``)."""
     if scalar_mode not in SCALAR_MODES:
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
-    det = t.determinant()
-    s = _normalization_scale(det if t.action == "points" else det * det * det, scalar_mode)
+    det, points = t.determinant(), t.action == "points"
+    s = _normalization_scale(det if points else det * det * det, scalar_mode)
     parity = "even" if t.kind == "collineation" else "odd"
-    a, cofactors = t.matrix, _cofactor_matrix(t.matrix)
-    if t.action == "points":
-        stacked = a.scale(s).entries + cofactors.entries
+    a, cofactors, table = t.matrix, _cofactor_matrix(t.matrix), _table_transpose(parity)
+    factor = s if points else s / det  # the factor of A in (P, Q)
+    # a Gaussian scale or map: the whole build runs on int parts, normalization included
+    if type(factor) is ComplexRational or ComplexRational in map(type, a.entries):
+        scaled, other = (a.entries, factor), (cofactors.entries, 1)
+        coefficients = _normalized_table_product(
+            table, (scaled, other) if points else (other, scaled))
     else:
-        stacked = cofactors.entries + a.scale(s / det).entries
-    coeffs = _table_product(_table_transpose(parity), stacked)
-    # c conj(last) is c / last times the positive |last|^2, which normalizing removes
-    conj = next(c for c in reversed(coeffs) if c).conjugate()
-    g = multivector_from_coefficients(normalize_vector([c * conj for c in coeffs]), parity)
+        scaled, other = a.scale(factor).entries, cofactors.entries
+        coeffs = _table_product(table, scaled + other if points else other + scaled)
+        # c conj(last) is c / last times the positive |last|^2, which normalizing removes
+        conj = next(c for c in reversed(coeffs) if c).conjugate()
+        coefficients = normalize_vector([c * conj for c in coeffs])
+    g = multivector_from_coefficients(coefficients, parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain.
     # It maps each grade k to grade 6 - k, so g I is formed only when chosen

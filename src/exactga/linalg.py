@@ -24,7 +24,10 @@ enters as the real block matrix [[Re B, Im B], [-Im B, Re B]], so that
 keeps the layout from factor to factor on ints (or Fractions).  Each entry
 of the result is recombined once, through ``scalars._make``.
 ``_table_product``, the sparse integer table that reads a versor's
-coefficients off a projective map, runs on the same parts.
+coefficients off a projective map, runs on real values; for a Gaussian map
+or scale ``_normalized_table_product`` runs the lift's whole build on part
+lists, normalization included (``_normalized_parts``, which
+``normalize_vector`` uses too), recombining each coefficient once.
 """
 
 from __future__ import annotations
@@ -210,16 +213,28 @@ def _part_lists(entries) -> tuple[list, list]:
 def _table_product(table, values: Sequence) -> list:
     """Entry i is the sum of c * values[r] over the pairs (r, c) of ``table[i]``.
 
-    ``table`` is a sparse matrix of ints, so a Gaussian ``values`` is
-    multiplied on its real and imaginary part lists, and each entry is
-    recombined once through ``scalars._make``.  The entries are not
-    brought to the internal form.
+    ``table`` is a sparse matrix of ints and ``values`` are real; the
+    entries are not brought to the internal form.
     """
-    if ComplexRational not in map(type, values):
-        return [sum(c * values[r] for r, c in row) for row in table]
-    real, imag = _part_lists(values)
-    return [_make(sum(c * real[r] for r, c in row), sum(c * imag[r] for r, c in row))
-            for row in table]
+    return [sum(c * values[r] for r, c in row) for row in table]
+
+
+def _normalized_table_product(table, blocks) -> tuple:
+    """``normalize_vector`` of c conj(c_last) for the entries c of a ``_table_product``.
+
+    The values are each (entries, factor) block's entries times its factor,
+    and c_last is the last nonzero c; every step runs on part lists.
+    """
+    real, imag = [], []
+    for entries, factor in blocks:
+        fr, fi = _parts(canonical(factor))
+        for a, b in map(_parts, entries):
+            real.append(a * fr - b * fi)
+            imag.append(a * fi + b * fr)
+    real, imag = _table_product(table, real), _table_product(table, imag)
+    lr, li = next(p for p in zip(reversed(real), reversed(imag)) if any(p))
+    return _normalized_parts([a * lr + b * li for a, b in zip(real, imag)]
+                             + [b * lr - a * li for a, b in zip(real, imag)])
 
 
 def _lcm_of_denominators(values) -> int:
@@ -297,24 +312,32 @@ def normalize_vector(vec: Sequence) -> tuple:
 
     The entries come back in the internal form (``int``s, or Gaussian
     integers).  For complex entries the leading sign is taken from the real
-    part, or the imaginary part when the real part vanishes.
+    part, or the imaginary part when the real part vanishes.  A vector that
+    is not all ``int``s is split once and normalized on its part lists.
     """
     if all(type(v) is int for v in vec):  # no denominator and no Gaussian part to clear
         g = math.gcd(*vec)
         if next((v for v in vec if v), 0) < 0:
             g = -g
         return tuple(v // g for v in vec) if g else tuple(vec)
-    vec = [canonical(v) for v in vec]
-    lcm = _lcm_of_denominators(vec)
-    if lcm > 1:
-        vec = [canonical(v * lcm) for v in vec]
-    g = math.gcd(*(p for v in vec for p in _parts(v)))
-    if g > 1:
-        vec = [exact_div(v, g) for v in vec]
-    lead_real, lead_imag = _parts(next((v for v in vec if v), 0))
-    if (lead_real or lead_imag) < 0:
-        vec = [-x for x in vec]
-    return tuple(vec)
+    real, imag = _part_lists(map(canonical, vec))
+    return _normalized_parts(real + imag)
+
+
+def _normalized_parts(parts: list) -> tuple:
+    """``normalize_vector`` of the vector whose real parts, then imaginary parts, are ``parts``.
+
+    The parts are cleared of denominators and divided by their gcd, negated
+    for a negative lead; each entry is recombined once by ``scalars._make``.
+    """
+    if not all(type(p) is int for p in parts):
+        lcm = math.lcm(*(p.denominator for p in parts))
+        parts = [p.numerator * (lcm // p.denominator) for p in parts]
+    n = len(parts) // 2
+    g = math.gcd(*parts) or 1
+    if next((x or y for x, y in zip(parts, parts[n:]) if x or y), 0) < 0:
+        g = -g
+    return tuple(_make(x // g, y // g) for x, y in zip(parts[:n], parts[n:]))
 
 
 def nullspace(m: Matrix) -> list[tuple]:

@@ -8,8 +8,9 @@ inner-map kernels (outer and inner null spaces by elimination), the
 published coefficient tables, the per-term geometric, outer and inner
 products, the norm-first descent, the descent that checks every step with a
 ``Blade``, Scherk's minimal length of an isometry, the six-relation check of
-a lift, the entry-by-entry matrix chain product and the ``Fraction(text)``
-scalar parser serve only as oracles, so
+a lift, the entry-by-entry matrix chain product, ``normalize_vector`` on
+``ComplexRational`` values and the ``Fraction(text)`` scalar parser serve
+only as oracles, so
 they live here rather than in the package.  So does ``rref``, the reduced
 row echelon form read off the package's elimination, which the package
 never needs.
@@ -17,6 +18,7 @@ never needs.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -36,13 +38,15 @@ from exactga.linalg import (
     LinAlgError,
     Matrix,
     _gauss_jordan,
+    _lcm_of_denominators,
     determinant,
     mat_mul,
     normalize_vector,
     nullspace,
     rank,
 )
-from exactga.scalars import ComplexRational, ScalarError, as_scalar, div
+from exactga.scalars import ComplexRational, ScalarError, _parts, as_scalar, canonical, div, \
+    exact_div
 
 
 _ORACLE_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -365,6 +369,27 @@ def naive_chain_product(factors, rows: int) -> list[list]:
     return product
 
 
+def complex_normalize_vector(vec) -> tuple:
+    """``normalize_vector`` on whole scalars: ``ComplexRational`` arithmetic
+    clears the denominators, divides out the content and fixes the lead sign."""
+    if all(type(v) is int for v in vec):
+        g = math.gcd(*vec)
+        if next((v for v in vec if v), 0) < 0:
+            g = -g
+        return tuple(v // g for v in vec) if g else tuple(vec)
+    vec = [canonical(v) for v in vec]
+    lcm = _lcm_of_denominators(vec)
+    if lcm > 1:
+        vec = [canonical(v * lcm) for v in vec]
+    g = math.gcd(*(p for v in vec for p in _parts(v)))
+    if g > 1:
+        vec = [exact_div(v, g) for v in vec]
+    lead_real, lead_imag = _parts(next((v for v in vec if v), 0))
+    if (lead_real or lead_imag) < 0:
+        vec = [-x for x in vec]
+    return tuple(vec)
+
+
 def rref(m: Matrix) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and pivot columns: the rows of ``_gauss_jordan`` over d."""
     rows, pivots, d, _ = _gauss_jordan(m)
@@ -545,13 +570,16 @@ def rand_coefficient(rng: random.Random, kind: str):
 
 
 def rand_multivector(rng: random.Random, alg: Algebra, n_terms: int = 4,
-                     grades=None) -> Multivector:
+                     grades=None, kinds=None) -> Multivector:
+    """Random terms: ``rand_fraction`` coefficients, or ``rand_coefficient``
+    ones of the given kinds."""
     masks = alg.basis_masks()
     if grades is not None:
         masks = [m for m in masks if bin(m).count("1") in grades]
     terms = {}
     for _ in range(n_terms):
-        terms[rng.choice(masks)] = rand_fraction(rng)
+        coefficient = rand_coefficient(rng, rng.choice(kinds)) if kinds else rand_fraction(rng)
+        terms[rng.choice(masks)] = coefficient
     return alg.mv(terms)
 
 
@@ -562,15 +590,21 @@ def rand_vector(rng: random.Random, alg: Algebra, span: int = 3) -> Multivector:
             return v
 
 
-def rand_invertible_vector(rng: random.Random, alg: Algebra, span: int = 2) -> Multivector:
+def rand_invertible_vector(rng: random.Random, alg: Algebra, span: int = 2,
+                           kinds=None) -> Multivector:
+    """A non-null vector of ints up to span, or of ``rand_coefficient``
+    coordinates of the given kinds."""
     while True:
-        v = rand_vector(rng, alg, span)
+        if kinds:
+            v = alg.vector([rand_coefficient(rng, rng.choice(kinds)) for _ in range(alg.dim)])
+        else:
+            v = rand_vector(rng, alg, span)
         if v.gp(v).scalar_part():
             return v
 
 
-def rand_versor(rng: random.Random, alg: Algebra, k: int):
-    vectors = [rand_invertible_vector(rng, alg) for _ in range(k)]
+def rand_versor(rng: random.Random, alg: Algebra, k: int, kinds=None):
+    vectors = [rand_invertible_vector(rng, alg, kinds=kinds) for _ in range(k)]
     prod = alg.scalar(1)
     for v in vectors:
         prod = prod.gp(v)

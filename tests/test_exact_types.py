@@ -344,13 +344,18 @@ def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
         monkeypatch.setattr(cls, hook, record)
     on_adopted_terms(monkeypatch, lambda terms: stored.extend(
         c for c in terms.values() if type(c) is ComplexRational))
-    for kind in ("collineation", "correlation"):
-        for action in ("points", "planes"):
-            t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), kind, action)
-            result = factorize.factorize_matrix(t, "complex")
-            assert factorize.verify_factorization(result, t)
-            # the verify path reads every factor and polarity back from JSON
-            again = factorize.FactorizationResult.from_json(result.to_json(), t)
-            assert factorize.verify_factorization(again, t)
+    # the complex variant, and the reference with its last row negated
+    # (det -4), both of negative similitude ratio
+    negated_row = [row if i < 3 else [-x for x in row]
+                   for i, row in enumerate(REFERENCE_COLLINEATION)]
+    for rows in (COMPLEX_VARIANT, negated_row):
+        for kind in ("collineation", "correlation"):
+            for action in ("points", "planes"):
+                t = klein.ProjTransform4(Matrix.from_rows(rows), kind, action)
+                result = factorize.factorize_matrix(t, "complex")
+                assert factorize.verify_factorization(result, t)
+                # the verify path reads every factor and polarity back from JSON
+                again = factorize.FactorizationResult.from_json(result.to_json(), t)
+                assert factorize.verify_factorization(again, t)
     assert len(stored) > 1000
     assert all(c.im for c in stored)

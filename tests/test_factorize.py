@@ -29,7 +29,7 @@ import exactga.blades as blades
 from exactga.blades import Blade, BladeError
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul
-from exactga.scalars import scalar_sqrt
+from exactga.scalars import ComplexRational, scalar_sqrt
 from helpers import (
     checked_factorize_versor,
     norm_first_factorize,
@@ -163,11 +163,17 @@ REFUSALS = [
 ]
 
 
+# Gaussian multiples of each refusal, which the descent carries split: the
+# same refusal, from the joined top parts
+GAUSSIAN_SCALES = (1, ComplexRational(1, 2), ComplexRational(0, Fraction(-1, 3)))
+
+
 @pytest.mark.parametrize("alg, build, error, message", REFUSALS)
 def test_factorize_refusal_classes(alg, build, error, message):
-    with pytest.raises(AlgebraError, match=message) as caught:
-        factorize_versor(build(alg.e))
-    assert type(caught.value) is error
+    for scale in GAUSSIAN_SCALES:
+        with pytest.raises(AlgebraError, match=message) as caught:
+            factorize_versor(build(alg.e) * scale)
+        assert type(caught.value) is error
 
 
 # the diagnosis of each refusal above: the step where the descent gave out,
@@ -180,10 +186,11 @@ REFUSAL_DIAGNOSES = [(1, 2, "not-a-versor"), (1, 1, "null-versor"), (1, 1, "mixe
 def test_factorize_refusals_carry_a_diagnosis():
     for (alg, build, _, _), (step, grade, reason) in zip(REFUSALS, REFUSAL_DIAGNOSES,
                                                          strict=True):
-        with pytest.raises(AlgebraError) as caught:
-            factorize_versor(build(alg.e))
-        assert caught.value.diagnosis == {"stage": "descent", "step": step, "grade": grade,
-                                          "opns_dim": grade, "reason": reason}
+        for scale in GAUSSIAN_SCALES:
+            with pytest.raises(AlgebraError) as caught:
+                factorize_versor(build(alg.e) * scale)
+            assert caught.value.diagnosis == {"stage": "descent", "step": step, "grade": grade,
+                                              "opns_dim": grade, "reason": reason}
 
 
 def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
@@ -220,37 +227,56 @@ def outcome(factorize, g):
         return type(exc), str(exc)
 
 
+def is_gaussian(g) -> bool:
+    return any(type(c) is ComplexRational for c in g._terms.values())
+
+
+def gaussian_kinds(i: int) -> tuple:
+    """The coordinate kinds of the i-th Gaussian input: Gaussian rationals
+    every fourth time, else Gaussian integers, which cost a tenth as much."""
+    return ("int", "gaussian-rational") if i % 4 == 3 else ("int", "gaussian")
+
+
 def test_factorize_matches_the_norm_first_oracle():
-    # versors, products through a null vector, and versors with one term perturbed
-    rng = random.Random("factorize/norm-first")
-    seen = set()
+    # versors, products through a null vector, and versors with one term
+    # perturbed; one input in four is drawn with Gaussian coordinates
+    seen = {False: set(), True: set()}
+    draws = ((random.Random("factorize/norm-first"), 250, False),
+             (random.Random("factorize/norm-first/gaussian"), 84, True))
     for alg in (KLEIN, lie_algebra()):
-        for i in range(250):
-            g, _ = rand_versor(rng, alg, rng.randint(1, 6))
-            if i % 3 == 1:
-                null = alg.e(rng.randint(1, 6)) if alg is KLEIN else alg.e(1) + alg.e(5)
-                g = g.gp(null).gp(rand_invertible_vector(rng, alg))
-            elif i % 3 == 2:
-                g = g + rand_multivector(rng, alg, n_terms=1)
-            expected = outcome(norm_first_factorize, g)
-            assert outcome(factorize_versor, g) == expected
-            seen.add(expected[0] if isinstance(expected, tuple) else list)
-    assert {list, NotAVersorError, NullVersorError} <= seen
+        for rng, count, gaussian in draws:
+            for i in range(count):
+                kinds = gaussian_kinds(i // 3) if gaussian else None
+                g, _ = rand_versor(rng, alg, rng.randint(1, 6), kinds=kinds)
+                if i % 3 == 1:
+                    null = alg.e(rng.randint(1, 6)) if alg is KLEIN else alg.e(1) + alg.e(5)
+                    g = g.gp(null).gp(rand_invertible_vector(rng, alg, kinds=kinds))
+                elif i % 3 == 2:
+                    g = g + rand_multivector(rng, alg, n_terms=1, kinds=kinds)
+                expected = outcome(norm_first_factorize, g)
+                assert outcome(factorize_versor, g) == expected
+                kind = expected[0] if isinstance(expected, tuple) else list
+                seen[is_gaussian(g)].add((alg is KLEIN, i % 3, kind))
+    for found in seen.values():
+        assert {kind for _, _, kind in found} >= {list, NotAVersorError, NullVersorError}
+        assert {(klein, shape) for klein, shape, _ in found} == {
+            (klein, shape) for klein in (True, False) for shape in range(3)}
 
 
-def descent_input(rng: random.Random, alg, i: int):
+def descent_input(rng: random.Random, alg, i: int, kinds=None):
     """One of five shapes by i: a versor of 1-6 vectors, a product through a
     null vector, a versor with 1-4 perturbed terms, g + c g I, or a random
-    multivector."""
+    multivector.  The vectors and terms have int and Fraction coordinates,
+    or ``rand_coefficient`` ones of the given kinds."""
     shape = i % 5
     if shape == 4:
-        return rand_multivector(rng, alg, n_terms=rng.randint(1, 8))
-    g, _ = rand_versor(rng, alg, rng.randint(1, 6))
+        return rand_multivector(rng, alg, n_terms=rng.randint(1, 8), kinds=kinds)
+    g, _ = rand_versor(rng, alg, rng.randint(1, 6), kinds=kinds)
     if shape == 1:
         null = alg.e(rng.randint(1, 6)) if alg is KLEIN else alg.e(1) + alg.e(5)
-        return g.gp(null).gp(rand_invertible_vector(rng, alg))
+        return g.gp(null).gp(rand_invertible_vector(rng, alg, kinds=kinds))
     if shape == 2:
-        return g + rand_multivector(rng, alg, n_terms=rng.randint(1, 4))
+        return g + rand_multivector(rng, alg, n_terms=rng.randint(1, 4), kinds=kinds)
     if shape == 3:
         return g + g.gp(alg.pseudoscalar()) * rand_fraction(rng)
     return g
@@ -258,17 +284,26 @@ def descent_input(rng: random.Random, alg, i: int):
 
 def test_factorize_matches_the_blade_checked_oracle():
     # the descent that builds a Blade per step gives the same factors, or the
-    # same refusal, on 2,000 inputs in Cl(3,3) and Cl(4,2)
-    rng = random.Random("factorize/blade-checked")
-    seen = set()
+    # same refusal, on 2,670 inputs in Cl(3,3) and Cl(4,2); one in four has
+    # Gaussian coordinates, which the descent carries split, and they cover
+    # every shape and every refusal but a totally isotropic span, too rare
+    # to be drawn (the Gaussian multiples of REFUSALS have it)
+    seen = {False: set(), True: set()}
+    draws = ((random.Random("factorize/blade-checked"), 1000, False),
+             (random.Random("factorize/blade-checked/gaussian"), 335, True))
     for alg in (KLEIN, lie_algebra()):
-        for i in range(1000):
-            g = descent_input(rng, alg, i)
-            expected = outcome(checked_factorize_versor, g)
-            assert outcome(factorize_versor, g) == expected
-            seen.add(expected[0] if isinstance(expected, tuple) else list)
-    assert seen == {list, AlgebraError, NoNonNullVectorError, NotAVersorError,
-                    NullVersorError, BladeError}
+        for rng, count, gaussian in draws:
+            for i in range(count):
+                g = descent_input(rng, alg, i, gaussian_kinds(i // 5) if gaussian else None)
+                expected = outcome(checked_factorize_versor, g)
+                assert outcome(factorize_versor, g) == expected
+                kind = expected[0] if isinstance(expected, tuple) else list
+                seen[is_gaussian(g)].add((alg is KLEIN, i % 5, kind))
+    for found, isotropic in ((seen[False], {NoNonNullVectorError}), (seen[True], set())):
+        assert {kind for _, _, kind in found} == {
+            list, AlgebraError, NotAVersorError, NullVersorError, BladeError} | isotropic
+        assert {(klein, shape) for klein, shape, _ in found} == {
+            (klein, shape) for klein in (True, False) for shape in range(5)}
 
 
 def line_isometry(t: ProjTransform4) -> Matrix:
@@ -428,10 +463,13 @@ def test_verify_does_not_trust_a_given_residual(reference_matrix):
         # a copy of a result that kept its polarity product does not keep it
         dataclasses.replace(kept, polarities=tuple(swapped), residual=zero),
         dataclasses.replace(kept, scale=kept.scale * 2, residual=zero),
+        # a copy of a lifted result keeps its zero residual, not the lift's proof
+        dataclasses.replace(factorize_matrix(t), polarities=tuple(swapped)),
     ]
-    assert verify_factorization(kept, t)
+    assert verify_factorization(kept, t) and kept.verified()
     for result in forged:
-        assert result.verified()
+        # a zero residual the library did not form is not trusted either
+        assert not result.verified()
         assert not verify_factorization(result, t)
 
 

@@ -156,7 +156,8 @@ def test_gaussian_part_split_is_stated_once():
 
 def test_only_scalars_reads_the_parts_of_a_gaussian_value():
     # the kernels too split through scalars._parts, and the lift's
-    # coefficient build is linalg._table_product
+    # coefficient build is linalg._table_product, or on int parts
+    # linalg._normalized_table_product
     modules = _modules()
     readers = {name for name, tree in modules.items() if _part_reads(tree)}
     assert readers == {"scalars"}
@@ -164,8 +165,9 @@ def test_only_scalars_reads_the_parts_of_a_gaussian_value():
              if (found := _users(tree, "_parts")) and name != "scalars"}
     assert users == {"algebra": {"", "_split"},
                      "linalg": {"", "_part_lists", "_lcm_of_denominators",
-                                "normalize_vector"}}
+                                "_normalized_table_product"}}
     assert _users(modules["klein"], "_table_product") == {"", "_lift"}
+    assert _users(modules["klein"], "_normalized_table_product") == {"", "_lift"}
 
 
 def test_rule_finders_see_their_targets():

@@ -127,6 +127,23 @@ def test_lift_matches_oracle_on_fixtures(rows, mode):
     assert proj_to_versor(t, mode).value == _oracle_lift(t, mode)
 
 
+# Gaussian maps of real similitude ratio: a real scale (det 1, det 4) and,
+# in complex mode, a Gaussian one (det -1)
+GAUSSIAN_MAPS = [
+    ([["1i", 0, 0, 0], [0, "-1i", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "rational"),
+    ([["1+1i", 1, 0, 2], [0, "1+1i", 1, 0], [0, 0, "1-1i", 1], [0, 0, 0, "1-1i"]], "rational"),
+    ([["1i", 0, 0, 0], [0, "1i", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "complex"),
+]
+
+
+@pytest.mark.parametrize("rows, mode", GAUSSIAN_MAPS)
+def test_lift_matches_oracle_on_gaussian_maps(rows, mode):
+    for kind in ("collineation", "correlation"):
+        for action in ("points", "planes"):
+            t = ProjTransform4(Matrix.from_rows(rows), kind, action)
+            assert proj_to_versor(t, mode).value == _oracle_lift(t, mode)
+
+
 def _random_transform(rng: random.Random, kind: str, action: str) -> ProjTransform4:
     while True:
         k = rng.choice((2, 4, 6) if kind == "collineation" else (1, 3, 5))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactga.linalg import (
@@ -21,6 +21,7 @@ from exactga.scalars import ComplexRational, ScalarError, as_scalar, canonical
 from helpers import (
     adjugate,
     cofactor_det,
+    complex_normalize_vector,
     naive_chain_product,
     rand_coefficient,
     rand_fraction,
@@ -295,6 +296,44 @@ def test_nullspace_with_a_gaussian_pivot():
     # scaled to 1 at its free column before normalization
     assert nullspace(Matrix.from_rows([["1+1i", 2]])) == [(ComplexRational(1, -1), -1)]
     assert nullspace(Matrix.from_rows([["2i", "1+1i"]])) == [(ComplexRational(1, -1), -2)]
+
+
+_small_fractions = st.fractions(-40, 40, max_denominator=12)
+_entries = {
+    "int": st.integers(-10**12, 10**12),
+    "fraction": _small_fractions,
+    "gaussian": st.builds(ComplexRational, st.integers(-60, 60), st.integers(-60, 60)),
+    "gaussian-rational": st.builds(ComplexRational, _small_fractions, _small_fractions),
+}
+
+
+@st.composite
+def _normalize_cases(draw):
+    """A vector of one kind of entry, with zeros and small ints among them,
+    in the public or the internal form."""
+    kind = draw(st.sampled_from(sorted(_entries)))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), _entries[kind])
+    vec = draw(st.lists(entry, max_size=7))
+    return [canonical(v) for v in vec] if draw(st.booleans()) else vec
+
+
+def _stored(vec) -> list:
+    """Each entry with its type, and for a ComplexRational the types of its parts."""
+    return [(x, type(x)) + ((type(x.re), type(x.im)) if type(x) is ComplexRational else ())
+            for x in vec]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_normalize_cases())
+@example([0, 0, 0])
+@example([Fraction(0), ComplexRational(0, 0), 0])
+@example([Fraction(-2, 3), ComplexRational(1, 2), 4])  # a negative real lead
+@example([0, ComplexRational(0, -2), ComplexRational(3, 1)])  # zero real part, negative imaginary
+@example([ComplexRational(0, Fraction(-1, 2)), Fraction(1, 3)])
+def test_normalize_vector_matches_the_complex_rational_oracle(vec):
+    # the part-list normalization gives the values and the stored types of
+    # the same steps on ComplexRational values
+    assert _stored(normalize_vector(vec)) == _stored(complex_normalize_vector(vec))
 
 
 def test_normalize_vector_int_path_matches_the_general_path():

@@ -6,9 +6,9 @@ pseudoscalar product it does not choose, a product after the descent or a
 second polarity product in the lift, a
 second outer null space per descent step or classification, a read-off
 vector normalized before its probe, a linear system in the descent, a norm
-product, more than one call of the product kernel ``algebra._product`` per
-descent step, a ``Blade`` or a decomposability wedge in a successful
-descent, a division before the lift's normalization, a ``ComplexRational``
+product, more than one call of the product kernel ``algebra._product``
+(``_gaussian_product`` on split terms) per descent step, a ``Blade`` or a
+decomposability wedge in a successful descent, a division before the lift's normalization, a ``ComplexRational``
 multiplication inside a product, a ``ComplexRational`` multiplication or
 sum inside the polarity chain, ``mat_mul`` or the lift's coefficient
 table, a polarity chain that takes more than one call of the chain
@@ -17,14 +17,19 @@ outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form at all, a second polarity
 product or a second ``scale * A`` in a verify job, a residual formed by a
-factorization, or a verify of a factorization that takes a product it did
-not form fails here even when its output stays the same.  The storage guards require the integer core: int
+factorization, a verify of a factorization that takes a product it did
+not form, a ``ComplexRational`` operation inside ``normalize_vector``,
+the descent's read-off or the lift's Gaussian coefficient build, more than
+110 of them in a warm complex factorization, or a complex descent that
+splits or joins its remainder more than once fails here even when its
+output stays the same.  The storage guards require the integer core: int
 blade and coefficient tables, and int or Gaussian-int coefficients in
 every multivector and kernel product of a descent and in every
 matrix of the linear algebra.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import exactga.algebra as algebra
@@ -184,16 +189,79 @@ def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
 
 
 def test_descent_multiplies_once_per_step(monkeypatch):
-    # each step multiplies its remainder by its vector in one kernel call; a
-    # successful descent proves the norm nonzero, so it forms no g g* either
+    # each step multiplies its remainder by its vector in one kernel call, the
+    # split kernel for a Gaussian versor; a successful descent proves the norm
+    # nonzero, so it forms no g g* either
     for value in descent_versors():
         products = counting(monkeypatch, algebra, "_product")
+        split_products = counting(monkeypatch, algebra, "_gaussian_product")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
         steps = value.max_grade() - 1
         assert steps >= 3 and len(factors) == steps + 1
-        assert len(products) == steps
-        assert all(len(y) and all(b.bit_count() == 1 for b in y) for _, y, _, _ in products)
+        gaussian = any(type(c) is ComplexRational for c in value._terms.values())
+        assert (len(products), len(split_products)) == ((0, steps) if gaussian else (steps, 0))
+        assert all(len(y) and all(b.bit_count() == 1 for b in y)
+                   for _, y, _, _ in products + split_products)
+
+
+def test_complex_descent_splits_and_joins_its_remainder_once(monkeypatch):
+    # a Gaussian versor is split into parts once, carried split through every
+    # step and joined once, into the vector it ends in; each step splits only
+    # its vector, and a real descent splits and joins nothing
+    for value in descent_versors():
+        splits, joins = [], []
+        for attr, calls in (("_split", splits), ("_join", joins)):
+            def record(terms, _original=getattr(algebra, attr), _calls=calls):
+                _calls.append(terms)
+                return _original(terms)
+
+            for owner in (algebra, blades):  # blades binds the names it imports
+                monkeypatch.setattr(owner, attr, record)
+        split_products = returns(monkeypatch, algebra, "_gaussian_product")
+        factors = blades.factorize_versor(value)
+        monkeypatch.undo()
+        steps = len(factors) - 1
+        assert steps == value.max_grade() - 1 >= 3
+        if not any(type(c) is ComplexRational for c in value._terms.values()):
+            assert splits == joins == split_products == []
+            continue
+        assert splits[0] is value._terms
+        assert len(splits) == 1 + steps
+        assert all(all(m.bit_count() == 1 for m in terms) for terms in splits[1:])
+        assert len(split_products) == steps
+        assert all(type(c) is tuple for terms in split_products for c in terms.values())
+        assert [Multivector._stored(value.algebra, terms).grades() for terms in joins] == [{1}]
+
+
+GAUSSIAN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__", "conjugate")
+
+
+def test_warm_complex_factorization_runs_few_gaussian_operations(monkeypatch):
+    # the lift's coefficient build, normalize_vector and the descent's
+    # read-off run on int parts; a warm call ran 234 ComplexRational
+    # operations when they did not, 32 of them c * conj in the lift, 32
+    # lead-sign negations and 46 in the read-off
+    t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), "collineation", "points")
+    factorize.factorize_matrix(t, "complex")
+    on_parts = {f.__code__ for f in (linalg.normalize_vector, linalg._normalized_parts,
+                                     linalg._normalized_table_product, blades._read_off)}
+    inside, outside = [], []
+    for name in GAUSSIAN_OPERATIONS:
+        def operation(*args, _original=getattr(ComplexRational, name), _name=name):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in on_parts:
+                frame = frame.f_back
+            (outside if frame is None else inside).append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(ComplexRational, name, operation)
+    result = factorize.factorize_matrix(t, "complex")
+    monkeypatch.undo()
+    assert len(result.factors) == 6
+    assert inside == []
+    assert 0 < len(outside) <= 110
 
 
 def test_successful_descent_builds_no_blade(monkeypatch):
@@ -210,16 +278,25 @@ def test_successful_descent_builds_no_blade(monkeypatch):
 
 def test_lift_normalizes_integral_coefficients(monkeypatch):
     # the lift scales its coefficients by conj(last), the positive |last|^2
-    # times a division by last, so it forms no Fraction to normalize away
+    # times a division by last, so it forms no Fraction to normalize away; a
+    # Gaussian lift normalizes them on their int parts, 32 real and then 32
+    # imaginary, in its one coefficient build
     for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         normalized = counting(monkeypatch, klein, "normalize_vector")
+        builds = counting(monkeypatch, klein, "_normalized_table_product")
+        parts = counting(monkeypatch, linalg, "_normalized_parts")
         klein.proj_to_versor(t, mode)
         monkeypatch.undo()
-        assert [len(vec) for (vec,) in normalized] == [32]
-        assert all(is_integral_storage(c) for c in normalized[0][0])
-        if mode == "complex":
-            assert any(type(c) is ComplexRational for c in normalized[0][0])
+        if mode == "rational":
+            assert builds == []
+            assert [len(vec) for (vec,) in normalized] == [32]
+            assert all(is_integral_storage(c) for c in normalized[0][0])
+        else:
+            assert normalized == [] and len(builds) == 1
+            lift_parts = parts[0][0]  # the lift's, which comes before the descent's
+            assert len(lift_parts) == 64 and all(type(p) is int for p in lift_parts)
+            assert any(lift_parts[32:])
 
 
 def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
@@ -227,11 +304,13 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
     conjugate = value.conjugate()
     assert all(is_integral_storage(c) for c in value._terms.values())
     assert any(type(c) is ComplexRational for c in value._terms.values())
-    # the decomposability wedges of the Blade at each descent step
+    # the decomposability wedges of the Blade at each descent step, whose
+    # top parts it reads off split
     parts = counting(monkeypatch, blades, "_read_off")
     blades.factorize_versor(value)
     monkeypatch.undo()
-    checks = [(v, part) for (part,) in parts for v in blades.opns(part)]
+    tops = [Multivector._stored(alg, algebra._join(terms)) for alg, terms in parts]
+    checks = [(v, part) for part in tops for v in blades.opns(part)]
     assert len(checks) >= 10
     assert any(type(c) is ComplexRational for v, _ in checks for c in v._terms.values())
     left = counting(monkeypatch, ComplexRational, "__mul__")
@@ -246,7 +325,7 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
 
 
 def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
-    # the chain kernel and the lift's table product multiply Gaussian
+    # the chain kernel and the lift's coefficient build multiply Gaussian
     # entries on their int parts and recombine each result once
     inside, found, outside = [], [], []
     outputs = {}
@@ -265,7 +344,7 @@ def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for owner, attr in ((klein, "_table_product"), (klein, "_polarity_product"),
+    for owner, attr in ((klein, "_normalized_table_product"), (klein, "_polarity_product"),
                         (factorize, "_polarity_product"), (linalg, "mat_mul")):
         scoped(owner, attr)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
@@ -286,7 +365,7 @@ def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
     monkeypatch.undo()
     assert found == []
     assert outside  # the operations are watched: the rest of the lift uses them
-    assert sorted(outputs) == ["_polarity_product", "_table_product", "mat_mul"]
+    assert sorted(outputs) == ["_normalized_table_product", "_polarity_product", "mat_mul"]
     assert len(outputs["_polarity_product"]) == 8  # four lifts, four verify jobs
     # every kernel returned Gaussian entries, so none ran on real ones only
     gaussian = {attr: sum(type(x) is ComplexRational
@@ -353,15 +432,20 @@ def test_descents_store_integral_coefficients(monkeypatch):
         value = klein.proj_to_versor(t, mode).value
         built = counting(monkeypatch, Multivector, "__init__")
         products = returns(monkeypatch, algebra, "_product")
+        split_products = returns(monkeypatch, algebra, "_gaussian_product")
+        joins = returns(monkeypatch, blades, "_join")
         blades.factorize_versor(value)
         monkeypatch.undo()
         stored = [c for args in built for c in args[0]._terms.values()]
-        stored += [c for terms in products for c in terms.values()]
-        assert len(products) == value.max_grade() - 1 >= 4  # one product per step
-        assert all(products) and stored
+        stored += [c for terms in products + joins for c in terms.values()]
+        parts = [p for terms in split_products for c in terms.values() for p in c]
+        # one product per step, on int parts for a Gaussian versor
+        assert len(products + split_products) == value.max_grade() - 1 >= 4
+        assert all(products + split_products) and stored
         assert all(is_integral_storage(c) for c in stored)
+        assert all(type(p) is int for p in parts)
         if mode == "complex":
-            assert any(type(c) is ComplexRational for c in stored)
+            assert any(type(c) is ComplexRational for c in stored) and any(parts[1::2])
 
 
 def test_linear_algebra_stores_integral_entries(monkeypatch):
@@ -448,7 +532,8 @@ def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
 
 def test_warm_factorization_forms_no_residual(monkeypatch):
     # the lift's proportionality proves product == s A, so the only scaled
-    # matrix is the lift's own s A and no difference is formed
+    # matrix is the lift's own s A, which a Gaussian s forms on int parts,
+    # and no difference is formed
     for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         factorize.factorize_matrix(t, mode)
@@ -457,7 +542,7 @@ def test_warm_factorization_forms_no_residual(monkeypatch):
         result = factorize.factorize_matrix(t, mode)
         monkeypatch.undo()
         assert len(result.factors) == 6
-        assert len(scales) == 1 and differences == []
+        assert len(scales) == (1 if mode == "rational" else 0) and differences == []
 
 
 def test_verifying_a_factorization_multiplies_its_polarities_once(monkeypatch):
