@@ -23,8 +23,8 @@ costs one row per left blade and one index per generator.  An entry is
 built on first use.  The kernel skips a pair whose entry is empty before
 multiplying its coefficients, and no product computes a sign per pair.  It
 works on term dicts: ``Multivector.gp``, ``wedge`` and ``inner`` wrap its
-result, and each step of the grade descent calls it through ``Algebra._gp``,
-or ``Algebra._gp_split`` on split terms, without building a ``Multivector``.
+result, and each step of the grade descent calls it through ``Algebra._gp``
+without building a ``Multivector``.
 
 Coefficients and blade-table entries are stored in the internal form of
 ``scalars.canonical``: plain ``int``s (Gaussian integers in complex mode)
@@ -39,11 +39,11 @@ each coefficient as a (real, imaginary) pair by the one split rule,
 pair once by ``scalars._make``.  ``_gaussian_product`` takes and returns
 split terms: each pair of blades multiplies its coefficients once,
 (a + ib)(c + id) = (ac - bd) + i(ad + bc), and the real table entries scale
-a real and an imaginary sum apart.  ``_product`` looks through both term
-dicts for a ``ComplexRational``: a product of two real ones, every product
-in rational mode, multiplies the coefficients as they are, and any other is
-split, multiplied and joined in that one call.  The grade descent keeps a
-Gaussian remainder split across its steps (``Algebra._gp_split``).
+a real and an imaginary sum apart.  ``_product`` splits, multiplies and
+joins in its one call unless both term dicts are real, as in rational mode.
+The grade descent runs on the working form of ``_working``, which
+``Algebra._gp``, ``_read_off`` and ``_multivector`` take, so only this
+module and ``linalg`` know a scalar's type.
 
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra table caches, is filled idempotently, so concurrent
@@ -327,12 +327,44 @@ class Algebra:
         return table
 
     def _gp(self, x: dict, y: dict) -> dict:
-        """The stored terms of x y, for stored term dicts x and y."""
+        """The working terms of x y, for working terms x (``_working``) and stored terms y."""
+        if type(next(iter(x.values()))) is tuple:
+            return _gaussian_product(x, _split(y), self._gp_rows, self.blade_gp)
         return _product(x, y, self._gp_rows, self.blade_gp)
 
-    def _gp_split(self, x: dict, y: dict) -> dict:
-        """The split terms of x y, for split terms x (``_split``) and stored terms y."""
-        return _gaussian_product(x, _split(y), self._gp_rows, self.blade_gp)
+    def _read_off(self, terms: dict):
+        """Yield k coordinate lists read off the working terms of a nonzero k-vector b.
+
+        For f in F, the largest mask where b is nonzero, the e_j coordinate is
+        the signed coefficient of e_j ^ e_(F-f), turned by conj(b_F) if split
+        (on real terms a rational scale).  Normalized, they are the basis that
+        ``nullspace`` gives for a blade's OPNS; c e_F yields the unit vectors.
+        """
+        top = max(terms)
+        if len(terms) == 1:
+            for f in _bits(top):
+                yield [int(j == f) for j in range(self.dim)]
+            return
+        lead = terms[top]
+        split = type(lead) is tuple
+        lr, li = lead if split else (lead, 0)
+        for f in _bits(top):
+            rest = top ^ (1 << f)
+            coords = [0] * self.dim
+            for j in range(self.dim):
+                if c := terms.get(rest | 1 << j):  # None for j in F - f: b is homogeneous
+                    sign = self.blade_wedge(1 << j, rest)[0][1]
+                    if split:
+                        a, b = c
+                        coords[j] = _make(sign * (a * lr + b * li), sign * (b * lr - a * li))
+                    else:
+                        coords[j] = sign * c
+            yield coords
+
+    def _multivector(self, terms: dict) -> "Multivector":
+        """The multivector of working terms (``_working``), joined when they are split."""
+        split = type(next(iter(terms.values()), None)) is tuple
+        return Multivector._stored(self, _join(terms) if split else terms)
 
     def __repr__(self):
         p, q, r = self.signature()
@@ -349,10 +381,9 @@ def _join(split: dict) -> dict:
     return {m: canonical(_make(r, i)) for m, (r, i) in split.items()}
 
 
-def _times_conjugate(sign: int, c: tuple, lead: tuple):
-    """sign * c * conj(lead) for split c and lead, recombined once by ``scalars._make``."""
-    (a, b), (lr, li) = c, lead
-    return _make(sign * (a * lr + b * li), sign * (b * lr - a * li))
+def _working(terms: dict) -> dict:
+    """The terms a descent multiplies: g's stored terms, split (``_split``) if one is Gaussian."""
+    return _split(terms) if ComplexRational in map(type, terms.values()) else terms
 
 
 def _product(x: dict, y: dict, rows, build) -> dict:

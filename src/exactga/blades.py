@@ -9,9 +9,9 @@ The grade descent splits a versor of maximal grade k into at most k vectors:
 each step multiplies by a non-null vector of the top part's OPNS, which
 lowers that grade by one.  A step probes the OPNS as raw coordinate lists
 and normalizes only its pick.  The remainder g v_1 ... v_i stays a term
-dict, multiplied by each pick through the algebra's product kernel; a
-Gaussian one is split once (``algebra._split``), stays split from step to
-step, and is joined once, into the vector it ends in (``algebra._join``).
+dict in the algebra's working form (``algebra._working``: as stored,
+split into parts for a Gaussian g), which ``Algebra._gp`` multiplies and
+``Algebra._read_off`` reads; this module never looks at a scalar's type.
 The descent lives here, below both models; ``klein`` calls it and
 ``factorize`` re-exports it.
 """
@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, Multivector, NotAVersorError, NullVersorError, Versor
-from .algebra import _bits, _join, _split, _times_conjugate
+from .algebra import _working
 from .linalg import Matrix, normalize_vector, nullspace
-from .scalars import ComplexRational
 
 
 class BladeError(AlgebraError):
@@ -37,8 +36,9 @@ class Blade:
 
     Decomposability is verified on construction at every grade: a nonzero
     k-vector is a blade exactly when the k vectors read off its coefficients
-    (``_read_off``), normalized, each wedge it to zero.  They then span its
-    outer null space, which is kept, so ``opns`` of a blade costs nothing more.
+    (``Algebra._read_off``), normalized, each wedge it to zero.  They then
+    span its outer null space, which is kept, so ``opns`` of a blade costs
+    nothing more.
     """
 
     value: Multivector
@@ -53,7 +53,7 @@ class Blade:
         if self.value.grades() != {self.grade}:
             raise BladeError(f"value is not homogeneous of grade {self.grade}")
         space = tuple(self.algebra.vector(normalize_vector(c))
-                      for c in _read_off(self.algebra, self.value._terms))
+                      for c in self.algebra._read_off(_working(self.value._terms)))
         if any(not v.wedge(self.value).is_zero() for v in space):
             raise BladeError(f"grade-{self.grade} element is not decomposable")
         object.__setattr__(self, "_opns", space)
@@ -71,36 +71,6 @@ class Blade:
 
 def _as_multivector(b) -> Multivector:
     return b.value if isinstance(b, (Blade, Versor)) else b
-
-
-def _read_off(alg: Algebra, terms: dict):
-    """Yield k coordinate lists read off the terms of a nonzero homogeneous k-vector b.
-
-    For f in F, the largest mask where b is nonzero, the e_j coordinate is
-    conj(b_F) times the coefficient of e_j ^ e_(F-f) in b.  When b is a blade
-    they span its OPNS and, normalized, are the basis ``nullspace`` gives for
-    a matrix with that kernel (whose free columns are the largest such mask).
-    A single term c e_F (every grade-n part among them) yields the unit
-    vectors e_f, which those lists normalize to whatever c is.  Split terms
-    give each coordinate on their parts (``algebra._times_conjugate``).
-    """
-    top = max(terms)
-    if len(terms) == 1:
-        for f in _bits(top):
-            yield [int(j == f) for j in range(alg.dim)]
-        return
-    lead = terms[top]
-    split = type(lead) is tuple
-    conj = None if split else lead.conjugate()
-    for f in _bits(top):
-        rest = top ^ (1 << f)
-        coords = [0] * alg.dim
-        for j in range(alg.dim):
-            m = rest | 1 << j
-            if c := terms.get(m):  # None for j in F - f: b is homogeneous
-                sign = alg.blade_wedge(1 << j, rest)[0][1]
-                coords[j] = _times_conjugate(sign, c, lead) if split else sign * c * conj
-        yield coords
 
 
 def _nonzero_blade(b, space: str) -> Blade:
@@ -184,44 +154,37 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
 
     Returns the factors in product order (leftmost first); the rightmost
     factor is the first one extracted by the descent.  A step reads its top
-    part and multiplies by the vector it picks (``_choose``) on term dicts,
-    split ones for a Gaussian versor (module docstring).  The descent ends with
-    g v_1 ... v_k a nonzero scalar or a non-null vector w, and each
-    v_i is non-null, so g = w v_k^-1 ... v_1^-1 is a versor and the factors
-    are right.  A failed descent raises for the norm first, then for the
-    first top part that is no ``Blade`` (joined only here), then with its
-    own error.  The error carries a ``diagnosis`` of the step where it gave
+    part and multiplies by the vector it picks (``_choose``) on working
+    terms (module docstring).  The descent ends with g v_1 ... v_k a nonzero
+    scalar or a non-null vector w, and each v_i is non-null, so
+    g = w v_k^-1 ... v_1^-1 is a versor and the factors are right.  A failed
+    descent raises for the norm first, then for the first top part that is
+    no ``Blade`` (built only here), then with its own error.  The error carries a ``diagnosis`` of the step where it gave
     out, with ``opns_dim`` the number of vectors read off its top part.
     """
     g = _as_multivector(g)
     if g.is_zero():
         raise NullVersorError("zero element cannot be factorized")
-    alg, current, tops, extracted = g.algebra, g._terms, [], []
-    split = ComplexRational in map(type, current.values())
-    if split:
-        current, times = _split(current), alg._gp_split
-    else:
-        times = alg._gp
+    alg, current, tops, extracted = g.algebra, _working(g._terms), [], []
     try:
         k = g.max_grade()
         while k >= 2:
             tops.append({m: c for m, c in current.items() if m.bit_count() == k})
-            v = _choose(alg, _read_off(alg, tops[-1]))
-            current = times(current, {1 << i: c for i, c in enumerate(v) if c})
+            v = _choose(alg, alg._read_off(tops[-1]))
+            current = alg._gp(current, {1 << i: c for i, c in enumerate(v) if c})
             if not current or max(map(int.bit_count, current)) != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
             extracted.append(v)
             k -= 1
         if k == 1:  # a mixed-grade remainder fails in _coordinates, a null one in _choose
-            remainder = Multivector._stored(alg, _join(current) if split else current)
-            extracted.append(_choose(alg, [remainder._coordinates()]))
+            extracted.append(_choose(alg, [alg._multivector(current)._coordinates()]))
     except AlgebraError as exc:
         error, step = exc, len(tops) + (k < 2)  # the remainder is one step past the last part
         try:
             if not g.norm():
                 raise NullVersorError("null versors are outside the factorization domain")
             for i, top in enumerate(tops, 1):
-                Blade.from_multivector(Multivector._stored(alg, _join(top) if split else top))
+                Blade.from_multivector(alg._multivector(top))
         except BladeError as refused:
             error, step, k = refused, i, next(iter(top)).bit_count()  # a top part is homogeneous
         except AlgebraError as refused:

@@ -48,7 +48,6 @@ from .linalg import (
     Matrix,
     _chain_product,
     _normalized_table_product,
-    _table_product,
     normalize_vector,
     nullspace,
     proportionality,
@@ -56,7 +55,6 @@ from .linalg import (
 )
 from .scalars import (
     ATOM_DIGITS,
-    ComplexRational,
     Scalar,
     as_scalar,
     canonical,
@@ -128,7 +126,7 @@ def _skew(x: Sequence) -> Matrix:
     return Matrix(4, 4, tuple(m))
 
 
-def _join(p: Sequence, q: Sequence, what: str) -> tuple:
+def _line_through(p: Sequence, q: Sequence, what: str) -> tuple:
     """The pair minors of two points (or two planes), refusing dependent ones."""
     message = f"{what} need four homogeneous coordinates"
     p, q = (tuple(map(as_scalar, coordinate_list(x, 4, message))) for x in (p, q))
@@ -155,11 +153,11 @@ class PluckerLine:
 
     @classmethod
     def from_points(cls, p: Sequence, q: Sequence) -> "PluckerLine":
-        return cls(_join(p, q, "points"))
+        return cls(_line_through(p, q, "points"))
 
     @classmethod
     def from_planes(cls, u: Sequence, v: Sequence) -> "PluckerLine":
-        return cls(_swap_halves(_join(u, v, "planes")))
+        return cls(_swap_halves(_line_through(u, v, "planes")))
 
     def to_multivector(self) -> Multivector:
         return klein_algebra().vector(self.coords)
@@ -559,18 +557,9 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     s = _normalization_scale(det if points else det * det * det, scalar_mode)
     parity = "even" if t.kind == "collineation" else "odd"
     a, cofactors, table = t.matrix, _cofactor_matrix(t.matrix), _table_transpose(parity)
-    factor = s if points else s / det  # the factor of A in (P, Q)
-    # a Gaussian scale or map: the whole build runs on int parts, normalization included
-    if type(factor) is ComplexRational or ComplexRational in map(type, a.entries):
-        scaled, other = (a.entries, factor), (cofactors.entries, 1)
-        coefficients = _normalized_table_product(
-            table, (scaled, other) if points else (other, scaled))
-    else:
-        scaled, other = a.scale(factor).entries, cofactors.entries
-        coeffs = _table_product(table, scaled + other if points else other + scaled)
-        # c conj(last) is c / last times the positive |last|^2, which normalizing removes
-        conj = next(c for c in reversed(coeffs) if c).conjugate()
-        coefficients = normalize_vector([c * conj for c in coeffs])
+    scaled = (a.entries, s if points else s / det)  # A and its factor in (P, Q)
+    other = (cofactors.entries, 1)
+    coefficients = _normalized_table_product(table, (scaled, other) if points else (other, scaled))
     g = multivector_from_coefficients(coefficients, parity)
     # multiplying by the pseudoscalar switches to the opposite normalization
     # branch without changing the induced map; prefer the shorter factor chain.
@@ -593,11 +582,11 @@ def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:
     The induced line map G has similitude ratio det(A) (points action) or
     det(A)^3 (planes), so with s its exact root T = G/s is an isometry and G
     is never built.  A versor's point table P and plane table Q satisfy
-    Q = +-adj(P)^T / sqrt(det P), so g is read off as M^T (P, Q), with no
-    linear solve: (P, Q) = (s A, adj(A)^T) for the points action,
-    (adj(A)^T, (s / det A) A) for the planes action.  An exact lift exists
-    precisely when the ratio is real and |ratio| is a rational square; a
-    negative ratio forces the complex scalar mode.
+    Q = +-adj(P)^T / sqrt(det P), so g is M^T (P, Q), normalized (a Gaussian
+    g turned by conj of its last coefficient first), with no linear solve:
+    (P, Q) = (s A, adj(A)^T) for points, (adj(A)^T, (s / det A) A) for planes.
+    An exact lift exists precisely when the ratio is real and |ratio| is a
+    rational square; a negative ratio forces the complex scalar mode.
 
     One check proves the result.  The descent ends with g v1 ... vk a
     nonzero scalar or a non-null vector, so the witness is proportional to

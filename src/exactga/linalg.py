@@ -22,12 +22,12 @@ enters as the real block matrix [[Re B, Im B], [-Im B, Re B]], so that
     [Re P | Im P] [[Re B, Im B], [-Im B, Re B]] = [Re PB | Im PB]
 
 keeps the layout from factor to factor on ints (or Fractions).  Each entry
-of the result is recombined once, through ``scalars._make``.
+of the result is recombined once, through ``scalars._make``.  The lift's
+coefficient build, ``_normalized_table_product``, runs real values through
 ``_table_product``, the sparse integer table that reads a versor's
-coefficients off a projective map, runs on real values; for a Gaussian map
-or scale ``_normalized_table_product`` runs the lift's whole build on part
-lists, normalization included (``_normalized_parts``, which
-``normalize_vector`` uses too), recombining each coefficient once.
+coefficients off a projective map, and ``normalize_vector``; a Gaussian map
+or scale runs it on part lists, normalization included (``_normalized_parts``,
+which ``normalize_vector`` uses too), recombining each coefficient once.
 """
 
 from __future__ import annotations
@@ -223,11 +223,17 @@ def _normalized_table_product(table, blocks) -> tuple:
     """``normalize_vector`` of c conj(c_last) for the entries c of a ``_table_product``.
 
     The values are each (entries, factor) block's entries times its factor,
-    and c_last is the last nonzero c; every step runs on part lists.
+    and c_last is the last nonzero c.  On real values conj(c_last) is a
+    rational scale, which normalizing removes, so the entries are normalized
+    as they are; with a Gaussian value every step runs on part lists.
     """
+    blocks = [(entries, canonical(factor)) for entries, factor in blocks]
+    if all(ComplexRational not in map(type, (f, *entries)) for entries, f in blocks):
+        return normalize_vector(_table_product(table, [c * f for entries, f in blocks
+                                                       for c in entries]))
     real, imag = [], []
     for entries, factor in blocks:
-        fr, fi = _parts(canonical(factor))
+        fr, fi = _parts(factor)
         for a, b in map(_parts, entries):
             real.append(a * fr - b * fi)
             imag.append(a * fi + b * fr)

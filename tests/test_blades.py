@@ -303,7 +303,7 @@ def test_single_term_read_off_is_the_unit_vectors(monkeypatch):
                 b = alg.mv({mask: c})
                 expected = [normalize_vector(v) for v in cofactor_read_off(b)]
                 products.clear()
-                assert [tuple(v) for v in blades._read_off(alg, b._terms)] == expected
+                assert [tuple(v) for v in alg._read_off(b._terms)] == expected
                 assert products == []
                 compared += 1
     assert compared == 2 * 63 * 4

@@ -306,6 +306,37 @@ def test_factorize_matches_the_blade_checked_oracle():
             (klein, shape) for klein in (True, False) for shape in range(5)}
 
 
+def outcome_with_diagnosis(g):
+    try:
+        return [f.to_json() for f in factorize_versor(g)]
+    except AlgebraError as exc:
+        return type(exc), str(exc), exc.diagnosis
+
+
+def test_descent_is_blind_to_a_rational_scale():
+    """factorize_versor(c g) equals factorize_versor(g) for a rational c != 0.
+
+    The same factors, or the same error class, message and diagnosis: every
+    pick is normalized, and scaling keeps a vector null or not, so the
+    descent could clear the denominators of g.  A Gaussian c does not hold,
+    since an odd versor's last factor, the remainder vector, keeps its phase.
+    The inputs are ``descent_input``'s five shapes in Cl(3,3) and Cl(4,2),
+    one in four with Gaussian coordinates.
+    """
+    rng = random.Random("factorize/scale-blind")
+    seen = set()
+    for alg in (KLEIN, lie_algebra()):
+        for i in range(40):
+            kinds = gaussian_kinds(i // 4) if i % 4 == 3 else None
+            g = descent_input(rng, alg, i, kinds)
+            expected = outcome_with_diagnosis(g)
+            for c in (Fraction(-3, 7), Fraction(5, 2), 6):
+                assert outcome_with_diagnosis(g * c) == expected
+            seen.add((is_gaussian(g), expected[0] if isinstance(expected, tuple) else list))
+    assert {kind for _, kind in seen} >= {list, NotAVersorError, NullVersorError, BladeError}
+    assert {gaussian for gaussian, _ in seen} == {False, True}
+
+
 def line_isometry(t: ProjTransform4) -> Matrix:
     """T = G / s, for G the induced line map and s a root of its similitude ratio."""
     g = induced_line_map(t)

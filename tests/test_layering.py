@@ -4,7 +4,8 @@ Every import sits at module level, and the imports between the package's
 own modules form no cycle, so each module can be read below the ones it uses.
 Only the blade-table builders of ``algebra`` compute a reordering sign, only
 ``algebra`` names the rows of its blade tables, only ``scalars`` reads the
-parts of a Gaussian value, and popcounts use ``int.bit_count``.
+parts of a Gaussian value, only the kernel modules name the split form,
+and popcounts use ``int.bit_count``.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def test_each_input_rule_is_stated_once():
     users = {name: found for name, tree in modules.items()
              if (found := _users(tree, "coordinate_list"))}
     assert users == {"algebra": {"vector"},
-                     "klein": {"", "_join", "__post_init__", "contains_point"},
+                     "klein": {"", "_line_through", "__post_init__", "contains_point"},
                      "lie": {"", "_triple", "__post_init__"}}
     writers = [node for node in ast.walk(modules["lie"])
                if isinstance(node, ast.FunctionDef) and node.name == "to_json"]
@@ -144,20 +145,40 @@ def _part_reads(tree: ast.Module) -> list[int]:
                   if isinstance(node, ast.Attribute) and node.attr in ("re", "im"))
 
 
+def _definitions(tree: ast.Module) -> set[str]:
+    """The names of every function and class the module defines."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+SPLIT_FORM = ("ComplexRational", "_split", "_join", "_parts", "_make")
+
+
 def test_gaussian_part_split_is_stated_once():
     # scalars._parts splits a Gaussian value into the parts that the product
     # kernels of algebra and linalg multiply, and _make recombines them; the
-    # geometric layers reach the parts only through those kernels
+    # geometric layers name no scalar type and no split helper, and reach
+    # the parts only through those kernels: the descent through
+    # algebra._working, Algebra._gp, _read_off and _multivector, the lift
+    # through linalg._normalized_table_product
     modules = _modules()
     for name in ("klein", "blades", "factorize", "lie", "cli"):
         assert _part_reads(modules[name]) == [], name
-        assert _users(modules[name], "_make") == set(), name
+        assert {n for n in SPLIT_FORM if _users(modules[name], n)} == set(), name
+    for name, tree in modules.items():
+        named = {n for n in ("_gp_split", "_times_conjugate")
+                 if n in _definitions(tree) or _users(tree, n)}
+        assert named == set(), name
+    # one product method and one read-off serve the descent in both forms
+    assert _users(modules["blades"], "_read_off") == {"__post_init__", "factorize_versor"}
+    assert _users(modules["blades"], "_working") == {"", "__post_init__", "factorize_versor"}
+    assert {"_gp", "_read_off", "_multivector"} <= _definitions(modules["algebra"])
 
 
 def test_only_scalars_reads_the_parts_of_a_gaussian_value():
     # the kernels too split through scalars._parts, and the lift's
-    # coefficient build is linalg._table_product, or on int parts
-    # linalg._normalized_table_product
+    # coefficient build is linalg._normalized_table_product, which picks
+    # the real or the part path itself
     modules = _modules()
     readers = {name for name, tree in modules.items() if _part_reads(tree)}
     assert readers == {"scalars"}
@@ -166,7 +187,7 @@ def test_only_scalars_reads_the_parts_of_a_gaussian_value():
     assert users == {"algebra": {"", "_split"},
                      "linalg": {"", "_part_lists", "_lcm_of_denominators",
                                 "_normalized_table_product"}}
-    assert _users(modules["klein"], "_table_product") == {"", "_lift"}
+    assert _users(modules["klein"], "_table_product") == set()
     assert _users(modules["klein"], "_normalized_table_product") == {"", "_lift"}
 
 
@@ -175,6 +196,7 @@ def test_rule_finders_see_their_targets():
                      "def g(x):\n    return f(x) + bin(x).count('1')\n"
                      "class C:\n    def h(self):\n        return m.f\n")
     assert _users(tree, "f") == {"", "g", "h"}
+    assert _definitions(tree) == {"g", "C", "h"}
     assert _bin_counts(tree) == [3]
     assert _part_reads(ast.parse("import re\nx = re.compile(z.im)\ny = w.re\n")) == [2, 3]
 

@@ -162,7 +162,7 @@ def descent_versors() -> list[Multivector]:
 def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
     # each step reads the top blade's outer null space off its coefficients
     for value in descent_versors() + [klein.proj_to_versor(plane_correlation()).value]:
-        spaces = counting(monkeypatch, blades, "_read_off")
+        spaces = counting(monkeypatch, Algebra, "_read_off")
         systems = counting(monkeypatch, linalg, "_gauss_jordan")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
@@ -206,9 +206,10 @@ def test_descent_multiplies_once_per_step(monkeypatch):
 
 
 def test_complex_descent_splits_and_joins_its_remainder_once(monkeypatch):
-    # a Gaussian versor is split into parts once, carried split through every
-    # step and joined once, into the vector it ends in; each step splits only
-    # its vector, and a real descent splits and joins nothing
+    # a Gaussian versor is split into parts once (algebra._working), carried
+    # split through every step and joined once, into the vector it ends in;
+    # each step splits only its vector, and a real descent splits and joins
+    # nothing
     for value in descent_versors():
         splits, joins = [], []
         for attr, calls in (("_split", splits), ("_join", joins)):
@@ -216,8 +217,7 @@ def test_complex_descent_splits_and_joins_its_remainder_once(monkeypatch):
                 _calls.append(terms)
                 return _original(terms)
 
-            for owner in (algebra, blades):  # blades binds the names it imports
-                monkeypatch.setattr(owner, attr, record)
+            monkeypatch.setattr(algebra, attr, record)
         split_products = returns(monkeypatch, algebra, "_gaussian_product")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
@@ -246,7 +246,7 @@ def test_warm_complex_factorization_runs_few_gaussian_operations(monkeypatch):
     t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), "collineation", "points")
     factorize.factorize_matrix(t, "complex")
     on_parts = {f.__code__ for f in (linalg.normalize_vector, linalg._normalized_parts,
-                                     linalg._normalized_table_product, blades._read_off)}
+                                     linalg._normalized_table_product, Algebra._read_off)}
     inside, outside = [], []
     for name in GAUSSIAN_OPERATIONS:
         def operation(*args, _original=getattr(ComplexRational, name), _name=name):
@@ -277,23 +277,25 @@ def test_successful_descent_builds_no_blade(monkeypatch):
 
 
 def test_lift_normalizes_integral_coefficients(monkeypatch):
-    # the lift scales its coefficients by conj(last), the positive |last|^2
-    # times a division by last, so it forms no Fraction to normalize away; a
-    # Gaussian lift normalizes them on their int parts, 32 real and then 32
-    # imaginary, in its one coefficient build
+    # the lift's one coefficient build normalizes real coefficients as they
+    # are, since conj(last) would only scale them, and forms no Fraction to
+    # normalize away; a Gaussian lift normalizes them on their int parts,
+    # 32 real and then 32 imaginary
     for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         normalized = counting(monkeypatch, klein, "normalize_vector")
         builds = counting(monkeypatch, klein, "_normalized_table_product")
+        built = counting(monkeypatch, linalg, "normalize_vector")
         parts = counting(monkeypatch, linalg, "_normalized_parts")
         klein.proj_to_versor(t, mode)
         monkeypatch.undo()
+        assert normalized == [] and len(builds) == 1
         if mode == "rational":
-            assert builds == []
-            assert [len(vec) for (vec,) in normalized] == [32]
-            assert all(is_integral_storage(c) for c in normalized[0][0])
+            assert [len(vec) for (vec,) in built] == [32]
+            assert all(type(c) is int for c in built[0][0])
+            assert parts == []
         else:
-            assert normalized == [] and len(builds) == 1
+            assert built == []
             lift_parts = parts[0][0]  # the lift's, which comes before the descent's
             assert len(lift_parts) == 64 and all(type(p) is int for p in lift_parts)
             assert any(lift_parts[32:])
@@ -306,7 +308,7 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
     assert any(type(c) is ComplexRational for c in value._terms.values())
     # the decomposability wedges of the Blade at each descent step, whose
     # top parts it reads off split
-    parts = counting(monkeypatch, blades, "_read_off")
+    parts = counting(monkeypatch, Algebra, "_read_off")
     blades.factorize_versor(value)
     monkeypatch.undo()
     tops = [Multivector._stored(alg, algebra._join(terms)) for alg, terms in parts]
@@ -403,7 +405,7 @@ def test_wedge_and_inner_read_their_own_tables(monkeypatch):
 
 def test_classification_computes_one_outer_null_space(monkeypatch):
     e = klein.klein_algebra().e
-    spaces = counting(monkeypatch, blades, "_read_off")
+    spaces = counting(monkeypatch, Algebra, "_read_off")
     result = klein.classify_blade(e(1).wedge(e(4)).wedge(e(2) + e(5)))
     assert result.tag is klein.ManifoldKind.REGULUS
     assert len(spaces) == 1
@@ -433,7 +435,7 @@ def test_descents_store_integral_coefficients(monkeypatch):
         built = counting(monkeypatch, Multivector, "__init__")
         products = returns(monkeypatch, algebra, "_product")
         split_products = returns(monkeypatch, algebra, "_gaussian_product")
-        joins = returns(monkeypatch, blades, "_join")
+        joins = returns(monkeypatch, algebra, "_join")
         blades.factorize_versor(value)
         monkeypatch.undo()
         stored = [c for args in built for c in args[0]._terms.values()]
@@ -531,9 +533,9 @@ def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
 
 
 def test_warm_factorization_forms_no_residual(monkeypatch):
-    # the lift's proportionality proves product == s A, so the only scaled
-    # matrix is the lift's own s A, which a Gaussian s forms on int parts,
-    # and no difference is formed
+    # the lift's proportionality proves product == s A, so no difference is
+    # formed, and the lift's coefficient build scales the entries of A
+    # itself, so no scaled matrix is formed either
     for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
         factorize.factorize_matrix(t, mode)
@@ -542,7 +544,7 @@ def test_warm_factorization_forms_no_residual(monkeypatch):
         result = factorize.factorize_matrix(t, mode)
         monkeypatch.undo()
         assert len(result.factors) == 6
-        assert len(scales) == (1 if mode == "rational" else 0) and differences == []
+        assert scales == [] and differences == []
 
 
 def test_verifying_a_factorization_multiplies_its_polarities_once(monkeypatch):
