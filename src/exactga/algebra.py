@@ -99,6 +99,13 @@ class NotAVersorError(AlgebraError):
 _set = object.__setattr__
 
 
+def _proved(cls, **fields):
+    """A frozen dataclass instance from fields its caller proved: ``__post_init__`` is not run."""
+    proved = object.__new__(cls)
+    proved.__dict__.update(fields)
+    return proved
+
+
 def _bits(mask: int) -> Iterable[int]:
     while mask:
         low = mask & -mask
@@ -731,13 +738,6 @@ class Versor:
                 raise AlgebraError("witness product does not match the versor value")
 
     @classmethod
-    def _proved(cls, value: Multivector, parity: str, witness: tuple) -> "Versor":
-        """A versor whose caller proved the witness: its product is not formed."""
-        versor = object.__new__(cls)
-        versor.__dict__.update(value=value, parity=parity, witness=witness)
-        return versor
-
-    @classmethod
     def from_vectors(cls, algebra: Algebra, vectors: Sequence[Multivector]) -> "Versor":
         prod = algebra.scalar(1)
         for v in vectors:
@@ -753,9 +753,9 @@ class Versor:
         return self.value.norm()
 
     def inverse(self) -> "Versor":
-        inv = self.value.inverse()
+        # conj(v1 ... vk) = (-1)^k vk ... v1: the reversed witness is proportional to the inverse
         wit = tuple(reversed(self.witness)) if self.witness else None
-        return Versor(inv, self.parity, wit)
+        return _proved(Versor, value=self.value.inverse(), parity=self.parity, witness=wit)
 
     def sandwich(self, x: Multivector) -> Multivector:
         return sandwich(self.value, x)

@@ -159,8 +159,9 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     scalar or a non-null vector w, and each v_i is non-null, so
     g = w v_k^-1 ... v_1^-1 is a versor and the factors are right.  A failed
     descent raises for the norm first, then for the first top part that is
-    no ``Blade`` (built only here), then with its own error.  The error carries a ``diagnosis`` of the step where it gave
-    out, with ``opns_dim`` the number of vectors read off its top part.
+    no ``Blade`` (built only here), then with its own error.  The error
+    carries a ``diagnosis`` of the step where it gave out, with ``opns_dim``
+    the number of vectors read off its top part.
     """
     g = _as_multivector(g)
     if g.is_zero():

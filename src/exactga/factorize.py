@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Multivector
+from .algebra import Multivector, _proved
 from .blades import NoNonNullVectorError, choose_nonnull_vector, factorize_versor
 from .klein import (
     NullPolarity,
@@ -31,11 +31,11 @@ from .scalars import Scalar, as_scalar, format_scalar
 class FactorizationResult:
     """Vector factors of a transformation and their exact matrix certificate.
 
-    ``verify_factorization`` reads ``residual`` only when ``from_json`` formed
-    it against the same matrix (``_against``); otherwise, a caller's residual
-    included, it multiplies the polarities afresh.  ``verified`` trusts only
-    a residual the lift or ``from_json`` formed (``_formed``), so a result
-    built by the constructor or ``dataclasses.replace`` is not verified.
+    ``_against`` is the matrix whose certificate the library proved: by the
+    lift's ``proportionality`` (the zero ``residual`` is not formed), or by
+    the residual that ``from_json`` forms.  ``verified`` trusts only those,
+    so a result built by the constructor or ``dataclasses.replace`` is not
+    verified, and ``verify_factorization`` multiplies its polarities out.
     """
 
     factors: tuple[Multivector, ...]
@@ -43,10 +43,9 @@ class FactorizationResult:
     scale: Scalar
     residual: Matrix
     _against: Matrix | None = field(default=None, init=False, repr=False, compare=False)
-    _formed: bool = field(default=False, init=False, repr=False, compare=False)
 
     def verified(self) -> bool:
-        return self._formed and self.residual.is_zero() and bool(self.scale)
+        return self._against is not None and self.residual.is_zero() and bool(self.scale)
 
     def to_json(self) -> dict:
         return {
@@ -62,10 +61,9 @@ class FactorizationResult:
         polarities = tuple(NullPolarity.from_json(p) for p in data["polarities"])
         scale = as_scalar(data["scale"])
         a = transform.matrix
-        result = cls(factors, polarities, scale, _polarity_product(polarities) - a.scale(scale))
-        object.__setattr__(result, "_against", a)
-        object.__setattr__(result, "_formed", True)
-        return result
+        residual = _polarity_product(polarities) - a.scale(scale)
+        return _proved(cls, factors=factors, polarities=polarities, scale=scale,
+                       residual=residual, _against=a)
 
 
 # the residual of every lifted factorization: the lift's ``proportionality``
@@ -82,18 +80,18 @@ def factorize_matrix(t: ProjTransform4, scalar_mode: str = "rational") -> Factor
     product = scale * input, all within the lift (``klein._lift``).
     """
     versor, polarities, scale = _lift(t, scalar_mode)
-    result = FactorizationResult(versor.witness, polarities, scale, _PROVED)
-    object.__setattr__(result, "_formed", True)
-    return result
+    return _proved(FactorizationResult, factors=versor.witness, polarities=polarities,
+                   scale=scale, residual=_PROVED, _against=t.matrix)
 
 
 def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool:
     """Exact acceptance check of a factorization against its transformation.
 
     Every polarity must be a ``NullPolarity``, whose constructors prove its
-    matrix skew (the public one checks it, ``NullPolarity._proved`` builds it
-    skew), so skewness is not checked again here.  Nor is nullness: a null
+    matrix skew (the public one checks it, ``vector_to_null_polarity`` builds
+    it skew), so skewness is not checked again here.  Nor is nullness: a null
     factor's polarity is singular, so no product with it equals scale * A.
+    Last, a result proved against ``t.matrix`` is read; any other is multiplied out.
     """
     if len(result.factors) > 6 or len(result.factors) != len(result.polarities):
         return False

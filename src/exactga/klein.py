@@ -9,10 +9,11 @@ so a vector squares to 2*(x1*x4 + x2*x5 + x3*x6) and lies on the quadric of
 lines exactly when the classical relation l01*l23 + l02*l31 + l03*l12 = 0
 holds.  ``_PAIRS`` is the one statement of that order: the pair minors of
 two points, the entries of every skew 4x4 matrix, and the columns of the
-induced line map and of the cofactor matrix are read off it.  Exchanging points and planes swaps the
-two coordinate halves (``_swap_halves``); that swap is the point-plane
-duality, so the line of two planes, the common plane of two lines and the
-plane matrix of a line are the swapped point constructions.
+induced line map and of the cofactor matrix are read off it.  Exchanging
+points and planes swaps the two coordinate halves (``_swap_halves``); that
+swap is the point-plane duality, so the line of two planes, the common
+plane of two lines and the plane matrix of a line are the swapped point
+constructions.
 
 Grade-1 versors correspond to null polarities (skew-symmetric 4x4
 matrices), and a versor acts on P^3 through the product of its factors'
@@ -40,6 +41,7 @@ from .algebra import (
     Multivector,
     NotAVersorError,
     Versor,
+    _proved,
     bilinear,
     coordinate_list,
 )
@@ -257,13 +259,6 @@ class NullPolarity:
         if not self.matrix.is_skew():
             raise AlgebraError("polarity matrix must be skew-symmetric")
 
-    @classmethod
-    def _proved(cls, matrix: Matrix, action: str) -> "NullPolarity":
-        """A polarity whose 4x4 matrix is skew by construction: no check is run."""
-        polarity = object.__new__(cls)
-        polarity.__dict__.update(matrix=matrix, action=action)
-        return polarity
-
     def to_json(self) -> dict:
         return {"matrix": self.matrix.to_json(), "action": self.action, "skew": True}
 
@@ -289,13 +284,6 @@ class Sandwich6:
             raise AlgebraError("matrix does not preserve the quadric form")
         object.__setattr__(self, "_ratio", ratio)
 
-    @classmethod
-    def _proved(cls, matrix: Matrix, ratio) -> "Sandwich6":
-        """A 6x6 line map whose caller knows its ratio in closed form: M^T Q M is not formed."""
-        line_map = object.__new__(cls)
-        line_map.__dict__.update(matrix=matrix, _ratio=as_scalar(ratio))
-        return line_map
-
     def similitude_ratio(self) -> Scalar:
         """The exact ratio in M^T Q M = ratio * Q; zero for degenerate maps."""
         return self._ratio
@@ -317,9 +305,9 @@ def vector_sandwich_matrix(a: Multivector) -> Sandwich6:
     x = a.coordinates()
     pairing = _swap_halves(x)  # b(a, e_j) under the form [[0,I],[I,0]]
     square = bilinear(a, a)
-    return Sandwich6._proved(Matrix.from_rows(
-        [[2 * x[i] * pairing[j] - (square if i == j else 0) for j in range(6)]
-         for i in range(6)]), square * square)
+    matrix = Matrix.from_rows([[2 * x[i] * pairing[j] - (square if i == j else 0)
+                                for j in range(6)] for i in range(6)])
+    return _proved(Sandwich6, matrix=matrix, _ratio=as_scalar(square * square))
 
 
 def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
@@ -337,7 +325,7 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
     _check_action(action)
     x = a._coordinates()
     m = _skew([-c for c in _swap_halves(x)] if action == "points" else x)
-    return NullPolarity._proved(m, action)
+    return _proved(NullPolarity, matrix=m, action=action)
 
 
 def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None) -> Multivector:
@@ -493,7 +481,7 @@ def induced_line_map(t: ProjTransform4) -> Sandwich6:
     if planes != (t.kind == "correlation"):
         cols = [_swap_halves(c) for c in cols]
     matrix = Matrix.from_rows([[c[r] for c in cols] for r in range(6)])
-    return Sandwich6._proved(matrix, det * det * det if planes else det)
+    return _proved(Sandwich6, matrix=matrix, _ratio=as_scalar(det * det * det if planes else det))
 
 
 # -- lifting matrices to versors ---------------------------------------------------
@@ -573,7 +561,7 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     if scale is None:
         raise NotLiftableError("no versor of the requested parity induces this map",
                                {"reason": "empty-kernel"})
-    return Versor._proved(value, parity, witness), polarities, scale
+    return _proved(Versor, value=value, parity=parity, witness=witness), polarities, scale
 
 
 def proj_to_versor(t: ProjTransform4, scalar_mode: str = "rational") -> Versor:

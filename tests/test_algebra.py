@@ -385,6 +385,21 @@ def test_versor_inverse_keeps_witness():
     gi = g.inverse()
     assert g.value.gp(gi.value) == KLEIN.scalar(1)
     assert gi.witness == (v2, v1)
+    # the reversed witness is proved, not multiplied out: the checked
+    # constructor accepts the same fields
+    for versor in (g, Versor.from_vectors(KLEIN, [v1, v2, E(3) + 2 * E(6)]),
+                   Versor(g.value, "even")):
+        inverse = versor.inverse()
+        assert inverse == Versor(inverse.value, inverse.parity, inverse.witness)
+        assert versor.value.gp(inverse.value) == KLEIN.scalar(1)
+
+
+def test_versor_accessors():
+    g = Versor.from_vectors(KLEIN, [E(1) + E(4), E(2) + E(5)])  # each factor squares to 2
+    assert g.algebra is KLEIN
+    assert g.norm() == 4
+    x = E(3) - E(6)
+    assert g.sandwich(x) == sandwich(g, x) == g.value.gp(x).gp(g.value.conjugate())
 
 
 def test_signature():
@@ -395,6 +410,8 @@ def test_signature():
     form = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     assert Algebra(form).signature() == (1, 2, 0)
     assert Algebra(form.scale(-1)).signature() == (2, 1, 0)
+    # no nonzero diagonal entry after a zero one: the off-diagonal pair is summed
+    assert Algebra(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]])).signature() == (1, 1, 1)
 
 
 # -- hypothesis property checks -----------------------------------------------------------------------

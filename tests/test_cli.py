@@ -2,9 +2,11 @@ import copy
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import sys
+from itertools import permutations
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -109,6 +111,59 @@ def test_descent_refusals_report_their_diagnosis():
                 "error": "span is totally isotropic",
                 "detail": {"stage": "descent", "step": 1, "grade": 2, "opns_dim": 2,
                            "reason": "totally-isotropic"}})
+
+
+def _leibniz_det(rows) -> int:
+    total = 0
+    for perm in permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = math.prod(rows[i][perm[i]] for i in range(4))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _liftability_code(rows, action: str, mode: str) -> int:
+    """The exit code an exact lift predicts: the similitude ratio r must be a square."""
+    det = _leibniz_det(rows)
+    if not det:
+        return 65
+    r = det if action == "points" else det ** 3
+    if mode == "complex":
+        return 0 if _is_square(abs(r)) else 1
+    return 0 if _is_square(r) else 2 if _is_square(-r) else 1
+
+
+_ENTRIES = st.integers(-3, 3)
+DENSE_MATRICES = st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@st.composite
+def near_identity_matrices(draw):
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(draw(st.integers(1, 6))):
+        rows[draw(st.integers(0, 3))][draw(st.integers(0, 3))] = draw(_ENTRIES)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(DENSE_MATRICES, near_identity_matrices()),
+       st.sampled_from(("collineation", "correlation")), st.sampled_from(("points", "planes")),
+       st.sampled_from(("rational", "complex")))
+def test_factorize_exit_code_is_the_liftability_predicate(rows, kind, action, mode):
+    # a regular map lifts exactly when its similitude ratio (det A for
+    # points, det(A)^3 for planes) is a rational square, or minus a square
+    # in complex mode; the one hole is a totally isotropic descent step
+    job = {"matrix": as_str_matrix(rows), "kind": kind, "action": action}
+    code, report = run_job("factorize", job, {"scalar_mode": mode})
+    expected = _liftability_code(rows, action, mode)
+    if (code, expected) == (1, 0):
+        assert report["detail"]["reason"] == "totally-isotropic"
+    else:
+        assert code == expected, report
 
 
 def test_parse_failure_exit_code(capsys):
@@ -247,6 +302,29 @@ def test_lie_laguerre_mode(capsys):
     report = json.loads(out)
     assert report["laguerre"] is True
     assert report["a1_plus_a2"] == "0"
+
+
+def test_batch_entry_without_a_command_is_a_parse_error(capsys):
+    code, out = run_cli(capsys, ["--command", "factorize"], [{"payload": REFERENCE_JOB}])
+    assert code == 64
+    assert json.loads(out) == [{"error": "batch entries need a 'command' field"}]
+
+
+def test_input_that_is_not_json_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{nope"))
+    assert main(["--command", "factorize"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input is not valid JSON: ")
+
+
+def test_lie_contact_off_the_quadric_reports_both_coordinates():
+    # a plane's normal must be a unit vector for its point to lie on the quadric
+    payload = {"a": {"variant": "plane", "normal": ["1", "1", "0"], "offset": "0"},
+               "b": {"variant": "point", "position": ["0", "0", "0"]}}
+    assert run_job("lie-contact", payload, {}) == (1, {
+        "error": "oriented contact needs quadric points",
+        "detail": {"a_coordinates": ["0", "0", "1", "1", "0", "1"],
+                   "b_coordinates": ["1/2", "1/2", "0", "0", "0", "0"]}})
 
 
 def test_batch_mode_isolation(capsys):
@@ -718,6 +796,8 @@ def test_malformed_payloads_name_the_field_and_the_expected_type():
              "field 'matrix' is missing from 'payload': expected an array"),
             ("verify", {"result": {}},
              "field 'transform' is missing from 'payload': expected an object"),
+            ("verify", {"transform": REFERENCE_JOB, "result": {"factors": [], "polarities": []}},
+             "field 'scale' is missing from 'result': expected a scalar"),
             ("factorize", dict(REFERENCE_JOB, kind="lines"),
              "field 'kind' must be 'collineation' or 'correlation', not 'lines'"),
             ("factorize", dict(REFERENCE_JOB, matrix=[["1", "0", "3", "0"]] * 3 + [None]),

@@ -5,7 +5,8 @@ own modules form no cycle, so each module can be read below the ones it uses.
 Only the blade-table builders of ``algebra`` compute a reordering sign, only
 ``algebra`` names the rows of its blade tables, only ``scalars`` reads the
 parts of a Gaussian value, only the kernel modules name the split form,
-and popcounts use ``int.bit_count``.
+popcounts use ``int.bit_count``, one builder makes the values whose
+fields their caller proved, and no source line is wider than 100 columns.
 """
 
 from __future__ import annotations
@@ -77,22 +78,53 @@ def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
-def _users(tree: ast.Module, name: str) -> set[str]:
-    """The innermost function around each use of ``name``; "" at module level."""
+def _owners(tree: ast.Module, matches) -> set[str]:
+    """The innermost function around each node that ``matches``; "" at module level."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+        if matches(node):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, "")
     return found
+
+
+def _users(tree: ast.Module, name: str) -> set[str]:
+    """The innermost function around each use of ``name``; "" at module level."""
+    return _owners(tree, lambda node: (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and name in (node.name, node.asname)))
+
+
+def _object_new_users(tree: ast.Module) -> set[str]:
+    """The innermost function around each ``object.__new__``."""
+    return _owners(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"))
+
+
+def _methods(tree: ast.Module, name: str) -> list[str]:
+    """The classes that define a method called ``name``."""
+    return [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name]
+
+
+def _hidden_fields(tree: ast.Module, class_name: str) -> list[str]:
+    """The dataclass fields of ``class_name`` declared ``field(..., init=False)``."""
+    return [node.target.id for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == class_name
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in node.value.keywords)]
 
 
 def _bin_counts(tree: ast.Module) -> list[int]:
@@ -191,6 +223,32 @@ def test_only_scalars_reads_the_parts_of_a_gaussian_value():
     assert _users(modules["klein"], "_normalized_table_product") == {"", "_lift"}
 
 
+def test_a_proof_is_recorded_one_way():
+    # algebra._proved builds every value whose fields its caller proved;
+    # Multivector._stored (a slots class on the product path) and the
+    # scalar constructors are the other allocators that skip a check
+    modules = _modules()
+    assert {name: found for name, tree in modules.items()
+            if (found := _methods(tree, "_proved"))} == {}
+    assert [name for name, tree in modules.items()
+            if "_proved" in {node.name for node in tree.body
+                             if isinstance(node, ast.FunctionDef)}] == ["algebra"]
+    users = {name: found for name, tree in modules.items()
+             if (found := _object_new_users(tree))}
+    assert set(users) == {"algebra", "scalars"}
+    assert users["algebra"] == {"_proved", "_stored"}
+    # a factorization records the matrix its certificate was proved
+    # against in one hidden field, set by _proved and never afterwards
+    assert _hidden_fields(modules["factorize"], "FactorizationResult") == ["_against"]
+    assert _users(modules["factorize"], "__setattr__") == set()
+
+
+def test_source_lines_fit_in_100_columns():
+    wide = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(p.read_text().splitlines(), 1) if len(line) > 100]
+    assert wide == []
+
+
 def test_rule_finders_see_their_targets():
     tree = ast.parse("from m import f\n"
                      "def g(x):\n    return f(x) + bin(x).count('1')\n"
@@ -199,6 +257,12 @@ def test_rule_finders_see_their_targets():
     assert _definitions(tree) == {"g", "C", "h"}
     assert _bin_counts(tree) == [3]
     assert _part_reads(ast.parse("import re\nx = re.compile(z.im)\ny = w.re\n")) == [2, 3]
+    tree = ast.parse("a = object.__new__\nclass K:\n    x: int = field(init=False)\n"
+                     "    y: int = field(default=0)\n"
+                     "    def _proved(self):\n        return object.__new__(K)\n")
+    assert _object_new_users(tree) == {"", "_proved"}
+    assert _methods(tree, "_proved") == ["K"]
+    assert _hidden_fields(tree, "K") == ["x"]
 
 
 def test_no_imports_inside_functions():

@@ -17,10 +17,11 @@ outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form at all, a second polarity
 product or a second ``scale * A`` in a verify job, a residual formed by a
-factorization, a verify of a factorization that takes a product it did
-not form, a ``ComplexRational`` operation inside ``normalize_vector``,
-the descent's read-off or the lift's Gaussian coefficient build, more than
-110 of them in a warm complex factorization, or a complex descent that
+factorization, a verify that multiplies again the polarities its lift
+proved against the same matrix, a ``ComplexRational`` operation inside
+``normalize_vector``, the descent's read-off or the lift's Gaussian
+coefficient build, more than 110 of them in a warm complex factorization,
+or a complex descent that
 splits or joins its remainder more than once fails here even when its
 output stays the same.  The storage guards require the integer core: int
 blade and coefficient tables, and int or Gaussian-int coefficients in
@@ -28,6 +29,7 @@ every multivector and kernel product of a descent and in every
 matrix of the linear algebra.
 """
 
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -548,11 +550,25 @@ def test_warm_factorization_forms_no_residual(monkeypatch):
 
 
 def test_verifying_a_factorization_multiplies_its_polarities_once(monkeypatch):
-    # a result of factorize_matrix keeps no product, so verify forms it once
-    for rows, mode in ((REFERENCE_COLLINEATION, "rational"), (COMPLEX_VARIANT, "complex")):
+    # the lift's proportionality proved the product a multiple of its own
+    # matrix, so verify forms no product for it; against another matrix,
+    # and for a copy the library did not build, it forms the product once
+    cases = ((REFERENCE_COLLINEATION, COMPLEX_VARIANT, "rational"),
+             (COMPLEX_VARIANT, REFERENCE_COLLINEATION, "complex"))
+    for rows, other_rows, mode in cases:
         t = klein.ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        other = klein.ProjTransform4(Matrix.from_rows(other_rows), "collineation", "points")
         result = factorize.factorize_matrix(t, mode)
         chains = counting(monkeypatch, factorize, "_polarity_product")
         assert factorize.verify_factorization(result, t)
-        monkeypatch.undo()
+        assert chains == []
+        assert not factorize.verify_factorization(result, other)
         assert [args[0] for args in chains] == [result.polarities]
+        copies = (dataclasses.replace(result),
+                  factorize.FactorizationResult(result.factors, result.polarities,
+                                                result.scale, result.residual))
+        for copy in copies:
+            chains.clear()
+            assert factorize.verify_factorization(copy, t) and not copy.verified()
+            assert [args[0] for args in chains] == [result.polarities]
+        monkeypatch.undo()
