@@ -56,7 +56,6 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .linalg import Matrix, ratio
@@ -144,11 +143,10 @@ class Algebra:
             raise AlgebraError("form matrix must be symmetric")
         self.form = form
         self.dim = form.rows
-        self._metric = tuple(tuple(canonical(form[i, j]) for j in range(self.dim))
-                             for i in range(self.dim))
-        if any(type(c) is ComplexRational for row in self._metric for c in row):
+        if ComplexRational in map(type, form.entries):
             # the product splits Gaussian coefficients against real blade tables
             raise AlgebraError("form matrix must be real")
+        self._metric = tuple(map(form.row, range(self.dim)))  # stored entries: internal form
         # the nonzero entries (i, j, b_ij) of the form, for b on coordinate lists
         self._form_terms = tuple((i, j, m) for i, row in enumerate(self._metric)
                                  for j, m in enumerate(row) if m)
@@ -163,12 +161,19 @@ class Algebra:
     def same_as(self, other: "Algebra") -> bool:
         return self is other or self.form == other.form
 
+    def _check_member(self, x: "Multivector", message: str) -> None:
+        """Refuse an element of another algebra with ``AlgebraMismatchError(message)``."""
+        if not self.same_as(x.algebra):
+            raise AlgebraMismatchError(message)
+
     def metric(self, i: int, j: int) -> Scalar:
         return public(self.form[i, j])
 
     def _bilinear(self, x: Sequence, y: Sequence) -> Scalar:
-        """b(x, y) of two internal coordinate lists, in the internal form."""
-        return sum(x[i] * m * y[j] for i, j, m in self._form_terms)
+        """b(x, y) of two coordinate lists; internal lists give the internal form.
+
+        A unit form entry is not multiplied in: one Fraction or Gaussian operation less."""
+        return sum(x[i] * y[j] if m == 1 else x[i] * y[j] * m for i, j, m in self._form_terms)
 
     def is_degenerate(self) -> bool:
         return self._degenerate
@@ -241,18 +246,10 @@ class Algebra:
         return Multivector(self, {1 << i: c for i, c in enumerate(coords)})
 
     def basis_masks(self, grade: int | None = None, parity: str | None = None) -> list[int]:
-        """Masks ordered grade-major, then lexicographic on index tuples."""
-        masks = []
-        grades = [grade] if grade is not None else range(self.dim + 1)
-        for k in grades:
-            if parity == "even" and k % 2:
-                continue
-            if parity == "odd" and k % 2 == 0:
-                continue
-            level = [sum(1 << (i - 1) for i in combo)
-                     for combo in combinations(range(1, self.dim + 1), k)]
-            masks.extend(level)
-        return masks
+        """The masks of one grade, of one parity or all, in the listing order (``_listing_key``)."""
+        kept = {"even": (0,), "odd": (1,)}.get(parity, (0, 1))
+        return sorted((m for m in range(1 << self.dim) if m.bit_count() % 2 in kept
+                       and (grade is None or m.bit_count() == grade)), key=_listing_key)
 
     def pseudoscalar(self) -> "Multivector":
         if self.is_degenerate():
@@ -438,6 +435,11 @@ def _gaussian_product(x: dict, y: dict, rows, build) -> dict:
     return {m: (r, i) for m, r in real.items() if (i := imag[m]) or r}
 
 
+def _listing_key(mask: int) -> tuple:
+    """The listing order of blades: grade-major, then lexicographic on index tuples."""
+    return mask.bit_count(), tuple(_bits(mask))
+
+
 def _blade_name(mask: int) -> str:
     if mask == 0:
         return ""
@@ -522,8 +524,7 @@ class Multivector:
     # -- ring structure -------------------------------------------------------
 
     def _check(self, other: "Multivector"):
-        if not self.algebra.same_as(other.algebra):
-            raise AlgebraMismatchError("operands live in different algebras")
+        self.algebra._check_member(other, "operands live in different algebras")
 
     def __add__(self, other):
         if not isinstance(other, Multivector):
@@ -568,7 +569,7 @@ class Multivector:
     def __eq__(self, other):
         if isinstance(other, Multivector):
             return self.algebra.same_as(other.algebra) and self._terms == other._terms
-        if isinstance(other, (int, Fraction, ComplexRational)):
+        if isinstance(other, (int, Fraction, ComplexRational)) and type(other) is not bool:
             s = canonical(other)
             if not s:
                 return self.is_zero()
@@ -650,8 +651,8 @@ class Multivector:
         return terms_text(self.to_json())
 
     def to_json(self) -> list[dict]:
-        ordered = sorted(self._terms, key=lambda m: (m.bit_count(), tuple(_bits(m))))
-        return [{"mask": m, "coeff": format_scalar(self._terms[m])} for m in ordered]
+        return [{"mask": m, "coeff": format_scalar(self._terms[m])}
+                for m in sorted(self._terms, key=_listing_key)]
 
     @classmethod
     def from_json(cls, algebra: Algebra, data) -> "Multivector":
@@ -702,6 +703,7 @@ def sandwich(g, x: Multivector) -> Multivector:
 
 def bilinear(v: Multivector, w: Multivector) -> Scalar:
     """The symmetric form b(v, w) of two grade-1 elements; b(v, v) = v*v."""
+    v._check(w)
     return public(v.algebra._bilinear(v._coordinates(), w._coordinates()))
 
 
@@ -729,21 +731,15 @@ class Versor:
         if self.value.is_zero() or vp != self.parity:
             raise AlgebraError(f"value is not a pure {self.parity} element")
         if self.witness is not None:
-            prod = self.value.algebra.scalar(1)
-            for v in self.witness:
-                if v.grades() != {1}:
-                    raise AlgebraError("witness factors must be grade-1 elements")
-                prod = prod.gp(v)
-            if proportional(prod, self.value) is None:
+            if any(v.grades() != {1} for v in self.witness):
+                raise AlgebraError("witness factors must be grade-1 elements")
+            if proportional(_product_of(self.algebra, self.witness), self.value) is None:
                 raise AlgebraError("witness product does not match the versor value")
 
     @classmethod
     def from_vectors(cls, algebra: Algebra, vectors: Sequence[Multivector]) -> "Versor":
-        prod = algebra.scalar(1)
-        for v in vectors:
-            prod = prod.gp(v)
         parity = "even" if len(vectors) % 2 == 0 else "odd"
-        return cls(prod, parity, tuple(vectors))
+        return cls(_product_of(algebra, vectors), parity, tuple(vectors))
 
     @property
     def algebra(self) -> Algebra:
@@ -759,3 +755,11 @@ class Versor:
 
     def sandwich(self, x: Multivector) -> Multivector:
         return sandwich(self.value, x)
+
+
+def _product_of(algebra: Algebra, vectors: Sequence[Multivector]) -> Multivector:
+    """The geometric product of ``vectors`` in ``algebra``, left to right (1 for none)."""
+    prod = algebra.scalar(1)
+    for v in vectors:
+        prod = prod.gp(v)
+    return prod

@@ -120,6 +120,8 @@ def choose_nonnull_vector(space: list[Multivector]) -> Multivector:
     """The normalized non-null vector ``_choose`` picks from the span of a grade-1 basis."""
     if not space:
         raise NoNonNullVectorError("empty span")
+    for v in space:
+        space[0]._check(v)
     alg = space[0].algebra
     return alg.vector(_choose(alg, [v._coordinates() for v in space]))
 

@@ -22,7 +22,7 @@ import traceback
 from contextlib import contextmanager, nullcontext
 
 from .algebra import AlgebraError, terms_text
-from .factorize import FactorizationResult, factorize_matrix, verify_factorization
+from .factorize import FactorizationResult, _failed_check, factorize_matrix
 from .klein import (
     ACTIONS,
     KINDS,
@@ -173,10 +173,10 @@ def cmd_verify(payload, opts: dict) -> dict:
     _check(payload, {"result": _RESULT}, "payload")
     with _field("result"):
         result = FactorizationResult.from_json(payload["result"], t)
-    ok = verify_factorization(result, t)
-    report = {"verified": ok, "scale": format_scalar(result.scale)}
-    if not ok:
-        raise JobError(EXIT_FAILED, "verification failed", report)
+    failed = _failed_check(result, t)
+    report = {"verified": failed is None, "scale": format_scalar(result.scale)}
+    if failed:
+        raise JobError(EXIT_FAILED, "verification failed", {**report, "stage": "verify", **failed})
     return report
 
 

@@ -93,22 +93,26 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
     factor's polarity is singular, so no product with it equals scale * A.
     Last, a result proved against ``t.matrix`` is read; any other is multiplied out.
     """
-    if len(result.factors) > 6 or len(result.factors) != len(result.polarities):
-        return False
-    expected_parity = 0 if t.kind == "collineation" else 1
-    if len(result.factors) % 2 != expected_parity:
-        return False
+    return _failed_check(result, t) is None
+
+
+def _failed_check(result: FactorizationResult, t: ProjTransform4) -> dict | None:
+    """The first failing check of ``verify_factorization``, or None; a factor has its index."""
+    n = len(result.factors)
+    if n > 6 or n != len(result.polarities):
+        return {"check": "count"}
+    if n % 2 != (0 if t.kind == "collineation" else 1):
+        return {"check": "parity"}
     if not all(type(p) is NullPolarity for p in result.polarities):
-        return False
-    for f, p in zip(result.factors, result.polarities):
+        return {"check": "polarity-type"}
+    for index, (f, p) in enumerate(zip(result.factors, result.polarities), 1):
         # each factor is the vector its polarity was built from
         if p.matrix.is_zero() or f != null_polarity_to_vector(p):
-            return False
-    actions = [p.action for p in result.polarities]
-    if actions != _alternating_actions(len(actions), t.action):
-        return False
+            return {"check": "factor", "index": index}
+    if [p.action for p in result.polarities] != _alternating_actions(n, t.action):
+        return {"check": "actions"}
     if not result.scale:
-        return False
-    if result._against == t.matrix:
-        return result.residual.is_zero()
-    return _polarity_product(result.polarities) == t.matrix.scale(result.scale)
+        return {"check": "scale"}
+    proved = (result.residual.is_zero() if result._against == t.matrix
+              else _polarity_product(result.polarities) == t.matrix.scale(result.scale))
+    return None if proved else {"check": "product"}

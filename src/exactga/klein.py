@@ -37,7 +37,6 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     AlgebraError,
-    AlgebraMismatchError,
     Multivector,
     NotAVersorError,
     Versor,
@@ -93,11 +92,8 @@ def _check_action(action: str) -> None:
 
 @lru_cache(maxsize=1)
 def klein_algebra() -> Algebra:
-    rows = [[Fraction(0)] * 6 for _ in range(6)]
-    for i in range(3):
-        rows[i][i + 3] = Fraction(1)
-        rows[i + 3][i] = Fraction(1)
-    return Algebra(Matrix.from_rows(rows))
+    """The algebra of the form [[0,I],[I,0]]: the identity with its halves swapped."""
+    return Algebra(Matrix.from_rows(_swap_halves(Matrix.identity(6).row_lists())))
 
 
 def klein_form_value(x: Sequence) -> Scalar:
@@ -166,6 +162,7 @@ class PluckerLine:
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "PluckerLine":
+        klein_algebra()._check_member(mv, "Pluecker lines come from line-geometry elements")
         return cls(mv.coordinates())
 
     def point_matrix(self) -> Matrix:
@@ -298,8 +295,7 @@ def vector_sandwich_matrix(a: Multivector) -> Sandwich6:
     Column j is the image a e_j a = 2*b(a,e_j)a - b(a,a)*e_j, so the matrix
     is 2*b(a,.)a - b(a,a)*Id, read off the coordinates with no product.
     """
-    if not a.algebra.same_as(klein_algebra()):
-        raise AlgebraMismatchError("sandwich matrix needs a line-geometry element")
+    klein_algebra()._check_member(a, "sandwich matrix needs a line-geometry element")
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("sandwich matrix needs a grade-1 element")
     x = a.coordinates()
@@ -318,8 +314,7 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
     singular exactly when the vector is null.  ``_skew`` builds it skew, so
     the check of the public ``NullPolarity`` constructor is not run.
     """
-    if not a.algebra.same_as(klein_algebra()):
-        raise AlgebraMismatchError("null polarities come from line-geometry elements")
+    klein_algebra()._check_member(a, "null polarities come from line-geometry elements")
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("null polarities come from grade-1 elements")
     _check_action(action)
@@ -353,8 +348,7 @@ def _masks(parity: str) -> tuple:
 
 def coefficient_vector(mv: Multivector, parity: str) -> list:
     """Coefficients of a line-geometry element in the canonical listing order."""
-    if not mv.algebra.same_as(klein_algebra()):
-        raise AlgebraMismatchError("coefficient tables need a line-geometry element")
+    klein_algebra()._check_member(mv, "coefficient tables need a line-geometry element")
     return [mv.coeff(m) for m in _masks(parity)]
 
 
@@ -437,8 +431,7 @@ def versor_to_proj(g: Multivector | Versor, action: str,
     """
     if isinstance(g, Versor):
         g = g.value
-    if not g.algebra.same_as(klein_algebra()):
-        raise AlgebraMismatchError("coefficient tables need a line-geometry element")
+    klein_algebra()._check_member(g, "coefficient tables need a line-geometry element")
     _check_action(action)
     parity = g.parity()
     if parity is None:

@@ -124,19 +124,15 @@ class LieCoordinate:
         object.__setattr__(self, "coords", coords)
 
     def on_quadric(self) -> bool:
-        return lie_bilinear(self.coords, self.coords) == 0
+        return lie_algebra()._bilinear(self.coords, self.coords) == 0
 
     def to_multivector(self) -> Multivector:
         return lie_algebra().vector(self.coords)
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "LieCoordinate":
+        lie_algebra()._check_member(mv, "Lie coordinates come from sphere-geometry elements")
         return cls(mv.coordinates())
-
-
-def lie_bilinear(a: Sequence, b: Sequence) -> Scalar:
-    return (-a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-            + a[3] * b[3] + a[4] * b[4] - a[5] * b[5])
 
 
 def lie_encode(element: LieElement) -> LieCoordinate:
@@ -193,7 +189,7 @@ def oriented_contact(s1: LieCoordinate | LieElement, s2: LieCoordinate | LieElem
     c2 = s2 if isinstance(s2, LieCoordinate) else lie_encode(s2)
     if not c1.on_quadric() or not c2.on_quadric():
         raise AlgebraError("oriented contact needs quadric points")
-    return lie_bilinear(c1.coords, c2.coords) == 0
+    return lie_algebra()._bilinear(c1.coords, c2.coords) == 0
 
 
 def lie_inversion_sandwich(a: Multivector, x: Multivector) -> Multivector:
@@ -207,6 +203,7 @@ def lie_inversion_sandwich(a: Multivector, x: Multivector) -> Multivector:
 
 def is_laguerre(a: Multivector) -> bool:
     """Whether the vector generates a transformation fixing infinity."""
+    lie_algebra()._check_member(a, "the Laguerre test needs a sphere-geometry element")
     if a.grades() != {1}:
         raise AlgebraError("the test applies to grade-1 elements")
     coords = a.coordinates()

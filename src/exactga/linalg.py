@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv, mul, neg
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .scalars import (
@@ -112,17 +112,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix", name: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError("shape mismatch in addition")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+            raise LinAlgError(f"shape mismatch in {name}")
+        return Matrix(self.rows, self.cols, tuple(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(add, other, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError("shape mismatch in subtraction")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(sub, other, "subtraction")
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
@@ -264,10 +263,7 @@ def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
     """
     rows = m.row_lists()
     scales = 1
-    if all(type(x) is int for x in m.entries):
-        quot = floordiv
-    else:
-        quot = exact_div
+    if not all(type(x) is int for x in m.entries):  # an int row needs no scaling
         for row in rows:
             s = _lcm_of_denominators(row)
             if s > 1:
@@ -290,9 +286,9 @@ def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
                 continue
             f = row[c]
             if f:
-                row[:] = [quot(p * x - f * y, d) for x, y in zip(row, prow)]
+                row[:] = [exact_div(p * x - f * y, d) for x, y in zip(row, prow)]
             elif p != d:
-                row[:] = [quot(p * x, d) for x in row]
+                row[:] = [exact_div(p * x, d) for x in row]
         d = p
         pivots.append(c)
         r += 1

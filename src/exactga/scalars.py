@@ -112,11 +112,7 @@ class ComplexRational:
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self.re, self.im
-        n = a * a + b * b
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return _make(div(other * a, n), div(-other * b, n))
+        return _new(other, 0) / self
 
     def __neg__(self):
         return _new(-self.re, -self.im)
@@ -250,12 +246,11 @@ def imag_part(x: Scalar) -> Fraction:
 
 ATOM_DIGITS = 4300  # the default limit of Python's int() on decimal text
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+_ATOM = r"[+-]?\d+(?:/\d+)?"
+_RATIONAL_RE = re.compile(_ATOM, re.ASCII)
 # an optional real atom, then a signed imaginary atom; the real atom must be
 # followed by the sign, so '12i' cannot split into 1 + 2i
-_COMPLEX_RE = re.compile(
-    r"(?:(?P<re>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<im>[+-]?\d+(?:/\d+)?)i", re.ASCII
-)
+_COMPLEX_RE = re.compile(rf"(?:(?P<re>{_ATOM})(?=[+-]))?(?P<im>{_ATOM})i", re.ASCII)
 
 
 def _parse_atom(atom: str, whole: str):
@@ -303,13 +298,15 @@ def parse_scalar(text: str) -> Scalar:
 
     Digits are ASCII, every atom needs its digits ('1i', not 'i'), and a
     real part is joined to the imaginary one by an explicit sign, as
-    format_scalar writes it.
+    format_scalar writes it.  A missing real part is zero: 'r/si' and
+    '0+r/si' are the same scalar.
     """
     return public(_parse(text))
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form: 'p/q' for rationals, 'p/q+r/si' for complex, at any length."""
+    """Canonical text form, at any length: 'p/q' for rationals, 'p/q+r/si' or
+    'p/q-r/si' for complex, the real part always written ('0+1i', '0-1/2i')."""
     if type(x) is int:
         return _decimal(x)
     if isinstance(x, ComplexRational):

@@ -333,6 +333,14 @@ def test_algebra_mismatch():
                 getattr(x, product)(y)
 
 
+def test_comparison_with_a_bool_is_false():
+    # a bool is an int, but never a scalar; == answers and does not raise
+    for x in (E(1) + E(4), KLEIN.scalar(1), KLEIN.zero()):
+        assert (x == True) is False and (x == False) is False
+        assert x != True and x != False
+        assert (True == x) is False
+
+
 def test_algebra_refuses_a_complex_form():
     with pytest.raises(AlgebraError, match="must be real"):
         Algebra(Matrix.from_rows([["1i", 0], [0, 1]]))

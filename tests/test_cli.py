@@ -564,6 +564,31 @@ def test_verify_rejects_tampered_factors(capsys):
     assert json.loads(out)["detail"]["verified"] is False
 
 
+def test_a_failed_verify_names_its_check():
+    # each check broken alone on the reference result; polarity-type, which
+    # JSON cannot express, is in test_refusals.py
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    lifted = factorize_matrix(t)
+    result = lifted.to_json()
+    count = dict(result, polarities=result["polarities"][1:])
+    factor = dict(result, factors=result["factors"][:2] + [klein_algebra().e(1).to_json()]
+                  + result["factors"][3:])
+    product = dict(result, scale=str(2 * lifted.scale))
+    broken = [(count, REFERENCE_JOB, {"check": "count"}),
+              (result, dict(REFERENCE_JOB, kind="correlation"), {"check": "parity"}),
+              (factor, REFERENCE_JOB, {"check": "factor", "index": 3}),
+              (result, dict(REFERENCE_JOB, action="planes"), {"check": "actions"}),
+              (dict(result, scale="0"), REFERENCE_JOB, {"check": "scale"}),
+              (product, REFERENCE_JOB, {"check": "product"})]
+    for bad, transform, named in broken:
+        code, report = run_job("verify", {"transform": transform, "result": bad}, {})
+        assert (code, report["error"]) == (1, "verification failed"), named
+        assert report["detail"] == {"verified": False, "scale": bad["scale"],
+                                    "stage": "verify", **named}
+    code, report = run_job("verify", {"transform": REFERENCE_JOB, "result": result}, {})
+    assert (code, report) == (0, {"verified": True, "scale": result["scale"]})
+
+
 def test_zero_denominators_are_parse_failures(capsys):
     t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
     result = factorize_matrix(t).to_json()

@@ -6,7 +6,8 @@ Only the blade-table builders of ``algebra`` compute a reordering sign, only
 ``algebra`` names the rows of its blade tables, only ``scalars`` reads the
 parts of a Gaussian value, only the kernel modules name the split form,
 popcounts use ``int.bit_count``, one builder makes the values whose
-fields their caller proved, and no source line is wider than 100 columns.
+fields their caller proved, each rule of the scalar, matrix, blade and
+model layers is stated once, and no source line is wider than 100 columns.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ def _hidden_fields(tree: ast.Module, class_name: str) -> list[str]:
                     and k.value.value is False for k in node.value.keywords)]
 
 
+def _raisers(tree: ast.Module) -> set[str]:
+    """The innermost function around each ``raise``."""
+    return _owners(tree, lambda node: isinstance(node, ast.Raise))
+
+
 def _bin_counts(tree: ast.Module) -> list[int]:
     """Lines of every ``bin(...).count(...)`` call."""
     return [node.lineno for node in ast.walk(tree)
@@ -243,6 +249,27 @@ def test_a_proof_is_recorded_one_way():
     assert _users(modules["factorize"], "__setattr__") == set()
 
 
+def test_each_rule_has_one_statement():
+    modules = _modules()
+    # each model's form is its algebra's: Lie's is not restated, Klein's is the swap
+    assert [name for name in _definitions(modules["lie"]) if "bilinear" in name] == []
+    assert "klein_algebra" in _users(modules["klein"], "_swap_halves")
+    # every quotient of the elimination is scalars.exact_div
+    assert _users(modules["linalg"], "floordiv") == set()
+    # one listing order of blades and one product of vectors
+    assert _users(modules["algebra"], "_listing_key") == {"basis_masks", "to_json"}
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_product_of"))} == {
+        "algebra": {"__post_init__", "from_vectors"}}
+    # one membership gate: Algebra._check_member raises every AlgebraMismatchError
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "AlgebraMismatchError"))} == {
+        "__init__": {""}, "algebra": {"_check_member"}}
+    # a Gaussian quotient's zero check lives in __truediv__ alone
+    assert "__rtruediv__" not in _raisers(modules["scalars"])
+    assert "__truediv__" in _raisers(modules["scalars"])
+
+
 def test_source_lines_fit_in_100_columns():
     wide = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
             for n, line in enumerate(p.read_text().splitlines(), 1) if len(line) > 100]
@@ -263,6 +290,7 @@ def test_rule_finders_see_their_targets():
     assert _object_new_users(tree) == {"", "_proved"}
     assert _methods(tree, "_proved") == ["K"]
     assert _hidden_fields(tree, "K") == ["x"]
+    assert _raisers(ast.parse("def f():\n    raise E\ndef g():\n    return 1\n")) == {"f"}
 
 
 def test_no_imports_inside_functions():

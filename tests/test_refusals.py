@@ -3,16 +3,16 @@
 One table row per refusal: a call, the class it must raise (not a
 subclass) and its message.  The structural checks of
 ``verify_factorization`` answer False instead of raising; the last test
-covers them.
+covers them and the check each one names.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from exactga.algebra import Algebra, AlgebraError, Versor
+from exactga.algebra import Algebra, AlgebraError, AlgebraMismatchError, Versor, bilinear
 from exactga.blades import Blade, BladeError, NoNonNullVectorError, choose_nonnull_vector
-from exactga.factorize import factorize_matrix, verify_factorization
+from exactga.factorize import _failed_check, factorize_matrix, verify_factorization
 from exactga.klein import (
     NullPolarity,
     PluckerLine,
@@ -72,10 +72,14 @@ REFUSALS = {
                     AlgebraError, "value is not a pure odd element"),
     "versor-witness-grade": (lambda: Versor(E(1, 2), "even", (E(1, 2),)),
                              AlgebraError, "witness factors must be grade-1 elements"),
+    "bilinear-algebras": (lambda: bilinear(E(1) + E(4), LIE.e(1) + LIE.e(4)),
+                          AlgebraMismatchError, "operands live in different algebras"),
     # blades
     "zero-blade-grade": (lambda: Blade(KLEIN.zero(), 2), BladeError,
                          "zero blade must have grade 0"),
     "empty-span": (lambda: choose_nonnull_vector([]), NoNonNullVectorError, "empty span"),
+    "mixed-span": (lambda: choose_nonnull_vector([E(1), LIE.e(2)]),
+                   AlgebraMismatchError, "operands live in different algebras"),
     # klein
     "line-all-zero": (lambda: PluckerLine((0,) * 6),
                       AlgebraError, "line coordinates must not all vanish"),
@@ -112,6 +116,8 @@ REFUSALS = {
                     AlgebraError, "scalar_mode must be 'rational' or 'complex'"),
     "classify-algebra": (lambda: classify_blade(LIE.e(1, 2)), AlgebraError,
                          "line manifolds live in the rank-6 line-geometry algebra"),
+    "line-from-lie": (lambda: PluckerLine.from_multivector(LIE.e(1)), AlgebraMismatchError,
+                      "Pluecker lines come from line-geometry elements"),
     # lie
     "plane-normal": (lambda: LiePlane((0, 0, 0), 1), AlgebraError, "plane normal must be nonzero"),
     "element-json": (lambda: lie_element_from_json([]), AlgebraError,
@@ -126,6 +132,10 @@ REFUSALS = {
                        AlgebraError, "inversion needs an invertible vector"),
     "laguerre-grade": (lambda: is_laguerre(LIE.e(1, 2)),
                        AlgebraError, "the test applies to grade-1 elements"),
+    "lie-from-klein": (lambda: LieCoordinate.from_multivector(E(1)), AlgebraMismatchError,
+                       "Lie coordinates come from sphere-geometry elements"),
+    "laguerre-klein": (lambda: is_laguerre(E(3)), AlgebraMismatchError,
+                       "the Laguerre test needs a sphere-geometry element"),
     # linalg
     "entry-count": (lambda: Matrix(2, 2, (1, 2, 3)),
                     LinAlgError, "entry count does not match shape"),
@@ -168,6 +178,13 @@ def test_verify_rejects_a_malformed_chain():
         "parity": (result, ProjTransform4(REFERENCE.matrix, "correlation", "points")),
         # the point chain offered for the plane action of the same matrix
         "alternation": (result, ProjTransform4(REFERENCE.matrix, "collineation", "planes")),
+        # bare matrices, which JSON cannot express: a polarity is a NullPolarity
+        "bare-matrices": (type(result)(result.factors, tuple(p.matrix for p in result.polarities),
+                                       result.scale, result.residual), REFERENCE),
     }
+    checks = {"seven-factors": "count", "count-mismatch": "count", "parity": "parity",
+              "alternation": "actions", "bare-matrices": "polarity-type"}
     for case, (candidate, t) in rejected.items():
         assert verify_factorization(candidate, t) is False, case
+        assert _failed_check(candidate, t) == {"check": checks[case]}, case
+    assert _failed_check(result, REFERENCE) is None

@@ -75,6 +75,15 @@ def test_parse_plain_imaginary():
     assert parse_scalar("-1/2i") == ComplexRational(0, "-1/2")
 
 
+def test_complex_text_always_writes_the_real_part():
+    # format_scalar writes '0+1i', never '1i'; the parser reads both spellings alike
+    assert format_scalar(ComplexRational(0, 1)) == "0+1i"
+    assert format_scalar(ComplexRational(0, "-1/2")) == "0-1/2i"
+    for short, written in (("1i", "0+1i"), ("-1/2i", "0-1/2i"), ("3/4i", "0+3/4i")):
+        assert parse_scalar(short) == parse_scalar(written)
+        assert format_scalar(parse_scalar(short)) == written
+
+
 def test_parse_rejects_junk():
     # no trailing newline, no non-ASCII digits, and spaces are the only whitespace ignored
     for bad in ("", "one", "1.5", "2+2", "i+i", "1\n", "1+2i\n", "\u0661\u0662", "1\t", "\t1"):
