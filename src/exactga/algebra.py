@@ -42,8 +42,10 @@ split terms: each pair of blades multiplies its coefficients once,
 a real and an imaginary sum apart.  ``_product`` splits, multiplies and
 joins in its one call unless both term dicts are real, as in rational mode.
 The grade descent runs on the working form of ``_working``, which
-``Algebra._gp``, ``_read_off`` and ``_multivector`` take, so only this
-module and ``linalg`` know a scalar's type.
+``Algebra._gp``, ``_read_off``, ``_read_vector`` and ``_multivector`` take,
+so only this module and ``linalg`` know a scalar's type.  From split terms
+the read-off gives part lists, which ``_bilinear`` probes and ``_pick``
+normalizes on their parts, recombining the pick once.
 
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra table caches, is filled idempotently, so concurrent
@@ -56,9 +58,10 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, ratio
+from .linalg import Matrix, _joined, _normalized_parts, normalize_vector, ratio
 from .scalars import (
     ComplexRational,
     Scalar,
@@ -99,9 +102,15 @@ _set = object.__setattr__
 
 
 def _proved(cls, **fields):
-    """A frozen dataclass instance from fields its caller proved: ``__post_init__`` is not run."""
+    """A frozen dataclass instance from fields its caller proved: ``__post_init__`` is not run.
+
+    Set one by one in declaration order, as ``__init__`` sets them, the fields
+    keep a constructed instance's layout: a materialized ``__dict__`` slows
+    every attribute load that sees both kinds.
+    """
     proved = object.__new__(cls)
-    proved.__dict__.update(fields)
+    for name, value in fields.items():
+        _set(proved, name, value)
     return proved
 
 
@@ -155,6 +164,10 @@ class Algebra:
         self._gp_rows: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         self._wedge_rows: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
         self._inner_rows: defaultdict[int, dict[int, tuple]] = defaultdict(dict)
+        # per top mask F, for each f in F: the (j, mask, sign) of e_j ^ e_(F-f) (``_read_off``)
+        self._read_rows: dict[int, tuple] = {}
+        # the descent's pick of a one-term top part, per mask (``blades._unit_pick``)
+        self._unit_picks: dict[int, tuple] = {}
 
     # -- basic data ---------------------------------------------------------
 
@@ -170,9 +183,17 @@ class Algebra:
         return public(self.form[i, j])
 
     def _bilinear(self, x: Sequence, y: Sequence) -> Scalar:
-        """b(x, y) of two coordinate lists; internal lists give the internal form.
+        """b(x, y) of two coordinate lists, or of two part lists (``_read_off``) on their parts.
 
-        A unit form entry is not multiplied in: one Fraction or Gaussian operation less."""
+        Internal lists give the internal form.  A unit form entry is not
+        multiplied in: one Fraction or Gaussian operation less."""
+        if len(x) > (n := self.dim):  # part lists: x_i y_j m summed on real and imaginary parts
+            re = im = 0
+            for i, j, m in self._form_terms:
+                a, b, c, d = x[i], x[n + i], y[j], y[n + j]
+                re += (a * c - b * d) * m
+                im += (a * d + b * c) * m
+            return _make(re, im)
         return sum(x[i] * y[j] if m == 1 else x[i] * y[j] * m for i, j, m in self._form_terms)
 
     def is_degenerate(self) -> bool:
@@ -245,8 +266,16 @@ class Algebra:
                                  "coordinate count must equal the generator count")
         return Multivector(self, {1 << i: c for i, c in enumerate(coords)})
 
+    def _check_grade(self, k: int) -> None:
+        if not 0 <= k <= self.dim:
+            raise AlgebraError(f"grade {k} out of range 0..{self.dim}")
+
     def basis_masks(self, grade: int | None = None, parity: str | None = None) -> list[int]:
         """The masks of one grade, of one parity or all, in the listing order (``_listing_key``)."""
+        if grade is not None:
+            self._check_grade(grade)
+        if parity not in ("even", "odd", None):
+            raise AlgebraError("parity must be 'even', 'odd' or None")
         kept = {"even": (0,), "odd": (1,)}.get(parity, (0, 1))
         return sorted((m for m in range(1 << self.dim) if m.bit_count() % 2 in kept
                        and (grade is None or m.bit_count() == grade)), key=_listing_key)
@@ -337,33 +366,59 @@ class Algebra:
         return _product(x, y, self._gp_rows, self.blade_gp)
 
     def _read_off(self, terms: dict):
-        """Yield k coordinate lists read off the working terms of a nonzero k-vector b.
+        """Yield k vectors read off the working terms of a nonzero k-vector b.
 
         For f in F, the largest mask where b is nonzero, the e_j coordinate is
         the signed coefficient of e_j ^ e_(F-f), turned by conj(b_F) if split
         (on real terms a rational scale).  Normalized, they are the basis that
         ``nullspace`` gives for a blade's OPNS; c e_F yields the unit vectors.
+        Split terms of more than one term yield part lists (real parts, then
+        imaginary parts); ``_bilinear`` and ``_pick`` tell them by length.
         """
         top = max(terms)
         if len(terms) == 1:
             for f in _bits(top):
                 yield [int(j == f) for j in range(self.dim)]
             return
-        lead = terms[top]
+        rows = self._read_rows.get(top)
+        if rows is None:
+            rows = self._read_rows[top] = tuple(
+                tuple((j, rest | 1 << j, self.blade_wedge(1 << j, rest)[0][1])
+                      for j in range(self.dim) if not rest >> j & 1)  # else e_j ^ e_rest = 0
+                for rest in (top ^ 1 << f for f in _bits(top)))
+        n, lead = self.dim, terms[top]
         split = type(lead) is tuple
         lr, li = lead if split else (lead, 0)
-        for f in _bits(top):
-            rest = top ^ (1 << f)
-            coords = [0] * self.dim
-            for j in range(self.dim):
-                if c := terms.get(rest | 1 << j):  # None for j in F - f: b is homogeneous
-                    sign = self.blade_wedge(1 << j, rest)[0][1]
+        for row in rows:
+            coords = [0] * (2 * n if split else n)
+            for j, mask, sign in row:
+                if c := terms.get(mask):  # None off the support: b is homogeneous of grade k
                     if split:
                         a, b = c
-                        coords[j] = _make(sign * (a * lr + b * li), sign * (b * lr - a * li))
+                        coords[j] = sign * (a * lr + b * li)
+                        coords[n + j] = sign * (b * lr - a * li)
                     else:
                         coords[j] = sign * c
             yield coords
+
+    def _read_vector(self, terms: dict) -> list:
+        """The vector of working terms of grade 1, in the form of ``_read_off``; else refuse."""
+        if any(m.bit_count() != 1 for m in terms):
+            raise AlgebraError("not a pure vector")
+        if type(next(iter(terms.values()))) is tuple:
+            return [terms.get(1 << j, (0, 0))[p] for p in (0, 1) for j in range(self.dim)]
+        return [terms.get(1 << j, 0) for j in range(self.dim)]
+
+    def _pick(self, *vectors) -> tuple:
+        """The stored coordinates of one vector, or of the sum of two, normalized.
+
+        The vectors have one form of ``_read_off``; each of two is normalized
+        first.  Part lists are recombined once, at the end (``linalg._joined``).
+        """
+        real = len(vectors[0]) == self.dim
+        normalize = normalize_vector if real else _normalized_parts
+        v = list(map(add, *map(normalize, vectors))) if len(vectors) > 1 else vectors[0]
+        return normalize_vector(v) if real else _joined(_normalized_parts(v))
 
     def _multivector(self, terms: dict) -> "Multivector":
         """The multivector of working terms (``_working``), joined when they are split."""
@@ -603,8 +658,7 @@ class Multivector:
         return self._times(other, alg._inner_rows, alg.blade_inner)
 
     def grade(self, k: int) -> "Multivector":
-        if not 0 <= k <= self.algebra.dim:
-            raise AlgebraError(f"grade {k} out of range 0..{self.algebra.dim}")
+        self.algebra._check_grade(k)
         return Multivector(self.algebra,
                            {m: c for m, c in self._terms.items() if m.bit_count() == k})
 

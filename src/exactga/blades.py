@@ -8,10 +8,12 @@ null space (IPNS) is the orthogonal complement of the OPNS, a k-by-n system.
 The grade descent splits a versor of maximal grade k into at most k vectors:
 each step multiplies by a non-null vector of the top part's OPNS, which
 lowers that grade by one.  A step probes the OPNS as raw coordinate lists
-and normalizes only its pick.  The remainder g v_1 ... v_i stays a term
+(part lists for a Gaussian g) and normalizes only its pick; a one-term top
+part's pick is memoized per mask.  The remainder g v_1 ... v_i stays a term
 dict in the algebra's working form (``algebra._working``: as stored,
 split into parts for a Gaussian g), which ``Algebra._gp`` multiplies and
-``Algebra._read_off`` reads; this module never looks at a scalar's type.
+``Algebra._read_off`` reads; the algebra probes and normalizes either form,
+so this module never looks at a scalar's type.
 The descent lives here, below both models; ``klein`` calls it and
 ``factorize`` re-exports it.
 """
@@ -23,7 +25,7 @@ from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, Multivector, NotAVersorError, NullVersorError, Versor
 from .algebra import _working
-from .linalg import Matrix, normalize_vector, nullspace
+from .linalg import Matrix, nullspace
 
 
 class BladeError(AlgebraError):
@@ -52,8 +54,8 @@ class Blade:
             return
         if self.value.grades() != {self.grade}:
             raise BladeError(f"value is not homogeneous of grade {self.grade}")
-        space = tuple(self.algebra.vector(normalize_vector(c))
-                      for c in self.algebra._read_off(_working(self.value._terms)))
+        alg = self.algebra
+        space = tuple(alg.vector(alg._pick(c)) for c in alg._read_off(_working(self.value._terms)))
         if any(not v.wedge(self.value).is_zero() for v in space):
             raise BladeError(f"grade-{self.grade} element is not decomposable")
         object.__setattr__(self, "_opns", space)
@@ -133,18 +135,27 @@ def _choose(alg: Algebra, space) -> tuple:
     pair sums are of the normalized basis.  For null v_i and v_j the sum
     squares to 2 b(v_i, v_j) at any scale of either, so a pair is probed on
     the raw vectors and only the two it picks are normalized.  When every
-    b(v_i, v_j) is 0 too, the span is totally isotropic.
+    b(v_i, v_j) is 0 too, the span is totally isotropic.  The vectors come
+    in a form of ``Algebra._read_off``, which ``_bilinear`` probes and
+    ``_pick`` normalizes.
     """
     probed = []
     for v in space:
         if alg._bilinear(v, v):
-            return normalize_vector(v)
+            return alg._pick(v)
         probed.append(v)
     for a, b in combinations(probed, 2):
         if alg._bilinear(a, b):
-            a, b = normalize_vector(a), normalize_vector(b)
-            return normalize_vector([x + y for x, y in zip(a, b)])
+            return alg._pick(a, b)
     raise NoNonNullVectorError("span is totally isotropic")
+
+
+def _unit_pick(alg: Algebra, mask: int) -> tuple:
+    """``_choose`` of the unit vectors that any c e_mask reads off, memoized; a refusal is not."""
+    pick = alg._unit_picks.get(mask)
+    if pick is None:
+        pick = alg._unit_picks[mask] = _choose(alg, alg._read_off({mask: 1}))
+    return pick
 
 
 _REASONS = {NullVersorError: "null-versor", NotAVersorError: "not-a-versor",
@@ -156,8 +167,9 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
 
     Returns the factors in product order (leftmost first); the rightmost
     factor is the first one extracted by the descent.  A step reads its top
-    part and multiplies by the vector it picks (``_choose``) on working
-    terms (module docstring).  The descent ends with g v_1 ... v_k a nonzero
+    part and multiplies by the vector it picks (``_choose``, or
+    ``_unit_pick`` for a one-term part) on working terms (module
+    docstring).  The descent ends with g v_1 ... v_k a nonzero
     scalar or a non-null vector w, and each v_i is non-null, so
     g = w v_k^-1 ... v_1^-1 is a versor and the factors are right.  A failed
     descent raises for the norm first, then for the first top part that is
@@ -172,15 +184,15 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
     try:
         k = g.max_grade()
         while k >= 2:
-            tops.append({m: c for m, c in current.items() if m.bit_count() == k})
-            v = _choose(alg, alg._read_off(tops[-1]))
+            tops.append(top := {m: c for m, c in current.items() if m.bit_count() == k})
+            v = _unit_pick(alg, *top) if len(top) == 1 else _choose(alg, alg._read_off(top))
             current = alg._gp(current, {1 << i: c for i, c in enumerate(v) if c})
             if not current or max(map(int.bit_count, current)) != k - 1:
                 raise AlgebraError("grade descent failed to reduce the maximal grade")
             extracted.append(v)
             k -= 1
-        if k == 1:  # a mixed-grade remainder fails in _coordinates, a null one in _choose
-            extracted.append(_choose(alg, [alg._multivector(current)._coordinates()]))
+        if k == 1:  # a mixed-grade remainder fails in _read_vector, a null one in _choose
+            extracted.append(_choose(alg, [alg._read_vector(current)]))
     except AlgebraError as exc:
         error, step = exc, len(tops) + (k < 2)  # the remainder is one step past the last part
         try:
@@ -195,4 +207,5 @@ def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
         reason = _REASONS.get(type(error), "grade-not-reduced" if k > 1 else "mixed-remainder")
         error.diagnosis = dict(stage="descent", step=step, grade=k, opns_dim=k, reason=reason)
         raise error
-    return [alg.vector(v) for v in reversed(extracted)]
+    return [Multivector._stored(alg, {1 << i: c for i, c in enumerate(v) if c})
+            for v in reversed(extracted)]

@@ -116,12 +116,14 @@ def _swap_halves(x: Sequence) -> tuple:
     return (x[3], x[4], x[5], x[0], x[1], x[2])
 
 
-def _skew(x: Sequence) -> Matrix:
-    """The skew 4x4 matrix of six line coordinates, the layout of every polarity."""
+def _skew(x: Sequence, transposed: bool = False) -> tuple:
+    """The entries of the skew 4x4 matrix of six line coordinates (transposed: of -x)."""
     m = [0] * 16
     for (i, j), c in zip(_PAIRS, x):
+        if transposed:
+            i, j = j, i
         m[4 * i + j], m[4 * j + i] = c, -c
-    return Matrix(4, 4, tuple(m))
+    return tuple(m)
 
 
 def _line_through(p: Sequence, q: Sequence, what: str) -> tuple:
@@ -167,11 +169,11 @@ class PluckerLine:
 
     def point_matrix(self) -> Matrix:
         """Skew matrix sending a plane to the point where the line meets it."""
-        return _skew(self.coords)
+        return Matrix(4, 4, _skew(self.coords))
 
     def plane_matrix(self) -> Matrix:
         """Skew matrix sending a point to the plane joining it with the line."""
-        return _skew(_swap_halves(self.coords))
+        return Matrix(4, 4, _skew(_swap_halves(self.coords)))
 
     def contains_point(self, p: Sequence) -> bool:
         point = coordinate_list(p, 4, "a point needs four homogeneous coordinates")
@@ -311,16 +313,19 @@ def vector_to_null_polarity(a: Multivector, action: str) -> NullPolarity:
 
     The plane action is the point matrix of the line with the vector's
     coordinates, the point action minus its plane matrix; the matrix is
-    singular exactly when the vector is null.  ``_skew`` builds it skew, so
-    the check of the public ``NullPolarity`` constructor is not run.
+    singular exactly when the vector is null.
     """
     klein_algebra()._check_member(a, "null polarities come from line-geometry elements")
     if not a.is_zero() and a.grades() != {1}:
         raise AlgebraError("null polarities come from grade-1 elements")
     _check_action(action)
-    x = a._coordinates()
-    m = _skew([-c for c in _swap_halves(x)] if action == "points" else x)
-    return _proved(NullPolarity, matrix=m, action=action)
+    return _polarity(a._coordinates(), action)
+
+
+def _polarity(x: Sequence, action: str) -> NullPolarity:
+    """``vector_to_null_polarity`` of internal coordinates: ``_skew`` keeps them, builds it skew."""
+    m = _skew(_swap_halves(x), transposed=True) if action == "points" else _skew(x)
+    return _proved(NullPolarity, matrix=_proved(Matrix, rows=4, cols=4, entries=m), action=action)
 
 
 def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None) -> Multivector:
@@ -549,7 +554,8 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     value = g.gp(klein_algebra().pseudoscalar()) if 6 - min(grades) < max(grades) else g
     witness = tuple(factorize_versor(value))
     actions = _alternating_actions(len(witness), t.action)
-    polarities = tuple(vector_to_null_polarity(v, act) for v, act in zip(witness, actions))
+    # a descent factor is a grade-1 element of the line-geometry algebra
+    polarities = tuple(_polarity(v._coordinates(), act) for v, act in zip(witness, actions))
     scale = proportionality(_polarity_product(polarities), t.matrix)
     if scale is None:
         raise NotLiftableError("no versor of the requested parity induces this map",
@@ -653,8 +659,7 @@ def classify_blade(b: Blade | Multivector) -> ManifoldClass:
     """
     if isinstance(b, Multivector):
         b = Blade.from_multivector(b)
-    if not b.algebra.same_as(klein_algebra()):
-        raise AlgebraError("line manifolds live in the rank-6 line-geometry algebra")
+    klein_algebra()._check_member(b, "line manifolds live in the rank-6 line-geometry algebra")
     if not 2 <= b.grade <= 5:
         raise AlgebraError("classification covers blades of grade 2 to 5")
     span = opns(b)

@@ -27,7 +27,9 @@ coefficient build, ``_normalized_table_product``, runs real values through
 ``_table_product``, the sparse integer table that reads a versor's
 coefficients off a projective map, and ``normalize_vector``; a Gaussian map
 or scale runs it on part lists, normalization included (``_normalized_parts``,
-which ``normalize_vector`` uses too), recombining each coefficient once.
+which ``normalize_vector`` and the descent's picks use too), recombining
+each coefficient once (``_joined``).  ``ratio`` checks a Gaussian pair on
+part lists too.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .scalars import (
     Scalar,
     _make,
     _parts,
+    _quotient,
     canonical,
     div,
     exact_div,
@@ -238,8 +241,8 @@ def _normalized_table_product(table, blocks) -> tuple:
             imag.append(a * fi + b * fr)
     real, imag = _table_product(table, real), _table_product(table, imag)
     lr, li = next(p for p in zip(reversed(real), reversed(imag)) if any(p))
-    return _normalized_parts([a * lr + b * li for a, b in zip(real, imag)]
-                             + [b * lr - a * li for a, b in zip(real, imag)])
+    return _joined(_normalized_parts([a * lr + b * li for a, b in zip(real, imag)]
+                                     + [b * lr - a * li for a, b in zip(real, imag)]))
 
 
 def _lcm_of_denominators(values) -> int:
@@ -323,14 +326,14 @@ def normalize_vector(vec: Sequence) -> tuple:
             g = -g
         return tuple(v // g for v in vec) if g else tuple(vec)
     real, imag = _part_lists(map(canonical, vec))
-    return _normalized_parts(real + imag)
+    return _joined(_normalized_parts(real + imag))
 
 
-def _normalized_parts(parts: list) -> tuple:
-    """``normalize_vector`` of the vector whose real parts, then imaginary parts, are ``parts``.
+def _normalized_parts(parts: list) -> list:
+    """``normalize_vector`` on a part list: a vector's real parts, then its imaginary parts.
 
     The parts are cleared of denominators and divided by their gcd, negated
-    for a negative lead; each entry is recombined once by ``scalars._make``.
+    for a negative lead, and stay split: ``_joined`` recombines them.
     """
     if not all(type(p) is int for p in parts):
         lcm = math.lcm(*(p.denominator for p in parts))
@@ -339,7 +342,13 @@ def _normalized_parts(parts: list) -> tuple:
     g = math.gcd(*parts) or 1
     if next((x or y for x, y in zip(parts, parts[n:]) if x or y), 0) < 0:
         g = -g
-    return tuple(_make(x // g, y // g) for x, y in zip(parts[:n], parts[n:]))
+    return [x // g for x in parts]
+
+
+def _joined(parts: list) -> tuple:
+    """The internal entries of a part list: each recombined once by ``scalars._make``."""
+    n = len(parts) // 2
+    return tuple(map(_make, parts[:n], parts[n:]))
 
 
 def nullspace(m: Matrix) -> list[tuple]:
@@ -370,15 +379,23 @@ def ratio(xs: Sequence, ys: Sequence) -> Scalar | None:
     """Exact nonzero c with xs == c * ys entrywise, or None. Zero against zero gives 1.
 
     c is x_k / y_k at the first nonzero y_k; every pair is checked by
-    x_i y_k == x_k y_i, so that quotient is the only division.
+    x_i y_k == x_k y_i, so that quotient is the only division.  A Gaussian
+    x_k or y_k (no other entry is typed) runs both on ``_part_lists``.
     """
-    pairs = list(zip(xs, ys))
-    xk, yk = next(((x, y) for x, y in pairs if y), (0, 0))
-    if not yk:
-        return None if any(x for x, _ in pairs) else Fraction(1)
-    if not xk or any(x * yk != xk * y for x, y in pairs):
+    k = next((i for i, y in enumerate(ys) if y), None)
+    if k is None:
+        return None if any(xs) else Fraction(1)
+    xk, yk = xs[k], ys[k]
+    if not xk:
         return None
-    return div(xk, yk)
+    if ComplexRational not in (type(xk), type(yk)):
+        return None if any(x * yk != xk * y for x, y in zip(xs, ys)) else div(xk, yk)
+    (xr, xi), (yr, yi) = _part_lists(xs), _part_lists(ys)
+    a, b, c, d = xr[k], xi[k], yr[k], yi[k]
+    if any(p * c - q * d != a * r - b * s or p * d + q * c != a * s + b * r
+           for p, q, r, s in zip(xr, xi, yr, yi)):
+        return None
+    return _quotient(a, b, c, d)
 
 
 def proportionality(a: Matrix, b: Matrix) -> Scalar | None:

@@ -98,16 +98,10 @@ class ComplexRational:
 
     def __truediv__(self, other):
         if isinstance(other, ComplexRational):
-            c, d = other.re, other.im
-        elif isinstance(other, (int, Fraction)):
-            c, d = other, 0
-        else:
-            return NotImplemented
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        a, b = self.re, self.im
-        return _make(div(a * c + b * d, n), div(b * c - a * d, n))
+            return _quotient(self.re, self.im, other.re, other.im)
+        if isinstance(other, (int, Fraction)):
+            return _quotient(self.re, self.im, other, 0)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):
@@ -160,6 +154,14 @@ def _new(re_part, im_part) -> "ComplexRational":
 
 def _make(re_part, im_part):
     return _new(re_part, im_part) if im_part else re_part
+
+
+def _quotient(a, b, c, d):
+    """(a + ib) / (c + id) for real parts: the one Gaussian quotient, run on the parts."""
+    n = c * c + d * d
+    if n == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    return _make(div(a * c + b * d, n), div(b * c - a * d, n))
 
 
 def _parts(x) -> tuple:

@@ -31,7 +31,13 @@ from exactga.algebra import (
     _merge_sign,
     bilinear,
 )
-from exactga.blades import Blade, choose_nonnull_vector, factorize_versor, opns
+from exactga.blades import (
+    Blade,
+    NoNonNullVectorError,
+    choose_nonnull_vector,
+    factorize_versor,
+    opns,
+)
 from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
 from exactga.lie import lie_algebra
 from exactga.linalg import (
@@ -45,8 +51,8 @@ from exactga.linalg import (
     nullspace,
     rank,
 )
-from exactga.scalars import ComplexRational, ScalarError, _parts, as_scalar, canonical, div, \
-    exact_div
+from exactga.scalars import ComplexRational, ScalarError, _make, _parts, as_scalar, canonical, \
+    div, exact_div
 
 
 _ORACLE_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
@@ -638,3 +644,44 @@ def rand_unit_normal(rng: random.Random) -> tuple:
         n = (2 * a / d, 2 * b / d, (1 - a * a - b * b) / d)
         if any(n):
             return n
+
+
+def joined_read_off(alg: Algebra, terms: dict):
+    """The descent's read-off on joined coordinates: each entry of a split
+    top part recombined by ``_make``, the sign read from ``blade_wedge``."""
+    top = max(terms)
+    if len(terms) == 1:
+        for f in bits(top):
+            yield [int(j == f) for j in range(alg.dim)]
+        return
+    lead = terms[top]
+    split = type(lead) is tuple
+    lr, li = lead if split else (lead, 0)
+    for f in bits(top):
+        rest = top ^ (1 << f)
+        coords = [0] * alg.dim
+        for j in range(alg.dim):
+            if c := terms.get(rest | 1 << j):
+                sign = alg.blade_wedge(1 << j, rest)[0][1]
+                if split:
+                    a, b = c
+                    coords[j] = _make(sign * (a * lr + b * li), sign * (b * lr - a * li))
+                else:
+                    coords[j] = sign * c
+        yield coords
+
+
+def joined_choose(alg: Algebra, space) -> tuple:
+    """The descent's probe on joined coordinates: the Gaussian form values
+    and ``normalize_vector`` of the pick."""
+    probed = []
+    for v in space:
+        if alg._bilinear(v, v):
+            return normalize_vector(v)
+        probed.append(v)
+    for i, a in enumerate(probed):
+        for b in probed[i + 1:]:
+            if alg._bilinear(a, b):
+                a, b = normalize_vector(a), normalize_vector(b)
+                return normalize_vector([x + y for x, y in zip(a, b)])
+    raise NoNonNullVectorError("span is totally isotropic")

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exactga.blades as blades
-from exactga.algebra import proportional
+from exactga.algebra import AlgebraError, _working, proportional
 from exactga.blades import (
     Blade,
     BladeError,
@@ -20,6 +22,8 @@ from helpers import (
     ORACLE_ALGEBRAS,
     bits,
     ipns_by_elimination,
+    joined_choose,
+    joined_read_off,
     opns_by_elimination,
     rand_coefficient,
     rand_invertible_vector,
@@ -307,3 +311,64 @@ def test_single_term_read_off_is_the_unit_vectors(monkeypatch):
                 assert products == []
                 compared += 1
     assert compared == 2 * 63 * 4
+
+
+def probe_outcome(choose, space):
+    try:
+        return choose(space)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+gaussian_parts = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def split_top_parts(draw):
+    """A Gaussian or Gaussian-rational k-vector of Klein's, Lie's or a dense form, split."""
+    alg = ORACLE_ALGEBRAS[draw(st.sampled_from(("klein", "lie", "dense")))]
+    k = draw(st.integers(1, alg.dim))
+    masks = alg.basis_masks(grade=k)
+    picked = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=5, unique=True))
+    coefficients = [ComplexRational(draw(gaussian_parts), draw(gaussian_parts))
+                    for _ in picked]
+    first = ComplexRational(draw(gaussian_parts), draw(gaussian_parts.filter(bool)))
+    return alg, _working(alg.mv(dict(zip(picked, [first] + coefficients[1:])))._terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_top_parts())
+def test_probes_on_parts_match_the_joined_probes(drawn):
+    # the read-off, probes and pick on part lists give the pick, or the
+    # refusal, of the joined read-off and Gaussian form values they replace;
+    # a grade-1 part is the descent's remainder
+    alg, top = drawn
+    choose = lambda space: blades._choose(alg, space)
+    oracle = lambda space: joined_choose(alg, space)
+    if max(top).bit_count() == 1:
+        parts = lambda: [alg._read_vector(top)]
+        joined = lambda: [alg._multivector(top)._coordinates()]
+    else:
+        parts = lambda: alg._read_off(top)
+        joined = lambda: joined_read_off(alg, top)
+    assert probe_outcome(choose, parts()) == probe_outcome(oracle, joined())
+
+
+@pytest.mark.parametrize("name", ["klein", "lie", "degenerate"])
+def test_memoized_unit_picks_match_the_probe(name, monkeypatch):
+    # every mask's memoized pick is _choose of its unit vectors; a totally
+    # isotropic mask raises each time and is not memoized
+    alg = ORACLE_ALGEBRAS[name]
+    monkeypatch.setattr(alg, "_unit_picks", {})
+    refused = 0
+    for mask in range(1 << alg.dim):
+        units = [[int(j == f) for j in range(alg.dim)] for f in bits(mask)]
+        expected = probe_outcome(lambda space: blades._choose(alg, space), units)
+        for _ in ("cold", "warm"):
+            assert probe_outcome(lambda _: blades._unit_pick(alg, mask), None) == expected
+        assert (mask in alg._unit_picks) is (type(expected) is tuple and len(expected) == alg.dim)
+        refused += mask not in alg._unit_picks
+    # the empty mask, and in Klein's and the degenerate form isotropic ones
+    # such as e1 ^ e2; Lie's form has no null unit vector
+    assert refused == 1 if name == "lie" else refused > 1

@@ -196,7 +196,8 @@ def test_factorize_refusals_carry_a_diagnosis():
 def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
     # the grade-4 part of this g + c g I is no blade, yet its step lowers the
     # grade; the descent gives out one step later, on a grade-3 part, and the
-    # refusal still names the first part that is not a blade
+    # refusal still names the first part that is not a blade.  The one-term
+    # grade-6 part is probed only while its pick is not memoized.
     g = (-2 + 4 * E(1, 2) + 4 * E(1, 3) - E(1, 5) + 4 * E(1, 6) + 4 * E(2, 3) - 2 * E(2, 5)
          + 4 * E(2, 6) - E(3, 5) + E(5, 6) + 12 * E(1, 2, 3, 4) - 12 * E(1, 2, 3, 5)
          + 12 * E(1, 2, 3, 6) + 12 * E(1, 2, 4, 6) - 12 * E(1, 2, 5, 6) - 3 * E(1, 3, 4, 5)
@@ -212,12 +213,16 @@ def test_refusal_replays_the_top_parts_in_step_order(monkeypatch):
     monkeypatch.setattr(blades, "_choose", probe)
     monkeypatch.setattr(Blade, "__post_init__",
                         lambda self: checked.append(self.grade) or post_init(self))
-    with pytest.raises(BladeError, match="grade-4 element is not decomposable") as caught:
-        factorize_versor(g)
-    assert steps == [6, 5, 4, 3]
-    assert checked == [6, 5, 4]
-    assert caught.value.diagnosis == {"stage": "descent", "step": 3, "grade": 4, "opns_dim": 4,
-                                      "reason": "not-a-blade"}
+    monkeypatch.setattr(KLEIN, "_unit_picks", {})
+    for probed in ([6, 5, 4, 3], [5, 4, 3]):  # a cold memo, then a warm one
+        steps.clear()
+        checked.clear()
+        with pytest.raises(BladeError, match="grade-4 element is not decomposable") as caught:
+            factorize_versor(g)
+        assert steps == probed
+        assert checked == [6, 5, 4]
+        assert caught.value.diagnosis == {"stage": "descent", "step": 3, "grade": 4,
+                                          "opns_dim": 4, "reason": "not-a-blade"}
 
 
 def outcome(factorize, g):

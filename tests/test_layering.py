@@ -190,6 +190,7 @@ def _definitions(tree: ast.Module) -> set[str]:
 
 
 SPLIT_FORM = ("ComplexRational", "_split", "_join", "_parts", "_make")
+PART_LISTS = ("_part_lists", "_normalized_parts", "_joined")
 
 
 def test_gaussian_part_split_is_stated_once():
@@ -197,18 +198,25 @@ def test_gaussian_part_split_is_stated_once():
     # kernels of algebra and linalg multiply, and _make recombines them; the
     # geometric layers name no scalar type and no split helper, and reach
     # the parts only through those kernels: the descent through
-    # algebra._working, Algebra._gp, _read_off and _multivector, the lift
-    # through linalg._normalized_table_product
+    # algebra._working, Algebra._gp, _read_off, _read_vector, _bilinear,
+    # _pick and _multivector, the lift through
+    # linalg._normalized_table_product; a part list is recombined once, by
+    # linalg._joined, and never in the read-off
     modules = _modules()
     for name in ("klein", "blades", "factorize", "lie", "cli"):
         assert _part_reads(modules[name]) == [], name
-        assert {n for n in SPLIT_FORM if _users(modules[name], n)} == set(), name
+        assert {n for n in SPLIT_FORM + PART_LISTS if _users(modules[name], n)} == set(), name
+    assert "_read_off" not in _users(modules["algebra"], "_make")
+    assert {name for name, tree in modules.items()
+            if {"_pick", "_read_vector", *PART_LISTS} & _definitions(tree)} == {"algebra",
+                                                                              "linalg"}
     for name, tree in modules.items():
         named = {n for n in ("_gp_split", "_times_conjugate")
                  if n in _definitions(tree) or _users(tree, n)}
         assert named == set(), name
     # one product method and one read-off serve the descent in both forms
-    assert _users(modules["blades"], "_read_off") == {"__post_init__", "factorize_versor"}
+    assert _users(modules["blades"], "_read_off") == {"__post_init__", "_unit_pick",
+                                                      "factorize_versor"}
     assert _users(modules["blades"], "_working") == {"", "__post_init__", "factorize_versor"}
     assert {"_gp", "_read_off", "_multivector"} <= _definitions(modules["algebra"])
 
@@ -265,9 +273,14 @@ def test_each_rule_has_one_statement():
     assert {name: found for name, tree in modules.items()
             if (found := _users(tree, "AlgebraMismatchError"))} == {
         "__init__": {""}, "algebra": {"_check_member"}}
-    # a Gaussian quotient's zero check lives in __truediv__ alone
+    # one Gaussian quotient, on parts: scalars._quotient holds its zero check,
+    # and the division operators and linalg.ratio call it
     assert "__rtruediv__" not in _raisers(modules["scalars"])
-    assert "__truediv__" in _raisers(modules["scalars"])
+    assert "__truediv__" not in _raisers(modules["scalars"])
+    assert "_quotient" in _raisers(modules["scalars"])
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_quotient") - {""})} == {
+        "scalars": {"__truediv__"}, "linalg": {"ratio"}}
 
 
 def test_source_lines_fit_in_100_columns():

@@ -64,6 +64,14 @@ REFUSALS = {
     "mask-negative": (lambda: KLEIN.mv({-1: 1}), AlgebraError, "mask -1 outside the algebra"),
     "max-grade-of-zero": (lambda: KLEIN.zero().max_grade(),
                           AlgebraError, "zero multivector has no grade"),
+    "basis-masks-parity": (lambda: KLEIN.basis_masks(parity="evn"),
+                           AlgebraError, "parity must be 'even', 'odd' or None"),
+    "basis-masks-grade-below": (lambda: KLEIN.basis_masks(grade=-1),
+                                AlgebraError, "grade -1 out of range 0..6"),
+    "basis-masks-grade-above": (lambda: KLEIN.basis_masks(grade=7, parity="odd"),
+                                AlgebraError, "grade 7 out of range 0..6"),
+    "coefficients-parity": (lambda: multivector_from_coefficients([1] * 32, "evn"),
+                            AlgebraError, "parity must be 'even', 'odd' or None"),
     "versor-parity-name": (lambda: Versor(E(1, 2), "both"),
                            AlgebraError, "parity must be 'even' or 'odd'"),
     "versor-wrong-parity": (lambda: Versor(E(1), "even"),
@@ -114,7 +122,7 @@ REFUSALS = {
                           AlgebraError, "expected 32 coefficients"),
     "scalar-mode": (lambda: factorize_matrix(REFERENCE, "real"),
                     AlgebraError, "scalar_mode must be 'rational' or 'complex'"),
-    "classify-algebra": (lambda: classify_blade(LIE.e(1, 2)), AlgebraError,
+    "classify-algebra": (lambda: classify_blade(LIE.e(1, 2)), AlgebraMismatchError,
                          "line manifolds live in the rank-6 line-geometry algebra"),
     "line-from-lie": (lambda: PluckerLine.from_multivector(LIE.e(1)), AlgebraMismatchError,
                       "Pluecker lines come from line-geometry elements"),

@@ -19,8 +19,9 @@ through ``Multivector.gp``, a certificate check that parses scalars through
 product or a second ``scale * A`` in a verify job, a residual formed by a
 factorization, a verify that multiplies again the polarities its lift
 proved against the same matrix, a ``ComplexRational`` operation inside
-``normalize_vector``, the descent's read-off or the lift's Gaussian
-coefficient build, more than 110 of them in a warm complex factorization,
+``normalize_vector``, the descent's read-off, probes and picks, the
+certificate's ``ratio`` or the lift's Gaussian coefficient build, more
+than the 10 polarity negations in a warm complex factorization,
 or a complex descent that
 splits or joins its remainder more than once fails here even when its
 output stays the same.  The storage guards require the integer core: int
@@ -162,16 +163,28 @@ def descent_versors() -> list[Multivector]:
 
 
 def test_descent_computes_one_outer_null_space_per_step(monkeypatch):
-    # each step reads the top blade's outer null space off its coefficients
+    # each step reads the top blade's outer null space off its coefficients,
+    # but a one-term top part only while its pick is not memoized
+    memoized = []
     for value in descent_versors() + [klein.proj_to_versor(plane_correlation()).value]:
-        spaces = counting(monkeypatch, Algebra, "_read_off")
-        systems = counting(monkeypatch, linalg, "_gauss_jordan")
-        factors = blades.factorize_versor(value)
+        monkeypatch.setattr(value.algebra, "_unit_picks", {})
+        counts = []
+        for _ in ("cold", "warm"):
+            spaces = counting(monkeypatch, Algebra, "_read_off")
+            unit_tops = counting(monkeypatch, blades, "_unit_pick")
+            systems = counting(monkeypatch, linalg, "_gauss_jordan")
+            factors = blades.factorize_versor(value)
+            counts.append((len(spaces), len(unit_tops)))
+            steps = value.max_grade() - 1
+            assert steps >= 2 and len(factors) == steps + 1
+            assert systems == []  # the descent solves no linear system
         monkeypatch.undo()
-        steps = value.max_grade() - 1
-        assert steps >= 2 and len(factors) == steps + 1
-        assert len(spaces) == steps
-        assert systems == []  # the descent solves no linear system
+        (cold, units), (warm, _) = counts
+        assert cold == steps and warm == steps - units
+        memoized.append(units)
+    # the two grade-6 lifts memoize their first step; the correlation's
+    # grade-5 part has more than one term
+    assert memoized[:2] == [1, 1] and memoized[-1] == 0
 
 
 def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
@@ -179,15 +192,20 @@ def test_descent_normalizes_only_the_vectors_it_keeps(monkeypatch):
     # or not: a step normalizes its pick, or the two null vectors whose pair
     # it takes and their sum, and the descent its remainder; 26 calls on the
     # reference when every read-off vector was normalized before the probe,
-    # 17 when every basis vector of a pair step was
+    # 17 when every basis vector of a pair step was.  A warm memo keeps the
+    # pair pick e1 + e4 of the grade-6 part, three normalizations
     for rows, mode, calls in ((REFERENCE_COLLINEATION, "rational", 10),
                               (COMPLEX_VARIANT, "complex", 8)):
         value = lifted(rows, mode)
-        normalized = counting(monkeypatch, blades, "normalize_vector")
-        factors = blades.factorize_versor(value)
+        monkeypatch.setattr(value.algebra, "_unit_picks", {})
+        for memo_calls in (calls, calls - 3):  # cold, then warm
+            normalized = counting(monkeypatch, algebra, "normalize_vector")
+            on_parts = counting(monkeypatch, algebra, "_normalized_parts")
+            factors = blades.factorize_versor(value)
+            assert len(factors) == 6
+            assert len(normalized) + len(on_parts) == memo_calls
+            assert on_parts == [] if mode == "rational" else len(on_parts) == 5
         monkeypatch.undo()
-        assert len(factors) == 6
-        assert len(normalized) == calls
 
 
 def test_descent_multiplies_once_per_step(monkeypatch):
@@ -208,10 +226,10 @@ def test_descent_multiplies_once_per_step(monkeypatch):
 
 
 def test_complex_descent_splits_and_joins_its_remainder_once(monkeypatch):
-    # a Gaussian versor is split into parts once (algebra._working), carried
-    # split through every step and joined once, into the vector it ends in;
-    # each step splits only its vector, and a real descent splits and joins
-    # nothing
+    # a Gaussian versor is split into parts once (algebra._working) and
+    # carried split through every step; each step splits only its vector, a
+    # real descent splits nothing, and the grade-1 remainder is read once as
+    # a part list (a coordinate list if real), so no term dict is joined
     for value in descent_versors():
         splits, joins = [], []
         for attr, calls in (("_split", splits), ("_join", joins)):
@@ -221,19 +239,23 @@ def test_complex_descent_splits_and_joins_its_remainder_once(monkeypatch):
 
             monkeypatch.setattr(algebra, attr, record)
         split_products = returns(monkeypatch, algebra, "_gaussian_product")
+        remainders = returns(monkeypatch, Algebra, "_read_vector")
         factors = blades.factorize_versor(value)
         monkeypatch.undo()
         steps = len(factors) - 1
         assert steps == value.max_grade() - 1 >= 3
+        assert joins == []
         if not any(type(c) is ComplexRational for c in value._terms.values()):
-            assert splits == joins == split_products == []
+            assert splits == split_products == []
+            assert [len(v) for v in remainders] == [value.algebra.dim]
             continue
         assert splits[0] is value._terms
         assert len(splits) == 1 + steps
         assert all(all(m.bit_count() == 1 for m in terms) for terms in splits[1:])
         assert len(split_products) == steps
         assert all(type(c) is tuple for terms in split_products for c in terms.values())
-        assert [Multivector._stored(value.algebra, terms).grades() for terms in joins] == [{1}]
+        assert [len(v) for v in remainders] == [2 * value.algebra.dim]
+        assert all(type(p) is int for p in remainders[0])
 
 
 GAUSSIAN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -241,29 +263,37 @@ GAUSSIAN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", 
 
 
 def test_warm_complex_factorization_runs_few_gaussian_operations(monkeypatch):
-    # the lift's coefficient build, normalize_vector and the descent's
-    # read-off run on int parts; a warm call ran 234 ComplexRational
-    # operations when they did not, 32 of them c * conj in the lift, 32
-    # lead-sign negations and 46 in the read-off
+    # the lift's coefficient build, normalize_vector, the descent's
+    # read-off, its probes and picks, and the certificate's ratio run on int
+    # parts; a warm call ran 234 ComplexRational operations when none of
+    # them did (32 c * conj in the lift, 32 lead-sign negations and 46 in
+    # the read-off), and 94 while the probes and ratio did not (51 in the
+    # probes, 29 in ratio, 14 in the polarities).  The 10 left are the
+    # negations that give the polarities their skew halves
     t = klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT), "collineation", "points")
     factorize.factorize_matrix(t, "complex")
     on_parts = {f.__code__ for f in (linalg.normalize_vector, linalg._normalized_parts,
-                                     linalg._normalized_table_product, Algebra._read_off)}
-    inside, outside = [], []
-    for name in GAUSSIAN_OPERATIONS:
-        def operation(*args, _original=getattr(ComplexRational, name), _name=name):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code not in on_parts:
-                frame = frame.f_back
-            (outside if frame is None else inside).append(_name)
-            return _original(*args)
+                                     linalg._normalized_table_product, Algebra._read_off,
+                                     blades._choose, Algebra._bilinear, Algebra._pick,
+                                     linalg.ratio)}
+    counts = []
+    for _ in range(2):  # the count repeats exactly
+        inside, outside = [], []
+        for name in GAUSSIAN_OPERATIONS:
+            def operation(*args, _original=getattr(ComplexRational, name), _name=name):
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code not in on_parts:
+                    frame = frame.f_back
+                (outside if frame is None else inside).append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(ComplexRational, name, operation)
-    result = factorize.factorize_matrix(t, "complex")
-    monkeypatch.undo()
-    assert len(result.factors) == 6
-    assert inside == []
-    assert 0 < len(outside) <= 110
+            monkeypatch.setattr(ComplexRational, name, operation)
+        result = factorize.factorize_matrix(t, "complex")
+        monkeypatch.undo()
+        assert len(result.factors) == 6
+        assert inside == []
+        counts.append(outside)
+    assert counts[0] == counts[1] == ["__neg__"] * 10
 
 
 def test_successful_descent_builds_no_blade(monkeypatch):
@@ -438,10 +468,11 @@ def test_descents_store_integral_coefficients(monkeypatch):
         products = returns(monkeypatch, algebra, "_product")
         split_products = returns(monkeypatch, algebra, "_gaussian_product")
         joins = returns(monkeypatch, algebra, "_join")
-        blades.factorize_versor(value)
+        factors = blades.factorize_versor(value)
         monkeypatch.undo()
         stored = [c for args in built for c in args[0]._terms.values()]
         stored += [c for terms in products + joins for c in terms.values()]
+        stored += [c for v in factors for c in v._terms.values()]
         parts = [p for terms in split_products for c in terms.values() for p in c]
         # one product per step, on int parts for a Gaussian versor
         assert len(products + split_products) == value.max_grade() - 1 >= 4
