@@ -9,24 +9,28 @@ the diagonal form diag(-1, 1, 1, 1, 1, -1).  Oriented contact is the
 vanishing of the associated bilinear form; inversions are vector sandwiches;
 transformations fixing infinity (the affine distance-preserving subgroup)
 are generated by vectors whose first two coordinates cancel.
+
+No nonzero scale changes the quadric or contact, so both read the form
+(``Algebra._bilinear``) on the integer representative of the coordinates
+(``linalg.normalize_vector``); a sphere is encoded from that of (p, r, 1),
+and a point is the sphere of radius 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, Sequence, Union
 
 from .algebra import Algebra, AlgebraError, Multivector, coordinate_list, sandwich
-from .linalg import Matrix
-from .scalars import Scalar, as_scalar, format_scalar
+from .linalg import Matrix, normalize_vector
+from .scalars import Scalar, as_scalar, div, format_scalar
 
 
 @lru_cache(maxsize=1)
 def lie_algebra() -> Algebra:
     diag = (-1, 1, 1, 1, 1, -1)
-    rows = [[Fraction(diag[i] if i == j else 0) for j in range(6)] for i in range(6)]
+    rows = [[diag[i] if i == j else 0 for j in range(6)] for i in range(6)]
     return Algebra(Matrix.from_rows(rows))
 
 
@@ -107,7 +111,7 @@ def _triple(values: Sequence) -> tuple:
 
 
 def _dot(a: Sequence, b: Sequence) -> Scalar:
-    return sum((x * y for x, y in zip(a, b)), start=Fraction(0))
+    return sum(x * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,8 @@ class LieCoordinate:
         object.__setattr__(self, "coords", coords)
 
     def on_quadric(self) -> bool:
-        return lie_algebra()._bilinear(self.coords, self.coords) == 0
+        x = normalize_vector(self.coords)
+        return lie_algebra()._bilinear(x, x) == 0
 
     def to_multivector(self) -> Multivector:
         return lie_algebra().vector(self.coords)
@@ -142,18 +147,15 @@ def lie_encode(element: LieElement) -> LieCoordinate:
     exactly on the quadric (general rational normals have no rational
     representative there).
     """
-    half = Fraction(1, 2)
     match element:
         case LiePoint(position=u):
-            uu = _dot(u, u)
-            return LieCoordinate(((1 + uu) * half, (1 - uu) * half,
-                                  u[0], u[1], u[2], Fraction(0)))
+            return lie_encode(LieSphere(u, 0))
         case LieInfinity():
             return LieCoordinate((1, -1, 0, 0, 0, 0))
         case LieSphere(center=p, radius=r):
-            pp = _dot(p, p)
-            return LieCoordinate(((1 + pp - r * r) * half, (1 - pp + r * r) * half,
-                                  p[0], p[1], p[2], r))
+            *q, s, w = normalize_vector((*p, r, 1))  # (p, r, 1) = (q, s, w) / w
+            ww, d = w * w, _dot(q, q) - s * s
+            return LieCoordinate((div(ww + d, 2 * ww), div(ww - d, 2 * ww), *p, r))
         case LiePlane(normal=n, offset=h):
             return LieCoordinate((h, -h, n[0], n[1], n[2], 1))
     raise AlgebraError(f"not a Lie element: {element!r}")
@@ -166,13 +168,15 @@ def lie_decode(c: LieCoordinate) -> LieElement:
     (off-quadric) are still decoded so that encode/decode round-trips, the
     deviation being visible through LiePlane.has_unit_normal.
     """
+    if not isinstance(c, LieCoordinate):
+        raise AlgebraError(f"not Lie coordinates: {c!r}")
     x = c.coords
     s = x[0] + x[1]
     if s == 0:
-        if x[5] == 0:
-            if any(x[2:5]):
-                raise AlgebraError("coordinates are off the quadric")
+        if not any(x[2:]):
             return LieInfinity()
+        if not (x[5] and any(x[2:5])):
+            raise AlgebraError("coordinates are off the quadric")
         inv = 1 / x[5]
         return LiePlane((x[2] * inv, x[3] * inv, x[4] * inv), x[0] * inv)
     if not c.on_quadric():
@@ -187,9 +191,11 @@ def oriented_contact(s1: LieCoordinate | LieElement, s2: LieCoordinate | LieElem
     """Oriented tangency: the quadric's bilinear form vanishes exactly."""
     c1 = s1 if isinstance(s1, LieCoordinate) else lie_encode(s1)
     c2 = s2 if isinstance(s2, LieCoordinate) else lie_encode(s2)
-    if not c1.on_quadric() or not c2.on_quadric():
+    x, y = normalize_vector(c1.coords), normalize_vector(c2.coords)
+    form = lie_algebra()._bilinear
+    if form(x, x) or form(y, y):
         raise AlgebraError("oriented contact needs quadric points")
-    return lie_algebra()._bilinear(c1.coords, c2.coords) == 0
+    return form(x, y) == 0
 
 
 def lie_inversion_sandwich(a: Multivector, x: Multivector) -> Multivector:

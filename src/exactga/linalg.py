@@ -317,16 +317,20 @@ def normalize_vector(vec: Sequence) -> tuple:
 
     The entries come back in the internal form (``int``s, or Gaussian
     integers).  For complex entries the leading sign is taken from the real
-    part, or the imaginary part when the real part vanishes.  A vector that
-    is not all ``int``s is split once and normalized on its part lists.
+    part, or the imaginary part when the real part vanishes.  A real vector
+    is cleared by one lcm of its denominators, a Gaussian one on part lists.
     """
-    if all(type(v) is int for v in vec):  # no denominator and no Gaussian part to clear
-        g = math.gcd(*vec)
-        if next((v for v in vec if v), 0) < 0:
-            g = -g
-        return tuple(v // g for v in vec) if g else tuple(vec)
-    real, imag = _part_lists(map(canonical, vec))
-    return _joined(_normalized_parts(real + imag))
+    if not all(type(v) is int for v in vec):  # a denominator or a Gaussian part to clear
+        vec = list(map(canonical, vec))
+        if ComplexRational in map(type, vec):
+            real, imag = _part_lists(vec)
+            return _joined(_normalized_parts(real + imag))
+        lcm = math.lcm(*(v.denominator for v in vec))
+        vec = [v.numerator * (lcm // v.denominator) for v in vec]
+    g = math.gcd(*vec)
+    if next((v for v in vec if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in vec) if g else tuple(vec)
 
 
 def _normalized_parts(parts: list) -> list:

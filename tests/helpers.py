@@ -9,8 +9,8 @@ published coefficient tables, the per-term geometric, outer and inner
 products, the norm-first descent, the descent that checks every step with a
 ``Blade``, Scherk's minimal length of an isometry, the six-relation check of
 a lift, the entry-by-entry matrix chain product, ``normalize_vector`` on
-``ComplexRational`` values and the ``Fraction(text)`` scalar parser serve
-only as oracles, so
+``ComplexRational`` values, the sphere model's encoding and form on public
+scalars and the ``Fraction(text)`` scalar parser serve only as oracles, so
 they live here rather than in the package.  So does ``rref``, the reduced
 row echelon form read off the package's elimination, which the package
 never needs.
@@ -39,7 +39,7 @@ from exactga.blades import (
     opns,
 )
 from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
-from exactga.lie import lie_algebra
+from exactga.lie import LieInfinity, LiePlane, LiePoint, LieSphere, lie_algebra
 from exactga.linalg import (
     LinAlgError,
     Matrix,
@@ -394,6 +394,40 @@ def complex_normalize_vector(vec) -> tuple:
     if (lead_real or lead_imag) < 0:
         vec = [-x for x in vec]
     return tuple(vec)
+
+
+def stored_types(vec) -> list:
+    """Each entry with its type, and for a ComplexRational the types of its parts."""
+    return [(x, type(x)) + ((type(x.re), type(x.im)) if type(x) is ComplexRational else ())
+            for x in vec]
+
+
+LIE_DIAGONAL = (-1, 1, 1, 1, 1, -1)
+
+
+def public_lie_form(x, y):
+    """Lie's bilinear form, diag(-1, 1, 1, 1, 1, -1), on public scalars."""
+    return sum((d * a * b for d, a, b in zip(LIE_DIAGONAL, x, y)), start=Fraction(0))
+
+
+def public_lie_encode(element) -> tuple:
+    """The six coordinates of a Lie element, formed on its public scalars:
+    ((1 + |u|^2) / 2, (1 - |u|^2) / 2, u, 0) for a point u,
+    ((1 + |p|^2 - r^2) / 2, (1 - |p|^2 + r^2) / 2, p, r) for a sphere,
+    (h, -h, n, 1) for a plane and (1, -1, 0, 0, 0, 0) for infinity."""
+    half = Fraction(1, 2)
+    match element:
+        case LiePoint(position=u):
+            uu = sum((x * x for x in u), start=Fraction(0))
+            return ((1 + uu) * half, (1 - uu) * half, *u, Fraction(0))
+        case LieInfinity():
+            return tuple(map(Fraction, (1, -1, 0, 0, 0, 0)))
+        case LieSphere(center=p, radius=r):
+            pp = sum((x * x for x in p), start=Fraction(0))
+            return ((1 + pp - r * r) * half, (1 - pp + r * r) * half, *p, r)
+        case LiePlane(normal=n, offset=h):
+            return (h, -h, *n, Fraction(1))
+    raise TypeError(element)
 
 
 def rref(m: Matrix) -> tuple[list[list], list[int]]:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactga.algebra import AlgebraError, proportional, sandwich
 from exactga.factorize import factorize_versor
@@ -19,7 +21,15 @@ from exactga.lie import (
     lie_inversion_sandwich,
     oriented_contact,
 )
-from helpers import rand_fraction, rand_unit_normal, rand_versor
+from exactga.scalars import ComplexRational
+from helpers import (
+    public_lie_encode,
+    public_lie_form,
+    rand_fraction,
+    rand_unit_normal,
+    rand_versor,
+    stored_types,
+)
 
 ALG = lie_algebra()
 E = ALG.e
@@ -153,6 +163,60 @@ def test_plane_contact_with_sphere():
 def test_contact_rejects_off_quadric():
     with pytest.raises(AlgebraError):
         oriented_contact(LiePlane((2, 0, 0), 1), LieSphere((0, 0, 0), 1))
+
+
+# -- the integer representative against the public-scalar formulas ------------------
+
+_rationals = st.fractions(-12, 12, max_denominator=6)
+_gaussians = st.builds(ComplexRational, _rationals, _rationals)
+
+
+@st.composite
+def _unit_normals(draw):
+    # the stereographic parameterization, as in helpers.rand_unit_normal
+    a, b = draw(_rationals), draw(_rationals)
+    d = 1 + a * a + b * b
+    return (2 * a / d, 2 * b / d, (1 - a * a - b * b) / d)
+
+
+@st.composite
+def _element_pairs(draw):
+    """Two elements of rational or Gaussian-rational scalars; in a third of
+    the draws a sphere and a sphere it touches, whose centers lie
+    |r1 - r2| apart along a unit vector."""
+    scalar = draw(st.sampled_from((_rationals, st.one_of(_rationals, _gaussians))))
+    triple = st.tuples(scalar, scalar, scalar)
+    if draw(st.integers(0, 2)) == 0:
+        p, r, s, u = draw(triple), draw(scalar), draw(scalar), draw(_unit_normals())
+        return LieSphere(p, r), LieSphere([x + (r - s) * y for x, y in zip(p, u)], s)
+    elements = st.one_of(
+        st.builds(LiePoint, triple),
+        st.builds(LieSphere, triple, scalar),
+        st.builds(LiePlane, _unit_normals(), scalar),
+        st.builds(LiePlane, triple.filter(any), scalar),
+        st.just(LieInfinity()))
+    return draw(elements), draw(elements)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_element_pairs(), st.one_of(_rationals, _gaussians).filter(bool),
+       st.one_of(_rationals, _gaussians).filter(bool))
+def test_sphere_model_matches_the_public_scalar_oracle(pair, f1, f2):
+    # the integer representatives give the stored coordinates of the
+    # Fraction formulas, and the quadric, contact and the off-quadric
+    # refusal of Lie's form on public scalars, at any nonzero scale
+    encoded = [lie_encode(element) for element in pair]
+    for element, c in zip(pair, encoded):
+        assert stored_types(c.coords) == stored_types(public_lie_encode(element))
+    scaled = [LieCoordinate(tuple(f * x for x in c.coords)) for f, c in zip((f1, f2), encoded)]
+    for a, b in (encoded, scaled, (scaled[0], encoded[0]), (encoded[1], scaled[0])):
+        on = [public_lie_form(c.coords, c.coords) == 0 for c in (a, b)]
+        assert [a.on_quadric(), b.on_quadric()] == on
+        if all(on):
+            assert oriented_contact(a, b) == (public_lie_form(a.coords, b.coords) == 0)
+        else:
+            with pytest.raises(AlgebraError, match="oriented contact needs quadric points"):
+                oriented_contact(a, b)
 
 
 # -- inversions and the affine subgroup ------------------------------------------------

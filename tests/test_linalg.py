@@ -9,6 +9,8 @@ from exactga.linalg import (
     LinAlgError,
     Matrix,
     _chain_product,
+    _joined,
+    _normalized_parts,
     determinant,
     mat_mul,
     normalize_vector,
@@ -26,6 +28,7 @@ from helpers import (
     rand_coefficient,
     rand_fraction,
     solve_linear,
+    stored_types,
 )
 
 
@@ -317,12 +320,6 @@ def _normalize_cases(draw):
     return [canonical(v) for v in vec] if draw(st.booleans()) else vec
 
 
-def _stored(vec) -> list:
-    """Each entry with its type, and for a ComplexRational the types of its parts."""
-    return [(x, type(x)) + ((type(x.re), type(x.im)) if type(x) is ComplexRational else ())
-            for x in vec]
-
-
 @settings(max_examples=300, deadline=None, database=None)
 @given(_normalize_cases())
 @example([0, 0, 0])
@@ -330,22 +327,24 @@ def _stored(vec) -> list:
 @example([Fraction(-2, 3), ComplexRational(1, 2), 4])  # a negative real lead
 @example([0, ComplexRational(0, -2), ComplexRational(3, 1)])  # zero real part, negative imaginary
 @example([ComplexRational(0, Fraction(-1, 2)), Fraction(1, 3)])
+@example([0, Fraction(-3, 4), Fraction(5, 6), 2])  # a real vector with a negative lead
+@example([Fraction(0), Fraction(0)])
 def test_normalize_vector_matches_the_complex_rational_oracle(vec):
-    # the part-list normalization gives the values and the stored types of
-    # the same steps on ComplexRational values
-    assert _stored(normalize_vector(vec)) == _stored(complex_normalize_vector(vec))
+    # the real path and the part-list path give the values and the stored
+    # types of the same steps on ComplexRational values
+    assert stored_types(normalize_vector(vec)) == stored_types(complex_normalize_vector(vec))
 
 
 def test_normalize_vector_int_path_matches_the_general_path():
-    # plain ints skip canonical and the denominators; Fractions of the same
-    # values take the general path and must give the same tuple of ints
+    # plain ints skip canonical and the denominators; the part-list path,
+    # fed the same values with zero imaginary parts, must give the same ints
     rng = random.Random("linalg/normalize")
     vectors = [[], [0, 0, 0], [0, -4, 6], [3], [-1, 0]]
     vectors += [[rng.choice((0, 0, 1, -1)) * rng.randint(0, 10**rng.randint(1, 30))
                  * rng.choice((1, 6, -12)) for _ in range(rng.randint(1, 6))]
                 for _ in range(300)]
     for vec in vectors:
-        expected = normalize_vector([Fraction(v) for v in vec])
+        expected = _joined(_normalized_parts(vec + [0] * len(vec)))
         got = normalize_vector(vec)
         assert got == expected and all(type(x) is int for x in got)
         assert not got or next((x for x in got if x), 0) >= 0

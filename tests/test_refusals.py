@@ -30,6 +30,7 @@ from exactga.lie import (
     LiePlane,
     is_laguerre,
     lie_algebra,
+    lie_decode,
     lie_element_from_json,
     lie_encode,
     lie_inversion_sandwich,
@@ -134,6 +135,11 @@ REFUSALS = {
                      AlgebraError, "Lie coordinates must not all vanish"),
     "encode-non-element": (lambda: lie_encode("point"),
                            AlgebraError, "not a Lie element: 'point'"),
+    # x0 + x1 = 0 with a zero normal and x5 != 0 squares to -x5^2
+    "decode-zero-normal": (lambda: lie_decode(LieCoordinate((2, -2, 0, 0, 0, 3))),
+                           AlgebraError, "coordinates are off the quadric"),
+    "decode-non-coordinates": (lambda: lie_decode((1, -1, 0, 0, 0, 0)),
+                               AlgebraError, "not Lie coordinates: (1, -1, 0, 0, 0, 0)"),
     "inversion-grade": (lambda: lie_inversion_sandwich(LIE.e(1, 2), LIE.e(1)),
                         AlgebraError, "inversion sandwich works on grade-1 elements"),
     "inversion-null": (lambda: lie_inversion_sandwich(LIE.e(1) + LIE.e(2), LIE.e(3)),

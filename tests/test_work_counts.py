@@ -21,7 +21,8 @@ factorization, a verify that multiplies again the polarities its lift
 proved against the same matrix, a ``ComplexRational`` operation inside
 ``normalize_vector``, the descent's read-off, probes and picks, the
 certificate's ``ratio`` or the lift's Gaussian coefficient build, more
-than the 10 polarity negations in a warm complex factorization,
+than the 10 polarity negations in a warm complex factorization, a
+``Fraction`` operator in the rational sphere model's encoding or contact,
 or a complex descent that
 splits or joins its remainder more than once fails here even when its
 output stays the same.  The storage guards require the integer core: int
@@ -40,9 +41,10 @@ import exactga.blades as blades
 import exactga.cli as cli
 import exactga.factorize as factorize
 import exactga.klein as klein
+import exactga.lie as lie
 import exactga.linalg as linalg
 from exactga.algebra import Algebra, Multivector
-from exactga.lie import lie_algebra
+from exactga.lie import LieSphere, lie_algebra, lie_encode, oriented_contact
 from exactga.linalg import Matrix
 from exactga.scalars import ComplexRational
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
@@ -603,3 +605,25 @@ def test_verifying_a_factorization_multiplies_its_polarities_once(monkeypatch):
             assert factorize.verify_factorization(copy, t) and not copy.verified()
             assert [args[0] for args in chains] == [result.polarities]
         monkeypatch.undo()
+
+
+FRACTION_OPERATIONS = ("__mul__", "__add__", "__sub__", "__truediv__")
+
+
+def test_rational_sphere_model_runs_on_ints(monkeypatch):
+    # lie_encode forms a sphere's first two coordinates on the integer
+    # representative of (p, r, 1), each one Fraction(p, q) construction,
+    # and oriented_contact reads Lie's form three times on the integer
+    # representatives; on Fraction coordinates the touching pair called
+    # these operators 24 times in its two encodings and 39 in its contact
+    touching = (LieSphere((Fraction(1, 3), Fraction(-1, 2), Fraction(2, 7)), Fraction(3, 2)),
+                LieSphere((Fraction(13, 12), Fraction(1, 2), Fraction(2, 7)), Fraction(1, 4)))
+    apart = LieSphere((Fraction(-5, 6), 3, Fraction(1, 9)), Fraction(-7, 5))
+    for pair, touch in ((touching, True), ((touching[0], apart), False)):
+        operations = [counting(monkeypatch, Fraction, name) for name in FRACTION_OPERATIONS]
+        quotients = counting(monkeypatch, lie, "div")
+        a, b = map(lie_encode, pair)
+        assert oriented_contact(a, b) is touch
+        monkeypatch.undo()
+        assert operations == [[]] * len(FRACTION_OPERATIONS)
+        assert len(quotients) == 4 and all(type(x) is int for q in quotients for x in q)
