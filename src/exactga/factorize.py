@@ -19,9 +19,9 @@ from .klein import (
     ProjTransform4,
     _alternating_actions,
     _lift,
+    _polarity_coordinates,
     _polarity_product,
     klein_algebra,
-    null_polarity_to_vector,
 )
 from .linalg import Matrix
 from .scalars import Scalar, as_scalar, format_scalar
@@ -89,7 +89,9 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
 
     Every polarity must be a ``NullPolarity``, whose constructors prove its
     matrix skew (the public one checks it, ``vector_to_null_polarity`` builds
-    it skew), so skewness is not checked again here.  Nor is nullness: a null
+    it skew), so skewness is not checked again here, and each factor is
+    compared with the coordinates read off its polarity's entries
+    (``klein._polarity_coordinates``), no vector built.  Nor is nullness: a null
     factor's polarity is singular, so no product with it equals scale * A.
     Last, a result proved against ``t.matrix`` is read; any other is multiplied out.
     """
@@ -105,9 +107,13 @@ def _failed_check(result: FactorizationResult, t: ProjTransform4) -> dict | None
         return {"check": "parity"}
     if not all(type(p) is NullPolarity for p in result.polarities):
         return {"check": "polarity-type"}
+    alg = klein_algebra()
     for index, (f, p) in enumerate(zip(result.factors, result.polarities), 1):
-        # each factor is the vector its polarity was built from
-        if p.matrix.is_zero() or f != null_polarity_to_vector(p):
+        # each factor is the vector its polarity was built from: its terms
+        # are the nonzero coordinates read off the polarity's entries
+        if p.matrix.is_zero() or not (
+                isinstance(f, Multivector) and alg.same_as(f.algebra)
+                and f._terms == {1 << i: c for i, c in enumerate(_polarity_coordinates(p)) if c}):
             return {"check": "factor", "index": index}
     if [p.action for p in result.polarities] != _alternating_actions(n, t.action):
         return {"check": "actions"}

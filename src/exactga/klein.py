@@ -17,7 +17,12 @@ constructions.
 
 Grade-1 versors correspond to null polarities (skew-symmetric 4x4
 matrices), and a versor acts on P^3 through the product of its factors'
-polarities: the coefficient tables that transfer between the two
+polarities.  A polarity's vector is read straight off its matrix
+(``_polarity_coordinates``): the plane action holds the coordinates at
+``_PAIRS``, the point action holds them with their halves swapped at the
+transposed pairs, so no entry is negated; the product of a polarity chain is
+``linalg._skew_chain_product``, which reads each factor's six entries
+above the diagonal.  The coefficient tables that transfer between the two
 representations are the spin representation Cl+(3,3) = M4 + M4, derived
 once from the six polarities of the basis vectors.  The published point
 table has a second variant whose entry (2, 3) counts the e2^e6 coefficient
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .algebra import (
@@ -49,6 +54,7 @@ from .linalg import (
     Matrix,
     _chain_product,
     _normalized_table_product,
+    _skew_chain_product,
     normalize_vector,
     nullspace,
     proportionality,
@@ -334,13 +340,21 @@ def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None
         if action is None:
             raise AlgebraError("action required when passing a bare matrix")
         np = NullPolarity(np, action)
-    m = np.matrix
-    if m.is_zero():
+    if np.matrix.is_zero():
         raise AlgebraError("zero matrix is not a polarity")
-    coords = [m[pair] for pair in _PAIRS]
-    if np.action == "points":
-        coords = [-c for c in _swap_halves(coords)]
-    return klein_algebra().vector(coords)
+    return klein_algebra().vector(_polarity_coordinates(np))
+
+
+# ``_polarity`` inverted on the stored entries: the plane action holds x at
+# ``_PAIRS``, the point action -x swapped there, that is x swapped at the transposed pairs
+_PLANE_COORDINATES = itemgetter(*(4 * i + j for i, j in _PAIRS))
+_POINT_COORDINATES = itemgetter(*(4 * j + i for i, j in _swap_halves(_PAIRS)))
+
+
+def _polarity_coordinates(np: NullPolarity) -> tuple:
+    """The internal coordinates of the vector of a polarity, read off its skew matrix."""
+    read = _POINT_COORDINATES if np.action == "points" else _PLANE_COORDINATES
+    return read(np.matrix.entries)
 
 
 # -- coefficient tables ---------------------------------------------------------
@@ -531,8 +545,11 @@ def _alternating_actions(count: int, innermost: str) -> list[str]:
 
 
 def _polarity_product(polarities) -> Matrix:
-    """The product of the polarity matrices, in one call of the chain kernel."""
-    return _chain_product([p.matrix for p in polarities], 4)
+    """The product of the polarity matrices, in one call of the skew chain kernel.
+
+    A ``NullPolarity``'s constructors prove its matrix skew, as the kernel needs.
+    """
+    return _skew_chain_product([p.matrix for p in polarities])
 
 
 def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:

@@ -176,7 +176,10 @@ def lie_decode(c: LieCoordinate) -> LieElement:
         if not any(x[2:]):
             return LieInfinity()
         if not (x[5] and any(x[2:5])):
-            raise AlgebraError("coordinates are off the quadric")
+            if not c.on_quadric():
+                raise AlgebraError("coordinates are off the quadric")
+            # x5 = 0 and n.n = 0 with n nonzero: only a Gaussian normal is isotropic
+            raise AlgebraError("an isotropic normal names no Euclidean entity")
         inv = 1 / x[5]
         return LiePlane((x[2] * inv, x[3] * inv, x[4] * inv), x[0] * inv)
     if not c.on_quadric():

@@ -7,22 +7,35 @@ systems of blades, the polarities) are integral, so their products and
 eliminations run on Python integers.  Every single scalar returned
 (``determinant``, ``ratio``, ``proportionality``) is in the public form.
 
-Every matrix product is one kernel, ``_chain_product``, which multiplies a
-sequence of matrices left to right: ``mat_mul``, the M^T Q M of a checked
-``klein.Sandwich6`` and the polarity chain of a factorization.  It carries
-the running product as lists of rows, builds no intermediate ``Matrix``,
-and forms each entry of a step as one ``sum(map(mul, row, column))``.  A
-chain of real entries multiplies them as they are.  A chain with a
-Gaussian entry splits every factor once into real and imaginary parts, by
-the split rule that ``algebra``'s product kernel uses too
-(``scalars._parts``).  A row of the running product P then holds the real
-parts of its entries followed by their imaginary parts, and a factor B
-enters as the real block matrix [[Re B, Im B], [-Im B, Re B]], so that
+Every general matrix product is one kernel, ``_chain_product``, which
+multiplies a sequence of matrices left to right: ``mat_mul`` and the
+M^T Q M of a checked ``klein.Sandwich6``.  It carries the running product
+as lists of rows, builds no intermediate ``Matrix``, and forms each entry
+of a step as one ``sum(map(mul, row, column))``.  A chain of real entries
+multiplies them as they are.  A chain with a Gaussian entry splits every
+factor once into real and imaginary parts, by the split rule that
+``algebra``'s product kernel uses too (``scalars._parts``).  A row of the
+running product P then holds the real parts of its entries followed by
+their imaginary parts, and a factor B enters as the real block matrix
+[[Re B, Im B], [-Im B, Re B]], so that
 
     [Re P | Im P] [[Re B, Im B], [-Im B, Re B]] = [Re PB | Im PB]
 
 keeps the layout from factor to factor on ints (or Fractions).  Each entry
-of the result is recombined once, through ``scalars._make``.  The lift's
+of the result is recombined once, through ``scalars._make``.
+
+The polarity chain of a factorization has its own kernel,
+``_skew_chain_product``: every factor is a skew 4x4 matrix S, read off its
+six entries s01, s02, s03, s12, s13, s23 above the diagonal, and a row
+(a, b, c, d) of the running product becomes
+
+    (-b s01 - c s02 - d s03, a s01 - c s12 - d s13,
+     a s02 + b s12 - d s23, a s03 + b s13 + c s23),
+
+one tuple of 12 products.  A Gaussian chain splits only those six entries
+of each factor and carries each row as its four real parts and its four
+imaginary parts, so a row's step is one tuple of 48 products on ints, and
+each entry of the result is recombined once.  The lift's
 coefficient build, ``_normalized_table_product``, runs real values through
 ``_table_product``, the sparse integer table that reads a versor's
 coefficients off a projective map, and ``normalize_vector``; a Gaussian map
@@ -37,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from .scalars import (
@@ -176,7 +189,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def _chain_product(factors: Sequence[Matrix], rows: int) -> Matrix:
     """The product of the rows x rows identity and ``factors``, left to right.
 
-    The one matrix product kernel (module docstring).
+    The general matrix product kernel (module docstring).
     """
     cols = rows
     for f in factors:
@@ -204,6 +217,41 @@ def _chain_product(factors: Sequence[Matrix], rows: int) -> Matrix:
         carry = [[sum(map(mul, row, col)) for col in columns] for row in carry]
     return Matrix(rows, cols, tuple(_make(row[j], row[cols + j])
                                     for row in carry for j in range(cols)))
+
+
+# the entries (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3) of a row-major 4x4 matrix
+_UPPER = itemgetter(1, 2, 3, 6, 7, 11)
+
+
+def _skew_chain_product(factors: Sequence[Matrix]) -> Matrix:
+    """The product of the 4x4 identity and the skew 4x4 ``factors``, left to right.
+
+    The polarity chain kernel (module docstring); each factor must be skew,
+    since only its entries above the diagonal are read.
+    """
+    uppers = [_UPPER(f.entries) for f in factors]
+    if all(ComplexRational not in map(type, s) for s in uppers):
+        rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        for s01, s02, s03, s12, s13, s23 in uppers:
+            rows = [(-b * s01 - c * s02 - d * s03, a * s01 - c * s12 - d * s13,
+                     a * s02 + b * s12 - d * s23, a * s03 + b * s13 + c * s23)
+                    for a, b, c, d in rows]
+        return Matrix(4, 4, tuple(x for row in rows for x in row))
+    # a row is (Re a, Re b, Re c, Re d, Im a, Im b, Im c, Im d) = (a, b, c, d, e, f, g, h)
+    rows = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0)]
+    for s in uppers:
+        (r01, r02, r03, r12, r13, r23), (i01, i02, i03, i12, i13, i23) = _part_lists(s)
+        rows = [(-b * r01 - c * r02 - d * r03 + f * i01 + g * i02 + h * i03,
+                 a * r01 - c * r12 - d * r13 - e * i01 + g * i12 + h * i13,
+                 a * r02 + b * r12 - d * r23 - e * i02 - f * i12 + h * i23,
+                 a * r03 + b * r13 + c * r23 - e * i03 - f * i13 - g * i23,
+                 -b * i01 - c * i02 - d * i03 - f * r01 - g * r02 - h * r03,
+                 a * i01 - c * i12 - d * i13 + e * r01 - g * r12 - h * r13,
+                 a * i02 + b * i12 - d * i23 + e * r02 + f * r12 - h * r23,
+                 a * i03 + b * i13 + c * i23 + e * r03 + f * r13 + g * r23)
+                for a, b, c, d, e, f, g, h in rows]
+    return Matrix(4, 4, tuple(_make(row[j], row[4 + j]) for row in rows for j in range(4)))
 
 
 def _part_lists(entries) -> tuple[list, list]:

@@ -10,7 +10,8 @@ products, the norm-first descent, the descent that checks every step with a
 ``Blade``, Scherk's minimal length of an isometry, the six-relation check of
 a lift, the entry-by-entry matrix chain product, ``normalize_vector`` on
 ``ComplexRational`` values, the sphere model's encoding and form on public
-scalars and the ``Fraction(text)`` scalar parser serve only as oracles, so
+scalars, the ``Fraction(text)`` scalar parser and verify's checks with a
+vector built per factor serve only as oracles, so
 they live here rather than in the package.  So does ``rref``, the reduced
 row echelon form read off the package's elimination, which the package
 never needs.
@@ -38,7 +39,15 @@ from exactga.blades import (
     factorize_versor,
     opns,
 )
-from exactga.klein import NotLiftableError, coefficient_vector, klein_algebra
+from exactga.klein import (
+    NotLiftableError,
+    NullPolarity,
+    _alternating_actions,
+    _polarity_product,
+    coefficient_vector,
+    klein_algebra,
+    null_polarity_to_vector,
+)
 from exactga.lie import LieInfinity, LiePlane, LiePoint, LieSphere, lie_algebra
 from exactga.linalg import (
     LinAlgError,
@@ -719,3 +728,25 @@ def joined_choose(alg: Algebra, space) -> tuple:
                 a, b = normalize_vector(a), normalize_vector(b)
                 return normalize_vector([x + y for x, y in zip(a, b)])
     raise NoNonNullVectorError("span is totally isotropic")
+
+
+def built_vector_failed_check(result, t) -> dict | None:
+    """``factorize._failed_check`` with the factor check on built vectors:
+    each factor compared with ``null_polarity_to_vector`` of its polarity."""
+    n = len(result.factors)
+    if n > 6 or n != len(result.polarities):
+        return {"check": "count"}
+    if n % 2 != (0 if t.kind == "collineation" else 1):
+        return {"check": "parity"}
+    if not all(type(p) is NullPolarity for p in result.polarities):
+        return {"check": "polarity-type"}
+    for index, (f, p) in enumerate(zip(result.factors, result.polarities), 1):
+        if p.matrix.is_zero() or f != null_polarity_to_vector(p):
+            return {"check": "factor", "index": index}
+    if [p.action for p in result.polarities] != _alternating_actions(n, t.action):
+        return {"check": "actions"}
+    if not result.scale:
+        return {"check": "scale"}
+    proved = (result.residual.is_zero() if result._against == t.matrix
+              else _polarity_product(result.polarities) == t.matrix.scale(result.scale))
+    return None if proved else {"check": "product"}

@@ -344,11 +344,13 @@ def test_stored_complex_rationals_have_imaginary_parts(monkeypatch):
         monkeypatch.setattr(cls, hook, record)
     on_adopted_terms(monkeypatch, lambda terms: stored.extend(
         c for c in terms.values() if type(c) is ComplexRational))
-    # the complex variant, and the reference with its last row negated
-    # (det -4), both of negative similitude ratio
+    # the complex variant, the reference with its last row negated and the
+    # reference with its first two rows swapped (both det -4), all of
+    # negative similitude ratio
     negated_row = [row if i < 3 else [-x for x in row]
                    for i, row in enumerate(REFERENCE_COLLINEATION)]
-    for rows in (COMPLEX_VARIANT, negated_row):
+    first, second, *rest = REFERENCE_COLLINEATION
+    for rows in (COMPLEX_VARIANT, negated_row, [second, first, *rest]):
         for kind in ("collineation", "correlation"):
             for action in ("points", "planes"):
                 t = klein.ProjTransform4(Matrix.from_rows(rows), kind, action)

@@ -1,14 +1,18 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactga.algebra import AlgebraError, NotAVersorError, NullVersorError, proportional
 from exactga.factorize import (
     FactorizationResult,
     NoNonNullVectorError,
+    _failed_check,
     choose_nonnull_vector,
     factorize_matrix,
     factorize_versor,
@@ -30,7 +34,9 @@ from exactga.blades import Blade, BladeError
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul
 from exactga.scalars import ComplexRational, scalar_sqrt
+from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
 from helpers import (
+    built_vector_failed_check,
     checked_factorize_versor,
     norm_first_factorize,
     rand_fraction,
@@ -550,6 +556,54 @@ def test_verify_refuses_a_zero_scale(reference_matrix):
     parsed = FactorizationResult.from_json(data, t)
     assert parsed.residual.is_zero()
     assert [verify_factorization(result, t) for result in (forged, parsed)] == [False, False]
+
+
+@lru_cache(maxsize=1)
+def _checked_results() -> tuple:
+    """(result, transform) pairs: rational and Gaussian, lifted and read back from JSON."""
+    pairs = []
+    for rows, kind, action, mode in ((REFERENCE_COLLINEATION, "collineation", "points",
+                                      "rational"),
+                                     (COMPLEX_VARIANT, "collineation", "points", "complex"),
+                                     (COMPLEX_VARIANT, "correlation", "planes", "complex")):
+        t = ProjTransform4(Matrix.from_rows(rows), kind, action)
+        result = factorize_matrix(t, mode)
+        pairs += [(result, t), (FactorizationResult.from_json(result.to_json(), t), t)]
+    return tuple(pairs)
+
+
+_I = ComplexRational(0, 1)
+_OTHER_ACTION = {"points": "planes", "planes": "points"}
+# each mutation of factor k and its polarity p: (factor, polarity)
+_MUTATIONS = {
+    "wrong-action": lambda f, p: (f, NullPolarity(p.matrix, _OTHER_ACTION[p.action])),
+    "transposed": lambda f, p: (f, NullPolarity(p.matrix.transpose(), p.action)),
+    "zero-polarity": lambda f, p: (f, NullPolarity(Matrix.zeros(4, 4), p.action)),
+    "zero-pair": lambda f, p: (KLEIN.zero(), NullPolarity(Matrix.zeros(4, 4), p.action)),
+    "non-vector": lambda f, p: (f + f.algebra.e(1, 2), p),
+    "scalar-term": lambda f, p: (f + 1, p),
+    "lie-factor": lambda f, p: (lie_algebra().mv(f.terms), p),
+    "gaussian-factor": lambda f, p: (f * _I, p),
+    "gaussian-pair": lambda f, p: (f * _I, NullPolarity(p.matrix.scale(_I), p.action)),
+    "negated-pair": lambda f, p: (-f, NullPolarity(-p.matrix, p.action)),
+    "unchanged": lambda f, p: (f, p),
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 5), st.lists(st.tuples(st.sampled_from(sorted(_MUTATIONS)),
+                                             st.integers(0, 5)), max_size=3))
+def test_factor_check_reads_what_the_built_vector_compares(case, mutations):
+    # the factor check reads each factor's coordinates off its polarity's
+    # entries; a vector built per factor finds the same first failure
+    result, t = _checked_results()[case]
+    factors, polarities = list(result.factors), list(result.polarities)
+    for name, k in mutations:
+        k %= len(factors)
+        factors[k], polarities[k] = _MUTATIONS[name](factors[k], polarities[k])
+    mutated = dataclasses.replace(result, factors=tuple(factors), polarities=tuple(polarities))
+    assert _failed_check(mutated, t) == built_vector_failed_check(mutated, t)
+    assert _failed_check(result, t) is built_vector_failed_check(result, t) is None
 
 
 def test_verify_empty_against_identity():

@@ -7,7 +7,9 @@ Only the blade-table builders of ``algebra`` compute a reordering sign, only
 parts of a Gaussian value, only the kernel modules name the split form,
 popcounts use ``int.bit_count``, one builder makes the values whose
 fields their caller proved, each rule of the scalar, matrix, blade and
-model layers is stated once, and no source line is wider than 100 columns.
+model layers is stated once, the polarity chain has one kernel and a
+polarity's coordinates one reader, and no source line is wider than 100
+columns.
 """
 
 from __future__ import annotations
@@ -281,6 +283,29 @@ def test_each_rule_has_one_statement():
     assert {name: found for name, tree in modules.items()
             if (found := _users(tree, "_quotient") - {""})} == {
         "scalars": {"__truediv__"}, "linalg": {"ratio"}}
+
+
+def test_the_polarity_chain_has_one_kernel_and_one_reader():
+    # linalg._skew_chain_product multiplies the polarity chain, and
+    # klein._polarity_product is its one caller; the general _chain_product
+    # keeps mat_mul and the M^T Q M of a checked Sandwich6
+    modules = _modules()
+    assert [name for name, tree in modules.items()
+            if "_skew_chain_product" in _definitions(tree)] == ["linalg"]
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_skew_chain_product") - {""})} == {
+        "klein": {"_polarity_product"}}
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_chain_product") - {""})} == {
+        "linalg": {"mat_mul"}, "klein": {"__post_init__"}}
+    # one reader of a polarity's coordinates serves the public inverse and
+    # verify's factor check, which builds no vector
+    assert [name for name, tree in modules.items()
+            if "_polarity_coordinates" in _definitions(tree)] == ["klein"]
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_polarity_coordinates") - {""})} == {
+        "klein": {"null_polarity_to_vector"}, "factorize": {"_failed_check"}}
+    assert _users(modules["factorize"], "null_polarity_to_vector") == set()
 
 
 def test_source_lines_fit_in_100_columns():

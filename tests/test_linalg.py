@@ -11,6 +11,7 @@ from exactga.linalg import (
     _chain_product,
     _joined,
     _normalized_parts,
+    _skew_chain_product,
     determinant,
     mat_mul,
     normalize_vector,
@@ -168,6 +169,59 @@ def test_chain_kernel_checks_every_shape():
     assert _chain_product([], 3) == Matrix.identity(3)
 
 
+_small_fractions = st.fractions(-40, 40, max_denominator=12)
+_ENTRIES = {
+    "int": st.integers(-10**12, 10**12),
+    "fraction": _small_fractions,
+    "gaussian": st.builds(ComplexRational, st.integers(-60, 60), st.integers(-60, 60)),
+    "gaussian-rational": st.builds(ComplexRational, _small_fractions, _small_fractions),
+}
+
+
+_ABOVE_DIAGONAL = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _skew(upper) -> Matrix:
+    """The skew 4x4 matrix with the entries ``upper`` above the diagonal."""
+    rows = [[0] * 4 for _ in range(4)]
+    for (i, j), s in zip(_ABOVE_DIAGONAL, map(as_scalar, upper)):
+        rows[i][j], rows[j][i] = s, -s
+    return Matrix.from_rows(rows)
+
+
+@st.composite
+def _skew_chains(draw):
+    """0-6 skew factors with entries of a mix of kinds, some with a zero row."""
+    kinds = draw(st.sets(st.sampled_from(sorted(_ENTRIES)), min_size=1))
+    entry = st.one_of(st.just(0), *(_ENTRIES[k] for k in sorted(kinds)))
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        upper = draw(st.lists(entry, min_size=6, max_size=6))
+        zero_row = draw(st.sampled_from((None, None, 0, 1, 2, 3)))
+        factors.append(_skew([0 if zero_row in pair else x
+                              for pair, x in zip(_ABOVE_DIAGONAL, upper)]))
+    return factors
+
+
+_I = ComplexRational(0, 1)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_skew_chains())
+@example([])
+@example([_skew((_I, 0, 0, 0, 0, 0))] * 2)  # i * i: every imaginary part cancels
+@example([_skew(("1+1i", 0, 0, "1/2i", 0, 3)), _skew(("1-1i", 0, 0, "2i", 0, 1))])
+@example([_skew((_I, 2, 0, 0, "1-1i", 0)), _skew((0, 0, 0, 0, 0, 0)), _skew((1, 2, 3, 4, 5, 6))])
+@example([_skew((k, "1/2", "2-1i", 0, "1/3i", -k)) for k in range(1, 7)])  # six Gaussian factors
+def test_skew_chain_kernel_matches_the_entrywise_product(factors):
+    # values, and the stored types that canonical gives the public product
+    got = _skew_chain_product(factors)
+    expected = naive_chain_product(factors, 4)
+    assert got.row_lists() == expected
+    assert stored_types(got.entries) == stored_types(
+        [canonical(x) for row in expected for x in row])
+
+
 def test_determinant_against_cofactor_oracle():
     rng = random.Random(5)
     for _ in range(20):
@@ -301,21 +355,12 @@ def test_nullspace_with_a_gaussian_pivot():
     assert nullspace(Matrix.from_rows([["2i", "1+1i"]])) == [(ComplexRational(1, -1), -2)]
 
 
-_small_fractions = st.fractions(-40, 40, max_denominator=12)
-_entries = {
-    "int": st.integers(-10**12, 10**12),
-    "fraction": _small_fractions,
-    "gaussian": st.builds(ComplexRational, st.integers(-60, 60), st.integers(-60, 60)),
-    "gaussian-rational": st.builds(ComplexRational, _small_fractions, _small_fractions),
-}
-
-
 @st.composite
 def _normalize_cases(draw):
     """A vector of one kind of entry, with zeros and small ints among them,
     in the public or the internal form."""
-    kind = draw(st.sampled_from(sorted(_entries)))
-    entry = st.one_of(st.just(0), st.integers(-4, 4), _entries[kind])
+    kind = draw(st.sampled_from(sorted(_ENTRIES)))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), _ENTRIES[kind])
     vec = draw(st.lists(entry, max_size=7))
     return [canonical(v) for v in vec] if draw(st.booleans()) else vec
 

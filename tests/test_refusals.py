@@ -138,6 +138,10 @@ REFUSALS = {
     # x0 + x1 = 0 with a zero normal and x5 != 0 squares to -x5^2
     "decode-zero-normal": (lambda: lie_decode(LieCoordinate((2, -2, 0, 0, 0, 3))),
                            AlgebraError, "coordinates are off the quadric"),
+    # x0 + x1 = 0 and x5 = 0 with the Gaussian normal (1, i, 0), which squares to 0
+    "decode-isotropic-normal": (
+        lambda: lie_decode(LieCoordinate((0, 0, 1, ComplexRational(0, 1), 0, 0))),
+        AlgebraError, "an isotropic normal names no Euclidean entity"),
     "decode-non-coordinates": (lambda: lie_decode((1, -1, 0, 0, 0, 0)),
                                AlgebraError, "not Lie coordinates: (1, -1, 0, 0, 0, 0)"),
     "inversion-grade": (lambda: lie_inversion_sandwich(LIE.e(1, 2), LIE.e(1)),

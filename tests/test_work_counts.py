@@ -3,32 +3,31 @@
 Each test counts calls through a monkeypatched wrapper, so a regression
 that reintroduces a cofactor inverse, an induced line map, a blade sum, a
 pseudoscalar product it does not choose, a product after the descent or a
-second polarity product in the lift, a
-second outer null space per descent step or classification, a read-off
-vector normalized before its probe, a linear system in the descent, a norm
-product, more than one call of the product kernel ``algebra._product``
-(``_gaussian_product`` on split terms) per descent step, a ``Blade`` or a
-decomposability wedge in a successful descent, a division before the lift's normalization, a ``ComplexRational``
-multiplication inside a product, a ``ComplexRational`` multiplication or
-sum inside the polarity chain, ``mat_mul`` or the lift's coefficient
-table, a polarity chain that takes more than one call of the chain
-kernel, a reordering sign computed outside the warm blade tables, an
-outer or inner product routed
+second polarity product in the lift, a second outer null space per
+descent step or classification, a read-off vector normalized before its
+probe, a linear system in the descent, a norm product, more than one call
+of the product kernel ``algebra._product`` (``_gaussian_product`` on split
+terms) per descent step, a ``Blade`` or a decomposability wedge in a
+successful descent, a division before the lift's normalization, a
+``ComplexRational`` multiplication inside a product, a ``ComplexRational``
+multiplication or sum inside the polarity chain, ``mat_mul`` or the lift's
+coefficient table, a polarity chain that takes more than one call of the
+skew chain kernel or any call of the general one, a reordering sign
+computed outside the warm blade tables, an outer or inner product routed
 through ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form at all, a second polarity
 product or a second ``scale * A`` in a verify job, a residual formed by a
 factorization, a verify that multiplies again the polarities its lift
-proved against the same matrix, a ``ComplexRational`` operation inside
-``normalize_vector``, the descent's read-off, probes and picks, the
-certificate's ``ratio`` or the lift's Gaussian coefficient build, more
-than the 10 polarity negations in a warm complex factorization, a
-``Fraction`` operator in the rational sphere model's encoding or contact,
-or a complex descent that
-splits or joins its remainder more than once fails here even when its
-output stays the same.  The storage guards require the integer core: int
-blade and coefficient tables, and int or Gaussian-int coefficients in
-every multivector and kernel product of a descent and in every
-matrix of the linear algebra.
+proved against the same matrix, a verify that builds a vector per factor,
+a ``ComplexRational`` operation inside ``normalize_vector``, the descent's
+read-off, probes and picks, the certificate's ``ratio`` or the lift's
+Gaussian coefficient build, more than the 10 polarity negations in a warm
+complex factorization, a ``Fraction`` operator in the rational sphere
+model's encoding or contact, or a complex descent that splits or joins its
+remainder more than once fails here even when its output stays the same.
+The storage guards require the integer core: int blade and coefficient
+tables, and int or Gaussian-int coefficients in every multivector and
+kernel product of a descent and in every matrix of the linear algebra.
 """
 
 import dataclasses
@@ -101,7 +100,8 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
                     (klein.ProjTransform4(Matrix.from_rows(COMPLEX_VARIANT),
                                           "collineation", "points"), "complex")):
         chains = counting(monkeypatch, klein, "_polarity_product")
-        products = counting(monkeypatch, klein, "_chain_product")
+        skew_chains = counting(monkeypatch, klein, "_skew_chain_product")
+        products = [counting(monkeypatch, owner, "_chain_product") for owner in (klein, linalg)]
         pairs = counting(monkeypatch, linalg, "mat_mul")
         sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
         result = factorize.factorize_matrix(t, mode)
@@ -109,9 +109,10 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
         assert result.verified() and len(result.factors) >= 3
         assert factorize.verify_factorization(result, t)
         assert len(chains) == 1
-        # one chain-kernel call covers every factor; an M^T Q M would be another
-        assert [len(factors) for factors, _ in products] == [len(result.factors)]
-        assert pairs == [] and sandwiches == []
+        # one polarity-kernel call covers every factor; no general chain
+        # product runs, so an M^T Q M would show here
+        assert [len(factors) for factors, in skew_chains] == [len(result.factors)]
+        assert products == [[], []] and pairs == [] and sandwiches == []
 
 
 def test_planes_lift_computes_the_determinant_once(monkeypatch):
@@ -541,6 +542,22 @@ def test_verify_multiplies_the_polarities_once(monkeypatch):
         assert code == 0 and report["verified"] is True
         assert len(chains) == 1 and len(scales) == 1
         assert forms == []
+
+
+def test_verify_reads_each_factor_off_its_polarity(monkeypatch):
+    # the factor check reads the coordinates off the polarity's entries
+    # once per factor and builds no vector from them
+    for job, mode in verify_jobs():
+        built = []
+        for owner in (klein, factorize, cli):
+            if hasattr(owner, "null_polarity_to_vector"):
+                built.append(counting(monkeypatch, owner, "null_polarity_to_vector"))
+        reads = counting(monkeypatch, factorize, "_polarity_coordinates")
+        code, report = cli.run_job("verify", job, {"scalar_mode": mode})
+        monkeypatch.undo()
+        assert code == 0 and report["verified"] is True
+        assert built == [[]]
+        assert len(reads) == len(job["result"]["factors"]) >= 3
 
 
 def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
