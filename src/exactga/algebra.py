@@ -717,7 +717,8 @@ class Multivector:
             mask = item["mask"]
             if not isinstance(mask, int) or isinstance(mask, bool):
                 raise AlgebraError("blade mask must be an integer")
-            terms[mask] = terms.get(mask, 0) + canonical(item["coeff"])
+            coeff = canonical(item["coeff"])
+            terms[mask] = terms[mask] + coeff if mask in terms else coeff
         return cls(algebra, terms)
 
     def __repr__(self):

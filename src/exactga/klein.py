@@ -52,7 +52,6 @@ from .algebra import (
 from .blades import Blade, factorize_versor, ipns, opns
 from .linalg import (
     Matrix,
-    _chain_product,
     _normalized_table_product,
     _skew_chain_product,
     normalize_vector,
@@ -282,9 +281,11 @@ class Sandwich6:
     def __post_init__(self):
         if (self.matrix.rows, self.matrix.cols) != (6, 6):
             raise AlgebraError("line map must be 6x6")
-        q = klein_algebra().form
-        pulled = _chain_product((self.matrix.transpose(), q, self.matrix), 6)
-        ratio = Fraction(0) if pulled.is_zero() else proportionality(pulled, q)
+        alg = klein_algebra()
+        columns = [self.matrix.col(j) for j in range(6)]
+        # M^T Q M is the Gram matrix of M's columns under the form
+        pulled = Matrix(6, 6, tuple(alg._bilinear(x, y) for x in columns for y in columns))
+        ratio = Fraction(0) if pulled.is_zero() else proportionality(pulled, alg.form)
         if ratio is None:
             raise AlgebraError("matrix does not preserve the quadric form")
         object.__setattr__(self, "_ratio", ratio)

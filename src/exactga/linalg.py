@@ -7,22 +7,8 @@ systems of blades, the polarities) are integral, so their products and
 eliminations run on Python integers.  Every single scalar returned
 (``determinant``, ``ratio``, ``proportionality``) is in the public form.
 
-Every general matrix product is one kernel, ``_chain_product``, which
-multiplies a sequence of matrices left to right: ``mat_mul`` and the
-M^T Q M of a checked ``klein.Sandwich6``.  It carries the running product
-as lists of rows, builds no intermediate ``Matrix``, and forms each entry
-of a step as one ``sum(map(mul, row, column))``.  A chain of real entries
-multiplies them as they are.  A chain with a Gaussian entry splits every
-factor once into real and imaginary parts, by the split rule that
-``algebra``'s product kernel uses too (``scalars._parts``).  A row of the
-running product P then holds the real parts of its entries followed by
-their imaginary parts, and a factor B enters as the real block matrix
-[[Re B, Im B], [-Im B, Re B]], so that
-
-    [Re P | Im P] [[Re B, Im B], [-Im B, Re B]] = [Re PB | Im PB]
-
-keeps the layout from factor to factor on ints (or Fractions).  Each entry
-of the result is recombined once, through ``scalars._make``.
+``mat_mul`` is the one general matrix product: one ``sum(map(mul, row,
+column))`` per entry, a Gaussian entry multiplied by its own operators.
 
 The polarity chain of a factorization has its own kernel,
 ``_skew_chain_product``: every factor is a skew 4x4 matrix S, read off its
@@ -50,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .scalars import (
@@ -156,9 +142,10 @@ class Matrix:
         return not any(self.entries)
 
     def is_skew(self) -> bool:
-        """-A == A^T, compared on the stored entries: column j is entries[j::n]."""
+        """-A == A^T: a zero diagonal, and each entry above it the negated mirror entry."""
         n, e = self.rows, self.entries
-        return n == self.cols and list(map(neg, e)) == [x for j in range(n) for x in e[j::n]]
+        return n == self.cols and not any(e[::n + 1]) and all(
+            e[i * n + j] == -e[j * n + i] for i in range(n) for j in range(i + 1, n))
 
     def det(self) -> Scalar:
         return determinant(self)
@@ -183,40 +170,11 @@ def aligned(cells: list[list[str]]) -> str:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return _chain_product((a, b), a.rows)
-
-
-def _chain_product(factors: Sequence[Matrix], rows: int) -> Matrix:
-    """The product of the rows x rows identity and ``factors``, left to right.
-
-    The general matrix product kernel (module docstring).
-    """
-    cols = rows
-    for f in factors:
-        if f.rows != cols:
-            raise LinAlgError(f"inner dimensions disagree: {rows}x{cols} @ {f.rows}x{f.cols}")
-        cols = f.cols
-    if not factors:
-        return Matrix.identity(rows)
-    first, *rest = factors
-    if all(ComplexRational not in map(type, f.entries) for f in factors):
-        carry = [first.row(i) for i in range(rows)]
-        for f in rest:
-            columns = [f.col(j) for j in range(f.cols)]
-            carry = [[sum(map(mul, row, col)) for col in columns] for row in carry]
-        return Matrix(rows, cols, tuple(x for row in carry for x in row))
-    real, imag = _part_lists(first.entries)
-    k = first.cols
-    carry = [real[i * k:i * k + k] + imag[i * k:i * k + k] for i in range(rows)]
-    for f in rest:
-        real, imag = _part_lists(f.entries)
-        m = f.cols
-        pairs = [(real[j::m], imag[j::m]) for j in range(m)]
-        columns = ([re + [-x for x in im] for re, im in pairs]
-                   + [im + re for re, im in pairs])
-        carry = [[sum(map(mul, row, col)) for col in columns] for row in carry]
-    return Matrix(rows, cols, tuple(_make(row[j], row[cols + j])
-                                    for row in carry for j in range(cols)))
+    if a.cols != b.rows:
+        raise LinAlgError(f"inner dimensions disagree: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    columns = [b.col(j) for j in range(b.cols)]
+    return Matrix(a.rows, b.cols, tuple(sum(map(mul, a.row(i), col))
+                                        for i in range(a.rows) for col in columns))
 
 
 # the entries (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3) of a row-major 4x4 matrix

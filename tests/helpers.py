@@ -366,7 +366,7 @@ def naive_chain_product(factors, rows: int) -> list[list]:
 
     A triple loop in public ``Fraction`` / ``ComplexRational`` arithmetic,
     which demotes an entry whose imaginary part cancels; it shares no code
-    with the chain kernel of ``linalg``.
+    with the products of ``linalg``.
     """
     product = [[Fraction(int(i == j)) for j in range(rows)] for i in range(rows)]
     for f in factors:

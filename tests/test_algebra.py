@@ -378,6 +378,20 @@ def test_json_roundtrip_with_complex_coefficients():
     assert "i" in x.to_text()
 
 
+def test_json_sums_the_coefficients_of_a_repeated_mask():
+    def read(*pairs):
+        return Multivector.from_json(KLEIN, [{"mask": m, "coeff": c} for m, c in pairs])
+
+    real = read((3, "1/2"), (5, "2"), (3, "1/3"))
+    assert real == Multivector(KLEIN, {3: Fraction(5, 6), 5: 2})
+    gaussian = read((1, "1+2i"), (1, "1/2-2i"), (6, "3i"), (6, "-1"), (6, "1/2"))
+    assert gaussian == Multivector(KLEIN, {1: Fraction(3, 2), 6: ComplexRational("-1/2", 3)})
+    assert type(gaussian._terms[1]) is Fraction  # the imaginary parts cancelled
+    cancelled = read((2, "1+1i"), (4, "7"), (2, "-1-1i"), (4, "-7"), (8, "2i"))
+    assert cancelled._terms == {8: ComplexRational(0, 2)}
+    assert read((2, "1/2"), (2, "-1/2")).is_zero()
+
+
 def test_versor_witness_validation():
     v1, v2 = E(1) + E(4), E(2) + E(5)
     g = Versor.from_vectors(KLEIN, [v1, v2])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from exactga.algebra import (
     AlgebraError,
@@ -38,9 +40,10 @@ from exactga.klein import (
 )
 from exactga.lie import lie_algebra
 from exactga.linalg import Matrix, mat_mul, proportionality
-from exactga.scalars import ComplexRational, ScalarError, scalar_sqrt
+from exactga.scalars import ComplexRational, ScalarError, as_scalar, scalar_sqrt
 from helpers import (
     adjugate,
+    naive_chain_product,
     published_table,
     rand_coefficient,
     rand_fraction,
@@ -435,6 +438,58 @@ def test_proved_line_maps_match_the_checked_constructor():
             vectors += not proved.similitude_ratio()
         maps += 1
     assert vectors >= 1  # some vector is null, so its sandwich is degenerate
+
+
+_ENTRY_KINDS = {
+    "int": st.integers(-4, 4),
+    "fraction": st.fractions(-3, 3, max_denominator=3),
+    "gaussian": st.builds(ComplexRational, st.fractions(-2, 2, max_denominator=2),
+                          st.integers(-2, 2)),
+}
+
+
+@st.composite
+def _line_maps(draw):
+    """A 6x6 matrix: a regular map's line map, a null or non-null vector's
+    sandwich, each with entries of one kind, and sometimes one entry perturbed."""
+    entry = _ENTRY_KINDS[draw(st.sampled_from(sorted(_ENTRY_KINDS)))]
+    source = draw(st.sampled_from(("map", "null vector", "vector")))
+    if source == "map":
+        m = Matrix(4, 4, tuple(draw(st.lists(entry, min_size=16, max_size=16))))
+        assume(m.det())
+        matrix = induced_line_map(ProjTransform4(m, *draw(st.sampled_from(KINDS_AND_ACTIONS))))
+    else:
+        x = draw(st.lists(entry, min_size=6, max_size=6))
+        if source == "null vector":  # x3 x6 = -(x1 x4 + x2 x5), with x3 nonzero
+            x[2] = x[2] or 1
+            x[5] = -(x[0] * x[3] + x[1] * x[4]) / as_scalar(x[2])
+        matrix = vector_sandwich_matrix(KLEIN.vector(x))
+    entries = list(matrix.matrix.entries)
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, 35))] += draw(entry.filter(bool))
+    return Matrix(6, 6, tuple(entries))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_line_maps())
+@example(induced_line_map(ProjTransform4(Matrix(4, 4, tuple(
+    Fraction(i + 1, j + 2) ** (i == j) for i in range(4) for j in range(4))),
+    "correlation", "planes")).matrix)
+@example(vector_sandwich_matrix(E(1)).matrix)  # null: ratio 0
+@example(Matrix(6, 6, (0,) * 35 + (1,)))  # M^T Q M zero
+@example(Matrix(6, 6, tuple(int(k in (0, 18)) for k in range(36))))  # refused: M^T Q M = 2 E11
+def test_checked_line_map_matches_the_product_with_the_form(matrix):
+    # the Gram matrix of the columns under the form is M^T Q M, multiplied
+    # here one entry at a time
+    q = KLEIN.form
+    pulled = Matrix.from_rows(naive_chain_product([matrix.transpose(), q, matrix], 6))
+    expected = Fraction(0) if pulled.is_zero() else proportionality(pulled, q)
+    if expected is None:
+        with pytest.raises(AlgebraError, match="matrix does not preserve the quadric form"):
+            Sandwich6(matrix)
+    else:
+        ratio = Sandwich6(matrix).similitude_ratio()
+        assert ratio == expected and type(ratio) is type(expected)
 
 
 def _pair_minor(a, b, i, j):

@@ -287,17 +287,22 @@ def test_each_rule_has_one_statement():
 
 def test_the_polarity_chain_has_one_kernel_and_one_reader():
     # linalg._skew_chain_product multiplies the polarity chain, and
-    # klein._polarity_product is its one caller; the general _chain_product
-    # keeps mat_mul and the M^T Q M of a checked Sandwich6
+    # klein._polarity_product is its one caller; mat_mul is the one general
+    # product, and a checked Sandwich6 forms M^T Q M as the Gram matrix of
+    # M's columns under the form, with no matrix product
     modules = _modules()
     assert [name for name, tree in modules.items()
             if "_skew_chain_product" in _definitions(tree)] == ["linalg"]
     assert {name: found for name, tree in modules.items()
             if (found := _users(tree, "_skew_chain_product") - {""})} == {
         "klein": {"_polarity_product"}}
-    assert {name: found for name, tree in modules.items()
-            if (found := _users(tree, "_chain_product") - {""})} == {
-        "linalg": {"mat_mul"}, "klein": {"__post_init__"}}
+    assert [name for name, tree in modules.items()
+            if "_chain_product" in _definitions(tree) or _users(tree, "_chain_product")] == []
+    sandwich = next(node for node in ast.walk(modules["klein"])
+                    if isinstance(node, ast.ClassDef) and node.name == "Sandwich6")
+    assert _users(sandwich, "_bilinear") == {"__post_init__"}
+    assert _users(sandwich, "mat_mul") == set()
+    assert _owners(sandwich, lambda node: isinstance(node, ast.MatMult)) == set()
     # one reader of a polarity's coordinates serves the public inverse and
     # verify's factor check, which builds no vector
     assert [name for name, tree in modules.items()

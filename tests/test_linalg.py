@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from exactga.linalg import (
     LinAlgError,
     Matrix,
-    _chain_product,
     _joined,
     _normalized_parts,
     _skew_chain_product,
@@ -140,20 +140,16 @@ def _chain_cases():
     return cases
 
 
-def test_chain_kernel_matches_the_entrywise_product():
+def test_mat_mul_chains_match_the_entrywise_product():
     cases = _chain_cases()
     cancelled = gaussian = 0
     for rows, factors in cases:
-        got = _chain_product(factors, rows)
+        got = reduce(mat_mul, factors, Matrix.identity(rows))
         expected = naive_chain_product(factors, rows)
         assert (got.rows, got.cols) == (rows, factors[-1].cols if factors else rows)
         assert got.row_lists() == expected
         stored = [canonical(x) for row in expected for x in row]
-        assert [type(x) for x in got.entries] == [type(x) for x in stored]
-        assert [(type(x.re), type(x.im)) for x in got.entries if type(x) is ComplexRational] \
-            == [(type(x.re), type(x.im)) for x in stored if type(x) is ComplexRational]
-        if len(factors) == 2:
-            assert mat_mul(*factors) == got
+        assert stored_types(got.entries) == stored_types(stored)
         has_gaussian = any(type(x) is ComplexRational for f in factors for x in f.entries)
         gaussian += has_gaussian
         cancelled += has_gaussian and not any(type(x) is ComplexRational for x in got.entries)
@@ -162,11 +158,12 @@ def test_chain_kernel_matches_the_entrywise_product():
 
 
 def test_chain_kernel_checks_every_shape():
+    """A chain folded through mat_mul names the first mismatched shape; an empty chain is the identity."""
     with pytest.raises(LinAlgError, match="2x3 @ 2x3"):
-        _chain_product([Matrix.zeros(2, 3), Matrix.zeros(2, 3)], 2)
+        reduce(mat_mul, [Matrix.zeros(2, 3), Matrix.zeros(2, 3)], Matrix.identity(2))
     with pytest.raises(LinAlgError, match="3x3 @ 2x2"):
-        _chain_product([Matrix.identity(2)], 3)
-    assert _chain_product([], 3) == Matrix.identity(3)
+        reduce(mat_mul, [Matrix.identity(2)], Matrix.identity(3))
+    assert reduce(mat_mul, [], Matrix.identity(3)) == Matrix.identity(3)
 
 
 _small_fractions = st.fractions(-40, 40, max_denominator=12)

@@ -10,15 +10,16 @@ of the product kernel ``algebra._product`` (``_gaussian_product`` on split
 terms) per descent step, a ``Blade`` or a decomposability wedge in a
 successful descent, a division before the lift's normalization, a
 ``ComplexRational`` multiplication inside a product, a ``ComplexRational``
-multiplication or sum inside the polarity chain, ``mat_mul`` or the lift's
-coefficient table, a polarity chain that takes more than one call of the
-skew chain kernel or any call of the general one, a reordering sign
-computed outside the warm blade tables, an outer or inner product routed
-through ``Multivector.gp``, a certificate check that parses scalars through
+multiplication or sum inside the polarity chain or the lift's coefficient
+table, a polarity chain that takes more than one call of the skew chain
+kernel or any ``mat_mul`` or line-map check, a reordering sign computed
+outside the warm blade tables, an outer or inner product routed through
+``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form at all, a second polarity
 product or a second ``scale * A`` in a verify job, a residual formed by a
 factorization, a verify that multiplies again the polarities its lift
 proved against the same matrix, a verify that builds a vector per factor,
+checks a skew pair from both sides or adds a parsed coefficient to zero,
 a ``ComplexRational`` operation inside ``normalize_vector``, the descent's
 read-off, probes and picks, the certificate's ``ratio`` or the lift's
 Gaussian coefficient build, more than the 10 polarity negations in a warm
@@ -101,7 +102,6 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
                                           "collineation", "points"), "complex")):
         chains = counting(monkeypatch, klein, "_polarity_product")
         skew_chains = counting(monkeypatch, klein, "_skew_chain_product")
-        products = [counting(monkeypatch, owner, "_chain_product") for owner in (klein, linalg)]
         pairs = counting(monkeypatch, linalg, "mat_mul")
         sandwiches = counting(monkeypatch, klein.Sandwich6, "__post_init__")
         result = factorize.factorize_matrix(t, mode)
@@ -109,10 +109,10 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
         assert result.verified() and len(result.factors) >= 3
         assert factorize.verify_factorization(result, t)
         assert len(chains) == 1
-        # one polarity-kernel call covers every factor; no general chain
-        # product runs, so an M^T Q M would show here
+        # one polarity-kernel call covers every factor; no general product
+        # runs and no line map is checked, so an M^T Q M would show here
         assert [len(factors) for factors, in skew_chains] == [len(result.factors)]
-        assert products == [[], []] and pairs == [] and sandwiches == []
+        assert pairs == [] and sandwiches == []
 
 
 def test_planes_lift_computes_the_determinant_once(monkeypatch):
@@ -362,7 +362,7 @@ def test_gaussian_product_multiplies_no_complex_rationals(monkeypatch):
 
 
 def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
-    # the chain kernel and the lift's coefficient build multiply Gaussian
+    # the skew chain kernel and the lift's coefficient build multiply Gaussian
     # entries on their int parts and recombine each result once
     inside, found, outside = [], [], []
     outputs = {}
@@ -382,7 +382,7 @@ def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
         monkeypatch.setattr(owner, attr, wrapper)
 
     for owner, attr in ((klein, "_normalized_table_product"), (klein, "_polarity_product"),
-                        (factorize, "_polarity_product"), (linalg, "mat_mul")):
+                        (factorize, "_polarity_product")):
         scoped(owner, attr)
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         def operation(self, other, _original=getattr(ComplexRational, name), _name=name):
@@ -396,13 +396,10 @@ def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
             result = factorize.factorize_matrix(t, "complex")
             again = factorize.FactorizationResult.from_json(result.to_json(), t)
             assert factorize.verify_factorization(again, t)
-            matrices = [p.matrix for p in result.polarities]
-            for a, b in zip(matrices, matrices[1:]):
-                linalg.mat_mul(a, b)
     monkeypatch.undo()
     assert found == []
     assert outside  # the operations are watched: the rest of the lift uses them
-    assert sorted(outputs) == ["_normalized_table_product", "_polarity_product", "mat_mul"]
+    assert sorted(outputs) == ["_normalized_table_product", "_polarity_product"]
     assert len(outputs["_polarity_product"]) == 8  # four lifts, four verify jobs
     # every kernel returned Gaussian entries, so none ran on real ones only
     gaussian = {attr: sum(type(x) is ComplexRational
@@ -558,6 +555,36 @@ def test_verify_reads_each_factor_off_its_polarity(monkeypatch):
         assert code == 0 and report["verified"] is True
         assert built == [[]]
         assert len(reads) == len(job["result"]["factors"]) >= 3
+
+
+def test_verify_checks_each_skew_pair_once_and_adds_no_coefficient_to_zero(monkeypatch):
+    # is_skew negates and compares each pair off the diagonal once: the
+    # complex variant's six polarities hold 10 Gaussian entries above their
+    # diagonals; Multivector.from_json adds only the coefficients of a mask
+    # that repeats, which a written result never holds
+    for job, mode in verify_jobs():
+        inside, counts = [], {}
+        for owner, attr in ((Matrix, "is_skew"), (Multivector, "from_json")):
+            def scoped(*args, _original=getattr(owner, attr), _attr=attr):
+                inside.append(_attr)
+                try:
+                    return _original(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(owner, attr, scoped)
+        for name in ("__neg__", "__eq__", "__add__", "__radd__"):
+            def operation(self, *args, _original=getattr(ComplexRational, name), _name=name):
+                if inside:
+                    counts[inside[-1], _name] = counts.get((inside[-1], _name), 0) + 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ComplexRational, name, operation)
+        code, report = cli.run_job("verify", job, {"scalar_mode": mode})
+        monkeypatch.undo()
+        assert code == 0 and report["verified"] is True
+        expected = {("is_skew", "__neg__"): 10, ("is_skew", "__eq__"): 10}
+        assert counts == (expected if mode == "complex" else {})
 
 
 def test_verify_parses_to_ints_and_checks_internal_coordinates(monkeypatch):
