@@ -5,6 +5,12 @@ A transformation is lifted to a versor, whose grade-descent witness (see
 ``blades.factorize_versor``) gives at most six vectors.  Each vector becomes
 a null polarity, and the lift (``klein.proj_to_versor``) certifies once that
 the polarities multiply to a multiple of the input: the zero residual.
+A parsed result is checked the same way: its product is formed once and
+compared with the input by ``linalg.proportionality``, and ``scale * A`` and
+the residual are formed only when the ratio is not the stated scale.  The
+input's regularity is checked without elimination: det A is Klein's form of
+the lines through its columns c0, c1 and c2, c3, <p(c0, c1), J p(c2, c3)>
+(``klein.ProjTransform4``).
 The descent names are re-exported here, which is their public path.
 """
 
@@ -23,7 +29,7 @@ from .klein import (
     _polarity_product,
     klein_algebra,
 )
-from .linalg import Matrix
+from .linalg import Matrix, proportionality
 from .scalars import Scalar, as_scalar, format_scalar
 
 
@@ -31,11 +37,12 @@ from .scalars import Scalar, as_scalar, format_scalar
 class FactorizationResult:
     """Vector factors of a transformation and their exact matrix certificate.
 
-    ``_against`` is the matrix whose certificate the library proved: by the
-    lift's ``proportionality`` (the zero ``residual`` is not formed), or by
-    the residual that ``from_json`` forms.  ``verified`` trusts only those,
-    so a result built by the constructor or ``dataclasses.replace`` is not
-    verified, and ``verify_factorization`` multiplies its polarities out.
+    ``_against`` is the matrix whose certificate the library checked: by the
+    ``proportionality`` of the lift or of ``from_json`` (a zero ``residual``,
+    not formed), or by the residual that ``from_json`` forms on a mismatch.
+    ``verified`` trusts only those, so a result built by the constructor or
+    ``dataclasses.replace`` is not verified, and ``verify_factorization``
+    multiplies its polarities out.
     """
 
     factors: tuple[Multivector, ...]
@@ -61,7 +68,10 @@ class FactorizationResult:
         polarities = tuple(NullPolarity.from_json(p) for p in data["polarities"])
         scale = as_scalar(data["scale"])
         a = transform.matrix
-        residual = _polarity_product(polarities) - a.scale(scale)
+        product = _polarity_product(polarities)
+        # the lift's exact check: scale * A and the difference are formed only on a mismatch
+        residual = (_PROVED if proportionality(product, a) == scale
+                    else product - a.scale(scale))
         return _proved(cls, factors=factors, polarities=polarities, scale=scale,
                        residual=residual, _against=a)
 

@@ -66,6 +66,7 @@ from .scalars import (
     canonical,
     format_scalar,
     imag_part,
+    public,
     rational_sqrt,
     real_part,
     scalar_sqrt,
@@ -218,7 +219,11 @@ class PluckerLine:
 class ProjTransform4:
     """Regular projective transformation of P^3, tagged with its action type.
 
-    The determinant that the regularity check computes is kept.
+    The determinant that the regularity check computes is kept.  It is
+    Klein's form of the lines through columns c0, c1 and c2, c3 (the Laplace
+    expansion by the first two columns): det A = <p(c0, c1), J p(c2, c3)>,
+    with p the pair minors and J the half swap, so it vanishes exactly when
+    the two lines meet, and it takes no quotient and no elimination.
     """
 
     matrix: Matrix
@@ -232,7 +237,8 @@ class ProjTransform4:
         _check_action(self.action)
         if (self.matrix.rows, self.matrix.cols) != (4, 4):
             raise AlgebraError("transform matrix must be 4x4")
-        det = self.matrix.det()
+        c0, c1, c2, c3 = map(self.matrix.col, range(4))
+        det = public(sum(map(mul, _pair_minors(c0, c1), _swap_halves(_pair_minors(c2, c3)))))
         if not det:
             raise SingularTransformError("transform matrix is singular")
         object.__setattr__(self, "_det", det)

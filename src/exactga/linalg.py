@@ -7,6 +7,13 @@ systems of blades, the polarities) are integral, so their products and
 eliminations run on Python integers.  Every single scalar returned
 (``determinant``, ``ratio``, ``proportionality``) is in the public form.
 
+Bareiss elimination (``_gauss_jordan``) serves ``determinant`` and
+``Matrix.det``, ``rank``, ``nullspace`` and the degeneracy check of
+``Algebra``.  The 4x4 determinant of a projective map does not take it:
+det A is Klein's form of the lines through columns c0, c1 and c2, c3,
+<p(c0, c1), J p(c2, c3)>, one sum of six products of pair minors with no
+quotient (``klein.ProjTransform4``).
+
 ``mat_mul`` is the one general matrix product: one ``sum(map(mul, row,
 column))`` per entry, a Gaussian entry multiplied by its own operators.
 

@@ -12,11 +12,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from exactga.cli import _format_text, main, run_job
-from exactga.factorize import factorize_matrix
+from exactga.factorize import FactorizationResult, factorize_matrix
 from exactga.klein import ProjTransform4, klein_algebra, versor_to_proj
 from exactga.linalg import Matrix
+from exactga.scalars import ComplexRational, as_scalar, format_scalar
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION, REFERENCE_POLARITY_MATRICES
-from helpers import rand_versor
+from helpers import naive_chain_product, rand_versor
 
 
 def as_str_matrix(rows):
@@ -587,6 +588,35 @@ def test_a_failed_verify_names_its_check():
                                     "stage": "verify", **named}
     code, report = run_job("verify", {"transform": REFERENCE_JOB, "result": result}, {})
     assert (code, report) == (0, {"verified": True, "scale": result["scale"]})
+
+
+def test_a_parsed_residual_is_formed_only_for_a_wrong_product():
+    # a parsed result whose product is the stated multiple of A keeps the
+    # int zero residual; a doubled scale, or a Gaussian one times i, keeps
+    # the exact difference, and its job fails at the product check with the
+    # detail it always had
+    cases = ((REFERENCE_COLLINEATION, "rational", 2,
+              '{"verified": false, "scale": "8", "stage": "verify", "check": "product"}'),
+             (COMPLEX_VARIANT, "complex", ComplexRational(0, 1),
+              '{"verified": false, "scale": "-16+8i", "stage": "verify", "check": "product"}'))
+    for rows, mode, factor, detail in cases:
+        t = ProjTransform4(Matrix.from_rows(rows), "collineation", "points")
+        data = factorize_matrix(t, mode).to_json()
+        parsed = FactorizationResult.from_json(data, t)
+        assert parsed.verified() and parsed.residual == Matrix.zeros(4, 4)
+        assert all(type(x) is int for x in parsed.residual.entries)
+        scale = factor * parsed.scale
+        bad = dict(data, scale=format_scalar(scale))
+        failed = FactorizationResult.from_json(bad, t)
+        product = naive_chain_product([p.matrix for p in failed.polarities], 4)
+        expected = Matrix.from_rows([[product[i][j] - scale * as_scalar(t.matrix[i, j])
+                                      for j in range(4)] for i in range(4)])
+        assert failed.residual == expected and not expected.is_zero()
+        assert not failed.verified()
+        code, report = run_job("verify", {"transform": t.to_json(), "result": bad},
+                               {"scalar_mode": mode})
+        assert (code, report["error"]) == (1, "verification failed")
+        assert json.dumps(report["detail"]) == detail
 
 
 def test_zero_denominators_are_parse_failures(capsys):

@@ -39,7 +39,7 @@ from exactga.klein import (
     versor_to_proj,
 )
 from exactga.lie import lie_algebra
-from exactga.linalg import Matrix, mat_mul, proportionality
+from exactga.linalg import Matrix, determinant, mat_mul, proportionality
 from exactga.scalars import ComplexRational, ScalarError, as_scalar, scalar_sqrt
 from helpers import (
     adjugate,
@@ -546,6 +546,46 @@ def test_transform_keeps_its_determinant(reference_matrix):
     for kind, action in KINDS_AND_ACTIONS:
         t = ProjTransform4(reference_matrix, kind, action)
         assert t.determinant() == 4 and type(t.determinant()) is Fraction
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+_DETERMINANT_ENTRIES = {
+    "int": st.integers(-4, 4),
+    "fraction": _SMALL_FRACTIONS,
+    "gaussian int": st.builds(ComplexRational, st.integers(-2, 2), st.integers(-2, 2)),
+    "gaussian rational": st.builds(ComplexRational, _SMALL_FRACTIONS, _SMALL_FRACTIONS),
+}
+
+
+@st.composite
+def _transform_matrices(draw):
+    """A 4x4 matrix with entries of one kind, in one case of three a row repeated."""
+    entry = _DETERMINANT_ENTRIES[draw(st.sampled_from(sorted(_DETERMINANT_ENTRIES)))]
+    entries = draw(st.lists(entry, min_size=16, max_size=16))
+    if draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(4)))[:2]
+        entries[4 * j:4 * j + 4] = entries[4 * i:4 * i + 4]
+    return Matrix(4, 4, tuple(entries))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_transform_matrices(), st.sampled_from(KINDS_AND_ACTIONS))
+@example(Matrix.from_rows([["1i", 0, 0, 0], [0, "1i", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         ("collineation", "points"))  # the imaginary part cancels: a Fraction
+@example(Matrix.from_rows([["1/2+1i", 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]),
+         ("correlation", "planes"))  # Fraction parts
+def test_transform_determinant_matches_elimination(m, kind_action):
+    # Klein's form of the column lines c0 c1 and c2 c3 against Bareiss
+    # elimination: the same value in the same public type, and a zero one
+    # refused as singular
+    expected = determinant(m)
+    if not expected:
+        with pytest.raises(SingularTransformError, match="transform matrix is singular"):
+            ProjTransform4(m, *kind_action)
+        return
+    det = ProjTransform4(m, *kind_action).determinant()
+    assert det == expected and type(det) is type(expected)
+    assert type(det) is Fraction or type(det.re) is type(det.im) is Fraction
 
 
 def test_transform_refuses_float_and_boolean_entries():

@@ -8,8 +8,8 @@ parts of a Gaussian value, only the kernel modules name the split form,
 popcounts use ``int.bit_count``, one builder makes the values whose
 fields their caller proved, each rule of the scalar, matrix, blade and
 model layers is stated once, the polarity chain has one kernel and a
-polarity's coordinates one reader, and no source line is wider than 100
-columns.
+polarity's coordinates one reader, a transform's determinant takes no
+elimination, and no source line is wider than 100 columns.
 """
 
 from __future__ import annotations
@@ -311,6 +311,36 @@ def test_the_polarity_chain_has_one_kernel_and_one_reader():
             if (found := _users(tree, "_polarity_coordinates") - {""})} == {
         "klein": {"null_polarity_to_vector"}, "factorize": {"_failed_check"}}
     assert _users(modules["factorize"], "null_polarity_to_vector") == set()
+
+
+def _calls_of_linalg_determinant(tree: ast.Module) -> set[str]:
+    """The innermost function around each call of ``determinant`` or ``linalg.determinant``."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "determinant"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "determinant"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "linalg"))
+
+
+def test_a_transform_determinant_takes_no_elimination():
+    # ProjTransform4 reads det A as Klein's form of the lines through two
+    # pairs of its columns, so klein reaches no general determinant; Bareiss
+    # elimination serves determinant, rank and nullspace, and determinant's
+    # one library caller is Matrix.det, which Algebra's degeneracy check calls
+    modules = _modules()
+    klein = modules["klein"]
+    assert _users(klein, "_gauss_jordan") == set()
+    assert _owners(klein, lambda node: (
+        isinstance(node, ast.Name) and node.id == "determinant"
+        or isinstance(node, ast.alias) and "determinant" in (node.name, node.asname))) == set()
+    assert {name: found for name, tree in modules.items()
+            if (found := _calls_of_linalg_determinant(tree))} == {"linalg": {"det"}}
+    assert {name: found for name, tree in modules.items()
+            if (found := _owners(tree, lambda node: (
+                isinstance(node, ast.Attribute) and node.attr == "det")))} == {
+        "algebra": {"__init__"}}
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_gauss_jordan"))} == {
+        "linalg": {"determinant", "rank", "nullspace"}}
 
 
 def test_source_lines_fit_in_100_columns():

@@ -101,6 +101,8 @@ def test_mat_mul_identity_and_zero():
     m = rand_matrix(rng, 4, 4)
     assert mat_mul(m, Matrix.zeros(4, 4)).is_zero()
     assert mat_mul(m, i4) == m
+    n = rand_matrix(rng, 4, 4)
+    assert m @ n == mat_mul(m, n) != mat_mul(n, m)  # the operator is the one general product
 
 
 def test_mat_mul_dimension_mismatch():
@@ -258,6 +260,8 @@ def test_proportionality():
     assert proportionality(b, a) == Fraction(1, 2)
     assert proportionality(a, Matrix.identity(2)) is None
     assert proportionality(Matrix.zeros(2, 2), Matrix.zeros(2, 2)) == 1
+    # the same entries in another shape are not a multiple
+    assert proportionality(a, Matrix(1, 4, b.entries)) is None
 
 
 _rationals = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=5))

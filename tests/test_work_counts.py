@@ -16,16 +16,18 @@ kernel or any ``mat_mul`` or line-map check, a reordering sign computed
 outside the warm blade tables, an outer or inner product routed through
 ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form at all, a second polarity
-product or a second ``scale * A`` in a verify job, a residual formed by a
-factorization, a verify that multiplies again the polarities its lift
-proved against the same matrix, a verify that builds a vector per factor,
-checks a skew pair from both sides or adds a parsed coefficient to zero,
-a ``ComplexRational`` operation inside ``normalize_vector``, the descent's
-read-off, probes and picks, the certificate's ``ratio`` or the lift's
-Gaussian coefficient build, more than the 10 polarity negations in a warm
-complex factorization, a ``Fraction`` operator in the rational sphere
-model's encoding or contact, or a complex descent that splits or joins its
-remainder more than once fails here even when its output stays the same.
+product in a verify job, a ``scale * A`` in a verify job whose product
+is the stated multiple, an elimination for a transform's determinant, a
+residual formed by a factorization, a verify that multiplies again the
+polarities its lift proved against the same matrix, a verify that builds
+a vector per factor, checks a skew pair from both sides or adds a parsed
+coefficient to zero, a ``ComplexRational`` operation inside
+``normalize_vector``, the descent's read-off, probes and picks, the
+certificate's ``ratio`` or the lift's Gaussian coefficient build, more
+than the 10 polarity negations in a warm complex factorization, a
+``Fraction`` operator in the rational sphere model's encoding or contact,
+or a complex descent that splits or joins its remainder more than once
+fails here even when its output stays the same.
 The storage guards require the integer core: int blade and coefficient
 tables, and int or Gaussian-int coefficients in every multivector and
 kernel product of a descent and in every matrix of the linear algebra.
@@ -46,7 +48,7 @@ import exactga.linalg as linalg
 from exactga.algebra import Algebra, Multivector
 from exactga.lie import LieSphere, lie_algebra, lie_encode, oriented_contact
 from exactga.linalg import Matrix
-from exactga.scalars import ComplexRational
+from exactga.scalars import ComplexRational, as_scalar, format_scalar, imag_part, real_part
 from conftest import COMPLEX_VARIANT, REFERENCE_COLLINEATION
 from helpers import rand_versor
 
@@ -115,14 +117,18 @@ def test_factorization_multiplies_the_polarities_once(monkeypatch):
         assert pairs == [] and sandwiches == []
 
 
-def test_planes_lift_computes_the_determinant_once(monkeypatch):
+def test_planes_lift_runs_no_elimination_for_its_determinant(monkeypatch):
     klein.klein_algebra()  # an algebra decides the degeneracy of its form once, when built
     calls = counting(monkeypatch, linalg, "determinant")
+    eliminations = counting(monkeypatch, linalg, "_gauss_jordan")
     t = plane_correlation()
     versor = klein.proj_to_versor(t)
     assert versor.parity == "odd" and t.action == "planes"
-    # the regularity check of ProjTransform4 is the only determinant of a lift
-    assert [m for (m,) in calls] == [t.matrix]
+    # the regularity check of ProjTransform4 is Klein's form of two column
+    # lines, and the lift reads the determinant that the check kept
+    assert calls == [] and eliminations == []
+    assert t.matrix.det() == t.determinant()  # the watchers see Bareiss elimination
+    assert [m for (m,) in calls] == [t.matrix] and len(eliminations) == 1
 
 
 def test_lift_reads_the_versor_off_the_tables(monkeypatch):
@@ -396,11 +402,20 @@ def test_polarity_chain_multiplies_no_complex_rationals(monkeypatch):
             result = factorize.factorize_matrix(t, "complex")
             again = factorize.FactorizationResult.from_json(result.to_json(), t)
             assert factorize.verify_factorization(again, t)
+    verified_outside = list(outside)
+    # the verified jobs ran none of them outside the kernels; with its scale
+    # multiplied by i, the last job forms scale * A on Gaussian objects,
+    # which the watchers see
+    i_scale = ComplexRational(-imag_part(result.scale), real_part(result.scale))
+    wrong = dict(result.to_json(), scale=format_scalar(i_scale))
+    assert not factorize.verify_factorization(
+        factorize.FactorizationResult.from_json(wrong, t), t)
     monkeypatch.undo()
     assert found == []
-    assert outside  # the operations are watched: the rest of the lift uses them
+    assert verified_outside == [] and ((), "__mul__") in outside
     assert sorted(outputs) == ["_normalized_table_product", "_polarity_product"]
-    assert len(outputs["_polarity_product"]) == 8  # four lifts, four verify jobs
+    # four lifts, four verify jobs and the failing one
+    assert len(outputs["_polarity_product"]) == 9
     # every kernel returned Gaussian entries, so none ran on real ones only
     gaussian = {attr: sum(type(x) is ComplexRational
                           for out in outs for x in getattr(out, "entries", out))
@@ -527,18 +542,25 @@ def klein_forms(monkeypatch) -> list:
 
 
 def test_verify_multiplies_the_polarities_once(monkeypatch):
-    # the residual of a parsed result is the job's one product and one
-    # scale * A; the product proves each factor non-null (a null factor's
-    # polarity is singular), so no Klein form is evaluated
+    # a parsed result's product is the job's one polarity product, compared
+    # with A by proportionality, so scale * A is formed only for a product
+    # that is not the stated multiple; the product proves each factor
+    # non-null (a null factor's polarity is singular), so no Klein form is
+    # evaluated
     for job, mode in verify_jobs():
-        chains = counting(monkeypatch, factorize, "_polarity_product")
-        scales = counting(monkeypatch, Matrix, "scale")
-        forms = klein_forms(monkeypatch)
-        code, report = cli.run_job("verify", job, {"scalar_mode": mode})
-        monkeypatch.undo()
-        assert code == 0 and report["verified"] is True
-        assert len(chains) == 1 and len(scales) == 1
-        assert forms == []
+        doubled = format_scalar(2 * as_scalar(job["result"]["scale"]))
+        wrong = dict(job, result=dict(job["result"], scale=doubled))
+        for payload, expected, formed in ((job, 0, 0), (wrong, 1, 1)):
+            chains = counting(monkeypatch, factorize, "_polarity_product")
+            scales = counting(monkeypatch, Matrix, "scale")
+            forms = klein_forms(monkeypatch)
+            code, report = cli.run_job("verify", payload, {"scalar_mode": mode})
+            monkeypatch.undo()
+            assert code == expected
+            assert (report["verified"] is True if code == 0
+                    else report["detail"]["check"] == "product")
+            assert len(chains) == 1 and len(scales) == formed
+            assert forms == []
 
 
 def test_verify_reads_each_factor_off_its_polarity(monkeypatch):
