@@ -609,17 +609,10 @@ class Multivector:
         k = canonical(other)
         return Multivector(self.algebra, {m: c * k for m, c in self._terms.items()})
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self * div(1, canonical(other))
-
-    def __xor__(self, other):
-        return self.wedge(other)
-
-    def __or__(self, other):
-        return self.inner(other)
 
     def __eq__(self, other):
         if isinstance(other, Multivector):

@@ -50,8 +50,6 @@ EXIT_COMPLEX_REQUIRED = 2
 EXIT_PARSE = 64
 EXIT_SINGULAR = 65
 
-COMMANDS = ("factorize", "lift", "verify", "lie-contact")
-
 
 class JobError(Exception):
     def __init__(self, code: int, message: str, detail: dict | None = None):
@@ -210,6 +208,7 @@ _HANDLERS = {
     "verify": cmd_verify,
     "lie-contact": cmd_lie_contact,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _format_text(report: dict, indent: str = "") -> str:

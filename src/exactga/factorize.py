@@ -9,7 +9,7 @@ A parsed result is checked the same way: its product is formed once and
 compared with the input by ``linalg.proportionality``, and ``scale * A`` and
 the residual are formed only when the ratio is not the stated scale.  The
 input's regularity is checked without elimination: det A is Klein's form of
-the lines through its columns c0, c1 and c2, c3, <p(c0, c1), J p(c2, c3)>
+the lines through its columns c0, c1 and c2, c3, b(p(c0, c1), p(c2, c3))
 (``klein.ProjTransform4``).
 The descent names are re-exported here, which is their public path.
 """
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .algebra import Multivector, _proved
 from .blades import NoNonNullVectorError, choose_nonnull_vector, factorize_versor
 from .klein import (
+    _PARITY,
     NullPolarity,
     ProjTransform4,
     _alternating_actions,
@@ -103,7 +104,9 @@ def verify_factorization(result: FactorizationResult, t: ProjTransform4) -> bool
     compared with the coordinates read off its polarity's entries
     (``klein._polarity_coordinates``), no vector built.  Nor is nullness: a null
     factor's polarity is singular, so no product with it equals scale * A.
-    Last, a result proved against ``t.matrix`` is read; any other is multiplied out.
+    Last, a result proved against ``t.matrix`` is read; any other is
+    multiplied out, and the product's ``proportionality`` to the regular A,
+    the lift's rule, must be the nonzero scale, so no ``scale * A`` is formed.
     """
     return _failed_check(result, t) is None
 
@@ -113,7 +116,7 @@ def _failed_check(result: FactorizationResult, t: ProjTransform4) -> dict | None
     n = len(result.factors)
     if n > 6 or n != len(result.polarities):
         return {"check": "count"}
-    if n % 2 != (0 if t.kind == "collineation" else 1):
+    if _PARITY[t.kind] != ("odd" if n % 2 else "even"):
         return {"check": "parity"}
     if not all(type(p) is NullPolarity for p in result.polarities):
         return {"check": "polarity-type"}
@@ -130,5 +133,5 @@ def _failed_check(result: FactorizationResult, t: ProjTransform4) -> dict | None
     if not result.scale:
         return {"check": "scale"}
     proved = (result.residual.is_zero() if result._against == t.matrix
-              else _polarity_product(result.polarities) == t.matrix.scale(result.scale))
+              else proportionality(_polarity_product(result.polarities), t.matrix) == result.scale)
     return None if proved else {"check": "product"}

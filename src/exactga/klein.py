@@ -5,9 +5,10 @@ form matrix is [[0,I],[I,0]]: coordinates are ordered
 
     (x1, ..., x6) = (l01, l02, l03, l23, l31, l12),
 
-so a vector squares to 2*(x1*x4 + x2*x5 + x3*x6) and lies on the quadric of
-lines exactly when the classical relation l01*l23 + l02*l31 + l03*l12 = 0
-holds.  ``_PAIRS`` is the one statement of that order: the pair minors of
+so a vector squares to 2*(x1*x4 + x2*x5 + x3*x6), every value of the form
+is ``klein_algebra()._bilinear``, and a vector lies on the quadric of lines
+exactly when the classical relation l01*l23 + l02*l31 + l03*l12 = 0 holds.
+``_PAIRS`` is the one statement of the coordinate order: the pair minors of
 two points, the entries of every skew 4x4 matrix, and the columns of the
 induced line map and of the cofactor matrix are read off it.  Exchanging
 points and planes swaps the two coordinate halves (``_swap_halves``); that
@@ -17,7 +18,8 @@ constructions.
 
 Grade-1 versors correspond to null polarities (skew-symmetric 4x4
 matrices), and a versor acts on P^3 through the product of its factors'
-polarities.  A polarity's vector is read straight off its matrix
+polarities; even versors give collineations, odd ones correlations
+(``_PARITY``).  A polarity's vector is read straight off its matrix
 (``_polarity_coordinates``): the plane action holds the coordinates at
 ``_PAIRS``, the point action holds them with their halves swapped at the
 transposed pairs, so no entry is negated; the product of a polarity chain is
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import (
@@ -85,8 +87,9 @@ class NotLiftableError(AlgebraError):
     """No exact versor exists over the requested scalar field."""
 
 
-# the vocabularies of a transform and of a lift, in the order messages list them
-KINDS = ("collineation", "correlation")
+# the versors' parity of each kind; the vocabularies, in the order messages list them
+_PARITY = {"collineation": "even", "correlation": "odd"}
+KINDS = tuple(_PARITY)
 ACTIONS = ("points", "planes")
 SCALAR_MODES = ("rational", "complex")
 
@@ -100,11 +103,6 @@ def _check_action(action: str) -> None:
 def klein_algebra() -> Algebra:
     """The algebra of the form [[0,I],[I,0]]: the identity with its halves swapped."""
     return Algebra(Matrix.from_rows(_swap_halves(Matrix.identity(6).row_lists())))
-
-
-def klein_form_value(x: Sequence) -> Scalar:
-    """The quadric polynomial x1*x4 + x2*x5 + x3*x6 (half the vector square)."""
-    return x[0] * x[3] + x[1] * x[4] + x[2] * x[5]
 
 
 # -- Pluecker coordinates -----------------------------------------------------
@@ -154,7 +152,7 @@ class PluckerLine:
         object.__setattr__(self, "coords", coords)
         if not any(coords):
             raise AlgebraError("line coordinates must not all vanish")
-        if klein_form_value(coords) != 0:
+        if klein_algebra()._bilinear(coords, coords) != 0:
             raise AlgebraError("coordinates violate the quadric relation")
 
     @classmethod
@@ -187,7 +185,7 @@ class PluckerLine:
 
     def meets(self, other: "PluckerLine") -> bool:
         """Coplanarity of two lines (vanishing of the polarized quadric form)."""
-        return sum(map(mul, self.coords, _swap_halves(other.coords))) == 0
+        return klein_algebra()._bilinear(self.coords, other.coords) == 0
 
     def intersection_point(self, other: "PluckerLine") -> tuple:
         """Common point of two distinct coplanar lines."""
@@ -221,9 +219,9 @@ class ProjTransform4:
 
     The determinant that the regularity check computes is kept.  It is
     Klein's form of the lines through columns c0, c1 and c2, c3 (the Laplace
-    expansion by the first two columns): det A = <p(c0, c1), J p(c2, c3)>,
-    with p the pair minors and J the half swap, so it vanishes exactly when
-    the two lines meet, and it takes no quotient and no elimination.
+    expansion by the first two columns): det A = b(p(c0, c1), p(c2, c3)),
+    with p the pair minors, so it vanishes exactly when the two lines meet,
+    and it takes no quotient and no elimination.
     """
 
     matrix: Matrix
@@ -238,7 +236,7 @@ class ProjTransform4:
         if (self.matrix.rows, self.matrix.cols) != (4, 4):
             raise AlgebraError("transform matrix must be 4x4")
         c0, c1, c2, c3 = map(self.matrix.col, range(4))
-        det = public(sum(map(mul, _pair_minors(c0, c1), _swap_halves(_pair_minors(c2, c3)))))
+        det = public(klein_algebra()._bilinear(_pair_minors(c0, c1), _pair_minors(c2, c3)))
         if not det:
             raise SingularTransformError("transform matrix is singular")
         object.__setattr__(self, "_det", det)
@@ -473,7 +471,7 @@ def versor_to_proj(g: Multivector | Versor, action: str,
         entries[2 * 4 + 3] += 2 * g._terms.get(0b100010, 0)  # the e2 ^ e6 coefficient
     if not any(entries):
         raise NotAVersorError("coefficient table yields the zero matrix")
-    kind = "collineation" if parity == "even" else "correlation"
+    kind = next(k for k, p in _PARITY.items() if p == parity)
     return ProjTransform4(Matrix(4, 4, tuple(entries)), kind, action)
 
 
@@ -489,18 +487,24 @@ def induced_line_map(t: ProjTransform4) -> Sandwich6:
     det(A) Q, the plane action (that of adj(A)^T = det(A) A^-T) is
     det(A) J C2(A) J, where J = Q swaps the two coordinate halves.  A
     correlation lands in the dual coordinates, one more swap of the row
-    halves.  The similitude ratio is det(A) for points, det(A)^3 for planes.
+    halves.  The similitude ratio is ``_similitude_ratio``.
     """
     a = t.matrix
     cols = [_pair_minors(a.col(i), a.col(j)) for i, j in _PAIRS]
     planes = t.action == "planes"
-    det = canonical(t.determinant())
     if planes:
+        det = canonical(t.determinant())
         cols = [[det * x for x in c] for c in _swap_halves(cols)]
     if planes != (t.kind == "correlation"):
         cols = [_swap_halves(c) for c in cols]
     matrix = Matrix.from_rows([[c[r] for c in cols] for r in range(6)])
-    return _proved(Sandwich6, matrix=matrix, _ratio=as_scalar(det * det * det if planes else det))
+    return _proved(Sandwich6, matrix=matrix, _ratio=_similitude_ratio(t))
+
+
+def _similitude_ratio(t: ProjTransform4) -> Scalar:
+    """The ratio of the line map induced by A: det(A) for points, det(A)^3 for planes."""
+    det = t.determinant()
+    return det if t.action == "points" else det * det * det
 
 
 # -- lifting matrices to versors ---------------------------------------------------
@@ -564,8 +568,8 @@ def _lift(t: ProjTransform4, scalar_mode: str) -> tuple:
     if scalar_mode not in SCALAR_MODES:
         raise AlgebraError("scalar_mode must be 'rational' or 'complex'")
     det, points = t.determinant(), t.action == "points"
-    s = _normalization_scale(det if points else det * det * det, scalar_mode)
-    parity = "even" if t.kind == "collineation" else "odd"
+    s = _normalization_scale(_similitude_ratio(t), scalar_mode)
+    parity = _PARITY[t.kind]
     a, cofactors, table = t.matrix, _cofactor_matrix(t.matrix), _table_transpose(parity)
     scaled = (a.entries, s if points else s / det)  # A and its factor in (P, Q)
     other = (cofactors.entries, 1)

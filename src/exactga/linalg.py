@@ -9,10 +9,11 @@ eliminations run on Python integers.  Every single scalar returned
 
 Bareiss elimination (``_gauss_jordan``) serves ``determinant`` and
 ``Matrix.det``, ``rank``, ``nullspace`` and the degeneracy check of
-``Algebra``.  The 4x4 determinant of a projective map does not take it:
-det A is Klein's form of the lines through columns c0, c1 and c2, c3,
-<p(c0, c1), J p(c2, c3)>, one sum of six products of pair minors with no
-quotient (``klein.ProjTransform4``).
+``Algebra``; ``nullspace`` reads the reduced row echelon form as rows / d,
+d the last pivot, and normalizes each kernel vector.  The 4x4 determinant
+of a projective map does not take it: det A is Klein's form of the lines
+through columns c0, c1 and c2, c3, b(p(c0, c1), p(c2, c3)), one sum of six
+products of pair minors with no quotient (``klein.ProjTransform4``).
 
 ``mat_mul`` is the one general matrix product: one ``sum(map(mul, row,
 column))`` per entry, a Gaussian entry multiplied by its own operators.
@@ -258,10 +259,6 @@ def _normalized_table_product(table, blocks) -> tuple:
                                      + [b * lr - a * li for a, b in zip(real, imag)]))
 
 
-def _lcm_of_denominators(values) -> int:
-    return math.lcm(*(p.denominator for v in values for p in _parts(v)))
-
-
 def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
     """Fraction-free Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22, 1968).
 
@@ -281,7 +278,7 @@ def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
     scales = 1
     if not all(type(x) is int for x in m.entries):  # an int row needs no scaling
         for row in rows:
-            s = _lcm_of_denominators(row)
+            s = math.lcm(*(p.denominator for v in row for p in _parts(v)))
             if s > 1:
                 row[:] = [canonical(v * s) for v in row]
                 scales *= s
@@ -371,23 +368,18 @@ def _joined(parts: list) -> tuple:
 def nullspace(m: Matrix) -> list[tuple]:
     """Exact basis of the kernel, one vector per free column.
 
-    The vector for free column f is 1 there and -row[f] / d at each pivot
-    column of the echelon form, normalized to integer entries with content 1
-    and positive leading entry, which makes fixtures reproducible.  It is
-    built as an integral rational multiple: d times it for a real d, and
-    d * conj(d) times it for a Gaussian d, which ``normalize_vector`` could
-    not remove since it removes only rational content.
+    The reduced row echelon form is rows / d (``_gauss_jordan``), so the
+    vector for free column f is 1 there and -row[f] / d at each pivot
+    column, normalized to integer entries with content 1 and positive
+    leading entry, which makes fixtures reproducible.
     """
     rows, pivots, d, _ = _gauss_jordan(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    conj = 1 if type(d) is int else d.conjugate()
-    norm = d * conj
     basis = []
-    for f in free:
+    for f in (c for c in range(m.cols) if c not in pivots):
         vec = [0] * m.cols
-        vec[f] = norm
+        vec[f] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][f] * conj
+            vec[pc] = div(-rows[r][f], d)
         basis.append(normalize_vector(vec))
     return basis
 

@@ -198,7 +198,7 @@ def canonical(value):
 
     The one coercion rule of the library: ints, Fractions, ComplexRationals
     and scalar strings (parsed straight into this form) are accepted;
-    booleans, floats and every other type are refused.
+    booleans, floats and every other type (an ``IntEnum`` too) are refused.
     An internal Gaussian integer (``int`` parts, the imaginary one nonzero,
     the only kind of ``ComplexRational`` with ``int`` parts that ``_make``
     builds) is returned as it is.
@@ -213,13 +213,16 @@ def canonical(value):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, ComplexRational):  # its parts are ints or Fractions
         return _make(canonical(value.re), canonical(value.im))
+    raise _refusal(value)
+
+
+def _refusal(value) -> ScalarError:
+    """The error for a value that is no exact scalar: a boolean, a float or any other type."""
     if isinstance(value, bool):
-        raise ScalarError(f"refusing boolean {value!r} as a scalar")
-    if isinstance(value, int):
-        return int(value)
+        return ScalarError(f"refusing boolean {value!r} as a scalar")
     if isinstance(value, float):
-        raise ScalarError(f"refusing float {value!r}; use a string like '1/3' instead")
-    raise ScalarError(f"cannot interpret {value!r} as an exact scalar")
+        return ScalarError(f"refusing float {value!r}; use a string like '1/3' instead")
+    return ScalarError(f"cannot interpret {value!r} as an exact scalar")
 
 
 def public(value) -> Scalar:
@@ -308,7 +311,8 @@ def parse_scalar(text: str) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form, at any length: 'p/q' for rationals, 'p/q+r/si' or
-    'p/q-r/si' for complex, the real part always written ('0+1i', '0-1/2i')."""
+    'p/q-r/si' for complex, the real part always written ('0+1i', '0-1/2i');
+    any other value, text included, is refused (``_refusal``)."""
     if type(x) is int:
         return _decimal(x)
     if isinstance(x, ComplexRational):
@@ -316,7 +320,9 @@ def format_scalar(x: Scalar) -> str:
             return _rational_text(x.re)
         sign = "+" if x.im > 0 else "-"
         return f"{_rational_text(x.re)}{sign}{_rational_text(abs(x.im))}i"
-    return _rational_text(x)
+    if isinstance(x, Fraction):
+        return _rational_text(x)
+    raise _refusal(x)
 
 
 def _rational_text(q) -> str:

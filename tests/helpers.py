@@ -53,7 +53,6 @@ from exactga.linalg import (
     LinAlgError,
     Matrix,
     _gauss_jordan,
-    _lcm_of_denominators,
     determinant,
     mat_mul,
     normalize_vector,
@@ -393,7 +392,7 @@ def complex_normalize_vector(vec) -> tuple:
             g = -g
         return tuple(v // g for v in vec) if g else tuple(vec)
     vec = [canonical(v) for v in vec]
-    lcm = _lcm_of_denominators(vec)
+    lcm = math.lcm(*(p.denominator for v in vec for p in _parts(v)))
     if lcm > 1:
         vec = [canonical(v * lcm) for v in vec]
     g = math.gcd(*(p for v in vec for p in _parts(v)))

@@ -15,6 +15,7 @@ from exactga.algebra import (
     NotAVersorError,
     NullVersorError,
     Versor,
+    proportional,
     sandwich,
 )
 from exactga.klein import bilinear, klein_algebra
@@ -465,3 +466,31 @@ def test_property_distributivity(a, b, c):
        klein_multivectors(max_terms=3))
 def test_property_associativity(a, b, c):
     assert a.gp(b).gp(c) == a.gp(b.gp(c))
+
+
+def test_multivector_operators_repr_and_immutability():
+    alg = klein_algebra()
+    a, b = alg.e(1) + alg.e(2, 3), alg.e(4) - 2
+    assert a * b == a.gp(b) and b * a == b.gp(a)
+    assert 3 * a == a * 3 == a + a + a
+    # a zero scalar compares with the zero multivector only
+    assert alg.zero() == 0 and alg.zero() == Fraction(0)
+    assert not a == 0 and a != 0
+    assert repr(alg.zero()) == "<0>"
+    assert repr(alg.e(1) * 3 - alg.e(2, 5)) == "<3*e1 - e25>"
+    with pytest.raises(AttributeError, match="^Multivector is immutable$"):
+        a.algebra = lie_algebra()
+    assert a.algebra is alg
+
+
+def test_algebra_repr_names_the_signature():
+    assert repr(klein_algebra()) == "Algebra(dim=6, signature=(3,3,0))"
+    assert repr(lie_algebra()) == "Algebra(dim=6, signature=(4,2,0))"
+    assert repr(Algebra(Matrix.from_rows([[1, 0], [0, 0]]))) == "Algebra(dim=2, signature=(1,0,1))"
+
+
+def test_proportional_across_algebras_is_none():
+    klein, lie = klein_algebra(), lie_algebra()
+    assert proportional(klein.e(1) * 2, klein.e(1)) == 2
+    assert proportional(klein.e(1), lie.e(1)) is None
+    assert proportional(lie.e(1), klein.e(1)) is None

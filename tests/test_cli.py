@@ -5,9 +5,11 @@ import json
 import math
 import random
 import re
+import runpy
 import sys
 from itertools import permutations
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -935,3 +937,16 @@ SWEEP_DIGESTS = {
 def test_cli_sweep_is_byte_identical():
     # 297 jobs: a factorize, a lift and a verify of each of 99 liftable maps
     assert sweep_digests() == SWEEP_DIGESTS
+
+
+def test_the_module_as_a_script_is_main(capsys, monkeypatch):
+    # ``python -m exactga.cli`` exits with main's code and prints main's report
+    args = ["--command", "factorize", "--format", "text"]
+    expected = run_cli(capsys, args, REFERENCE_JOB)
+    monkeypatch.setattr(sys, "argv", ["exactga.cli", *args])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(REFERENCE_JOB)))
+    monkeypatch.delitem(sys.modules, "exactga.cli")  # run afresh, as the interpreter would
+    with pytest.raises(SystemExit) as stopped:
+        runpy.run_module("exactga.cli", run_name="__main__")
+    assert (stopped.value.code, capsys.readouterr().out) == expected
+    assert expected[0] == 0 and "verified: True" in expected[1]

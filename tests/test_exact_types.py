@@ -113,7 +113,7 @@ def on_adopted_terms(monkeypatch, check):
 
 def guard_class(monkeypatch, cls, found):
     arithmetic = {"__add__", "__sub__", "__mul__", "__rmul__", "__truediv__",
-                  "__rtruediv__", "__neg__", "__matmul__", "__xor__", "__or__"}
+                  "__rtruediv__", "__neg__", "__matmul__"}
     for name, attr in list(vars(cls).items()):
         if name.startswith("_") and name not in arithmetic:
             continue

@@ -30,7 +30,6 @@ from exactga.klein import (
     coefficient_vector,
     induced_line_map,
     klein_algebra,
-    klein_form_value,
     multivector_from_coefficients,
     null_polarity_to_vector,
     proj_to_versor,
@@ -64,6 +63,11 @@ def test_plucker_axes():
     assert PluckerLine.from_points([1, 0, 0, 0], [0, 0, 1, 0]).coords == (0, 1, 0, 0, 0, 0)
 
 
+def on_quadric(coords) -> bool:
+    """Klein's quadric relation l01*l23 + l02*l31 + l03*l12 = 0, written out."""
+    return coords[0] * coords[3] + coords[1] * coords[4] + coords[2] * coords[5] == 0
+
+
 def test_plucker_relation_random():
     rng = random.Random(1)
     for _ in range(50):
@@ -72,7 +76,7 @@ def test_plucker_relation_random():
             line = PluckerLine.from_points(p, q)
         except AlgebraError:
             continue
-        assert klein_form_value(line.coords) == 0
+        assert on_quadric(line.coords)
         v = line.to_multivector()
         assert v.gp(v).is_zero()
 
@@ -740,7 +744,7 @@ def test_classify_real_line_pair_has_witness_lines():
     lines = result.witness["lines"]
     assert len(lines) == 2
     for coords in lines:
-        assert klein_form_value(coords) == 0
+        assert on_quadric(coords)
 
 
 def test_classify_tangent_two_blade_single_line():
@@ -792,7 +796,7 @@ def test_classify_rank_two_three_blade_degenerate():
     result = classify_blade(Blade(blade, 3))
     assert result.tag is ManifoldKind.EMPTY_DEGENERATE
     assert result.witness["gram_rank"] == 2
-    assert klein_form_value(result.witness["common_line"]) == 0
+    assert on_quadric(result.witness["common_line"])
 
 
 def test_classify_congruence_and_complex():
@@ -846,3 +850,10 @@ def test_klein_entry_points_refuse_sphere_elements():
 def test_coefficient_vector_roundtrip(reference_versor):
     coeffs = coefficient_vector(reference_versor, "even")
     assert multivector_from_coefficients(coeffs, "even") == reference_versor
+
+
+def test_plucker_line_round_trips_through_its_multivector():
+    line = PluckerLine.from_points((1, 2, 0, "1/2"), (0, 1, -1, 3))
+    back = PluckerLine.from_multivector(line.to_multivector())
+    assert back == line and back.coords == line.coords
+    assert all(type(c) is Fraction for c in back.coords)

@@ -233,7 +233,7 @@ def test_only_scalars_reads_the_parts_of_a_gaussian_value():
     users = {name: found for name, tree in modules.items()
              if (found := _users(tree, "_parts")) and name != "scalars"}
     assert users == {"algebra": {"", "_split"},
-                     "linalg": {"", "_part_lists", "_lcm_of_denominators",
+                     "linalg": {"", "_part_lists", "_gauss_jordan",
                                 "_normalized_table_product"}}
     assert _users(modules["klein"], "_table_product") == set()
     assert _users(modules["klein"], "_normalized_table_product") == {"", "_lift"}
@@ -259,11 +259,49 @@ def test_a_proof_is_recorded_one_way():
     assert _users(modules["factorize"], "__setattr__") == set()
 
 
+def _constants(tree: ast.Module, values: set) -> set[str]:
+    """The innermost function around each string constant in ``values``."""
+    return _owners(tree, lambda node: isinstance(node, ast.Constant) and node.value in values)
+
+
+def _is_cube(node: ast.AST) -> bool:
+    """``x * x * x`` of one name."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and all(isinstance(x, ast.Name) for x in (node.left.left, node.left.right, node.right))
+            and node.left.left.id == node.left.right.id == node.right.id)
+
+
 def test_each_rule_has_one_statement():
     modules = _modules()
-    # each model's form is its algebra's: Lie's is not restated, Klein's is the swap
+    # each model's form is its algebra's: Lie's is not restated, Klein's is the
+    # swap, and klein evaluates it through its algebra, with no evaluator or
+    # product of coordinate lists of its own
     assert [name for name in _definitions(modules["lie"]) if "bilinear" in name] == []
     assert "klein_algebra" in _users(modules["klein"], "_swap_halves")
+    assert [node.name for node in ast.walk(modules["klein"])
+            if isinstance(node, ast.FunctionDef) and "form" in node.name] == []
+    assert _users(modules["klein"], "mul") == set()
+    # the similitude ratio of an induced line map, det A or (det A)^3, is
+    # stated once, for the map and the lift
+    assert _owners(modules["klein"], _is_cube) == {"_similitude_ratio"}
+    assert _users(modules["klein"], "_similitude_ratio") == {"induced_line_map", "_lift"}
+    # even versors give collineations, odd ones correlations: one mapping,
+    # and no function names a kind and a parity together
+    kinds, parities = {"collineation", "correlation"}, {"even", "odd"}
+    assert {name: found for name, tree in modules.items()
+            if (found := _constants(tree, kinds) & _constants(tree, parities))} == {"klein": {""}}
+    assert {name: found for name, tree in modules.items()
+            if (found := _users(tree, "_PARITY") - {""})} == {
+        "klein": {"versor_to_proj", "_lift"}, "factorize": {"_failed_check"}}
+    # verify's product check is the lift's proportionality: only a mismatch
+    # in from_json forms scale * A
+    assert _owners(modules["factorize"], lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "scale")) == {"from_json"}
+    assert _users(modules["factorize"], "proportionality") == {"", "from_json", "_failed_check"}
+    # nullspace reads the echelon form as rows / d, with no Gaussian pre-scaling
+    assert "nullspace" not in _users(modules["linalg"], "conjugate")
     # every quotient of the elimination is scalars.exact_div
     assert _users(modules["linalg"], "floordiv") == set()
     # one listing order of blades and one product of vectors

@@ -338,3 +338,10 @@ def test_element_json_round_trip():
                 LiePlane((0, 0, 1), 5)]
     for element in elements:
         assert lie_element_from_json(element.to_json()) == element
+
+
+def test_lie_coordinate_round_trips_through_its_multivector():
+    coords = lie_encode(LieSphere((1, "1/2", -2), 3))
+    back = LieCoordinate.from_multivector(coords.to_multivector())
+    assert back == coords and back.coords == coords.coords
+    assert back.to_multivector() == lie_algebra().vector(coords.coords)

@@ -394,3 +394,8 @@ def test_normalize_vector_int_path_matches_the_general_path():
         got = normalize_vector(vec)
         assert got == expected and all(type(x) is int for x in got)
         assert not got or next((x for x in got if x), 0) >= 0
+
+
+def test_matrix_text_is_right_aligned_columns():
+    assert str(Matrix.from_rows([[1, "1/2"], [-3, 0]])) == " 1  1/2\n-3    0"
+    assert str(Matrix.from_rows([[ComplexRational(0, 1)]])) == "0+1i"

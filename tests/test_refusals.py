@@ -6,6 +6,7 @@ subclass) and its message.  The structural checks of
 covers them and the check each one names.
 """
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -36,12 +37,16 @@ from exactga.lie import (
     lie_inversion_sandwich,
 )
 from exactga.linalg import LinAlgError, Matrix
-from exactga.scalars import ComplexRational
+from exactga.scalars import ComplexRational, ScalarError, as_scalar, format_scalar
 from conftest import REFERENCE_COLLINEATION
 
 KLEIN = klein_algebra()
 LIE = lie_algebra()
 E = KLEIN.e
+
+
+class Level(IntEnum):
+    ONE = 1
 
 
 X_AXIS = PluckerLine.from_points((1, 0, 0, 0), (0, 1, 0, 0))
@@ -172,6 +177,19 @@ REFUSALS = {
                                   ZeroDivisionError, "division by zero scalar"),
     "over-complex-zero": (lambda: Fraction(1) / ComplexRational(0, 0),
                           ZeroDivisionError, "division by zero scalar"),
+    # an int subclass is no exact scalar, and format_scalar refuses what canonical does
+    "int-enum": (lambda: as_scalar(Level.ONE),
+                 ScalarError, "cannot interpret <Level.ONE: 1> as an exact scalar"),
+    "int-enum-entry": (lambda: Matrix.from_rows([[Level.ONE]]),
+                       ScalarError, "cannot interpret <Level.ONE: 1> as an exact scalar"),
+    "format-boolean": (lambda: format_scalar(True),
+                       ScalarError, "refusing boolean True as a scalar"),
+    "format-float": (lambda: format_scalar(1.5),
+                     ScalarError, "refusing float 1.5; use a string like '1/3' instead"),
+    "format-text": (lambda: format_scalar("3"),
+                    ScalarError, "cannot interpret '3' as an exact scalar"),
+    "format-none": (lambda: format_scalar(None),
+                    ScalarError, "cannot interpret None as an exact scalar"),
 }
 
 

@@ -265,3 +265,50 @@ def test_format_scalar_prints_past_the_string_limit():
     assert [format_scalar(n) for n in values] == expected
     assert [format_scalar(Fraction(n, 3)) for n in values] == fractions
     assert [format_scalar(ComplexRational(n, -Fraction(n, 7))) for n in values if n > 0] == gaussian
+
+
+def test_complex_hash_agrees_with_equality():
+    # a value with a zero imaginary part hashes as the rational it equals
+    assert hash(ComplexRational(3, 0)) == hash(Fraction(3)) == hash(3)
+    assert hash(ComplexRational("1/2", 0)) == hash(Fraction(1, 2))
+    assert hash(ComplexRational(1, 2)) == hash(ComplexRational("2/2", "4/2"))
+    assert hash(ComplexRational(1, 2)) == hash((Fraction(1), Fraction(2)))
+    assert len({ComplexRational(3, 0), Fraction(3), ComplexRational(1, 2),
+                ComplexRational("1", "2")}) == 2
+
+
+def test_complex_unary_plus_text_and_immutability():
+    z = ComplexRational("1/2", -3)
+    assert +z is z
+    assert str(z) == format_scalar(z) == "1/2-3i"
+    assert str(ComplexRational(0, 1)) == "0+1i"
+    for name in ("re", "im"):
+        with pytest.raises(AttributeError, match="^ComplexRational is immutable$"):
+            setattr(z, name, 1)
+    assert (z.re, z.im) == (Fraction(1, 2), Fraction(-3))
+
+
+_FOREIGN = object()
+
+
+@pytest.mark.parametrize("operation", [
+    lambda z: z + _FOREIGN,
+    lambda z: _FOREIGN + z,
+    lambda z: z - _FOREIGN,
+    lambda z: _FOREIGN - z,
+    lambda z: z * _FOREIGN,
+    lambda z: _FOREIGN * z,
+    lambda z: z / _FOREIGN,
+    lambda z: _FOREIGN / z,
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"])
+def test_complex_arithmetic_with_a_foreign_operand_is_a_type_error(operation):
+    # each operator returns NotImplemented, so Python raises the TypeError
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation(ComplexRational(1, 2))
+
+
+def test_complex_equality_with_a_foreign_value_is_false():
+    z = ComplexRational(1, 2)
+    assert z.__eq__(_FOREIGN) is NotImplemented
+    assert not z == _FOREIGN and z != _FOREIGN
+    assert ComplexRational(1, 0) != "1"

@@ -531,13 +531,17 @@ def verify_jobs() -> list[tuple[dict, str]]:
 
 
 def klein_forms(monkeypatch) -> list:
-    """The calls of ``klein_form_value`` through every module that binds it."""
+    """The argument pairs of every evaluation of Klein's form, ``klein_algebra()._bilinear``."""
     calls = []
-    for owner in (klein, factorize, cli):
-        if hasattr(owner, "klein_form_value"):
-            original = getattr(owner, "klein_form_value")
-            monkeypatch.setattr(owner, "klein_form_value",
-                                lambda x, _original=original: calls.append(x) or _original(x))
+    klein_form = klein.klein_algebra()
+    original = Algebra._bilinear
+
+    def counted(self, x, y):
+        if self is klein_form:
+            calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(Algebra, "_bilinear", counted)
     return calls
 
 
@@ -545,9 +549,11 @@ def test_verify_multiplies_the_polarities_once(monkeypatch):
     # a parsed result's product is the job's one polarity product, compared
     # with A by proportionality, so scale * A is formed only for a product
     # that is not the stated multiple; the product proves each factor
-    # non-null (a null factor's polarity is singular), so no Klein form is
-    # evaluated
+    # non-null (a null factor's polarity is singular), so Klein's form is
+    # evaluated once, for the transform's determinant, and on no factor
     for job, mode in verify_jobs():
+        c0, c1, c2, c3 = map(Matrix.from_json(job["transform"]["matrix"]).col, range(4))
+        determinant_lines = (klein._pair_minors(c0, c1), klein._pair_minors(c2, c3))
         doubled = format_scalar(2 * as_scalar(job["result"]["scale"]))
         wrong = dict(job, result=dict(job["result"], scale=doubled))
         for payload, expected, formed in ((job, 0, 0), (wrong, 1, 1)):
@@ -560,7 +566,7 @@ def test_verify_multiplies_the_polarities_once(monkeypatch):
             assert (report["verified"] is True if code == 0
                     else report["detail"]["check"] == "product")
             assert len(chains) == 1 and len(scales) == formed
-            assert forms == []
+            assert forms == [determinant_lines]
 
 
 def test_verify_reads_each_factor_off_its_polarity(monkeypatch):
