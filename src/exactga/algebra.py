@@ -45,7 +45,13 @@ The grade descent runs on the working form of ``_working``, which
 ``Algebra._gp``, ``_read_off``, ``_read_vector`` and ``_multivector`` take,
 so only this module and ``linalg`` know a scalar's type.  From split terms
 the read-off gives part lists, which ``_bilinear`` probes and ``_pick``
-normalizes on their parts, recombining the pick once.
+normalizes on their parts, recombining the pick once.  Every top part is
+read off one way, a one-term part included.
+
+Each operation has one path and one input form: ``sandwich`` and ``norm``
+take a ``Multivector`` (a ``Versor`` passes its ``value``), and
+``Algebra.signature`` diagonalizes the form by congruence over the
+generators still active.
 
 All values are immutable and operations are pure; the one piece of mutable
 state, the per-algebra table caches, is filled idempotently, so concurrent
@@ -58,6 +64,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import Iterable, Sequence
 
@@ -200,44 +207,27 @@ class Algebra:
         return self._degenerate
 
     def signature(self) -> tuple[int, int, int]:
-        """Counts (p, q, r) of +1, -1, 0 squares in a diagonalizing basis."""
-        n = self.dim
-        s = self.form.row_lists()
-        p = q = r = 0
-        for k in range(n):
-            if not s[k][k]:
-                swap = next((j for j in range(k + 1, n) if s[j][j]), None)
-                if swap is not None:
-                    s[k], s[swap] = s[swap], s[k]
-                    for row in s:
-                        row[k], row[swap] = row[swap], row[k]
-                else:
-                    pair = next(((i, j) for i in range(k, n) for j in range(k, n)
-                                 if i != j and s[i][j]), None)
-                    if pair is None:
-                        r += n - k
-                        break
-                    i, j = pair
-                    s[i] = [a + b for a, b in zip(s[i], s[j])]
-                    for row in s:
-                        row[i] = row[i] + row[j]
-                    if i != k:
-                        s[k], s[i] = s[i], s[k]
-                        for row in s:
-                            row[k], row[i] = row[i], row[k]
-            # each branch above leaves a nonzero pivot (the pair sum gives 2 s[i][j])
-            piv = s[k][k]
-            for i in range(k + 1, n):
-                if s[i][k]:
-                    f = div(s[i][k], piv)
-                    s[i] = [a - f * b for a, b in zip(s[i], s[k])]
-                    for row in s:
-                        row[i] = row[i] - f * row[k]
-            if piv > 0:
-                p += 1
-            else:
-                q += 1
-        return p, q, r
+        """Counts (p, q, r) of +1, -1, 0 squares in a diagonalizing basis.
+
+        By congruence: each step pivots on an active generator with a nonzero
+        square, else on e_k + e_j with b(e_k, e_j) != 0 (it squares to
+        2 b(e_k, e_j)), clears its row and column and drops it; r counts the rest.
+        """
+        s, active, pivots = self.form.row_lists(), list(range(self.dim)), []
+        while pick := next(chain(((k, k) for k in active if s[k][k]),
+                                 ((k, j) for k in active for j in active if s[k][j])), None):
+            k, j = pick
+            if j != k:
+                s[k] = list(map(add, s[k], s[j]))
+                for row in s:
+                    row[k] += row[j]
+            active.remove(k)
+            pivots.append(piv := s[k][k])
+            for i in active:  # the Schur complement of the pivot on the active generators
+                f = div(s[i][k], piv)
+                for m in active:
+                    s[i][m] -= f * s[k][m]
+        return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots), len(active)
 
     # -- element constructors -----------------------------------------------
 
@@ -286,15 +276,15 @@ class Algebra:
         return Multivector(self, {(1 << self.dim) - 1: 1})
 
     def center_basis(self, even_only: bool = False) -> list["Multivector"]:
-        """Basis of the center: {1} or {1, e_1..n}, keyed on dim parity.
+        """Basis of the center of the algebra, or of its even part: {1} or {1, e_1..n}.
 
-        Non-degenerate forms assumed; degenerate algebras have larger centers.
+        The pseudoscalar is central in odd dimension, and central in the even
+        part in even dimension n > 0.  A degenerate form is refused, as by
+        ``pseudoscalar``: its algebra has a larger center.
         """
-        top = Multivector(self, {(1 << self.dim) - 1: 1})
-        odd = self.dim % 2 == 1
-        if even_only:
-            return [self.scalar(1)] if odd else [self.scalar(1), top]
-        return [self.scalar(1), top] if odd else [self.scalar(1)]
+        top = self.pseudoscalar()
+        central = self.dim and self.dim % 2 != even_only
+        return [self.scalar(1), top] if central else [self.scalar(1)]
 
     # -- cached blade products ----------------------------------------------
 
@@ -371,15 +361,12 @@ class Algebra:
         For f in F, the largest mask where b is nonzero, the e_j coordinate is
         the signed coefficient of e_j ^ e_(F-f), turned by conj(b_F) if split
         (on real terms a rational scale).  Normalized, they are the basis that
-        ``nullspace`` gives for a blade's OPNS; c e_F yields the unit vectors.
-        Split terms of more than one term yield part lists (real parts, then
-        imaginary parts); ``_bilinear`` and ``_pick`` tell them by length.
+        ``nullspace`` gives for a blade's OPNS; c e_F yields +-c e_f (+-|c|^2
+        e_f if split), whose picks are the unit vectors.  Split terms yield
+        part lists (real parts, then imaginary parts); ``_bilinear`` and
+        ``_pick`` tell them by length.
         """
         top = max(terms)
-        if len(terms) == 1:
-            for f in _bits(top):
-                yield [int(j == f) for j in range(self.dim)]
-            return
         rows = self._read_rows.get(top)
         if rows is None:
             rows = self._read_rows[top] = tuple(
@@ -707,6 +694,9 @@ class Multivector:
             raise AlgebraError("multivector JSON must be a list of terms")
         terms = {}
         for item in data:
+            if not isinstance(item, dict):
+                raise AlgebraError("a multivector term is a JSON object "
+                                   "with 'mask' and 'coeff' keys")
             mask = item["mask"]
             if not isinstance(mask, int) or isinstance(mask, bool):
                 raise AlgebraError("blade mask must be an integer")
@@ -742,10 +732,8 @@ def terms_text(terms: list[dict]) -> str:
     return " ".join(parts)
 
 
-def sandwich(g, x: Multivector) -> Multivector:
+def sandwich(g: Multivector, x: Multivector) -> Multivector:
     """Twisted sandwich alpha(g) x g*; defined even for non-invertible g."""
-    if isinstance(g, Versor):
-        g = g.value
     return g.involute().gp(x).gp(g.conjugate())
 
 
@@ -793,16 +781,10 @@ class Versor:
     def algebra(self) -> Algebra:
         return self.value.algebra
 
-    def norm(self) -> Scalar:
-        return self.value.norm()
-
     def inverse(self) -> "Versor":
         # conj(v1 ... vk) = (-1)^k vk ... v1: the reversed witness is proportional to the inverse
         wit = tuple(reversed(self.witness)) if self.witness else None
         return _proved(Versor, value=self.value.inverse(), parity=self.parity, witness=wit)
-
-    def sandwich(self, x: Multivector) -> Multivector:
-        return sandwich(self.value, x)
 
 
 def _product_of(algebra: Algebra, vectors: Sequence[Multivector]) -> Multivector:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import Algebra, AlgebraError, Multivector, NotAVersorError, NullVersorError, Versor
+from .algebra import Algebra, AlgebraError, Multivector, NotAVersorError, NullVersorError
 from .algebra import _working
 from .linalg import Matrix, nullspace
 
@@ -72,7 +72,7 @@ class Blade:
 
 
 def _as_multivector(b) -> Multivector:
-    return b.value if isinstance(b, (Blade, Versor)) else b
+    return b.value if isinstance(b, Blade) else b
 
 
 def _nonzero_blade(b, space: str) -> Blade:
@@ -151,7 +151,9 @@ def _choose(alg: Algebra, space) -> tuple:
 
 
 def _unit_pick(alg: Algebra, mask: int) -> tuple:
-    """``_choose`` of the unit vectors that any c e_mask reads off, memoized; a refusal is not."""
+    """``_choose`` of what e_mask reads off, +-e_f, memoized; a refusal is not.
+
+    Any c e_mask reads off +-c e_f (+-|c|^2 e_f if split), so its pick is the same."""
     pick = alg._unit_picks.get(mask)
     if pick is None:
         pick = alg._unit_picks[mask] = _choose(alg, alg._read_off({mask: 1}))
@@ -162,7 +164,7 @@ _REASONS = {NullVersorError: "null-versor", NotAVersorError: "not-a-versor",
             BladeError: "not-a-blade", NoNonNullVectorError: "totally-isotropic"}
 
 
-def factorize_versor(g: Multivector | Versor) -> list[Multivector]:
+def factorize_versor(g: Multivector | Blade) -> list[Multivector]:
     """Split a non-null versor into vectors whose product is proportional to it.
 
     Returns the factors in product order (leftmost first); the rightmost

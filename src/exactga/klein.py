@@ -272,6 +272,8 @@ class NullPolarity:
 
     @classmethod
     def from_json(cls, data: dict) -> "NullPolarity":
+        if not isinstance(data, dict):
+            raise AlgebraError("a null polarity is a JSON object with 'matrix' and 'action' keys")
         return cls(Matrix.from_json(data["matrix"]), data["action"])
 
 
@@ -339,12 +341,8 @@ def _polarity(x: Sequence, action: str) -> NullPolarity:
     return _proved(NullPolarity, matrix=_proved(Matrix, rows=4, cols=4, entries=m), action=action)
 
 
-def null_polarity_to_vector(np: NullPolarity | Matrix, action: str | None = None) -> Multivector:
+def null_polarity_to_vector(np: NullPolarity) -> Multivector:
     """The grade-1 element whose polarity matrix is the given skew matrix."""
-    if isinstance(np, Matrix):
-        if action is None:
-            raise AlgebraError("action required when passing a bare matrix")
-        np = NullPolarity(np, action)
     if np.matrix.is_zero():
         raise AlgebraError("zero matrix is not a polarity")
     return klein_algebra().vector(_polarity_coordinates(np))

@@ -173,7 +173,7 @@ class Matrix:
 
 def aligned(cells: list[list[str]]) -> str:
     """Rows of text cells, each column right-aligned, two spaces apart."""
-    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
@@ -276,12 +276,11 @@ def _gauss_jordan(m: Matrix) -> tuple[list[list], list[int], Scalar, Scalar]:
     """
     rows = m.row_lists()
     scales = 1
-    if not all(type(x) is int for x in m.entries):  # an int row needs no scaling
-        for row in rows:
-            s = math.lcm(*(p.denominator for v in row for p in _parts(v)))
-            if s > 1:
-                row[:] = [canonical(v * s) for v in row]
-                scales *= s
+    for row in rows:
+        s = math.lcm(*(p.denominator for v in row for p in _parts(v)))
+        if s > 1:
+            row[:] = [canonical(v * s) for v in row]
+            scales *= s
     pivots = []
     d, sign = 1, 1
     r = 0

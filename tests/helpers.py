@@ -315,6 +315,32 @@ def scherk_length(t: Matrix) -> int:
     return rank(d) + (2 if isotropic else 0)
 
 
+def descartes_signature(rows: list[list]) -> tuple[int, int, int]:
+    """(p, q, r) of a real symmetric matrix from its characteristic polynomial.
+
+    The coefficients come from Faddeev-LeVerrier on Fractions; r is the
+    multiplicity of the root 0, and p and q are the sign changes of p(x) and
+    p(-x) (Descartes' rule, exact because every eigenvalue is real).
+    """
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0 of det(x Id - A)
+    am = [[Fraction(0)] * n for _ in range(n)]  # A M_(k-1), with M_0 = 0
+    for k in range(1, n + 1):
+        m = [[x + (coeffs[-1] if i == j else 0) for j, x in enumerate(row)]
+             for i, row in enumerate(am)]  # M_k = A M_(k-1) + c_(n-k+1) Id
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+    low = coeffs[::-1]  # c_0 first
+    r = next((i for i, c in enumerate(low) if c), n)
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(low), changes([c if i % 2 == 0 else -c for i, c in enumerate(low)]), r
+
+
 def checked_lift(g: Multivector, G: Matrix, s, parity: str) -> Multivector:
     """g if alpha(g) (s e_j) = G(e_j) g on all six basis vectors (alpha(g) = -g if odd).
 

@@ -20,10 +20,11 @@ from exactga.algebra import (
 )
 from exactga.klein import bilinear, klein_algebra
 from exactga.lie import lie_algebra
-from exactga.linalg import Matrix
+from exactga.linalg import Matrix, rank
 from exactga.scalars import ComplexRational, ScalarError
 from helpers import (
     ORACLE_ALGEBRAS,
+    descartes_signature,
     orthogonal_oracle_gp,
     per_term_gp,
     per_term_inner,
@@ -317,6 +318,54 @@ def test_center_cases():
     assert len(even_center) == 2 and even_center[1] == E(1, 2, 3, 4, 5, 6)
 
 
+def commutant_dimension(alg, masks, generators):
+    """The dimension of {x in the span of masks : x g = g x for every g}, by elimination."""
+    if not generators:
+        return len(masks)
+    columns = [[(alg.mv({m: 1}).gp(g) - g.gp(alg.mv({m: 1}))).coeff(t)
+                for g in generators for t in range(1 << alg.dim)] for m in masks]
+    return len(masks) - rank(Matrix.from_rows([list(row) for row in zip(*columns)]))
+
+
+def test_center_basis_is_the_commutant():
+    """On diagonal and dense non-degenerate forms of 0-4 generators, the
+    center is the kernel of x -> x e_i - e_i x, and the center of the even
+    part that of x -> x e_i e_j - e_i e_j x on even x; degenerate forms are
+    refused."""
+    rng = random.Random("algebra/center-oracle")
+    forms = [Matrix(0, 0, ())]
+    for n in range(1, 5):
+        forms.append(Matrix.from_rows([[rng.choice((1, -1, 2, -3)) if i == j else 0
+                                        for j in range(n)] for i in range(n)]))
+        for _ in range(2):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 1, -1, 2, Fraction(1, 2)))
+            forms.append(Matrix.from_rows(rows))
+    forms.append(Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    refused = 0
+    for form in forms:
+        alg = Algebra(form)
+        vectors = [alg.mv({1 << i: 1}) for i in range(alg.dim)]
+        if alg.is_degenerate():
+            for even_only in (False, True):
+                with pytest.raises(DegenerateFormError):
+                    alg.center_basis(even_only)
+            refused += 1
+            continue
+        pairs = [a.gp(b) for i, a in enumerate(vectors) for b in vectors[i + 1:]]
+        for basis, generators, masks in (
+                (alg.center_basis(), vectors, alg.basis_masks()),
+                (alg.center_basis(even_only=True), pairs, alg.basis_masks(parity="even"))):
+            assert len(basis) == commutant_dimension(alg, masks, generators)
+            assert all(x.gp(g) == g.gp(x) for x in basis for g in generators)
+        assert all(x.parity() == "even" for x in alg.center_basis(even_only=True))
+    assert refused >= 2
+    # the refused diag(1, 0, 0): e23 is central, so the center is larger than {1, e123}
+    assert commutant_dimension(alg, alg.basis_masks(), vectors) > 2
+
+
 def test_center_elements_commute():
     for element in KLEIN.center_basis():
         for mask in KLEIN.basis_masks():
@@ -420,9 +469,9 @@ def test_versor_inverse_keeps_witness():
 def test_versor_accessors():
     g = Versor.from_vectors(KLEIN, [E(1) + E(4), E(2) + E(5)])  # each factor squares to 2
     assert g.algebra is KLEIN
-    assert g.norm() == 4
+    assert g.value.norm() == 4
     x = E(3) - E(6)
-    assert g.sandwich(x) == sandwich(g, x) == g.value.gp(x).gp(g.value.conjugate())
+    assert sandwich(g.value, x) == g.value.gp(x).gp(g.value.conjugate())
 
 
 def test_signature():
@@ -435,6 +484,36 @@ def test_signature():
     assert Algebra(form.scale(-1)).signature() == (2, 1, 0)
     # no nonzero diagonal entry after a zero one: the off-diagonal pair is summed
     assert Algebra(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 1, 0]])).signature() == (1, 1, 1)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric int and Fraction forms of 0-7 generators, some with a zero
+    diagonal, some degenerate (one generator's row a multiple of another's)."""
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    zero_diagonal = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = 0 if i == j and zero_diagonal else draw(entry)
+    if n >= 2 and draw(st.booleans()):
+        k, l = draw(st.permutations(range(n)))[:2]
+        c = draw(entry)
+        for j in range(n):
+            rows[k][j] = rows[j][k] = c * rows[l][j]
+        rows[k][k] = c * c * rows[l][l]
+    return rows
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(symmetric_forms())
+def test_signature_matches_the_characteristic_polynomial(rows):
+    """(p, q, r) are the positive, negative and zero eigenvalues, counted by
+    Descartes' rule on the characteristic polynomial."""
+    n = len(rows)
+    form = Matrix(n, n, tuple(x for row in rows for x in row))
+    assert Algebra(form).signature() == descartes_signature(rows)
 
 
 # -- hypothesis property checks -----------------------------------------------------------------------
@@ -487,6 +566,8 @@ def test_algebra_repr_names_the_signature():
     assert repr(klein_algebra()) == "Algebra(dim=6, signature=(3,3,0))"
     assert repr(lie_algebra()) == "Algebra(dim=6, signature=(4,2,0))"
     assert repr(Algebra(Matrix.from_rows([[1, 0], [0, 0]]))) == "Algebra(dim=2, signature=(1,0,1))"
+    assert Matrix(0, 0, ()).det() == 1
+    assert repr(Algebra(Matrix(0, 0, ()))) == "Algebra(dim=0, signature=(0,0,0))"
 
 
 def test_proportional_across_algebras_is_none():

@@ -286,8 +286,8 @@ def cofactor_read_off(b):
 
 
 def test_single_term_read_off_is_the_unit_vectors(monkeypatch):
-    """c e_F reads off as the e_f, the cofactor read-off normalized, with no
-    product by c or its conjugate."""
+    """The picks of what c e_F reads off are the e_f, the cofactor read-off
+    normalized, with no ``ComplexRational`` product by c or its conjugate."""
     products = []
 
     def counted(original):
@@ -306,8 +306,9 @@ def test_single_term_read_off_is_the_unit_vectors(monkeypatch):
                 c = rand_coefficient(rng, kind) or 1
                 b = alg.mv({mask: c})
                 expected = [normalize_vector(v) for v in cofactor_read_off(b)]
+                assert expected == [tuple(int(j == f) for j in range(alg.dim)) for f in bits(mask)]
                 products.clear()
-                assert [tuple(v) for v in alg._read_off(b._terms)] == expected
+                assert [alg._pick(v) for v in alg._read_off(_working(b._terms))] == expected
                 assert products == []
                 compared += 1
     assert compared == 2 * 63 * 4

@@ -533,6 +533,29 @@ def test_verify_of_a_non_skew_polarity_fails_alone_in_its_batch(capsys):
     assert reports[1]["error"] == "field 'result': polarity matrix must be skew-symmetric"
 
 
+def test_verify_of_a_non_object_item_fails_alone_in_its_batch(capsys):
+    """A polarity or a factor term that is no JSON object is refused by its
+    parser, not by Python's indexing."""
+    t = ProjTransform4(Matrix.from_rows(REFERENCE_COLLINEATION), "collineation", "points")
+    result = factorize_matrix(t).to_json()
+    bad = {"polarities": ["p"], "factors": [[5]]}
+    messages = {"polarities": "field 'result': a null polarity is a JSON object "
+                              "with 'matrix' and 'action' keys",
+                "factors": "field 'result': a multivector term is a JSON object "
+                           "with 'mask' and 'coeff' keys"}
+    for field, item in bad.items():
+        bent = dict(result, **{field: item})
+        code, report = run_job("verify", {"transform": REFERENCE_JOB, "result": bent}, {})
+        assert (code, report) == (64, {"error": messages[field]}), field
+        jobs = [{"command": "verify", "payload": {"transform": REFERENCE_JOB, "result": r}}
+                for r in (result, bent, result)]
+        code, out = run_cli(capsys, ["--command", "verify"], jobs)
+        reports = json.loads(out)
+        assert code == 64
+        assert [r["exit_code"] for r in reports] == [0, 64, 0]
+        assert reports[1]["error"] == messages[field]
+
+
 def test_unknown_scalar_mode_is_a_parse_failure(capsys):
     for command in ("factorize", "lift"):
         code, report = run_job(command, REFERENCE_JOB, {"scalar_mode": "real"})

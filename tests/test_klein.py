@@ -234,7 +234,7 @@ def test_null_polarity_to_vector_examples(reference_polarities):
     m2 = NullPolarity(reference_polarities[1], "planes")
     assert proportional(null_polarity_to_vector(m2), 4 * E(2) + E(5)) is not None
     with pytest.raises(AlgebraError):
-        null_polarity_to_vector(Matrix.zeros(4, 4), "points")
+        null_polarity_to_vector(NullPolarity(Matrix.zeros(4, 4), "points"))
 
 
 # -- versor coefficient tables -----------------------------------------------------------

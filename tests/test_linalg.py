@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exactga.algebra import Algebra
 from exactga.linalg import (
     LinAlgError,
     Matrix,
     _joined,
     _normalized_parts,
     _skew_chain_product,
+    aligned,
     determinant,
     mat_mul,
     normalize_vector,
@@ -399,3 +401,5 @@ def test_normalize_vector_int_path_matches_the_general_path():
 def test_matrix_text_is_right_aligned_columns():
     assert str(Matrix.from_rows([[1, "1/2"], [-3, 0]])) == " 1  1/2\n-3    0"
     assert str(Matrix.from_rows([[ComplexRational(0, 1)]])) == "0+1i"
+    # a 0x0 matrix, determinant 1, is the form of Cl(0)
+    assert aligned([]) == str(Matrix(0, 0, ())) == str(Algebra(Matrix(0, 0, ())).form) == ""

@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from exactga.algebra import Algebra, AlgebraError, AlgebraMismatchError, Versor, bilinear
+from exactga.algebra import (
+    Algebra,
+    AlgebraError,
+    AlgebraMismatchError,
+    DegenerateFormError,
+    Multivector,
+    Versor,
+    bilinear,
+)
 from exactga.blades import Blade, BladeError, NoNonNullVectorError, choose_nonnull_vector
 from exactga.factorize import _failed_check, factorize_matrix, verify_factorization
 from exactga.klein import (
@@ -42,6 +50,7 @@ from conftest import REFERENCE_COLLINEATION
 
 KLEIN = klein_algebra()
 LIE = lie_algebra()
+DEGENERATE = Algebra(Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
 E = KLEIN.e
 
 
@@ -88,6 +97,14 @@ REFUSALS = {
                              AlgebraError, "witness factors must be grade-1 elements"),
     "bilinear-algebras": (lambda: bilinear(E(1) + E(4), LIE.e(1) + LIE.e(4)),
                           AlgebraMismatchError, "operands live in different algebras"),
+    # a degenerate form has a larger center: e23 commutes with e1, e2 and e3 here
+    "center-degenerate": (lambda: DEGENERATE.center_basis(), DegenerateFormError,
+                          "pseudoscalar duality needs a non-degenerate form"),
+    "even-center-degenerate": (lambda: DEGENERATE.center_basis(even_only=True),
+                               DegenerateFormError,
+                               "pseudoscalar duality needs a non-degenerate form"),
+    "term-not-object": (lambda: Multivector.from_json(KLEIN, [5]), AlgebraError,
+                        "a multivector term is a JSON object with 'mask' and 'coeff' keys"),
     # blades
     "zero-blade-grade": (lambda: Blade(KLEIN.zero(), 2), BladeError,
                          "zero blade must have grade 0"),
@@ -122,8 +139,10 @@ REFUSALS = {
                        AlgebraError, "sandwich matrix needs a grade-1 element"),
     "polarity-grade": (lambda: vector_to_null_polarity(E(1, 2), "points"),
                        AlgebraError, "null polarities come from grade-1 elements"),
-    "bare-matrix-action": (lambda: null_polarity_to_vector(Matrix.zeros(4, 4)),
-                           AlgebraError, "action required when passing a bare matrix"),
+    "polarity-zero": (lambda: null_polarity_to_vector(NullPolarity(Matrix.zeros(4, 4), "points")),
+                      AlgebraError, "zero matrix is not a polarity"),
+    "polarity-not-object": (lambda: NullPolarity.from_json("p"), AlgebraError,
+                            "a null polarity is a JSON object with 'matrix' and 'action' keys"),
     "coefficient-count": (lambda: multivector_from_coefficients([1] * 31, "even"),
                           AlgebraError, "expected 32 coefficients"),
     "scalar-mode": (lambda: factorize_matrix(REFERENCE, "real"),
