@@ -7,8 +7,10 @@ product is computed by metric contraction on wedge monomials:
 
     e_m ^ E  =  e_m E - (e_m . E)        for m below every index of E,
 
-which peels one generator at a time and bottoms out in the vector-blade
-product.
+which peels one generator at a time: e_a e_b = e_m (E e_b) - (e_m . E) e_b
+for a = e_m ^ E.  Only the generator rows, e_m E and 1 E, are computed from
+the form; every other blade product is one pass over cached entries of
+lower left grade (``Algebra.blade_gp``).
 
 Every product of multivectors is one kernel, ``_product``, over a table of
 blade products: the sum over coefficient pairs of c_a c_b times the table
@@ -288,45 +290,47 @@ class Algebra:
 
     # -- cached blade products ----------------------------------------------
 
-    def _vec_contract(self, i: int, mask: int) -> list[tuple[int, Scalar]]:
-        """Left contraction e_i . E_mask as (mask, coefficient) terms."""
-        out = []
-        pos = 0
-        for j in _bits(mask):
-            c = self._metric[i][j]
-            if c:
-                coeff = c if pos % 2 == 0 else -c
-                out.append((mask ^ (1 << j), coeff))
-            pos += 1
-        return out
+    def _outside(self, rows: defaultdict, a: int, b: int) -> AlgebraError:
+        """The refusal of a table miss on a mask outside the algebra, dropping the row it made."""
+        if not rows[a]:
+            del rows[a]
+        return AlgebraError(f"mask {a if a >> self.dim else b} outside the algebra")
 
-    def _vec_gp(self, i: int, mask: int) -> list[tuple[int, Scalar]]:
-        """Geometric product e_i * E_mask = e_i . E + e_i ^ E."""
-        out = self._vec_contract(i, mask)
+    def _vec_gp(self, i: int, mask: int) -> tuple:
+        """Generator row entry e_i E_mask = e_i . E + e_i ^ E, contraction terms first."""
+        out = [(mask ^ (1 << j), c if pos % 2 == 0 else -c)
+               for pos, j in enumerate(_bits(mask)) if (c := self._metric[i][j])]
         if not (mask >> i) & 1:
-            sign = _merge_sign(1 << i, mask)
-            out.append((mask | (1 << i), sign))
-        return out
+            out.append((mask | (1 << i), _merge_sign(1 << i, mask)))
+        return tuple(out)
 
     def blade_gp(self, a: int, b: int) -> tuple:
-        """Geometric product of two wedge basis monomials as cached (mask, coefficient) terms."""
+        """Geometric product of two wedge basis monomials as cached (mask, coefficient) terms.
+
+        Only the generator rows (a = 0 or a single e_i) are computed from the
+        form.  Any other entry is read off cached ones: for a = e_i ^ e_rest,
+        i the lowest generator of a, e_a e_b = e_i (e_rest e_b) - (e_i . e_rest) e_b,
+        the contraction being blade_gp(e_i, rest) without its wedge term a.
+        """
         row = self._gp_rows[a]
         cached = row.get(b)
         if cached is not None:
             return cached
-        if a == 0:
-            result = ((b, 1),)
+        if (a | b) >> self.dim:  # a negative mask shifts to -1
+            raise self._outside(self._gp_rows, a, b)
+        low = a & -a
+        if low == a:
+            result = self._vec_gp(low.bit_length() - 1, b) if a else ((b, 1),)
         else:
-            low = a & -a
-            i = low.bit_length() - 1
-            rest = a ^ low
+            gp, rest = self.blade_gp, a ^ low
             acc: dict[int, Scalar] = {}
-            for m, c in self.blade_gp(rest, b):
-                for m2, c2 in self._vec_gp(i, m):
+            for m, c in gp(rest, b):
+                for m2, c2 in gp(low, m):
                     acc[m2] = acc.get(m2, 0) + c * c2
-            for mc, cc in self._vec_contract(i, rest):
-                for m2, c2 in self.blade_gp(mc, b):
-                    acc[m2] = acc.get(m2, 0) - cc * c2
+            for mc, cc in gp(low, rest):
+                if mc != a:
+                    for m2, c2 in gp(mc, b):
+                        acc[m2] = acc.get(m2, 0) - cc * c2
             result = tuple((m, canonical(c)) for m, c in acc.items() if c)
         row[b] = result
         return result
@@ -336,6 +340,8 @@ class Algebra:
         row = self._wedge_rows[a]
         table = row.get(b)
         if table is None:
+            if (a | b) >> self.dim:
+                raise self._outside(self._wedge_rows, a, b)
             table = row[b] = () if a & b else ((a | b, _merge_sign(a, b)),)
         return table
 
@@ -344,6 +350,8 @@ class Algebra:
         row = self._inner_rows[a]
         table = row.get(b)
         if table is None:
+            if (a | b) >> self.dim:
+                raise self._outside(self._inner_rows, a, b)
             target = abs(a.bit_count() - b.bit_count())
             table = row[b] = tuple((m, c) for m, c in self.blade_gp(a, b)
                                    if m.bit_count() == target)

@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -234,6 +235,45 @@ def test_products_match_the_per_term_oracles(name):
                     assert got.to_json() == oracle(x, y).to_json()
                     nonzero[product] += not got.is_zero()
     assert min(nonzero.values()) >= 50
+
+
+# SHA-256 of repr([blade_gp(a, b) for a in masks for b in masks]), masks in
+# basis_masks() order: every entry, its term order and its scalar types
+BLADE_GP_DIGESTS = {
+    "degenerate": "2114268c06b0e05a3ce01b6f5661dc5405c747e4afdec83993b2e7ee2b86a92e",
+    "dense": "de6d9bbb7886538c3428b264e0cdb70f61fbf5a14cd691bab2aad727121791e6",
+    "klein": "8bd0905d4f11d44f5ce92b57871ebc8ef1133c770c75cb7e8e9e7119a7560eaa",
+    "lie": "c1ed0c48e953cd8543bac72205c1e1f028c712f55878aee3b5123ccb98238668",
+}
+
+
+def test_blade_gp_tables_are_pinned():
+    for name, form_alg in sorted(ORACLE_ALGEBRAS.items()):
+        alg = Algebra(form_alg.form)  # empty tables, so this builds every entry
+        masks = alg.basis_masks()
+        entries = [alg.blade_gp(a, b) for a in masks for b in masks]
+        assert hashlib.sha256(repr(entries).encode()).hexdigest() == BLADE_GP_DIGESTS[name]
+    # a seeded sample of the Klein table against the orthogonal-basis product
+    rng = random.Random("algebra/blade-gp-sample")
+    masks = KLEIN.basis_masks()
+    for a, b in rng.sample([(a, b) for a in masks for b in masks], 1000):
+        assert KLEIN.mv(dict(KLEIN.blade_gp(a, b))) == orthogonal_oracle_gp(
+            KLEIN.mv({a: 1}), KLEIN.mv({b: 1}))
+
+
+@pytest.mark.parametrize("builder", ["blade_gp", "blade_wedge", "blade_inner"])
+def test_blade_builders_refuse_masks_outside_the_algebra(builder):
+    alg = Algebra(KLEIN.form)
+    rows = {"blade_gp": alg._gp_rows, "blade_wedge": alg._wedge_rows,
+            "blade_inner": alg._inner_rows}[builder]
+    build = getattr(alg, builder)
+    for a, b, bad in ((64, 0, 64), (64, 1, 64), (0, 64, 64), (-1, 0, -1), (1, -3, -3)):
+        with pytest.raises(AlgebraError) as caught:
+            build(a, b)
+        assert type(caught.value) is AlgebraError
+        assert str(caught.value) == f"mask {bad} outside the algebra"
+    assert not rows  # nothing cached, not even an empty row
+    assert build(1, 2) is rows[1][2]  # in range, an entry is built and cached
 
 
 # -- norms and inverses ------------------------------------------------------------------

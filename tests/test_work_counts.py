@@ -13,7 +13,8 @@ successful descent, a division before the lift's normalization, a
 multiplication or sum inside the polarity chain or the lift's coefficient
 table, a polarity chain that takes more than one call of the skew chain
 kernel or any ``mat_mul`` or line-map check, a reordering sign computed
-outside the warm blade tables, an outer or inner product routed through
+outside the warm blade tables, a vector-blade product outside a gp table's
+generator rows, an outer or inner product routed through
 ``Multivector.gp``, a certificate check that parses scalars through
 ``Fraction(text)`` or evaluates the Klein form at all, a second polarity
 product in a verify job, a ``scale * A`` in a verify job whose product
@@ -433,6 +434,20 @@ def test_warm_factorization_computes_no_reordering_sign(monkeypatch):
         assert result.verified() and len(result.factors) >= 4
         assert factorize.verify_factorization(result, t)
         assert signs == []
+
+
+def test_gp_table_computes_vector_blade_products_only_in_generator_rows(monkeypatch):
+    # every other entry is read off cached ones: 6 * 64 products, not 4,032
+    for form in (klein.klein_algebra().form, lie_algebra().form):
+        alg = Algebra(form)
+        masks = alg.basis_masks()
+        products = counting(monkeypatch, Algebra, "_vec_gp")
+        for a in masks:
+            for b in masks:
+                alg.blade_gp(a, b)
+        monkeypatch.undo()
+        generator_rows = [(i, b) for i in range(6) for b in range(64)]
+        assert sorted(args[1:] for args in products) == generator_rows
 
 
 def test_wedge_and_inner_read_their_own_tables(monkeypatch):

@@ -50,6 +50,8 @@ ALLOWED: dict[str, str] = {
         "equivalent: e_j ^ e_rest is one term for j outside rest, so [-1] is [0]",
     "Algebra._read_off: lr, li = lead if split else (lead, 0) [0 -> 1]": _UNUSED_PART,
     "Algebra._read_off: lr, li = lead if split else (lead, 0) [0 -> -1]": _UNUSED_PART,
+    "Algebra._vec_gp: out.append((mask | (1 << i), _merge_sign(1 << i, mask))) [1 -> 2] #2":
+        "equivalent: bit i is not in mask here, so mask has the same bits below i + 1 as below i",
 }
 
 _COMPARE = {ast.Eq: (ast.NotEq,), ast.NotEq: (ast.Eq,), ast.Lt: (ast.LtE, ast.GtE),
